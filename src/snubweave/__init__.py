@@ -11,10 +11,7 @@ The package is organized by capability:
 * :mod:`snubweave.weaving` — strand tracing, two-colorings, gluings, and
   over/under crossing assignment;
 * :mod:`snubweave.fractal` — boundary-curve rewriting system, length growth,
-  fractal-dimension estimation, first-hit rasters;
-* :mod:`snubweave.io_formats` — mesh text format, weave documents, SVG and
-  portable-raster writers;
-* :mod:`snubweave.cli` — the ``snubweave`` command-line front end.
+  fractal-dimension estimation, first-hit rasters.
 """
 
 from .errors import (
@@ -63,13 +60,8 @@ from .snub import (
     ALPHA,
     StepRecord,
     SubdivisionHistory,
-    Z_GEOMETRY,
     ZOrientation,
-    ZTripletGeometry,
     assign_z_orientations,
-    connect_new_vertices,
-    insert_barycenters,
-    replace_edges_with_z_triplets,
     smooth_inner_vertices,
     snub_subdivide,
 )

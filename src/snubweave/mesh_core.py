@@ -117,7 +117,9 @@ class Mesh:
     """Immutable planar polygon mesh with derived connectivity tables.
 
     Use :func:`build_mesh` (or a generator) instead of calling the
-    constructor directly; the constructor trusts its arguments.
+    constructor directly; the constructor trusts its arguments.  Only code
+    that derives every table in closed form, such as the snub step, calls
+    it directly.
     """
 
     def __init__(self, positions, face_vertex_flat, face_starts,

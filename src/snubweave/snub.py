@@ -24,11 +24,22 @@ Positions use an exact closed form: on an edge from ``a`` to ``b`` with
 ``a + ((5*dx - s*sqrt(3)*dy) / 14, (s*sqrt(3)*dx + 5*dy) / 14)``, i.e. the
 edge direction rotated by ``s * atan(sqrt(3)/5)`` and scaled by
 ``1/sqrt(7)``; the bend point near ``b`` mirrors it through the midpoint.
+
+Operations 1-3 are built in one pass from closed-form connectivity, with no
+edge hashing.  For a source mesh with ``V`` vertices, edges ``(lo, hi)`` and
+``F`` faces, edge ``e`` gets the bend points ``V + 2e`` (near ``lo``) and
+``V + 2e + 1``, and face ``f`` the barycenter ``V + 2E + f``; source face
+slot ``i`` becomes refined face ``i``.  The refined edge table is written
+directly in the sorted ``(lo, hi)`` order :func:`~.mesh_core.build_mesh`
+would produce: first the ``2E`` outer Z segments ``(source vertex, bend)``,
+then, per source edge, its middle segment followed by the spokes at its two
+bend points.  That order is load-bearing, because the next step numbers its
+bend points by edge id.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import logging
 import math
 
@@ -36,9 +47,10 @@ import numpy as np
 
 from .errors import (
     AmbiguousHalfPlaneError,
+    DegenerateFaceError,
     InternalInvariantError,
     InvalidParameterError,
-    MissingProvenanceError,
+    NonManifoldError,
 )
 from .mesh_core import (
     EdgeTag,
@@ -47,21 +59,15 @@ from .mesh_core import (
     ParentKind,
     Provenance,
     VertexTag,
-    build_mesh,
     classify,
 )
 
 __all__ = [
     "ALPHA",
-    "ZTripletGeometry",
-    "Z_GEOMETRY",
     "ZOrientation",
     "StepRecord",
     "SubdivisionHistory",
     "assign_z_orientations",
-    "replace_edges_with_z_triplets",
-    "insert_barycenters",
-    "connect_new_vertices",
     "smooth_inner_vertices",
     "snub_subdivide",
 ]
@@ -72,22 +78,6 @@ logger = logging.getLogger(__name__)
 ALPHA = math.atan(math.sqrt(3.0) / 5.0)
 
 _SQRT3 = math.sqrt(3.0)
-_SQRT7 = math.sqrt(7.0)
-
-
-@dataclass(frozen=True)
-class ZTripletGeometry:
-    """The three defining constants of the edge-replacement geometry."""
-
-    alpha: float = ALPHA                 # first/last segment turn (radians)
-    segment_ratio: float = 1.0 / _SQRT7  # segment length / edge length
-    bend_angle: float = 2.0 * math.pi / 3.0  # enclosed angle at each bend
-
-
-#: The geometry used by this scheme (all three values are forced by the
-#: requirements that the triplet has equal segment lengths, bends of
-#: ``2*pi/3``, and preserved endpoints).
-Z_GEOMETRY = ZTripletGeometry()
 
 
 @dataclass(frozen=True)
@@ -100,16 +90,10 @@ class ZOrientation:
     right.  The reading is direction-symmetric (reversing the viewing
     direction swaps both the reference endpoint and left/right), so the
     same value serves both incident faces.
-
-    ``violations`` lists edges where propagation met a contradiction.  The
-    structural argument above means a single global flag always works, so
-    the list stays empty; it is kept so callers can rely on the field.
     """
 
     edge_flags: np.ndarray
-    seed_edge: int
     seed_flag: int
-    violations: list[int] = field(default_factory=list)
 
     def flag_between(self, mesh: Mesh, u: int, v: int) -> int:
         """Bend-side flag of the edge joining ``u`` and ``v``.
@@ -120,30 +104,23 @@ class ZOrientation:
         return int(self.edge_flags[mesh.edge_id(u, v)])
 
 
-def assign_z_orientations(mesh: Mesh, seed_edge: int | None = None,
-                          seed_flag: int = 1) -> ZOrientation:
-    """Choose a bend side for every edge, spreading out from a seed edge.
+def assign_z_orientations(mesh: Mesh, seed_flag: int = 1) -> ZOrientation:
+    """Choose a bend side for every edge.
 
     Consistency around every face requires all edges of the face to carry
     the same flag, and sharing an edge transfers that requirement to the
-    neighboring face, so on a connected mesh the seed determines every flag:
-    all edges receive ``seed_flag``.  The two possible seeds yield mirror
-    refinements.
+    neighboring face, so on a connected mesh one edge's flag determines
+    every flag: all edges receive ``seed_flag``.  The two possible values
+    yield mirror refinements.
     """
     if seed_flag not in (1, -1):
         raise InvalidParameterError(f"seed flag must be +1 or -1, got {seed_flag}")
-    if seed_edge is None:
-        seed_edge = 0
-    if not (0 <= seed_edge < mesh.edge_count):
-        raise InvalidParameterError(
-            f"seed edge {seed_edge} out of range for {mesh.edge_count} edges")
     flags = np.full(mesh.edge_count, seed_flag, dtype=np.int8)
-    return ZOrientation(edge_flags=flags, seed_edge=int(seed_edge),
-                        seed_flag=int(seed_flag), violations=[])
+    return ZOrientation(edge_flags=flags, seed_flag=int(seed_flag))
 
 
 # ---------------------------------------------------------------------------
-# operation 1: edge replacement
+# operations 1-3: bend points, barycenters and spokes in one pass
 # ---------------------------------------------------------------------------
 
 def _bend_points(mesh: Mesh, orient: ZOrientation):
@@ -159,206 +136,174 @@ def _bend_points(mesh: Mesh, orient: ZOrientation):
     return near_a, near_b
 
 
-def replace_edges_with_z_triplets(mesh: Mesh, orient: ZOrientation
-                                  ) -> tuple[Mesh, Provenance]:
-    """Replace every edge by its Z-triplet; faces become 3n-cycles.
+def _edge_flags_from_bends(source: Mesh, positions: np.ndarray) -> np.ndarray:
+    """Read every edge's bend side back from its bend point ``V + 2e``.
 
-    New vertices are appended after the originals, interleaved per edge:
-    edge ``e`` produces vertices ``V + 2e`` (near its lower-index endpoint)
-    and ``V + 2e + 1``.
+    Flag +1 means that bend point lies left of the edge walked from its
+    lower- to its higher-index endpoint.  A bend point exactly on its edge
+    raises :class:`AmbiguousHalfPlaneError`.
     """
-    if len(orient.edge_flags) != mesh.edge_count:
-        raise InvalidParameterError("orientation does not match mesh edges")
-    V, E, F = mesh.vertex_count, mesh.edge_count, mesh.face_count
-    near_a, near_b = _bend_points(mesh, orient)
-    positions = np.empty((V + 2 * E, 2))
-    positions[:V] = mesh.positions
-    positions[V::2] = near_a
-    positions[V + 1::2] = near_b
-
-    flat = mesh.face_vertex_flat
-    e_slot = mesh.face_edge_flat
-    walk_first = np.where(flat == mesh.edges[e_slot, 0],
-                          V + 2 * e_slot, V + 2 * e_slot + 1)
-    walk_second = (2 * V + 4 * e_slot + 1) - walk_first
-    total = len(flat)
-    out_flat = np.empty(3 * total, dtype=np.int64)
-    out_flat[0::3] = flat
-    out_flat[1::3] = walk_first
-    out_flat[2::3] = walk_second
-    out_starts = 3 * mesh.face_starts
-
-    refined = build_mesh(positions, (out_flat, out_starts))
-
-    vertex_tags = np.concatenate([
-        np.full(V, VertexTag.ORIGINAL, dtype=np.int8),
-        np.full(2 * E, VertexTag.Z_VERTEX, dtype=np.int8)])
-    edge_tags = np.full(refined.edge_count, EdgeTag.Z_OUTER, dtype=np.int8)
-    mid_keys = ((V + 2 * np.arange(E, dtype=np.int64))
-                * np.int64(refined.vertex_count)
-                + (V + 2 * np.arange(E, dtype=np.int64) + 1))
-    edge_tags[_edge_ids_for_keys(refined, mid_keys)] = EdgeTag.Z_MIDDLE
-
-    kind = np.concatenate([
-        np.full(V, ParentKind.VERTEX, dtype=np.int8),
-        np.full(2 * E, ParentKind.EDGE, dtype=np.int8)])
-    pid = np.concatenate([np.arange(V, dtype=np.int64),
-                          np.repeat(np.arange(E, dtype=np.int64), 2)])
-    prov = Provenance(vertex_tags=vertex_tags, edge_tags=edge_tags,
-                      vertex_parent_kind=kind, vertex_parent_id=pid,
-                      face_parent=np.arange(F, dtype=np.int64), source=mesh)
-    return refined, prov
-
-
-def _edge_ids_for_keys(mesh: Mesh, keys: np.ndarray) -> np.ndarray:
-    """Edge ids for undirected-pair keys ``a * V + b`` (must all exist)."""
-    mesh_keys = mesh.edges[:, 0] * np.int64(mesh.vertex_count) + mesh.edges[:, 1]
-    idx = np.searchsorted(mesh_keys, keys)
-    if (idx >= len(mesh_keys)).any() or (mesh_keys[idx] != keys).any():
-        raise InternalInvariantError("expected edge missing from refined mesh")
-    return idx
-
-
-# ---------------------------------------------------------------------------
-# operation 2: barycenter insertion
-# ---------------------------------------------------------------------------
-
-def insert_barycenters(mesh: Mesh, prov: Provenance) -> tuple[Mesh, Provenance]:
-    """Add one vertex per source face at the source face's vertex centroid.
-
-    The new vertices are isolated for now (no incident edges); operation 3
-    connects them.  Vertex ids: source face ``f`` gets ``V + 2E + f`` where
-    ``V`` and ``E`` count the source mesh's vertices and edges.
-    """
-    if prov.source is None or prov.face_parent is None:
-        raise MissingProvenanceError(
-            "barycenter insertion needs the source-face record from the "
-            "edge-replacement step")
-    source = prov.source
-    centroids = source.face_centroids()
-    positions = np.vstack([mesh.positions, centroids])
-    with_bary = Mesh(positions, mesh.face_vertex_flat, mesh.face_starts,
-                     mesh.edges, mesh.edge_left, mesh.edge_right,
-                     mesh.face_edge_flat)
-
-    F = source.face_count
-    vertex_tags = np.concatenate([
-        prov.vertex_tags, np.full(F, VertexTag.BARYCENTER, dtype=np.int8)])
-    kind = np.concatenate([prov.vertex_parent_kind,
-                           np.full(F, ParentKind.FACE, dtype=np.int8)])
-    pid = np.concatenate([prov.vertex_parent_id,
-                          np.arange(F, dtype=np.int64)])
-    out = Provenance(vertex_tags=vertex_tags, edge_tags=prov.edge_tags,
-                     vertex_parent_kind=kind, vertex_parent_id=pid,
-                     face_parent=prov.face_parent, source=source)
-    return with_bary, out
-
-
-# ---------------------------------------------------------------------------
-# operation 3: spoke connection
-# ---------------------------------------------------------------------------
-
-def connect_new_vertices(mesh: Mesh, prov: Provenance,
-                         classes: ElementClass | None = None
-                         ) -> tuple[Mesh, Provenance]:
-    """Join bend points to same-half-plane barycenters; faces become pentagons.
-
-    For every walk position of every source face, the bend point on the
-    face's side of the source edge receives a spoke to that face's
-    barycenter; the region between consecutive spokes is a pentagon.  After
-    building the faces structurally from the bend-side flags, the stated
-    half-plane rule is verified for every spoke: a bend point lying on its
-    edge's supporting line raises :class:`AmbiguousHalfPlaneError`, and any
-    disagreement between the half-plane choice and plain nearest-barycenter
-    distance is logged (never asserted).
-
-    ``classes`` (the source mesh's classification) is accepted for callers
-    that already computed it; it is not needed by the construction, which
-    handles outer edges implicitly (the outside bend point of a boundary
-    edge belongs to no face and thus never receives a spoke).
-    """
-    del classes
-    if prov.source is None:
-        raise MissingProvenanceError(
-            "spoke connection needs the records from operations 1 and 2")
-    source = prov.source
-    V, E, F = source.vertex_count, source.edge_count, source.face_count
-    if mesh.vertex_count != V + 2 * E + F:
-        raise MissingProvenanceError(
-            "mesh does not look like the output of barycenter insertion")
-
-    # Recover each edge's bend side from the geometry: flag +1 means the
-    # bend point near the lower-index endpoint lies left of the edge walked
-    # lower -> higher index.
-    e_all = np.arange(E, dtype=np.int64)
+    V, E = source.vertex_count, source.edge_count
     pa = source.positions[source.edges[:, 0]]
     d = source.positions[source.edges[:, 1]] - pa
-    zna = mesh.positions[V + 2 * e_all] - pa
+    zna = positions[V:V + 2 * E:2] - pa
     bend_cross = d[:, 0] * zna[:, 1] - d[:, 1] * zna[:, 0]
     if (bend_cross == 0.0).any():
         raise AmbiguousHalfPlaneError(
             "a bend point lies exactly on its source edge")
-    edge_flags = np.where(bend_cross > 0.0, 1, -1).astype(np.int64)
+    return np.where(bend_cross > 0.0, 1, -1).astype(np.int64)
 
+
+def _check_source_boundary(source: Mesh) -> None:
+    """Reject a source whose boundary is pinched; the refinement keeps it."""
+    boundary = source.edges[(source.edge_left < 0) | (source.edge_right < 0)]
+    bdeg = np.bincount(boundary.ravel(), minlength=source.vertex_count)
+    bad_v = np.flatnonzero((bdeg != 0) & (bdeg != 2))
+    if len(bad_v):
+        raise NonManifoldError(
+            f"boundary is pinched at vertex {int(bad_v[0])} "
+            f"({int(bdeg[bad_v[0]])} boundary edges meet there)")
+
+
+def _check_refined_geometry(refined: Mesh) -> None:
+    """The failures the construction's structure does not rule out.
+
+    A zero-area face or a zero-length edge raises
+    :class:`DegenerateFaceError`; a clockwise (folded) face overlaps its
+    neighbors and raises :class:`NonManifoldError`.
+    """
+    areas = refined.face_signed_areas()
+    if (areas == 0.0).any():
+        raise DegenerateFaceError(
+            f"face {int(np.flatnonzero(areas == 0.0)[0])} has zero area")
+    if (areas < 0.0).any():
+        raise NonManifoldError(
+            f"face {int(np.flatnonzero(areas < 0.0)[0])} is folded over its "
+            f"neighbors (clockwise after refinement)")
+    zero_len = refined.edge_lengths() == 0.0
+    if zero_len.any():
+        a, b = refined.edges[int(np.flatnonzero(zero_len)[0])]
+        raise DegenerateFaceError(f"edge ({int(a)}, {int(b)}) has zero length")
+
+
+def _refine(source: Mesh, orient: ZOrientation) -> tuple[Mesh, Provenance]:
+    """Operations 1-3: the pentagon mesh and its provenance.
+
+    For every walk position of every source face, the bend point on the
+    face's side of the source edge receives a spoke to that face's
+    barycenter; the region between consecutive spokes is a pentagon.  The
+    faces are built structurally from the bend-side flags, then the stated
+    half-plane rule is verified for every spoke: any disagreement with it,
+    or with plain nearest-barycenter distance, is logged (never asserted).
+    """
+    _check_source_boundary(source)
+    V, E, F = source.vertex_count, source.edge_count, source.face_count
+    near_a, near_b = _bend_points(source, orient)
+    positions = np.empty((V + 2 * E + F, 2))
+    positions[:V] = source.positions
+    positions[V:V + 2 * E:2] = near_a
+    positions[V + 1:V + 2 * E:2] = near_b
+    positions[V + 2 * E:] = source.face_centroids()
+    edge_flags = _edge_flags_from_bends(source, positions)
+
+    # per source slot: the bend points met walking the slot's edge, and the
+    # one of them on the face's side, which gets the spoke
     flat = source.face_vertex_flat
     nxt = source.slot_next
     e_slot = source.face_edge_flat
     slot_face = source.slot_face
     s_here = edge_flags[e_slot]
     s_next = s_here[nxt]
-
     walk_first = np.where(flat == source.edges[e_slot, 0],
                           V + 2 * e_slot, V + 2 * e_slot + 1)
     walk_second = (2 * V + 4 * e_slot + 1) - walk_first
     spoke_z = np.where(s_here == 1, walk_first, walk_second)
     bary = V + 2 * E + slot_face
+    corner_next = flat[nxt]
 
-    a_bit = (s_here == 1).astype(np.int64)       # start contributes 2 slots
-    b_bit = (s_next == -1).astype(np.int64)      # end contributes 2 slots
+    # edge ids: block 1 holds the outer segment (edges.ravel()[k], V + k) of
+    # bend k at rank k of a stable sort by source vertex; block 2 holds, per
+    # source edge, the middle segment, then the spokes at V + 2e, V + 2e + 1
+    ends = source.edges.ravel()
+    order = np.argsort(ends, kind="stable")
+    outer_id = np.empty(2 * E, dtype=np.int64)
+    outer_id[order] = np.arange(2 * E, dtype=np.int64)
+    spoke_face = np.full(2 * E, -1, dtype=np.int64)
+    spoke_face[spoke_z - V] = slot_face
+    has_spoke = spoke_face >= 0
+    per_edge = 1 + has_spoke.reshape(E, 2).sum(axis=1)
+    mid_id = 2 * E + np.cumsum(per_edge) - per_edge
+    spoke_id = np.repeat(mid_id + 1, 2)
+    spoke_id[1::2] += has_spoke[0::2]
+    E_out = 2 * E + int(per_edge.sum())
+
+    edges = np.empty((E_out, 2), dtype=np.int64)
+    edges[:2 * E, 0] = ends[order]
+    edges[:2 * E, 1] = V + order
+    edges[mid_id, 0] = V + 2 * np.arange(E, dtype=np.int64)
+    edges[mid_id, 1] = edges[mid_id, 0] + 1
+    bends = np.flatnonzero(has_spoke)
+    edges[spoke_id[bends], 0] = V + bends
+    edges[spoke_id[bends], 1] = V + 2 * E + spoke_face[bends]
+    edge_tags = np.full(E_out, EdgeTag.Z_OUTER, dtype=np.int8)
+    edge_tags[mid_id] = EdgeTag.Z_MIDDLE
+    edge_tags[spoke_id[bends]] = EdgeTag.SPOKE
+
+    # one pentagon per source slot: the barycenter, the spoke's bend point,
+    # [the other bend point if the spoke sits first on the edge], the next
+    # corner, the next edge's first bend point [and its second one if the
+    # next spoke sits there]; each slot also records its edge to the next
+    a_bit = (s_here == 1).astype(np.int64)
+    b_bit = (s_next == -1).astype(np.int64)
     lens = 4 + a_bit + b_bit
     out_starts = np.zeros(len(flat) + 1, dtype=np.int64)
     np.cumsum(lens, out=out_starts[1:])
     out_flat = np.empty(out_starts[-1], dtype=np.int64)
+    out_edge = np.empty(out_starts[-1], dtype=np.int64)
     p0 = out_starts[:-1]
+    spoke_here = spoke_id[spoke_z - V]
     out_flat[p0] = bary
-    out_flat[p0 + 1] = np.where(a_bit == 1, walk_first, walk_second)
+    out_edge[p0] = spoke_here
+    out_flat[p0 + 1] = spoke_z
     two = np.flatnonzero(a_bit)
     out_flat[p0[two] + 2] = walk_second[two]
-    corner_next = flat[nxt]
+    out_edge[p0[two] + 1] = mid_id[e_slot[two]]
     out_flat[p0 + 2 + a_bit] = corner_next
+    out_edge[p0 + 1 + a_bit] = outer_id[walk_second - V]
     out_flat[p0 + 3 + a_bit] = walk_first[nxt]
+    out_edge[p0 + 2 + a_bit] = outer_id[walk_first[nxt] - V]
     tail = np.flatnonzero(b_bit)
     out_flat[p0[tail] + 4 + a_bit[tail]] = walk_second[nxt][tail]
+    out_edge[p0[tail] + 3 + a_bit[tail]] = mid_id[e_slot[nxt][tail]]
+    out_edge[out_starts[1:] - 1] = spoke_here[nxt]
 
-    refined = build_mesh(mesh.positions, (out_flat, out_starts))
-    _verify_half_plane_rule(source, mesh.positions, spoke_z, bary, flat,
+    # each slot's face is left of its edge when walked from lower to higher
+    # vertex id, right otherwise
+    out_next = np.arange(1, len(out_flat) + 1, dtype=np.int64)
+    out_next[out_starts[1:] - 1] = p0
+    sides = np.full((2, E_out), -1, dtype=np.int64)
+    sides[(out_flat > out_flat[out_next]).astype(np.int64), out_edge] = \
+        np.repeat(np.arange(len(flat), dtype=np.int64), lens)
+    edge_left, edge_right = sides
+
+    refined = Mesh(positions, out_flat, out_starts, edges,
+                   edge_left, edge_right, out_edge)
+    _check_refined_geometry(refined)
+    _verify_half_plane_rule(source, positions, spoke_z, bary, flat,
                             corner_next, e_slot)
 
-    # edge tags: three Z segments per source edge, plus the new spokes
-    Vr = np.int64(refined.vertex_count)
-    edge_tags = np.full(refined.edge_count, -1, dtype=np.int8)
-
-    def keys(u, v):
-        lo = np.minimum(u, v)
-        hi = np.maximum(u, v)
-        return lo * Vr + hi
-
-    e_ids = np.arange(E, dtype=np.int64)
-    edge_tags[_edge_ids_for_keys(refined, np.sort(
-        keys(V + 2 * e_ids, V + 2 * e_ids + 1)))] = EdgeTag.Z_MIDDLE
-    for u, v in ((flat, walk_first), (walk_second, corner_next)):
-        edge_tags[_edge_ids_for_keys(refined, np.sort(np.unique(keys(u, v))))] \
-            = EdgeTag.Z_OUTER
-    edge_tags[_edge_ids_for_keys(refined, np.sort(np.unique(
-        keys(bary, spoke_z))))] = EdgeTag.SPOKE
-    if (edge_tags < 0).any():
-        raise InternalInvariantError("a refined edge received no role tag")
-
-    out = Provenance(vertex_tags=prov.vertex_tags, edge_tags=edge_tags,
-                     vertex_parent_kind=prov.vertex_parent_kind,
-                     vertex_parent_id=prov.vertex_parent_id,
-                     face_parent=slot_face.copy(), source=source)
-    return refined, out
+    vertex_tags = np.repeat(np.array([VertexTag.ORIGINAL, VertexTag.Z_VERTEX,
+                                      VertexTag.BARYCENTER], dtype=np.int8),
+                            (V, 2 * E, F))
+    kind = np.repeat(np.array([ParentKind.VERTEX, ParentKind.EDGE,
+                               ParentKind.FACE], dtype=np.int8), (V, 2 * E, F))
+    pid = np.concatenate([np.arange(V, dtype=np.int64),
+                          np.repeat(np.arange(E, dtype=np.int64), 2),
+                          np.arange(F, dtype=np.int64)])
+    prov = Provenance(vertex_tags=vertex_tags, edge_tags=edge_tags,
+                      vertex_parent_kind=kind, vertex_parent_id=pid,
+                      face_parent=slot_face.copy(), source=source)
+    return refined, prov
 
 
 def _verify_half_plane_rule(source: Mesh, positions: np.ndarray,
@@ -412,14 +357,15 @@ def smooth_inner_vertices(mesh: Mesh, classes: ElementClass) -> Mesh:
     All moves use the pre-move positions (simultaneous update); outer
     vertices are returned bitwise unchanged.
     """
-    barys = mesh.face_centroids()
+    barys = mesh.face_centroids()[mesh.slot_face]
+    flat = mesh.face_vertex_flat
     V = mesh.vertex_count
-    acc = np.zeros((V, 2))
-    np.add.at(acc, mesh.face_vertex_flat, barys[mesh.slot_face])
-    cnt = np.bincount(mesh.face_vertex_flat, minlength=V)
+    cnt = np.bincount(flat, minlength=V)
     inner = classes.vertex_is_inner & (cnt > 0)
     new_positions = mesh.positions.copy()
-    new_positions[inner] = acc[inner] / cnt[inner, None]
+    for axis in (0, 1):
+        acc = np.bincount(flat, weights=barys[:, axis], minlength=V)
+        new_positions[inner, axis] = acc[inner] / cnt[inner]
     return mesh.with_positions(new_positions)
 
 
@@ -472,13 +418,12 @@ def _check_count_recursion(source: Mesh, refined: Mesh) -> None:
 
 
 def snub_subdivide(mesh: Mesh, steps: int, smoothing: bool = True,
-                   seed_flag: int = 1, seed_edge: int | None = None
-                   ) -> SubdivisionHistory:
+                   seed_flag: int = 1) -> SubdivisionHistory:
     """Apply ``steps`` snub refinements, recording every intermediate mesh.
 
-    The bend-side seed is re-derived at every step (same seed edge and
-    flag), so identical inputs and parameters give bitwise-identical
-    histories.  With ``smoothing`` off, operation 4 is skipped.
+    The bend sides are re-derived at every step from ``seed_flag``, so
+    identical inputs and parameters give bitwise-identical histories.  With
+    ``smoothing`` off, operation 4 is skipped.
     """
     if steps < 0:
         raise InvalidParameterError(f"steps must be >= 0, got {steps}")
@@ -486,16 +431,14 @@ def snub_subdivide(mesh: Mesh, steps: int, smoothing: bool = True,
     records: list[StepRecord] = []
     current = mesh
     for _ in range(steps):
-        orient = assign_z_orientations(current, seed_edge=seed_edge,
-                                       seed_flag=seed_flag)
-        m1, p1 = replace_edges_with_z_triplets(current, orient)
-        m2, p2 = insert_barycenters(m1, p1)
-        m3, p3 = connect_new_vertices(m2, p2)
-        _check_count_recursion(current, m3)
-        refined_classes = classify(m3)
-        result = smooth_inner_vertices(m3, refined_classes) if smoothing else m3
+        orient = assign_z_orientations(current, seed_flag=seed_flag)
+        refined, prov = _refine(current, orient)
+        _check_count_recursion(current, refined)
+        refined_classes = classify(refined)
+        result = (smooth_inner_vertices(refined, refined_classes)
+                  if smoothing else refined)
         records.append(StepRecord(
-            orientation=orient, provenance=p3,
+            orientation=orient, provenance=prov,
             element_class=refined_classes,
             fixed_vertices=refined_classes.outer_vertex_ids))
         meshes.append(result)

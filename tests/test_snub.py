@@ -1,19 +1,22 @@
-"""Snub subdivision: staged operations, multi-step driver, oracle equivalence."""
+"""Snub subdivision: refinement step, multi-step driver, oracle equivalence."""
 
 import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import snubweave as sw
 from snubweave import (
     AmbiguousHalfPlaneError,
+    DegenerateFaceError,
     EdgeTag,
     InvalidParameterError,
-    MissingProvenanceError,
+    NonManifoldError,
     VertexTag,
 )
+from snubweave.snub import _check_refined_geometry, _edge_flags_from_bends
 
 import snub_reference
 from mesh_compare import assert_isomorphic
@@ -32,16 +35,14 @@ def count_recursion(v, e, f, face_sizes):
 # ---------------------------------------------------------------------------
 
 class TestAssignZOrientations:
-    def test_pentagon_all_edges_flagged_without_violations(self):
-        orient = sw.assign_z_orientations(sw.pentagon(), seed_edge=0)
+    def test_pentagon_all_edges_flagged(self):
+        orient = sw.assign_z_orientations(sw.pentagon())
         assert len(orient.edge_flags) == 5
         assert set(orient.edge_flags.tolist()) == {1}
-        assert orient.violations == []
 
-    def test_unit_grid_no_violation(self):
+    def test_unit_grid_flags_every_edge(self):
         orient = sw.assign_z_orientations(sw.square_grid(1, 1))
-        assert len(orient.edge_flags) == 4
-        assert orient.violations == []
+        assert orient.edge_flags.tolist() == [1, 1, 1, 1]
 
     def test_grid_2x2_flags_are_globally_consistent(self):
         orient = sw.assign_z_orientations(sw.square_grid(2, 2))
@@ -62,12 +63,18 @@ class TestAssignZOrientations:
         with pytest.raises(InvalidParameterError):
             sw.assign_z_orientations(sw.pentagon(), seed_flag=0)
         with pytest.raises(InvalidParameterError):
-            sw.assign_z_orientations(sw.pentagon(), seed_edge=99)
+            sw.snub_subdivide(sw.pentagon(), 1, seed_flag=2)
 
     def test_flag_between_reads_the_same_both_ways(self):
         m = sw.square_grid(1, 1)
         orient = sw.assign_z_orientations(m)
         assert orient.flag_between(m, 0, 1) == orient.flag_between(m, 1, 0)
+
+
+def refine_once(mesh, flag=1):
+    """One unsmoothed step: the refined mesh and its provenance."""
+    hist = sw.snub_subdivide(mesh, 1, smoothing=False, seed_flag=flag)
+    return hist.final, hist.records[0].provenance
 
 
 # ---------------------------------------------------------------------------
@@ -80,8 +87,7 @@ class TestReplaceEdges:
         # segment upward
         m = sw.build_mesh([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)],
                           [[0, 1, 2, 3]])
-        orient = sw.assign_z_orientations(m)
-        refined, prov = sw.replace_edges_with_z_triplets(m, orient)
+        refined, _ = refine_once(m)
         e = m.edge_id(0, 1)
         p = np.asarray(refined.positions)[4 + 2 * e]       # bend near (0,0)
         q = np.asarray(refined.positions)[4 + 2 * e + 1]   # bend near (1,0)
@@ -95,8 +101,7 @@ class TestReplaceEdges:
 
     def test_segment_lengths_and_bend_angles(self):
         m = sw.pentagon_flower()
-        orient = sw.assign_z_orientations(m)
-        refined, _ = sw.replace_edges_with_z_triplets(m, orient)
+        refined, _ = refine_once(m)
         pos = np.asarray(refined.positions)
         src = np.asarray(m.positions)
         for e, (a, b) in enumerate(np.asarray(m.edges)):
@@ -110,23 +115,21 @@ class TestReplaceEdges:
                 assert abs(math.acos(cosang) - 2 * math.pi / 3) < 1e-12
 
     def test_pentagon_becomes_single_15_cycle(self):
-        m = sw.pentagon()
-        refined, prov = sw.replace_edges_with_z_triplets(
-            m, sw.assign_z_orientations(m))
-        assert (refined.vertex_count, refined.edge_count,
-                refined.face_count) == (15, 15, 1)
-        assert len(refined.faces[0]) == 15
+        # the refined pentagon's boundary is the 15-cycle of Z-triplets
+        refined, prov = refine_once(sw.pentagon())
         assert (prov.vertex_tags[:5] == VertexTag.ORIGINAL).all()
-        assert (prov.vertex_tags[5:] == VertexTag.Z_VERTEX).all()
-        assert (prov.edge_tags == EdgeTag.Z_MIDDLE).sum() == 5
-        assert (prov.edge_tags == EdgeTag.Z_OUTER).sum() == 10
+        assert (prov.vertex_tags[5:15] == VertexTag.Z_VERTEX).all()
+        boundary = refined.boundary_edge_mask
+        assert int(boundary.sum()) == 15
+        assert set(refined.edges[boundary].ravel().tolist()) == set(range(15))
+        tags = prov.edge_tags[boundary]
+        assert (tags == EdgeTag.Z_MIDDLE).sum() == 5
+        assert (tags == EdgeTag.Z_OUTER).sum() == 10
 
     def test_mirror_flag_reflects_bends(self):
         m = sw.square_grid(1, 1)
-        plus, _ = sw.replace_edges_with_z_triplets(
-            m, sw.assign_z_orientations(m, seed_flag=1))
-        minus, _ = sw.replace_edges_with_z_triplets(
-            m, sw.assign_z_orientations(m, seed_flag=-1))
+        plus, _ = refine_once(m, flag=1)
+        minus, _ = refine_once(m, flag=-1)
         e = m.edge_id(0, 1)   # bottom edge, y = 0
         y_plus = np.asarray(plus.positions)[4 + 2 * e, 1]
         y_minus = np.asarray(minus.positions)[4 + 2 * e, 1]
@@ -139,28 +142,16 @@ class TestReplaceEdges:
 
 class TestInsertBarycenters:
     def test_pentagon_barycenter_at_origin(self):
-        m = sw.pentagon()
-        m1, p1 = sw.replace_edges_with_z_triplets(m, sw.assign_z_orientations(m))
-        m2, p2 = sw.insert_barycenters(m1, p1)
-        assert m2.vertex_count == 16
-        assert np.allclose(np.asarray(m2.positions)[15], [0.0, 0.0],
+        refined, prov = refine_once(sw.pentagon())
+        assert refined.vertex_count == 16
+        assert np.allclose(np.asarray(refined.positions)[15], [0.0, 0.0],
                            atol=1e-12)
-        assert p2.vertex_tags[15] == VertexTag.BARYCENTER
+        assert prov.vertex_tags[15] == VertexTag.BARYCENTER
 
     def test_unit_square_barycenter(self):
-        m = sw.square_grid(1, 1)
-        m1, p1 = sw.replace_edges_with_z_triplets(m, sw.assign_z_orientations(m))
-        m2, _ = sw.insert_barycenters(m1, p1)
-        assert np.allclose(np.asarray(m2.positions)[-1], [0.5, 0.5],
+        refined, _ = refine_once(sw.square_grid(1, 1))
+        assert np.allclose(np.asarray(refined.positions)[-1], [0.5, 0.5],
                            atol=1e-12)
-
-    def test_requires_step_provenance(self):
-        m1, p1 = sw.replace_edges_with_z_triplets(
-            sw.pentagon(), sw.assign_z_orientations(sw.pentagon()))
-        stripped = sw.Provenance(vertex_tags=p1.vertex_tags,
-                                 edge_tags=p1.edge_tags)
-        with pytest.raises(MissingProvenanceError):
-            sw.insert_barycenters(m1, stripped)
 
 
 # ---------------------------------------------------------------------------
@@ -168,26 +159,20 @@ class TestInsertBarycenters:
 # ---------------------------------------------------------------------------
 
 class TestConnectNewVertices:
-    def run_ops(self, mesh, flag=1):
-        orient = sw.assign_z_orientations(mesh, seed_flag=flag)
-        m1, p1 = sw.replace_edges_with_z_triplets(mesh, orient)
-        m2, p2 = sw.insert_barycenters(m1, p1)
-        return sw.connect_new_vertices(m2, p2)
-
     def test_pentagon_yields_five_pentagons(self):
-        refined, prov = self.run_ops(sw.pentagon())
+        refined, _ = refine_once(sw.pentagon())
         assert (refined.vertex_count, refined.edge_count,
                 refined.face_count) == (16, 20, 5)
         assert set(refined.face_sizes.tolist()) == {5}
 
     def test_unit_grid_yields_four_pentagons(self):
-        refined, _ = self.run_ops(sw.square_grid(1, 1))
+        refined, _ = refine_once(sw.square_grid(1, 1))
         assert refined.face_count == 4
         assert set(refined.face_sizes.tolist()) == {5}
 
     def test_edge_tag_partition(self):
         m = sw.square_grid(2, 2)
-        refined, prov = self.run_ops(m)
+        refined, prov = refine_once(m)
         tags = prov.edge_tags
         total_slots = int(m.face_sizes.sum())
         assert (tags == EdgeTag.Z_MIDDLE).sum() == m.edge_count
@@ -197,25 +182,55 @@ class TestConnectNewVertices:
 
     def test_face_parent_points_to_source_face(self):
         m = sw.square_grid(2, 1)
-        refined, prov = self.run_ops(m)
+        refined, prov = refine_once(m)
         assert len(prov.face_parent) == refined.face_count
         counts = np.bincount(prov.face_parent, minlength=m.face_count)
         assert counts.tolist() == [4, 4]     # one pentagon per corner walk
 
     def test_bend_point_on_edge_line_is_rejected(self):
-        m = sw.pentagon()
-        orient = sw.assign_z_orientations(m)
-        m1, p1 = sw.replace_edges_with_z_triplets(m, orient)
-        m2, p2 = sw.insert_barycenters(m1, p1)
-        pos = np.asarray(m2.positions).copy()
-        # drag one bend point onto its source edge's line: edge 0 joins
-        # source vertices stored in the source edge table
-        a, b = np.asarray(m.edges)[0]
-        pa, pb = np.asarray(m.positions)[[a, b]]
-        pos[5] = (pa + pb) / 2.0
-        corrupted = m2.with_positions(pos)
+        m = sw.square_grid(1, 1)
+        refined, _ = refine_once(m)
+        pos = np.asarray(refined.positions).copy()
+        # drag the bend point V + 2e onto the middle of its edge, y = 0
+        e = m.edge_id(0, 1)
+        pos[4 + 2 * e] = (0.5, 0.0)
         with pytest.raises(AmbiguousHalfPlaneError):
-            sw.connect_new_vertices(corrupted, p2)
+            _edge_flags_from_bends(m, pos)
+
+
+class TestRefinedGeometryChecks:
+    def test_unjittered_fan3_folds_at_depth_three(self):
+        with pytest.raises(NonManifoldError):
+            sw.snub_subdivide(sw.fan_ngon(3), 3)
+
+    def test_pinched_source_is_non_manifold(self):
+        bowtie = sw.build_mesh([(0, 0), (1, 0), (0, 1), (-1, 0), (0, -1)],
+                               [[0, 1, 2], [0, 3, 4]],
+                               allow_pinched_boundary=True)
+        with pytest.raises(NonManifoldError, match="pinched"):
+            sw.snub_subdivide(bowtie, 1)
+
+    def test_folded_face_is_non_manifold(self):
+        refined, _ = refine_once(sw.pentagon())
+        pos = np.asarray(refined.positions).copy()
+        pos[15] = 3.0 * pos[5] - 2.0 * pos[15]   # barycenter past a bend
+        with pytest.raises(NonManifoldError):
+            _check_refined_geometry(refined.with_positions(pos))
+
+    def test_collapsed_face_is_degenerate(self):
+        refined, _ = refine_once(sw.pentagon())
+        pos = np.asarray(refined.positions).copy()
+        pos[refined.face(0)] = pos[15]
+        with pytest.raises(DegenerateFaceError):
+            _check_refined_geometry(refined.with_positions(pos))
+
+    def test_zero_length_edge_is_degenerate(self):
+        m = sw.pentagon()
+        refined, _ = refine_once(m)
+        pos = np.asarray(refined.positions).copy()
+        pos[5] = pos[m.edges[0, 0]]              # bend onto its endpoint
+        with pytest.raises(DegenerateFaceError, match="zero length"):
+            _check_refined_geometry(refined.with_positions(pos))
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +261,18 @@ class TestSmoothing:
         inner = classes.inner_vertex_ids
         assert not np.array_equal(np.asarray(smoothed.positions)[inner],
                                   np.asarray(m.positions)[inner])
+
+    def test_matches_add_at_reference_bitwise(self):
+        m = sw.snub_subdivide(sw.pentagon_flower(), 2, smoothing=False).final
+        classes = sw.classify(m)
+        acc = np.zeros((m.vertex_count, 2))
+        np.add.at(acc, m.face_vertex_flat, m.face_centroids()[m.slot_face])
+        cnt = np.bincount(m.face_vertex_flat, minlength=m.vertex_count)
+        expect = m.positions.copy()
+        inner = classes.vertex_is_inner
+        expect[inner] = acc[inner] / cnt[inner, None]
+        smoothed = sw.smooth_inner_vertices(m, classes)
+        assert np.array_equal(smoothed.positions, expect)
 
     def test_smoothing_restores_convexity(self):
         smoothed = sw.snub_subdivide(sw.pentagon(), 4, smoothing=True)
@@ -338,6 +365,61 @@ class TestSnubSubdivide:
         with caplog.at_level(logging.WARNING, logger="snubweave.snub"):
             sw.snub_subdivide(sw.pentagon(), 4)
         assert any("disagreed" in message for message in caplog.messages)
+
+
+# ---------------------------------------------------------------------------
+# property: every refined mesh is what the validating constructor builds
+# ---------------------------------------------------------------------------
+
+MESH_ARRAYS = ("positions", "face_vertex_flat", "face_starts", "edges",
+               "edge_left", "edge_right", "face_edge_flat")
+
+demo_specs = st.one_of(
+    st.just("pentagon"),
+    st.just("pentaflower"),
+    st.integers(3, 9).map(lambda n: f"ngon:{n}"),
+    st.integers(3, 8).map(lambda n: f"fan:{n}"),
+    st.tuples(st.integers(1, 3), st.integers(1, 3)).map(
+        lambda wh: f"grid:{wh[0]}x{wh[1]}"),
+)
+
+
+def jittered(mesh, seed, amount=0.04):
+    """``mesh`` with every vertex moved by up to ``amount`` edge lengths."""
+    rng = np.random.default_rng(seed)
+    scale = float(np.median(mesh.edge_lengths()))
+    moved = mesh.positions + rng.uniform(-amount, amount,
+                                         mesh.positions.shape) * scale
+    return sw.build_mesh(moved, mesh.faces)
+
+
+class TestRefinedMeshesValidate:
+    @settings(max_examples=60, deadline=None)
+    @given(spec=demo_specs, seed=st.integers(0, 2**32 - 1),
+           steps=st.integers(1, 3), flag=st.sampled_from([1, -1]),
+           smoothing=st.booleans())
+    def test_history_matches_build_mesh(self, spec, seed, steps, flag,
+                                        smoothing):
+        current = jittered(sw.generate_demo_mesh(spec), seed)
+        for _ in range(steps):
+            try:
+                hist = sw.snub_subdivide(current, 1, smoothing=smoothing,
+                                         seed_flag=flag)
+            except NonManifoldError:
+                # a folded face on a coarse fan: a typed failure ends the run
+                assert spec in ("fan:3", "fan:4")
+                return
+            m = hist.final
+            rebuilt = sw.build_mesh(m.positions,
+                                    (m.face_vertex_flat, m.face_starts))
+            for name in MESH_ARRAYS:
+                assert np.array_equal(getattr(m, name),
+                                      getattr(rebuilt, name)), name
+            tags = hist.records[0].provenance.edge_tags
+            sum_n = int(current.face_sizes.sum())
+            assert np.bincount(tags, minlength=4).tolist() == [
+                0, current.edge_count, 2 * current.edge_count, sum_n]
+            current = m
 
 
 # ---------------------------------------------------------------------------
