@@ -25,7 +25,6 @@ from .errors import (
     InternalInvariantError,
     InvalidParameterError,
     InvalidTriangleColoringError,
-    MeshFormatError,
     MissingOriginRecordsError,
     MissingProvenanceError,
     NoInteriorEdgesError,
@@ -35,7 +34,6 @@ from .errors import (
     SelfIntersectionError,
     SnubWeaveError,
     UnknownSeedError,
-    WeaveFormatError,
 )
 from .mesh_core import (
     EdgeTag,

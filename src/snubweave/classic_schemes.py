@@ -4,10 +4,6 @@ Catmull-Clark, and Doo-Sabin.
 Each step returns the refined mesh together with an origin record per new
 vertex (old vertex, edge vertex, or face center) — the weaving constructions
 consume these records to transport vertex colorings through refinement.
-
-The schemes are implemented with straightforward per-face loops; they are
-meant for desk-scale comparison runs, not for the deep refinements the snub
-scheme supports.
 """
 
 from __future__ import annotations
@@ -82,9 +78,7 @@ def _neighbor_lists(mesh: Mesh):
 
 def _triangle_opposites(mesh: Mesh):
     """Per edge: the opposite vertex in the left / right face (or -1)."""
-    face_sum = np.zeros(mesh.face_count, dtype=np.int64)
-    for f, cycle in enumerate(mesh.faces):
-        face_sum[f] = sum(cycle)
+    face_sum = mesh.face_vertex_flat.reshape(-1, 3).sum(1)
     a = mesh.edges[:, 0]
     b = mesh.edges[:, 1]
     left = np.where(mesh.edge_left >= 0,
@@ -95,17 +89,16 @@ def _triangle_opposites(mesh: Mesh):
 
 
 def _one_to_four_faces(mesh: Mesh):
-    """The standard triangle split: three corner triangles plus the core."""
-    V = mesh.vertex_count
-    faces = []
-    for f in range(mesh.face_count):
-        a, b, c = mesh.face(f)
-        m_ab = V + mesh.face_edges(f)[0]
-        m_bc = V + mesh.face_edges(f)[1]
-        m_ca = V + mesh.face_edges(f)[2]
-        faces.extend([[a, m_ab, m_ca], [b, m_bc, m_ab], [c, m_ca, m_bc],
-                      [m_ab, m_bc, m_ca]])
-    return faces
+    """The standard triangle split: three corner triangles plus the core.
+
+    Returned as flat CSR arrays ``(face_vertex_flat, face_starts)``.
+    """
+    a, b, c = mesh.face_vertex_flat.reshape(-1, 3).T
+    m_ab, m_bc, m_ca = (mesh.vertex_count
+                        + mesh.face_edge_flat.reshape(-1, 3).T)
+    flat = np.stack([a, m_ab, m_ca, b, m_bc, m_ab, c, m_ca, m_bc,
+                     m_ab, m_bc, m_ca], axis=1).ravel()
+    return flat, np.arange(0, len(flat) + 1, 3)
 
 
 def _origins_old_plus_edges(mesh: Mesh):
@@ -354,16 +347,15 @@ def catmull_clark_step(mesh: Mesh) -> SchemeStepResult:
             r = midpoints[vertex_edges[v]].mean(axis=0)
             old_pos[v] = (q + 2.0 * r + (d - 3.0) * pos[v]) / d
 
-    faces = []
-    for f in range(mesh.face_count):
-        cycle = mesh.face(f)
-        face_edges = mesh.face_edges(f)
-        n = len(cycle)
-        for k in range(n):
-            faces.append([cycle[k], V + face_edges[k], V + E + f,
-                          V + face_edges[(k - 1) % n]])
+    # one quad per face corner: vertex, next edge, face, previous edge
+    prev = np.empty_like(mesh.slot_next)
+    prev[mesh.slot_next] = np.arange(len(prev))
+    edge_of_slot = V + mesh.face_edge_flat
+    quads = np.column_stack((mesh.face_vertex_flat, edge_of_slot,
+                             V + E + mesh.slot_face, edge_of_slot[prev]))
 
-    refined = build_mesh(np.vstack([old_pos, edge_pts, face_pts]), faces)
+    refined = build_mesh(np.vstack([old_pos, edge_pts, face_pts]),
+                         (quads.ravel(), np.arange(0, quads.size + 1, 4)))
     kind = np.concatenate([
         np.full(V, OriginKind.OLD_VERTEX, dtype=np.int8),
         np.full(E, OriginKind.EDGE_MIDPOINT, dtype=np.int8),

@@ -1,10 +1,10 @@
 """Exception types shared across the package.
 
 Every error raised for invalid *input* derives from :class:`SnubWeaveError`,
-so callers (and the command-line front end) can distinguish validation
-failures from genuine bugs.  :class:`InternalInvariantError` deliberately does
-*not* derive from it: it signals that an internal consistency check failed,
-which is never the caller's fault.
+so callers can distinguish validation failures from genuine bugs.
+:class:`InternalInvariantError` deliberately does *not* derive from it: it
+signals that an internal consistency check failed, which is never the
+caller's fault.
 """
 
 from __future__ import annotations
@@ -100,24 +100,6 @@ class InsufficientDataError(SnubWeaveError):
 
 class UnknownSeedError(SnubWeaveError):
     """A curve seed references an edge that does not exist at that step."""
-
-
-# ---------------------------------------------------------------------------
-# file formats
-# ---------------------------------------------------------------------------
-
-class MeshFormatError(SnubWeaveError):
-    """A mesh file violates the text format.  Carries the offending line."""
-
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
-
-
-class WeaveFormatError(SnubWeaveError):
-    """A weave document violates the structured-text layout."""
 
 
 # ---------------------------------------------------------------------------

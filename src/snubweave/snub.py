@@ -342,7 +342,7 @@ def _verify_half_plane_rule(source: Mesh, positions: np.ndarray,
         d_oth = np.hypot(*(positions[V0 + 2 * E0 + other_face] - zp).T)
         disagree = inner & (d_oth < d_own)
         if disagree.any():
-            logger.warning(
+            logger.debug(
                 "nearest-barycenter distance disagreed with the half-plane "
                 "rule for %d spokes", int(disagree.sum()))
 

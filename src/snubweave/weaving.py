@@ -14,11 +14,24 @@ Three constructions are provided:
 
 All tracing is deterministic: tiles, strands, and colors follow index
 order of the underlying mesh elements.
+
+* Tile order: each tile of a glued tiling is named by its lowest source
+  face id, and tiles are numbered in that order.
+* Walker rule: a glued pair's cycle is walked by the face that lies to the
+  left of the shared edge (its ``edge_left``).  The cycle starts at the slot
+  after the shared edge and runs once around that face; the other face's
+  cycle follows, without the two shared vertices.
+
+Every table (tile cycles, per-slot successors, designated bend vertices,
+ribbon points) is built with array operations in time linear in the mesh
+size.  Only the strand walks themselves run as Python loops, over plain
+ints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -204,50 +217,74 @@ class GluedTiling:
     tile_source_edges: np.ndarray | None = None
 
 
-def _merge_cycles(cycle_f, cycle_g, a: int, b: int) -> list[int]:
-    """Union cycle of two faces sharing edge (a, b), walked a→b by ``f``."""
-    cf = [int(x) for x in cycle_f]
-    cg = [int(x) for x in cycle_g]
-    n, m = len(cf), len(cg)
-    k = next(i for i in range(n) if cf[i] == a and cf[(i + 1) % n] == b)
-    part_f = [cf[(k + 1 + i) % n] for i in range(n)]          # b ... a
-    k = next(i for i in range(m) if cg[i] == b and cg[(i + 1) % m] == a)
-    part_g = [cg[(k + 1 + i) % m] for i in range(m)]          # a ... b
-    return part_f + part_g[1:-1]
+def _slot_of(mesh: Mesh, edge_of_face: np.ndarray) -> np.ndarray:
+    """Per face, the cycle position of edge ``edge_of_face[f]`` (-1: none)."""
+    slots = np.flatnonzero(mesh.face_edge_flat
+                           == edge_of_face[mesh.slot_face])
+    pos = np.full(mesh.face_count, -1, dtype=np.int64)
+    faces = mesh.slot_face[slots]
+    pos[faces] = slots - mesh.face_starts[faces]
+    return pos
 
 
-def _build_tiling(source: Mesh, partner_of: dict[int, tuple[int, int]],
-                  ) -> GluedTiling:
-    """Assemble a tiling from a face → (partner face, shared edge) map."""
-    tiles = []
-    tile_faces = []
-    pairs = []
-    singles = []
-    done = np.zeros(source.face_count, dtype=bool)
-    for f in range(source.face_count):
-        if done[f]:
-            continue
-        done[f] = True
-        if f in partner_of:
-            g, e = partner_of[f]
-            done[g] = True
-            a, b = int(source.edges[e, 0]), int(source.edges[e, 1])
-            walker = f if int(source.edge_left[e]) == f else g
-            other = g if walker == f else f
-            tiles.append(_merge_cycles(source.face(walker),
-                                       source.face(other), a, b))
-            tile_faces.append((f, g))
-            pairs.append((f, g))
-        else:
-            tiles.append([int(v) for v in source.face(f)])
-            tile_faces.append((f,))
-            singles.append(f)
-    mesh = build_mesh(source.positions, tiles, allow_pinched_boundary=True)
+def _build_tiling(source: Mesh, partner: np.ndarray,
+                  shared_edge: np.ndarray) -> GluedTiling:
+    """Assemble a tiling from per-face partner faces and shared edges.
+
+    ``partner[f]`` is the face glued to ``f`` across edge ``shared_edge[f]``
+    (both -1 for a singleton).  Each tile is named by its lowest face id
+    and tiles come out in that order.  A glued pair's cycle is walked by
+    the face on the shared edge's left: its own cycle from the slot after
+    the shared edge, then the other face's cycle without the two shared
+    vertices.
+    """
+    F = source.face_count
+    sizes = source.face_sizes
+    lead = np.flatnonzero((partner < 0) | (partner > np.arange(F)))
+    glued = partner[lead] >= 0
+    # each tile is two cycle segments: the walker's (all of a singleton)
+    # and the other face's (empty for a singleton)
+    walker = lead.copy()
+    other = lead.copy()
+    e = shared_edge[lead[glued]]
+    walker[glued] = source.edge_left[e]
+    other[glued] = source.edge_right[e]
+    at = _slot_of(source, shared_edge)
+    seg_face = np.column_stack((walker, other)).ravel()
+    seg_rot = np.column_stack((np.where(glued, at[walker] + 1, 0),
+                               at[other] + 2)).ravel()
+    seg_len = np.column_stack((sizes[walker],
+                               np.where(glued, sizes[other] - 2, 0))).ravel()
+    seg_starts = np.zeros(len(seg_len) + 1, dtype=np.int64)
+    np.cumsum(seg_len, out=seg_starts[1:])
+    within = np.arange(seg_starts[-1], dtype=np.int64) \
+        - np.repeat(seg_starts[:-1], seg_len)
+    gather = np.repeat(source.face_starts[seg_face], seg_len) \
+        + (np.repeat(seg_rot, seg_len) + within) \
+        % np.repeat(sizes[seg_face], seg_len)
+    mesh = build_mesh(source.positions,
+                      (source.face_vertex_flat[gather], seg_starts[::2]),
+                      allow_pinched_boundary=True)
+    mates = partner[lead].tolist()
     return GluedTiling(
         source=source, mesh=mesh,
-        pairs=np.array(pairs, dtype=np.int64).reshape(-1, 2),
-        singletons=np.array(singles, dtype=np.int64),
-        tile_faces=tuple(tile_faces))
+        pairs=np.column_stack((lead[glued], partner[lead[glued]])),
+        singletons=lead[~glued],
+        tile_faces=tuple((f, g) if g >= 0 else (f,)
+                         for f, g in zip(lead.tolist(), mates)))
+
+
+def _glue_across(mesh: Mesh, edges: np.ndarray) -> GluedTiling:
+    """Glue the two faces flanking each of ``edges`` (interior ones only)."""
+    edges = edges[(mesh.edge_left[edges] >= 0)
+                  & (mesh.edge_right[edges] >= 0)]
+    partner = np.full(mesh.face_count, -1, dtype=np.int64)
+    shared = np.full(mesh.face_count, -1, dtype=np.int64)
+    for side, mate in ((mesh.edge_left, mesh.edge_right),
+                       (mesh.edge_right, mesh.edge_left)):
+        partner[side[edges]] = mate[edges]
+        shared[side[edges]] = edges
+    return _build_tiling(mesh, partner, shared)
 
 
 def glue_triangle_pairs(mesh: Mesh, coloring: VertexColoring, *,
@@ -262,20 +299,15 @@ def glue_triangle_pairs(mesh: Mesh, coloring: VertexColoring, *,
     """
     triangle_coloring_check(mesh, coloring)
     is_c1 = coloring.is_c1
-    partner_of: dict[int, tuple[int, int]] = {}
-    for e, (a, b) in enumerate(np.asarray(mesh.edges)):
-        if is_c1[a] or is_c1[b]:
-            continue
-        f, g = int(mesh.edge_left[e]), int(mesh.edge_right[e])
-        if f < 0 or g < 0:
-            if strict:
-                raise BoundaryC2EdgeError(
-                    f"c2-c2 edge ({int(a)}, {int(b)}) lies on the boundary; "
-                    f"its triangle cannot be glued")
-            continue
-        partner_of[f] = (g, e)
-        partner_of[g] = (f, e)
-    return _build_tiling(mesh, partner_of)
+    c2c2 = np.flatnonzero(~is_c1[mesh.edges[:, 0]] & ~is_c1[mesh.edges[:, 1]])
+    if strict:
+        open_ = c2c2[mesh.boundary_edge_mask[c2c2]]
+        if len(open_):
+            a, b = mesh.edges[open_[0]]
+            raise BoundaryC2EdgeError(
+                f"c2-c2 edge ({int(a)}, {int(b)}) lies on the boundary; "
+                f"its triangle cannot be glued")
+    return _glue_across(mesh, c2c2)
 
 
 def sqrt3_quadization(step: SchemeStepResult,
@@ -298,14 +330,8 @@ def sqrt3_quadization(step: SchemeStepResult,
         raise MissingOriginRecordsError(
             "step does not look like a sqrt3_step result")
     is_center = kinds == OriginKind.FACE_CENTER
-    partner_of: dict[int, tuple[int, int]] = {}
-    for e, (a, b) in enumerate(np.asarray(mesh.edges)):
-        if is_center[a] and is_center[b]:
-            f, g = int(mesh.edge_left[e]), int(mesh.edge_right[e])
-            if f >= 0 and g >= 0:
-                partner_of[f] = (g, e)
-                partner_of[g] = (f, e)
-    tiling = _build_tiling(mesh, partner_of)
+    tiling = _glue_across(mesh, np.flatnonzero(
+        is_center[mesh.edges[:, 0]] & is_center[mesh.edges[:, 1]]))
     if len(tiling.pairs) != len(step.flipped_edges):
         raise InternalInvariantError(
             f"{len(tiling.pairs)} quads formed but {len(step.flipped_edges)} "
@@ -323,24 +349,16 @@ def glue_snub_pairs(mesh: Mesh, provenance: Provenance) -> GluedTiling:
     if provenance is None or provenance.edge_tags is None:
         raise MissingProvenanceError(
             "glue_snub_pairs needs edge tags from a snub refinement step")
-    middles = np.flatnonzero(np.asarray(provenance.edge_tags)
-                             == EdgeTag.Z_MIDDLE)
-    if len(middles) == 0:
+    is_middle = np.asarray(provenance.edge_tags) == EdgeTag.Z_MIDDLE
+    if not is_middle.any():
         raise MissingProvenanceError(
             "mesh carries no bend-middle edges (unrefined input?)")
-    per_face = np.zeros(mesh.face_count, dtype=np.int64)
-    for f in range(mesh.face_count):
-        per_face[f] = np.isin(mesh.face_edges(f), middles).sum()
+    per_face = np.add.reduceat(is_middle[mesh.face_edge_flat].astype(np.int64),
+                               mesh.face_starts[:-1])
     if (per_face != 1).any():
         raise InternalInvariantError(
             "every refined face must contain exactly one middle edge")
-    partner_of: dict[int, tuple[int, int]] = {}
-    for e in middles:
-        f, g = int(mesh.edge_left[e]), int(mesh.edge_right[e])
-        if f >= 0 and g >= 0:
-            partner_of[f] = (g, int(e))
-            partner_of[g] = (f, int(e))
-    return _build_tiling(mesh, partner_of)
+    return _glue_across(mesh, np.flatnonzero(is_middle))
 
 
 # ---------------------------------------------------------------------------
@@ -390,14 +408,43 @@ class Weaving:
         return len(self.over_strand)
 
 
-def _assign_color_ranks(strand_specs: list[dict]) -> list[int]:
+def _split(flat: list, offsets: list) -> list[tuple]:
+    """Cut a flat list into tuples at ``offsets`` (length strands + 1)."""
+    return [tuple(flat[a:b]) for a, b in zip(offsets, offsets[1:])]
+
+
+def _shared_ints(values: np.ndarray) -> np.ndarray:
+    """``values`` as Python ints, one shared object per distinct value."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    return distinct.astype(object)[inverse]
+
+
+def _first_repeat(values: np.ndarray) -> int:
+    """Position of the first value seen before in ``values`` (-1: none)."""
+    _, first = np.unique(values, return_index=True)
+    if len(first) == len(values):
+        return -1
+    return int(np.setdiff1d(np.arange(len(values)), first)[0])
+
+
+def _color_ranks(tiles: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Deterministic color indices: rank strands by their lowest tile id."""
-    order = sorted(range(len(strand_specs)),
-                   key=lambda i: (min(strand_specs[i]["tiles"]), i))
-    ranks = [0] * len(strand_specs)
-    for rank, i in enumerate(order):
-        ranks[i] = rank
+    lowest = np.minimum.reduceat(tiles, offsets[:-1])
+    ranks = np.empty(len(lowest), dtype=np.int64)
+    ranks[np.argsort(lowest, kind="stable")] = np.arange(len(lowest))
     return ranks
+
+
+def _edge_slots(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
+    """Per edge, its flat face slot in the left and the right face (-1)."""
+    flat = mesh.face_vertex_flat
+    forward = flat < flat[mesh.slot_next]
+    left = np.full(mesh.edge_count, -1, dtype=np.int64)
+    right = np.full(mesh.edge_count, -1, dtype=np.int64)
+    slots = np.arange(len(flat), dtype=np.int64)
+    left[mesh.face_edge_flat[forward]] = slots[forward]
+    right[mesh.face_edge_flat[~forward]] = slots[~forward]
+    return left, right
 
 
 def quad_weaving(mesh: Mesh, coloring: VertexColoring, *,
@@ -423,94 +470,101 @@ def quad_weaving(mesh: Mesh, coloring: VertexColoring, *,
     if not is_quad.any():
         raise InvalidParameterError("mesh has no quad faces to weave")
 
-    face_cycles = {}
-    face_edges = {}
-    for f in np.flatnonzero(is_quad):
-        f = int(f)
-        cyc = mesh.face(f)
-        face_cycles[f] = [int(v) for v in cyc]
-        face_edges[f] = [int(e) for e in mesh.face_edges(f)]
-        for k in range(4):
-            u, v = cyc[k], cyc[(k + 1) % 4]
-            if is_c1[u] == is_c1[v]:
-                raise NotBipartiteError(
-                    f"edge ({int(u)}, {int(v)}) of quad {f} joins two "
-                    f"same-colored vertices")
+    flat, slot_face = mesh.face_vertex_flat, mesh.slot_face
+    on_quad = is_quad[slot_face]
+    same = on_quad & (is_c1[flat] == is_c1[flat[mesh.slot_next]])
+    if same.any():
+        s = int(np.flatnonzero(same)[0])
+        raise NotBipartiteError(
+            f"edge ({int(flat[s])}, {int(flat[mesh.slot_next[s]])}) of quad "
+            f"{int(slot_face[s])} joins two same-colored vertices")
 
-    def other_face(e: int, f: int) -> int:
-        l, r = int(mesh.edge_left[e]), int(mesh.edge_right[e])
-        return r if l == f else l
+    # a strand enters a quad at a slot (the edge from that slot's vertex),
+    # leaves through the opposite slot and goes on at the twin slot across
+    left, right = _edge_slots(mesh)
+    edge = mesh.face_edge_flat
+    slots = np.arange(len(flat), dtype=np.int64)
+    local = slots - mesh.face_starts[slot_face]
+    opposite = np.where(on_quad,
+                        mesh.face_starts[slot_face] + (local + 2) % 4, slots)
+    twin = np.where(left[edge] == slots, right[edge], left[edge])
+    ahead = np.where(on_quad, twin[opposite], -1)
+    nxt = np.where((ahead >= 0) & on_quad[ahead], ahead, -1).tolist()
+    key = (2 * slot_face + local % 2).tolist()    # one per (quad, axis)
 
-    visited = set()          # (face, axis) pairs
+    visited = bytearray(2 * mesh.face_count)
+    path, offsets, closed = [], [0], []
 
-    def trace(f0: int, e0: int):
-        """Walk from quad ``f0`` entered across its edge ``e0``."""
-        tiles, crossings, over, enters, exits = [], [], [], [], []
-        f, e_in = f0, e0
-        closed = False
+    def trace(s: int) -> None:
+        """Walk from quad slot ``s``, recording every entry slot."""
         while True:
-            slot = face_edges[f].index(e_in)
-            axis = slot % 2
-            key = (f, axis)
-            if key in visited:
-                closed = True       # returned to the starting crossing
+            k = key[s]
+            if visited[k]:
+                closed.append(True)     # returned to the starting crossing
                 break
-            visited.add(key)
-            origin = face_cycles[f][slot]
-            e_out = face_edges[f][(slot + 2) % 4]
-            tiles.append(f)
-            crossings.append(f)
-            over.append(bool(is_c1[origin]) ^ mirror)
-            enters.append(e_in)
-            exits.append(e_out)
-            g = other_face(e_out, f)
-            if g < 0 or not is_quad[g]:
+            visited[k] = 1
+            path.append(s)
+            s = nxt[s]
+            if s < 0:
+                closed.append(False)
                 break
-            f, e_in = g, e_out
-        return dict(tiles=tiles, crossings=crossings, over=over,
-                    enters=enters, exits=exits, closed=closed)
+        offsets.append(len(path))
 
-    specs = []
     # open strands start wherever a quad is entered from outside the
-    # quad set (mesh boundary or a non-quad face)
-    for e in range(mesh.edge_count):
-        for f in (int(mesh.edge_left[e]), int(mesh.edge_right[e])):
-            if f < 0 or not is_quad[f]:
-                continue
-            g = other_face(e, f)
-            if g >= 0 and is_quad[g]:
-                continue
-            slot = face_edges[f].index(e)
-            if (f, slot % 2) not in visited:
-                specs.append(trace(f, e))
+    # quad set (mesh boundary or a non-quad face), in edge order
+    quad_of = np.append(on_quad, False)         # slot -1: no face
+    lq, rq = quad_of[left], quad_of[right]
+    entries = np.column_stack((np.where(lq & ~rq, left, -1),
+                               np.where(rq & ~lq, right, -1))).ravel()
+    for s in entries[entries >= 0].tolist():
+        if not visited[key[s]]:
+            trace(s)
     # remaining strands are closed cycles
-    for f in sorted(face_cycles):
-        for axis in (0, 1):
-            if (f, axis) not in visited:
-                specs.append(trace(f, face_edges[f][axis]))
+    firsts = mesh.face_starts[:-1][is_quad]
+    for s in np.column_stack((firsts, firsts + 1)).ravel().tolist():
+        if not visited[key[s]]:
+            trace(s)
 
-    ranks = _assign_color_ranks(specs)
-    strands = tuple(
-        Strand(tiles=tuple(s["tiles"]), crossings=tuple(s["crossings"]),
-               over=tuple(s["over"]), closed=s["closed"],
-               color_index=ranks[i], enter_edges=tuple(s["enters"]),
-               exit_edges=tuple(s["exits"]))
-        for i, s in enumerate(specs))
-
-    over_strand, under_strand = {}, {}
-    for i, s in enumerate(strands):
-        for f, o in zip(s.crossings, s.over):
-            side = over_strand if o else under_strand
-            if f in side:
-                raise InternalInvariantError(
-                    f"quad {f} has two {'over' if o else 'under'} strands")
-            side[f] = i
-    if set(over_strand) != set(under_strand) \
-            or len(over_strand) != int(is_quad.sum()):
+    path = np.asarray(path, dtype=np.int64)
+    tiles = slot_face[path]
+    over = is_c1[flat[path]] ^ mirror
+    dup = _first_repeat(2 * tiles + over)       # one per (quad, side)
+    if dup >= 0:
+        raise InternalInvariantError(
+            f"quad {int(tiles[dup])} has two "
+            f"{'over' if over[dup] else 'under'} strands")
+    over_q, under_q = tiles[over], tiles[~over]
+    if len(over_q) != int(is_quad.sum()) \
+            or not np.array_equal(np.sort(over_q), np.sort(under_q)):
         raise InternalInvariantError(
             "every quad must carry exactly one over and one under strand")
+
+    tile_o = _shared_ints(tiles)
+    edge_o = _shared_ints(np.concatenate((edge[path], edge[opposite[path]])))
+    sid = _shared_ints(np.repeat(np.arange(len(closed)), np.diff(offsets)))
+    strands = tuple(
+        Strand(tiles=t, crossings=t, over=o, closed=c, color_index=r,
+               enter_edges=ei, exit_edges=eo)
+        for t, o, c, r, ei, eo in zip(
+            _split(tile_o.tolist(), offsets), _split(over.tolist(), offsets),
+            closed, _color_ranks(tiles, np.asarray(offsets)).tolist(),
+            _split(edge_o[:len(path)].tolist(), offsets),
+            _split(edge_o[len(path):].tolist(), offsets)))
     return Weaving(kind="quad", strands=strands,
-                   over_strand=over_strand, under_strand=under_strand)
+                   over_strand=dict(zip(tile_o[over].tolist(),
+                                        sid[over].tolist())),
+                   under_strand=dict(zip(tile_o[~over].tolist(),
+                                         sid[~over].tolist())))
+
+
+def _first_per_group(groups: np.ndarray, mask: np.ndarray,
+                     size: int) -> np.ndarray:
+    """Per group id, the first position where ``mask`` holds (-1: none)."""
+    pos = np.flatnonzero(mask)
+    ids, first = np.unique(groups[pos], return_index=True)
+    out = np.full(size, -1, dtype=np.int64)
+    out[ids] = pos[first]
+    return out
 
 
 def trace_snub_strands(tiling: GluedTiling,
@@ -529,151 +583,170 @@ def trace_snub_strands(tiling: GluedTiling,
     if provenance is None or provenance.edge_tags is None:
         raise MissingProvenanceError(
             "trace_snub_strands needs the edge tags of the refined mesh")
-    source = tiling.source
-    edge_tags = np.asarray(provenance.edge_tags)
-    middles = np.flatnonzero(edge_tags == EdgeTag.Z_MIDDLE)
-
+    source, tmesh = tiling.source, tiling.mesh
+    T = tmesh.face_count
+    is_middle = np.asarray(provenance.edge_tags) == EdgeTag.Z_MIDDLE
+    middles = np.flatnonzero(is_middle)
     middle_of_vertex = np.full(source.vertex_count, -1, dtype=np.int64)
-    for e in middles:
-        middle_of_vertex[source.edges[e, 0]] = e
-        middle_of_vertex[source.edges[e, 1]] = e
+    middle_of_vertex[source.edges[middles].ravel()] = np.repeat(middles, 2)
 
-    # tile owning each middle edge: the pair glued across it, or the
-    # singleton whose own middle it is
-    tile_of_middle = {}
-    internal_middle = []
-    for t, faces in enumerate(tiling.tile_faces):
-        if len(faces) == 2:
-            shared = set(source.face_edges(faces[0]).tolist()) \
-                & set(source.face_edges(faces[1]).tolist())
-            (m,) = shared
-        else:
-            (m,) = [int(e) for e in source.face_edges(faces[0])
-                    if edge_tags[e] == EdgeTag.Z_MIDDLE]
-        internal_middle.append(int(m))
-        tile_of_middle[int(m)] = t
+    # each tile's own middle edge: the edge its two faces share, or the
+    # singleton's middle edge
+    n_faces = np.fromiter(map(len, tiling.tile_faces), dtype=np.int64,
+                          count=len(tiling.tile_faces))
+    faces = np.fromiter(chain.from_iterable(tiling.tile_faces),
+                        dtype=np.int64, count=int(n_faces.sum()))
+    head = np.concatenate(([0], np.cumsum(n_faces)[:-1]))
+    paired = n_faces == 2
+    mate = np.full(len(head), -1, dtype=np.int64)
+    mate[paired] = faces[head[paired] + 1]
+    tile_of_first = np.full(source.face_count, -1, dtype=np.int64)
+    tile_of_first[faces[head]] = np.arange(len(head))
+    t_slot = tile_of_first[source.slot_face]
+    e = source.face_edge_flat
+    across = source.edge_left[e] + source.edge_right[e] - source.slot_face
+    own_hit = (t_slot >= 0) & np.where(paired[t_slot], across == mate[t_slot],
+                                       is_middle[e])
+    own_count = np.bincount(t_slot[own_hit], minlength=len(head))
+    if (own_count != 1).any():
+        t = int(np.flatnonzero(own_count != 1)[0])
+        raise InternalInvariantError(
+            f"tile {t} has {int(own_count[t])} own middle edges, expected 1")
+    own = np.empty(len(head), dtype=np.int64)
+    own[t_slot[own_hit]] = e[own_hit]
+    tile_of_middle = np.full(source.edge_count, -1, dtype=np.int64)
+    tile_of_middle[own] = np.arange(len(head))
 
-    # designated vertices per tile; designator per vertex
-    designator = {}
-    tile_designated = []
-    for t in range(tiling.mesh.face_count):
-        own = internal_middle[t]
-        designated = [int(v) for v in tiling.mesh.face(t)
-                      if middle_of_vertex[v] >= 0
-                      and int(middle_of_vertex[v]) != own]
-        expected = len(tiling.tile_faces[t])
-        if len(designated) != expected:
-            raise InternalInvariantError(
-                f"tile {t} has {len(designated)} designated bend vertices, "
-                f"expected {expected}")
-        tile_designated.append(designated)
-        for v in designated:
-            if v in designator:
-                raise InternalInvariantError(
-                    f"bend vertex {v} designated by two tiles")
-            designator[v] = t
+    # designated vertices per tile (in cycle order); designator per vertex
+    mv = middle_of_vertex[tmesh.face_vertex_flat]
+    des_slot = np.flatnonzero((mv >= 0) & (mv != own[tmesh.slot_face]))
+    des_v = tmesh.face_vertex_flat[des_slot]
+    des_t = tmesh.slot_face[des_slot]
+    count = np.bincount(des_t, minlength=T)
+    bad = np.flatnonzero(count != n_faces)
+    dup = _first_repeat(des_v)
+    if len(bad) and (dup < 0 or bad[0] <= des_t[dup]):
+        t = int(bad[0])
+        raise InternalInvariantError(
+            f"tile {t} has {int(count[t])} designated bend vertices, "
+            f"expected {int(n_faces[t])}")
+    if dup >= 0:
+        raise InternalInvariantError(
+            f"bend vertex {int(des_v[dup])} designated by two tiles")
+    D = len(des_v)
+    des_off = np.zeros(T + 1, dtype=np.int64)
+    np.cumsum(count, out=des_off[1:])
+    index_of = np.full(source.vertex_count, -1, dtype=np.int64)
+    index_of[des_v] = np.arange(D)
 
-    def hop(t: int, v: int):
-        """Cross the middle edge at designated vertex ``v`` of tile ``t``."""
-        m = int(middle_of_vertex[v])
-        a, b = int(source.edges[m, 0]), int(source.edges[m, 1])
-        far = b if a == v else a
-        return m, designator.get(far)
+    # hopping from designated vertex d crosses middle hop_m[d] and arrives
+    # at the far endpoint's designated index arrive[d] in tile hop_t[d]
+    hop_m = middle_of_vertex[des_v]
+    far = source.edges[hop_m].sum(axis=1) - des_v
+    arrive = index_of[far]
+    hop_t = np.where(arrive >= 0, des_t[arrive], -1)
+    # a strand arriving at a goes on from the designated vertices of its
+    # tile on another middle edge
+    span = count[des_t]
+    pair_a = np.repeat(np.arange(D), span)
+    pair_b = np.repeat(des_off[des_t], span) + np.arange(len(pair_a)) \
+        - np.repeat(np.cumsum(span) - span, span)
+    onward = hop_m[pair_b] != hop_m[pair_a]
+    n_out = np.bincount(pair_a[onward], minlength=D)
+    cont = np.full(D, -1, dtype=np.int64)
+    ids, first = np.unique(pair_a[onward], return_index=True)
+    cont[ids] = pair_b[onward][first]
 
-    visited = np.zeros(tiling.mesh.face_count, dtype=bool)
+    # open strands start at tiles with at most one continuing hop and
+    # trace away from the dead side, after its terminal crossing
+    live = hop_t >= 0
+    n_live = np.bincount(des_t[live], minlength=T)
+    first_live = _first_per_group(des_t, live, T)
+    first_dead = _first_per_group(des_t, ~live, T)
+    start = np.where(count == 0, -1,
+                     np.where(n_live == 1, first_live, des_off[:-1]))
+    lead_d = np.where(n_live == 1, first_dead,
+                      np.where(count > 1, des_off[:-1] + 1, -1))
+    lead_m = np.where(lead_d >= 0, hop_m[lead_d], -1)
+    opens = np.flatnonzero((count < 2) | (n_live < 2))
 
-    def trace(t0: int, first_vertex: int | None):
-        """Walk from tile ``t0``, first hopping at ``first_vertex``."""
-        tiles, crossings = [t0], []
-        visited[t0] = True
-        if first_vertex is None:
-            return dict(tiles=tiles, crossings=crossings, closed=False)
-        t, v = t0, first_vertex
-        closed = False
-        while True:
-            m, nxt = hop(t, v)
-            crossings.append(m)
-            if nxt is None:
+    hop_m, hop_t, arrive, n_out, cont = (
+        a.tolist() for a in (hop_m, hop_t, arrive, n_out, cont))
+    visited = bytearray(T)
+    tiles, crossings, t_off, c_off, closed, lead = [], [], [0], [0], [], []
+
+    def trace(t0: int, d: int, m0: int) -> None:
+        """Walk from tile ``t0``, first hopping at designated index ``d``."""
+        if m0 >= 0:
+            crossings.append(m0)
+        tiles.append(t0)
+        visited[t0] = 1
+        n, loop = 1, False
+        while d >= 0:
+            crossings.append(hop_m[d])
+            nxt = hop_t[d]
+            if nxt < 0:
                 break
-            if nxt == t0 and len(tiles) > 1:
-                closed = True
+            if nxt == t0 and n > 1:
+                loop = True
                 break
             if visited[nxt]:
                 raise InternalInvariantError(
                     f"strand re-entered tile {nxt}")
-            visited[nxt] = True
+            visited[nxt] = 1
             tiles.append(nxt)
-            outs = [w for w in tile_designated[nxt]
-                    if int(middle_of_vertex[w]) != m]
-            if not outs:
-                break
-            if len(outs) > 1:
+            n += 1
+            a = arrive[d]
+            if n_out[a] > 1:
                 raise InternalInvariantError(
-                    f"tile {nxt} offers {len(outs)} continuations")
-            t, v = nxt, outs[0]
-        return dict(tiles=tiles, crossings=crossings, closed=closed)
+                    f"tile {nxt} offers {n_out[a]} continuations")
+            d = cont[a]
+        closed.append(loop)
+        lead.append(m0 >= 0)
+        t_off.append(len(tiles))
+        c_off.append(len(crossings))
 
-    def continues(t: int, v: int) -> bool:
-        return hop(t, v)[1] is not None
-
-    specs = []
-    # open strands: start at tiles with at most one continuing hop;
-    # trace away from the dead side
-    for t in range(tiling.mesh.face_count):
-        if visited[t]:
-            continue
-        designated = tile_designated[t]
-        live = [v for v in designated if continues(t, v)]
-        if len(designated) < 2 or len(live) < 2:
-            if len(designated) == 0:
-                specs.append(trace(t, None))
-            elif len(live) == 1:
-                spec = trace(t, live[0])
-                # prepend the terminal crossing on the dead side, if any
-                dead = [v for v in designated if v not in live]
-                if dead:
-                    spec["crossings"] = [hop(t, dead[0])[0]] \
-                        + spec["crossings"]
-                    spec["lead"] = True
-                specs.append(spec)
-            else:
-                # both hops terminate: strand is this single tile
-                spec = trace(t, designated[0])
-                if len(designated) > 1:
-                    spec["crossings"] = [hop(t, designated[1])[0]] \
-                        + spec["crossings"]
-                    spec["lead"] = True
-                specs.append(spec)
-    # remaining tiles lie on closed strands
-    for t in range(tiling.mesh.face_count):
+    start_l, lead_l = start.tolist(), lead_m.tolist()
+    for t in opens.tolist():
         if not visited[t]:
-            specs.append(trace(t, tile_designated[t][0]))
+            trace(t, start_l[t], lead_l[t])
+    # remaining tiles lie on closed strands
+    first_l = des_off.tolist()
+    for t in np.flatnonzero(~np.frombuffer(visited, dtype=bool)).tolist():
+        if not visited[t]:
+            trace(t, first_l[t], -1)
 
-    ranks = _assign_color_ranks(specs)
-    strands = []
-    strand_of_tile = {}
-    for i, s in enumerate(specs):
-        for t in s["tiles"]:
-            strand_of_tile[t] = i
-    for i, s in enumerate(specs):
-        over = tuple(k % 2 == 0 for k in range(len(s["crossings"])))
-        strands.append(Strand(tiles=tuple(s["tiles"]),
-                              crossings=tuple(s["crossings"]), over=over,
-                              closed=s["closed"], color_index=ranks[i],
-                              lead_terminal=s.get("lead", False)))
-    strands = tuple(strands)
-
-    over_strand, under_strand = {}, {}
-    for i, s in enumerate(strands):
-        for m, o in zip(s.crossings, s.over):
-            if m in over_strand:
-                raise InternalInvariantError(
-                    f"middle edge {m} crossed twice")
-            node = strand_of_tile[tile_of_middle[m]]
-            over_strand[m] = i if o else node
-            under_strand[m] = node if o else i
+    tiles = np.asarray(tiles, dtype=np.int64)
+    crossings = np.asarray(crossings, dtype=np.int64)
+    S = len(closed)
+    n_c = np.diff(c_off)
+    strand_of_tile = np.empty(T, dtype=np.int64)
+    strand_of_tile[tiles] = np.repeat(np.arange(S), np.diff(t_off))
+    dup = _first_repeat(crossings)
+    if dup >= 0:
+        raise InternalInvariantError(
+            f"middle edge {int(crossings[dup])} crossed twice")
+    host = tile_of_middle[crossings]
+    if (host < 0).any():
+        raise InternalInvariantError(
+            f"middle edge {int(crossings[host < 0][0])} belongs to no tile")
+    sid = np.repeat(np.arange(S), n_c)
+    over = (np.arange(len(crossings)) - np.repeat(c_off[:-1], n_c)) % 2 == 0
+    node = strand_of_tile[host]
+    keys = crossings.tolist()
+    strands = tuple(
+        Strand(tiles=t, crossings=c, over=o, closed=z, color_index=r,
+               lead_terminal=ld)
+        for t, c, o, z, r, ld in zip(
+            _split(tiles.tolist(), t_off), _split(keys, c_off),
+            _split(over.tolist(), c_off), closed,
+            _color_ranks(tiles, np.asarray(t_off)).tolist(), lead))
+    sides = _shared_ints(np.concatenate((np.where(over, sid, node),
+                                         np.where(over, node, sid))))
+    n = len(keys)
     return Weaving(kind="snub", strands=strands,
-                   over_strand=over_strand, under_strand=under_strand,
+                   over_strand=dict(zip(keys, sides[:n].tolist())),
+                   under_strand=dict(zip(keys, sides[n:].tolist())),
                    tiling=tiling)
 
 
@@ -695,12 +768,10 @@ def general_face_split_weaving(mesh: Mesh,
             "face-split weaving needs at least one interior edge")
     V = mesh.vertex_count
     centers = mesh.face_centroids()
-    quads = []
-    for e in inner:
-        a, b = int(mesh.edges[e, 0]), int(mesh.edges[e, 1])
-        f, g = int(mesh.edge_left[e]), int(mesh.edge_right[e])
-        quads.append([a, V + g, b, V + f])
-    quad_mesh = build_mesh(np.vstack([mesh.positions, centers]), quads,
+    quads = np.column_stack((mesh.edges[inner, 0], V + mesh.edge_right[inner],
+                             mesh.edges[inner, 1], V + mesh.edge_left[inner]))
+    quad_mesh = build_mesh(np.vstack([mesh.positions, centers]),
+                           (quads.ravel(), np.arange(0, quads.size + 1, 4)),
                            allow_pinched_boundary=True)
     tiling = GluedTiling(
         source=mesh, mesh=quad_mesh,
@@ -745,67 +816,99 @@ def strand_ribbons(weaving: Weaving, mesh: Mesh,
         raise InvalidParameterError(
             f"width_fraction must lie strictly between 0 and 1, got "
             f"{width_fraction}")
+    strands = weaving.strands
+    S = len(strands)
     centers = mesh.face_centroids()
-    pos = np.asarray(mesh.positions)
-    lengths = mesh.edge_lengths()
+    tiles = np.fromiter(chain.from_iterable(s.tiles for s in strands),
+                        dtype=np.int64)
+    n_t = np.fromiter((len(s.tiles) for s in strands), dtype=np.int64,
+                      count=S)
+    t_first = np.cumsum(n_t) - n_t
+    t_sid = np.repeat(np.arange(S), n_t)
+    k = np.arange(len(tiles)) - np.repeat(t_first, n_t)    # tile's place
 
-    def edge_mid(e: int) -> np.ndarray:
-        return (pos[mesh.edges[e, 0]] + pos[mesh.edges[e, 1]]) / 2.0
+    def midpoints(m: Mesh, ids: np.ndarray) -> np.ndarray:
+        return (m.positions[m.edges[ids, 0]] + m.positions[m.edges[ids, 1]]) \
+            / 2.0
 
-    ribbons = []
-    for i, strand in enumerate(weaving.strands):
-        points, widths, unders = [], [], []
-        if weaving.kind == "quad":
-            for k, f in enumerate(strand.tiles):
-                e_in, e_out = strand.enter_edges[k], strand.exit_edges[k]
-                if k == 0:
-                    points.append(edge_mid(e_in))
-                    widths.append(lengths[e_in] * width_fraction / 2.0)
-                if not strand.over[k]:
-                    unders.append(len(points))
-                points.append(centers[f])
-                widths.append((lengths[e_in] + lengths[e_out])
-                              * width_fraction / 4.0)
-                points.append(edge_mid(e_out))
-                widths.append(lengths[e_out] * width_fraction / 2.0)
-        else:
-            # snub: tile centers with crossed middle-edge midpoints
-            # between; crossing ids name edges of the refined mesh under
-            # the tiling, not of the tiling mesh itself
-            src = weaving.tiling.source if weaving.tiling is not None \
-                else mesh
-            src_pos = np.asarray(src.positions)
-            src_len = src.edge_lengths()
+    def layout(n_pts: np.ndarray):
+        """Point offsets per strand and the empty point/width arrays."""
+        p_off = np.zeros(S + 1, dtype=np.int64)
+        np.cumsum(n_pts, out=p_off[1:])
+        return p_off, np.empty((p_off[-1], 2)), np.empty(p_off[-1])
 
-            def middle_mid(m: int) -> np.ndarray:
-                return (src_pos[src.edges[m, 0]]
-                        + src_pos[src.edges[m, 1]]) / 2.0
+    if weaving.kind == "quad":
+        # edge midpoint in, then per tile its center and exit midpoint
+        lengths = mesh.edge_lengths()
+        e_in = np.fromiter(chain.from_iterable(s.enter_edges for s in strands),
+                           dtype=np.int64, count=len(tiles))
+        e_out = np.fromiter(chain.from_iterable(s.exit_edges
+                                                for s in strands),
+                            dtype=np.int64, count=len(tiles))
+        p_off, points, widths = layout(2 * n_t + 1)
+        points[p_off[:-1]] = midpoints(mesh, e_in[t_first])
+        widths[p_off[:-1]] = lengths[e_in[t_first]] * width_fraction / 2.0
+        at_tile = p_off[t_sid] + 1 + 2 * k
+        points[at_tile] = centers[tiles]
+        widths[at_tile] = (lengths[e_in] + lengths[e_out]) \
+            * width_fraction / 4.0
+        points[at_tile + 1] = midpoints(mesh, e_out)
+        widths[at_tile + 1] = lengths[e_out] * width_fraction / 2.0
+        over = np.fromiter(chain.from_iterable(s.over for s in strands),
+                           dtype=bool, count=len(tiles))
+        under_sid, under_at = t_sid[~over], (1 + 2 * k)[~over]
+    else:
+        # snub: tile centers with crossed middle-edge midpoints between,
+        # after a leading terminal crossing if any; crossing ids name
+        # edges of the refined mesh under the tiling, not of the tiling
+        # mesh itself
+        src = weaving.tiling.source if weaving.tiling is not None \
+            else mesh
+        lengths = mesh.edge_lengths()
+        tile_width = np.empty(mesh.face_count)
+        for n in np.unique(mesh.face_sizes).tolist():
+            faces = np.flatnonzero(mesh.face_sizes == n)
+            ids = mesh.face_edge_flat[mesh.face_starts[faces][:, None]
+                                      + np.arange(n)]
+            tile_width[faces] = lengths[ids].mean(axis=1) \
+                * width_fraction / 2.0
+        cross = np.fromiter(chain.from_iterable(s.crossings
+                                                for s in strands),
+                            dtype=np.int64)
+        n_c = np.fromiter((len(s.crossings) for s in strands),
+                          dtype=np.int64, count=S)
+        lead = np.fromiter((s.lead_terminal for s in strands), dtype=bool,
+                           count=S).astype(np.int64)
+        closed = np.fromiter((s.closed for s in strands), dtype=bool,
+                             count=S)
+        drawn = np.minimum(n_c - lead, n_t)
+        p_off, points, widths = layout(lead + n_t + drawn + closed)
+        at_tile = p_off[t_sid] + lead[t_sid] + k + np.minimum(k, drawn[t_sid])
+        points[at_tile] = centers[tiles]
+        widths[at_tile] = tile_width[tiles]
+        c_sid = np.repeat(np.arange(S), n_c)
+        # j: position after the lead crossing (-1 for the lead itself)
+        j = np.arange(len(cross)) - np.repeat(np.cumsum(n_c) - n_c, n_c) \
+            - lead[c_sid]
+        on = j < drawn[c_sid]
+        rel = np.where(j < 0, 0, lead[c_sid] + 2 * j + 1)
+        at = p_off[c_sid][on] + rel[on]
+        points[at] = midpoints(src, cross[on])
+        widths[at] = src.edge_lengths()[cross[on]] * width_fraction / 2.0
+        ends = np.flatnonzero(closed)
+        points[p_off[ends + 1] - 1] = points[p_off[ends]]
+        widths[p_off[ends + 1] - 1] = widths[p_off[ends]]
+        over = np.fromiter(chain.from_iterable(s.over for s in strands),
+                           dtype=bool, count=len(cross))
+        under = on & ~over
+        under_sid, under_at = c_sid[under], rel[under]
 
-            seq_c = list(strand.crossings)
-            idx = 0
-            if strand.lead_terminal:
-                if not strand.over[0]:
-                    unders.append(0)
-                points.append(middle_mid(seq_c[0]))
-                widths.append(src_len[seq_c[0]] * width_fraction / 2.0)
-                idx = 1
-            for k, t in enumerate(strand.tiles):
-                points.append(centers[t])
-                widths.append(np.mean(lengths[mesh.face_edges(t)])
-                              * width_fraction / 2.0)
-                if idx < len(seq_c):
-                    if not strand.over[idx]:
-                        unders.append(len(points))
-                    points.append(middle_mid(seq_c[idx]))
-                    widths.append(src_len[seq_c[idx]]
-                                  * width_fraction / 2.0)
-                    idx += 1
-            if strand.closed and points:
-                points.append(points[0])
-                widths.append(widths[0])
-        ribbons.append(Ribbon(strand_index=i,
-                              centerline=np.asarray(points, dtype=float),
-                              half_widths=np.asarray(widths, dtype=float),
-                              under_spans=tuple(unders),
-                              closed=strand.closed))
-    return ribbons
+    u_off = np.zeros(S + 1, dtype=np.int64)
+    np.cumsum(np.bincount(under_sid, minlength=S), out=u_off[1:])
+    bounds = p_off[1:-1]
+    return [Ribbon(strand_index=i, centerline=c, half_widths=w,
+                   under_spans=u, closed=z)
+            for i, (c, w, u, z) in enumerate(zip(
+                np.split(points, bounds), np.split(widths, bounds),
+                _split(under_at.tolist(), u_off.tolist()),
+                (s.closed for s in strands)))]

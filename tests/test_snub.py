@@ -361,10 +361,36 @@ class TestSnubSubdivide:
     def test_half_plane_vs_distance_disagreement_is_logged(self, caplog):
         # at refinement depth 4 of the pentagon, five bend points sit nearer
         # to the *other* side's barycenter; the half-plane rule wins and the
-        # discrepancy is logged, never asserted
-        with caplog.at_level(logging.WARNING, logger="snubweave.snub"):
+        # discrepancy is logged at debug level, never asserted
+        with caplog.at_level(logging.DEBUG, logger="snubweave.snub"):
             sw.snub_subdivide(sw.pentagon(), 4)
-        assert any("disagreed" in message for message in caplog.messages)
+        assert any(r.levelno == logging.DEBUG
+                   and "nearest-barycenter" in r.getMessage()
+                   for r in caplog.records)
+
+    def test_normal_steps_log_no_warning(self, caplog):
+        # the nearest-barycenter disagreement is expected on every deep
+        # step, so it must not surface as a warning
+        with caplog.at_level(logging.WARNING, logger="snubweave"):
+            sw.snub_subdivide(sw.pentagon(), 4)
+            sw.snub_subdivide(sw.pentagon_flower(), 3)
+        assert caplog.records == []
+
+    def test_half_plane_sign_mismatch_is_a_warning(self, caplog):
+        # a bend point on the other side of its source edge than its
+        # barycenter is a real anomaly, so it stays a warning
+        from snubweave.snub import _verify_half_plane_rule
+        source = sw.build_mesh([[0, 0], [4, 0], [4, 4], [0, 4]],
+                               [[0, 1, 2, 3]])
+        positions = np.array([[0.0, 0.0], [4.0, 0.0], [2.0, -1.0],
+                              [2.0, 1.0]])
+        e = source.edge_id(0, 1)
+        with caplog.at_level(logging.DEBUG, logger="snubweave.snub"):
+            _verify_half_plane_rule(source, positions, np.array([2]),
+                                    np.array([3]), np.array([0]),
+                                    np.array([1]), np.array([e]))
+        assert [r.levelno for r in caplog.records] == [logging.WARNING]
+        assert "half-plane rule disagreed" in caplog.messages[0]
 
 
 # ---------------------------------------------------------------------------
