@@ -4,6 +4,17 @@ Catmull-Clark, and Doo-Sabin.
 Each step returns the refined mesh together with an origin record per new
 vertex (old vertex, edge vertex, or face center) — the weaving constructions
 consume these records to transport vertex colorings through refinement.
+
+Every rule is an array gather on the source mesh's tables; Python loops run
+over the valence only.  The vertex rules read vertex-incidence tables built
+by :func:`_incidence`: a stable argsort of ``edges.ravel()`` lists each
+vertex's edges and neighbours in edge order, and one of
+``face_vertex_flat`` lists its face slots in face order, each padded to the
+largest valence.  A per-vertex sum adds the table's columns one by one,
+left to right from zero, the order in which ``values[ids].sum(axis=0)``
+adds one vertex's ``(d, 2)`` block, so the result does not depend on how
+the vertices are batched.  Every refined mesh is validated by
+:func:`build_mesh`, which also derives its edge table.
 """
 
 from __future__ import annotations
@@ -62,18 +73,50 @@ def _require_triangles(mesh: Mesh, scheme: str) -> None:
         raise NotTriangleMeshError(f"{scheme} requires a pure triangle mesh")
 
 
-def _neighbor_lists(mesh: Mesh):
-    """All neighbors per vertex, and boundary neighbors per vertex."""
-    neighbors = [[] for _ in range(mesh.vertex_count)]
-    boundary_neighbors = [[] for _ in range(mesh.vertex_count)]
-    boundary = mesh.boundary_edge_mask
-    for e, (a, b) in enumerate(np.asarray(mesh.edges)):
-        neighbors[a].append(int(b))
-        neighbors[b].append(int(a))
-        if boundary[e]:
-            boundary_neighbors[a].append(int(b))
-            boundary_neighbors[b].append(int(a))
-    return neighbors, boundary_neighbors
+def _incidence(keys: np.ndarray, values: np.ndarray, n: int):
+    """Group ``values`` by their ``keys`` (ints in ``[0, n)``), keeping order.
+
+    Returns an ``(n, width)`` table whose row ``k`` starts with the values
+    keyed ``k`` in input order and is padded with 0, and the count per row.
+    ``width`` is the largest count, and at least 2, so the first two
+    entries of a row can always be read.
+    """
+    order = np.argsort(keys, kind="stable")
+    count = np.bincount(keys, minlength=n)
+    first = np.cumsum(count) - count
+    row = keys[order]
+    table = np.zeros((n, max(int(count.max(initial=0)), 2)), dtype=np.int64)
+    table[row, np.arange(len(keys)) - first[row]] = values[order]
+    return table, count
+
+
+def _vertex_neighbors(mesh: Mesh, edges: np.ndarray):
+    """Per vertex, the other ends of its ``edges`` in edge order, and their
+    count (see :func:`_incidence`)."""
+    return _incidence(edges.ravel(), edges[:, ::-1].ravel(),
+                      mesh.vertex_count)
+
+
+def _row_sums(values: np.ndarray, table: np.ndarray, count: np.ndarray):
+    """Per row ``v``, the sum of ``values[table[v, :count[v]]]``.
+
+    The terms are added left to right, starting from zero, as
+    ``values[ids].sum(axis=0)`` adds them; ``np.add.reduceat`` does not.
+    """
+    total = np.zeros((len(table),) + values.shape[1:])
+    for k in range(table.shape[1]):
+        rows = np.flatnonzero(count > k)
+        total[rows] += values[table[rows, k]]
+    return total
+
+
+def _boundary_rule(mesh: Mesh, old_pos: np.ndarray) -> None:
+    """Move each boundary vertex ``v``, in place, to ``(b1 + 6 v + b2) / 8``,
+    with ``b1``, ``b2`` its first two boundary neighbours in edge order."""
+    pos = mesh.positions
+    table, count = _vertex_neighbors(mesh, mesh.edges[mesh.boundary_edge_mask])
+    v = np.flatnonzero(count)
+    old_pos[v] = (pos[table[v, 0]] + 6.0 * pos[v] + pos[table[v, 1]]) / 8.0
 
 
 def _triangle_opposites(mesh: Mesh):
@@ -117,10 +160,13 @@ def loop_step(mesh: Mesh) -> SchemeStepResult:
     the midpoint on boundary edges.  Old interior vertices of degree ``d``
     move to ``(1 - d*beta) v + beta * (neighbor sum)`` with ``beta = 3/16``
     for degree 3 and ``3/(8d)`` otherwise; old boundary vertices use the
-    1/8, 3/4, 1/8 rule along the boundary.
+    1/8, 3/4, 1/8 rule along the boundary, with their first two boundary
+    neighbours in edge order.  Edge vertices are gathered through the
+    opposite-vertex table; the neighbour sum runs over the edge-ordered
+    incidence table.
     """
     _require_triangles(mesh, "loop_step")
-    pos = np.asarray(mesh.positions)
+    pos = mesh.positions
     opp_l, opp_r = _triangle_opposites(mesh)
     boundary = mesh.boundary_edge_mask
 
@@ -132,17 +178,14 @@ def loop_step(mesh: Mesh) -> SchemeStepResult:
     edge_pos[inner] = (3.0 / 8.0 * (pos[a[inner]] + pos[b[inner]])
                        + 1.0 / 8.0 * (pos[opp_l[inner]] + pos[opp_r[inner]]))
 
-    neighbors, boundary_neighbors = _neighbor_lists(mesh)
+    neighbors, degree = _vertex_neighbors(mesh, mesh.edges)
+    v = classify(mesh).inner_vertex_ids
+    d = degree[v]
+    beta = np.where(d == 3, 3.0 / 16.0, 3.0 / (8.0 * d))
     old_pos = pos.copy()
-    for v in range(mesh.vertex_count):
-        if boundary_neighbors[v]:
-            b1, b2 = boundary_neighbors[v][0], boundary_neighbors[v][1]
-            old_pos[v] = (pos[b1] + 6.0 * pos[v] + pos[b2]) / 8.0
-        elif neighbors[v]:
-            d = len(neighbors[v])
-            beta = 3.0 / 16.0 if d == 3 else 3.0 / (8.0 * d)
-            old_pos[v] = ((1.0 - d * beta) * pos[v]
-                          + beta * pos[neighbors[v]].sum(axis=0))
+    old_pos[v] = ((1.0 - d * beta)[:, None] * pos[v]
+                  + beta[:, None] * _row_sums(pos, neighbors[v], d))
+    _boundary_rule(mesh, old_pos)
 
     refined = build_mesh(np.vstack([old_pos, edge_pos]),
                          _one_to_four_faces(mesh))
@@ -160,40 +203,36 @@ def butterfly_step(mesh: Mesh) -> SchemeStepResult:
     the eight-point stencil (1/2 endpoints, 1/8 the two opposite vertices,
     -1/16 the four wing vertices, i.e. tension 1/16); a wing across a
     boundary edge is synthesized by parallelogram reflection.  Boundary
-    edge vertices are midpoints.
+    edge vertices are midpoints.  Each wing edge is read from its
+    triangle's ``face_edge_flat`` slots, and the wing vertex across it from
+    the opposite-vertex table, for all edges at once.
     """
     _require_triangles(mesh, "butterfly_step")
-    pos = np.asarray(mesh.positions)
-    boundary = mesh.boundary_edge_mask
-    edges = np.asarray(mesh.edges)
-    edge_index = {}
-    for e, (u, v) in enumerate(edges):
-        edge_index[(int(u), int(v))] = e
+    pos = mesh.positions
+    opp_l, opp_r = _triangle_opposites(mesh)
+    corners = mesh.face_vertex_flat.reshape(-1, 3)
+    sides = mesh.face_edge_flat.reshape(-1, 3)
 
-    def opposite_in(f: int, u: int, v: int) -> int:
-        return int(sum(mesh.face(f)) - u - v)
+    def wing(u, v, behind, f):
+        """Vertex across edge (u, v) of triangle ``f``, whose third corner
+        is ``behind``."""
+        k = np.argmax(corners[f] == behind[:, None], axis=1)
+        e = sides[f, (k + 1) % 3]
+        use_left = (mesh.edge_left[e] >= 0) & (opp_l[e] != behind)
+        use_right = (mesh.edge_right[e] >= 0) & (opp_r[e] != behind)
+        across = np.where(use_left, opp_l[e], opp_r[e])
+        return np.where((use_left | use_right)[:, None], pos[across],
+                        pos[u] + pos[v] - pos[behind])   # boundary: reflect
 
-    def wing(u: int, v: int, behind: int) -> np.ndarray:
-        """Vertex across edge (u, v) seen from the triangle holding ``behind``."""
-        e = edge_index[(u, v) if u < v else (v, u)]
-        f, g = int(mesh.edge_left[e]), int(mesh.edge_right[e])
-        for cand in (f, g):
-            if cand >= 0 and opposite_in(cand, u, v) != behind:
-                return pos[opposite_in(cand, u, v)]
-        return pos[u] + pos[v] - pos[behind]   # boundary: reflect
-
-    edge_pos = np.empty((mesh.edge_count, 2))
-    for e, (u, v) in enumerate(edges):
-        u, v = int(u), int(v)
-        if boundary[e]:
-            edge_pos[e] = (pos[u] + pos[v]) / 2.0
-            continue
-        c = opposite_in(int(mesh.edge_left[e]), u, v)
-        d = opposite_in(int(mesh.edge_right[e]), u, v)
-        wings = (wing(u, c, v) + wing(v, c, u)
-                 + wing(u, d, v) + wing(v, d, u))
-        edge_pos[e] = (0.5 * (pos[u] + pos[v])
-                       + 0.125 * (pos[c] + pos[d]) - wings / 16.0)
+    edge_pos = (pos[mesh.edges[:, 0]] + pos[mesh.edges[:, 1]]) / 2.0
+    e = np.flatnonzero(~mesh.boundary_edge_mask)
+    u, v = mesh.edges[e].T
+    f, g = mesh.edge_left[e], mesh.edge_right[e]
+    c, d = opp_l[e], opp_r[e]
+    wings = (wing(u, c, v, f) + wing(v, c, u, f)
+             + wing(u, d, v, g) + wing(v, d, u, g))
+    edge_pos[e] = (0.5 * (pos[u] + pos[v])
+                   + 0.125 * (pos[c] + pos[d]) - wings / 16.0)
 
     refined = build_mesh(np.vstack([pos, edge_pos]), _one_to_four_faces(mesh))
     kind, ids = _origins_old_plus_edges(mesh)
@@ -210,39 +249,42 @@ def sqrt3_step(mesh: Mesh) -> SchemeStepResult:
     face's corners, then every interior edge is flipped to join the two new
     barycenters; two applications cut every original triangle into nine.
     Old interior vertices relax with weight ``alpha_n = (4 - 2 cos(2 pi /
-    n)) / 9``; boundary vertices and edges stay fixed.
+    n)) / 9``, computed once per distinct valence; boundary vertices and
+    edges stay fixed.  The new faces come in edge order: one per boundary
+    edge, walked as its face walks it, and two per interior edge.
     """
     _require_triangles(mesh, "sqrt3_step")
-    pos = np.asarray(mesh.positions)
+    pos = mesh.positions
     centers = mesh.face_centroids()
     V = mesh.vertex_count
 
-    neighbors, boundary_neighbors = _neighbor_lists(mesh)
+    neighbors, degree = _vertex_neighbors(mesh, mesh.edges)
+    v = classify(mesh).inner_vertex_ids
+    n = degree[v]
+    valences, which = np.unique(n, return_inverse=True)
+    alpha = np.array([(4.0 - 2.0 * math.cos(2.0 * math.pi / int(k))) / 9.0
+                      for k in valences])[which]
     old_pos = pos.copy()
-    for v in range(mesh.vertex_count):
-        if boundary_neighbors[v] or not neighbors[v]:
-            continue
-        n = len(neighbors[v])
-        alpha = (4.0 - 2.0 * math.cos(2.0 * math.pi / n)) / 9.0
-        old_pos[v] = ((1.0 - alpha) * pos[v]
-                      + alpha / n * pos[neighbors[v]].sum(axis=0))
+    old_pos[v] = ((1.0 - alpha)[:, None] * pos[v]
+                  + (alpha / n)[:, None] * _row_sums(pos, neighbors[v], n))
 
-    faces = []
     boundary = mesh.boundary_edge_mask
-    for e, (a, b) in enumerate(np.asarray(mesh.edges)):
-        a, b = int(a), int(b)
-        f = int(mesh.edge_left[e])
-        g = int(mesh.edge_right[e])
-        if boundary[e]:
-            keeper = f if f >= 0 else g
-            if keeper == g:
-                a, b = b, a          # walk the edge as its face does
-            faces.append([a, b, V + keeper])
-        else:
-            faces.append([a, V + g, V + f])
-            faces.append([b, V + f, V + g])
+    a, b = mesh.edges.T
+    f, g = mesh.edge_left, mesh.edge_right
+    kept = (f >= 0)[:, None]
+    first = np.where(boundary[:, None],
+                     np.where(kept, np.column_stack((a, b, V + f)),
+                              np.column_stack((b, a, V + g))),
+                     np.column_stack((a, V + g, V + f)))
+    count = np.where(boundary, 1, 2)
+    at = np.cumsum(count) - count
+    faces = np.empty((count.sum(), 3), dtype=np.int64)
+    faces[at] = first
+    inner = ~boundary
+    faces[at[inner] + 1] = np.column_stack((b, V + f, V + g))[inner]
 
-    refined = build_mesh(np.vstack([old_pos, centers]), faces)
+    refined = build_mesh(np.vstack([old_pos, centers]),
+                         (faces.ravel(), np.arange(0, faces.size + 1, 3)))
     kind = np.concatenate([
         np.full(V, OriginKind.OLD_VERTEX, dtype=np.int8),
         np.full(mesh.face_count, OriginKind.FACE_CENTER, dtype=np.int8)])
@@ -250,7 +292,7 @@ def sqrt3_step(mesh: Mesh) -> SchemeStepResult:
                           np.arange(mesh.face_count, dtype=np.int64)])
     return SchemeStepResult(mesh=refined, vertex_origin_kind=kind,
                             vertex_origin_id=ids,
-                            flipped_edges=np.flatnonzero(~boundary),
+                            flipped_edges=np.flatnonzero(inner),
                             source=mesh)
 
 
@@ -264,36 +306,43 @@ def midedge_step(mesh: Mesh) -> SchemeStepResult:
     which shrinks the outline; near the boundary the clipping can leave
     refined faces touching only at a shared midpoint, so the result is
     built with the pinched-boundary check relaxed.
+
+    The vertex cycles are walked for all inner vertices at once, one step
+    per unit of valence: from a face slot of the vertex, the next slot is
+    the vertex's slot in the other face of the slot's out-edge.  Each walk
+    starts at the vertex's lowest face slot and is reversed, so the cycle
+    begins with that slot's in-edge.
     """
-    midpoints = (np.asarray(mesh.positions)[mesh.edges[:, 0]]
-                 + np.asarray(mesh.positions)[mesh.edges[:, 1]]) / 2.0
+    pos = mesh.positions
+    midpoints = (pos[mesh.edges[:, 0]] + pos[mesh.edges[:, 1]]) / 2.0
 
-    faces = [[int(e) for e in mesh.face_edges(f)]
-             for f in range(mesh.face_count)]
+    flat = mesh.face_vertex_flat
+    out_edge = mesh.face_edge_flat
+    slot = np.arange(len(flat), dtype=np.int64)
+    side = (flat > flat[mesh.slot_next]).astype(np.int64)
+    slot_of = np.zeros(2 * mesh.edge_count, dtype=np.int64)
+    slot_of[2 * out_edge + side] = slot
+    # a boundary slot has no twin, but no walk around an inner vertex
+    # leaves through a boundary edge
+    twin = slot_of[2 * out_edge + 1 - side]
 
-    # one face per fully interior vertex: walk its corners fan-wise
-    classes = classify(mesh)
-    fan_next = [{} for _ in range(mesh.vertex_count)]   # in-edge -> out-edge
-    for f in range(mesh.face_count):
-        cycle = mesh.face(f)
-        face_edges = mesh.face_edges(f)
-        n = len(cycle)
-        for k in range(n):
-            fan_next[cycle[k]][int(face_edges[(k - 1) % n])] = \
-                int(face_edges[k])
-    for v in classes.inner_vertex_ids:
-        chain = fan_next[int(v)]
-        start = next(iter(chain))
-        cycle = []
-        e = start
-        while True:
-            e = chain[e]
-            cycle.append(e)
-            if e == start:
-                break
-        faces.append(cycle[::-1])
+    v = classify(mesh).inner_vertex_ids
+    slots, valence = _incidence(flat, slot, mesh.vertex_count)
+    walk = [slots[v, 0]]
+    for _ in range(int(valence[v].max(initial=1))):
+        walk.append(mesh.slot_next[twin[walk[-1]]])
+    walk = np.column_stack(walk)
+    length = np.argmax(walk[:, 1:] == walk[:, :1], axis=1) + 1
+    row = np.repeat(np.arange(len(v)), length)
+    ends = np.cumsum(length)
+    back = np.repeat(ends, length) - 1 - np.arange(len(row))
+    vertex_cycles = out_edge[walk[row, back]]
 
-    refined = build_mesh(midpoints, faces, allow_pinched_boundary=True)
+    refined = build_mesh(
+        midpoints,
+        (np.concatenate([out_edge, vertex_cycles]),
+         np.concatenate([mesh.face_starts, len(out_edge) + ends])),
+        allow_pinched_boundary=True)
     kind = np.full(mesh.edge_count, OriginKind.EDGE_MIDPOINT, dtype=np.int8)
     ids = np.arange(mesh.edge_count, dtype=np.int64)
     return SchemeStepResult(mesh=refined, vertex_origin_kind=kind,
@@ -308,11 +357,13 @@ def catmull_clark_step(mesh: Mesh) -> SchemeStepResult:
     Face points at face vertex centroids; interior edge points average the
     edge's endpoints and the two adjacent face points; boundary edge points
     at midpoints.  Old interior vertices of degree ``d`` move to
-    ``(Q + 2R + (d - 3) v) / d`` (``Q``: mean incident face point, ``R``:
-    mean incident edge midpoint); old boundary vertices use the 1/8, 3/4,
-    1/8 boundary rule.
+    ``(Q + 2R + (d - 3) v) / d`` (``Q``: mean incident face point in face
+    order, ``R``: mean incident edge midpoint in edge order); old boundary
+    vertices use the 1/8, 3/4, 1/8 boundary rule.  The means run over the
+    vertex-to-face and vertex-to-edge incidence tables; the quads are one
+    per face corner, written straight into CSR arrays.
     """
-    pos = np.asarray(mesh.positions)
+    pos = mesh.positions
     V, E = mesh.vertex_count, mesh.edge_count
     face_pts = mesh.face_centroids()
     boundary = mesh.boundary_edge_mask
@@ -326,26 +377,17 @@ def catmull_clark_step(mesh: Mesh) -> SchemeStepResult:
                        + face_pts[mesh.edge_left[inner]]
                        + face_pts[mesh.edge_right[inner]]) / 4.0
 
-    neighbors, boundary_neighbors = _neighbor_lists(mesh)
-    vertex_faces = [[] for _ in range(V)]
-    for f in range(mesh.face_count):
-        for v in mesh.face(f):
-            vertex_faces[v].append(f)
+    vertex_faces, face_count = _incidence(mesh.face_vertex_flat,
+                                          mesh.slot_face, V)
+    vertex_edges, degree = _incidence(
+        mesh.edges.ravel(), np.repeat(np.arange(E, dtype=np.int64), 2), V)
+    v = classify(mesh).inner_vertex_ids
+    k, d = face_count[v], degree[v]
+    q = _row_sums(face_pts, vertex_faces[v], k) / k[:, None]
+    r = _row_sums((pos[a] + pos[b]) / 2.0, vertex_edges[v], d) / d[:, None]
     old_pos = pos.copy()
-    midpoints = (pos[a] + pos[b]) / 2.0
-    vertex_edges = [[] for _ in range(V)]
-    for e in range(E):
-        vertex_edges[int(a[e])].append(e)
-        vertex_edges[int(b[e])].append(e)
-    for v in range(V):
-        if boundary_neighbors[v]:
-            b1, b2 = boundary_neighbors[v][0], boundary_neighbors[v][1]
-            old_pos[v] = (pos[b1] + 6.0 * pos[v] + pos[b2]) / 8.0
-        elif vertex_edges[v]:
-            d = len(vertex_edges[v])
-            q = face_pts[vertex_faces[v]].mean(axis=0)
-            r = midpoints[vertex_edges[v]].mean(axis=0)
-            old_pos[v] = (q + 2.0 * r + (d - 3.0) * pos[v]) / d
+    old_pos[v] = (q + 2.0 * r + (d - 3.0)[:, None] * pos[v]) / d[:, None]
+    _boundary_rule(mesh, old_pos)
 
     # one quad per face corner: vertex, next edge, face, previous edge
     prev = np.empty_like(mesh.slot_next)

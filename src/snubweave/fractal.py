@@ -137,8 +137,8 @@ def estimate_fractal_dimension(lengths) -> DimensionEstimate:
     if len(lengths) < 3:
         raise InsufficientDataError(
             f"need at least 3 length samples, got {len(lengths)}")
-    if (lengths <= 0).any():
-        raise InvalidParameterError("lengths must be positive")
+    if not (np.isfinite(lengths) & (lengths > 0)).all():
+        raise InvalidParameterError("lengths must be finite and positive")
     t = np.arange(len(lengths))
     log_s = t * math.log(SEGMENT_SCALE)
     log_l = np.log(lengths)
@@ -164,6 +164,12 @@ def box_counting_dimension(polyline: np.ndarray,
         raise InvalidParameterError("polyline must be an (n, 2) array, n >= 2")
     if len(grid_sizes) < 3:
         raise InsufficientDataError("need at least 3 grid sizes")
+    if min(grid_sizes) < 2 or len(set(grid_sizes)) != len(grid_sizes):
+        raise InvalidParameterError(
+            f"grid sizes must be distinct and at least 2, got {grid_sizes}")
+    if samples_per_segment < 1:
+        raise InvalidParameterError(
+            f"samples_per_segment must be >= 1, got {samples_per_segment}")
     if samples_per_segment > 1:
         frac = np.linspace(0.0, 1.0, samples_per_segment, endpoint=False)
         seg_a = pts[:-1]

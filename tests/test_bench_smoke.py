@@ -1,0 +1,41 @@
+"""The benchmark's ``weaves`` workload and known-defect probe, run once.
+
+A change that breaks one of the benchmark's output checks fails here, in
+the test suite, and not only in a full benchmark run.  ``bench/workloads.py``
+is imported as it is, read-only.
+"""
+
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
+
+import snubweave
+from snubweave import (classic_schemes, errors, fractal, mesh_core, snub,
+                       weaving)
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
+import workloads  # noqa: E402
+
+LIB = SimpleNamespace(mesh_core=mesh_core, snub=snub, weaving=weaving,
+                      classic_schemes=classic_schemes, fractal=fractal,
+                      errors=errors)
+
+
+def test_weaves_full_size_item_passes_its_checks():
+    weaves = workloads.WORKLOADS["weaves"]
+    (item,) = weaves.items(LIB, np.random.default_rng(3), warm=False)
+    out = weaves.run(LIB, item)
+    assert weaves.check(item, out)
+    assert weaves.faces_out(out) > 0
+
+
+def test_known_defects_pass_or_raise_a_typed_error():
+    probe = workloads.DEFECT_PROBE
+    for item in probe.items(LIB, np.random.default_rng(3)):
+        try:
+            out = probe.run(LIB, item)
+        except snubweave.SnubWeaveError:
+            continue
+        assert probe.check(item, out)

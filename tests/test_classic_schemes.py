@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import snubweave as sw
 from snubweave import (
     NotTriangleMeshError,
     OriginKind,
@@ -20,6 +22,7 @@ from snubweave import (
     square_grid,
 )
 from mesh_compare import match_vertices
+import classic_reference as ref
 
 ROOT3 = math.sqrt(3.0)
 
@@ -460,3 +463,109 @@ class TestDooSabin:
         match_vertices(mesh.positions,
                        np.array([(0.75, 0.25), (0.75, 0.75),
                                  (0.25, 0.75), (0.25, 0.25)]), tol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# the array implementation against the frozen loop implementation
+# ---------------------------------------------------------------------------
+
+MESH_ARRAYS = ("positions", "face_vertex_flat", "face_starts", "edges",
+               "edge_left", "edge_right", "face_edge_flat")
+TRIANGLE_SCHEMES = ("loop_step", "butterfly_step", "sqrt3_step",
+                    "midedge_step", "doo_sabin_step")
+
+
+def assert_same_bits(a, b, what):
+    assert a.dtype == b.dtype and a.shape == b.shape, what
+    assert a.tobytes() == b.tobytes(), what
+
+
+def assert_same_step(got, want):
+    """Every field of two :class:`SchemeStepResult` values, bit for bit."""
+    for name in MESH_ARRAYS:
+        assert_same_bits(getattr(got.mesh, name), getattr(want.mesh, name),
+                         name)
+    for name in ("vertex_origin_kind", "vertex_origin_id", "flipped_edges"):
+        assert_same_bits(getattr(got, name), getattr(want, name), name)
+    assert got.source is want.source
+    assert (got.intermediate is None) == (want.intermediate is None)
+    if got.intermediate is not None:
+        assert_same_step(got.intermediate, want.intermediate)
+
+
+def mixed_triangulation(w, h, splits, seed):
+    """Jittered ``w`` x ``h`` grid of unit squares, square ``k`` cut by
+    ``splits[k]``: 0 or 1 picks a diagonal, 2 also cones the first triangle
+    to its centroid.  Interior valences run from 3 (a cone apex) upward; a
+    corner that its square's diagonal misses has valence 2."""
+    xs, ys = np.meshgrid(np.arange(w + 1), np.arange(h + 1))
+    points = np.column_stack((xs.ravel(), ys.ravel())).astype(np.float64)
+    points += np.random.default_rng(seed).uniform(-0.15, 0.15, points.shape)
+    points = list(map(tuple, points))
+    faces = []
+    for k, split in enumerate(splits):
+        y, x = divmod(k, w)
+        a = y * (w + 1) + x
+        b, c, d = a + 1, a + w + 2, a + w + 1
+        first, second = ([a, b, c], [a, c, d]) if split != 1 \
+            else ([a, b, d], [b, c, d])
+        if split == 2:
+            points.append(tuple(np.mean([points[i] for i in first], axis=0)))
+            apex = len(points) - 1
+            faces += [[first[i], first[(i + 1) % 3], apex] for i in range(3)]
+        else:
+            faces.append(first)
+        faces.append(second)
+    return build_mesh(np.array(points), faces)
+
+
+@st.composite
+def triangle_meshes(draw):
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        return irregular_fan(draw(st.integers(3, 8)), seed)
+    w, h = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    splits = draw(st.lists(st.integers(0, 2), min_size=w * h,
+                           max_size=w * h))
+    return mixed_triangulation(w, h, splits, seed)
+
+
+@st.composite
+def polygon_meshes(draw):
+    """Jittered quad grids, and snubbed pentagons with their 5- and 8-gon
+    glued tilings."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        grid = square_grid(draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+        moved = grid.positions + rng.uniform(-0.15, 0.15, grid.positions.shape)
+        return build_mesh(moved, grid.faces)
+    base = sw.generate_demo_mesh(draw(st.sampled_from(["pentagon",
+                                                       "pentaflower"])))
+    moved = base.positions + rng.uniform(-0.04, 0.04, base.positions.shape)
+    hist = sw.snub_subdivide(build_mesh(moved, base.faces),
+                             draw(st.integers(1, 2)))
+    if draw(st.booleans()):
+        return hist.final
+    return sw.glue_snub_pairs(hist.final, hist.records[-1].provenance).mesh
+
+
+class TestOracleEquivalence:
+    @settings(max_examples=40, deadline=None)
+    @given(mesh=triangle_meshes())
+    def test_triangle_schemes_match_oracle(self, mesh):
+        for name in TRIANGLE_SCHEMES:
+            assert_same_step(getattr(sw, name)(mesh), getattr(ref, name)(mesh))
+
+    @settings(max_examples=25, deadline=None)
+    @given(mesh=polygon_meshes())
+    def test_catmull_clark_matches_oracle(self, mesh):
+        assert_same_step(catmull_clark_step(mesh), ref.catmull_clark_step(mesh))
+
+    def test_all_schemes_match_oracle_on_mixed_valences(self):
+        mesh = mixed_triangulation(4, 4, [2, 0, 1, 2, 1, 1, 0, 0,
+                                          2, 0, 1, 1, 0, 2, 0, 1], seed=7)
+        inner = sw.classify(mesh).vertex_is_inner
+        assert set(range(3, 9)) <= set(mesh.vertex_degrees[inner].tolist())
+        assert 2 in mesh.vertex_degrees[~inner]
+        for name in TRIANGLE_SCHEMES + ("catmull_clark_step",):
+            assert_same_step(getattr(sw, name)(mesh), getattr(ref, name)(mesh))

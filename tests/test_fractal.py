@@ -145,6 +145,28 @@ class TestDimensionEstimate:
         est = sw.box_counting_dimension(line)
         assert abs(est.dimension - 1.0) < 0.05
 
+    def test_rejects_non_finite_lengths(self):
+        with pytest.raises(InvalidParameterError):
+            sw.estimate_fractal_dimension([1.0, float("nan"), 2.0])
+
+    def test_box_counting_rejects_repeated_grid_sizes(self):
+        _, polyline = sw.lsystem_expand(4)
+        with pytest.raises(InvalidParameterError):
+            sw.box_counting_dimension(polyline, grid_sizes=(16, 16, 16))
+
+    @pytest.mark.parametrize("grid_sizes", [(0, 16, 32), (-4, 8, 16)])
+    def test_box_counting_rejects_grid_sizes_below_two(self, grid_sizes,
+                                                       capfd):
+        _, polyline = sw.lsystem_expand(4)
+        with pytest.raises(InvalidParameterError):
+            sw.box_counting_dimension(polyline, grid_sizes=grid_sizes)
+        assert capfd.readouterr() == ("", "")
+
+    def test_box_counting_rejects_zero_samples_per_segment(self):
+        _, polyline = sw.lsystem_expand(4)
+        with pytest.raises(InvalidParameterError):
+            sw.box_counting_dimension(polyline, samples_per_segment=0)
+
 
 # ---------------------------------------------------------------------------
 # curve tracking

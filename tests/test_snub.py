@@ -448,6 +448,33 @@ class TestRefinedMeshesValidate:
             current = m
 
 
+def reflected(mesh):
+    """``mesh`` mirrored in the y axis, faces reversed to stay CCW."""
+    return sw.build_mesh(mesh.positions * [-1.0, 1.0],
+                         [f[::-1] for f in mesh.faces])
+
+
+class TestMirrorSymmetry:
+    @settings(max_examples=30, deadline=None)
+    @given(spec=st.one_of(st.sampled_from(["pentagon", "pentaflower"]),
+                          st.integers(5, 8).map(lambda n: f"fan:{n}"),
+                          st.tuples(st.integers(1, 3), st.integers(1, 3)).map(
+                              lambda wh: f"grid:{wh[0]}x{wh[1]}")),
+           seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 3),
+           smoothing=st.booleans())
+    def test_flag_minus_one_on_mirror_is_mirror_of_flag_plus_one(
+            self, spec, seed, steps, smoothing):
+        """Snubbing the mirror image with ``seed_flag=-1`` gives the mirror
+        image of the ``seed_flag=+1`` result, as geometry: vertices are
+        matched by position within 1e-9, then faces by their cycles."""
+        mesh = jittered(sw.generate_demo_mesh(spec), seed)
+        plus = sw.snub_subdivide(mesh, steps, smoothing=smoothing).final
+        minus = sw.snub_subdivide(reflected(mesh), steps, smoothing=smoothing,
+                                  seed_flag=-1).final
+        assert_isomorphic(minus, plus.positions * [-1.0, 1.0], plus.faces,
+                          tol=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # independent reference implementation
 # ---------------------------------------------------------------------------
