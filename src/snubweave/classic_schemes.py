@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from .errors import NotTriangleMeshError
-from .mesh_core import Mesh, build_mesh, classify
+from .mesh_core import Mesh, _edge_slots, build_mesh, classify
 
 __all__ = [
     "OriginKind",
@@ -319,12 +319,10 @@ def midedge_step(mesh: Mesh) -> SchemeStepResult:
     flat = mesh.face_vertex_flat
     out_edge = mesh.face_edge_flat
     slot = np.arange(len(flat), dtype=np.int64)
-    side = (flat > flat[mesh.slot_next]).astype(np.int64)
-    slot_of = np.zeros(2 * mesh.edge_count, dtype=np.int64)
-    slot_of[2 * out_edge + side] = slot
-    # a boundary slot has no twin, but no walk around an inner vertex
+    left, right = _edge_slots(mesh)
+    # a boundary slot has no twin (-1), but no walk around an inner vertex
     # leaves through a boundary edge
-    twin = slot_of[2 * out_edge + 1 - side]
+    twin = np.where(left[out_edge] == slot, right[out_edge], left[out_edge])
 
     v = classify(mesh).inner_vertex_ids
     slots, valence = _incidence(flat, slot, mesh.vertex_count)

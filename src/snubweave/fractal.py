@@ -269,8 +269,7 @@ def _refine_path(source, path: np.ndarray) -> np.ndarray:
     V = source.vertex_count
     u = path[:-1]
     v = path[1:]
-    e = np.asarray([source.edge_id(int(a), int(b)) for a, b in zip(u, v)],
-                   dtype=np.int64)
+    e = source.edge_id(u, v)
     first = np.where(u == source.edges[e, 0],
                      V + 2 * e, V + 2 * e + 1)
     second = (2 * V + 4 * e + 1) - first

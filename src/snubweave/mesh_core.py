@@ -40,6 +40,7 @@ __all__ = [
     "ElementClass",
     "VertexTag",
     "EdgeTag",
+    "ParentKind",
     "Provenance",
     "build_mesh",
     "classify",
@@ -120,6 +121,11 @@ class Mesh:
     constructor directly; the constructor trusts its arguments.  Only code
     that derives every table in closed form, such as the snub step, calls
     it directly.
+
+    The edge table holds each undirected edge once as ``(lo, hi)`` with
+    ``lo < hi``, sorted by ``(lo, hi)``.  :meth:`edge_id` binary-searches
+    it, so every constructor of a mesh (:func:`build_mesh`, the snub step,
+    :meth:`with_positions`) keeps that order.
     """
 
     def __init__(self, positions, face_vertex_flat, face_starts,
@@ -209,18 +215,27 @@ class Mesh:
 
     # -- edges --------------------------------------------------------------
 
-    @cached_property
-    def edge_index(self) -> dict[tuple[int, int], int]:
-        """Map from an undirected vertex pair ``(min, max)`` to its edge id."""
-        return {(int(a), int(b)): e
-                for e, (a, b) in enumerate(self.edges.tolist())}
+    def edge_id(self, u, v):
+        """Id of the edge joining ``u`` and ``v``, given in either order.
 
-    def edge_id(self, u: int, v: int) -> int:
-        key = (u, v) if u < v else (v, u)
-        try:
-            return self.edge_index[key]
-        except KeyError:
-            raise IndexRangeError(f"no edge joins vertices {u} and {v}") from None
+        ``u`` and ``v`` are ints or equal-length int arrays (then an array
+        of ids is returned).  A binary search over the sorted edge table;
+        raises :class:`IndexRangeError` when a pair is not an edge.
+        """
+        u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+        V = np.int64(self.vertex_count)
+        # one key per edge, then a sentinel for searches past the last one
+        keys = np.append(self.edges[:, 0] * V + self.edges[:, 1], -1)
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        want = lo * V + hi
+        e = np.searchsorted(keys[:-1], want)
+        found = (lo >= 0) & (hi < V) & (keys[e] == want)
+        if not found.all():
+            bad = np.flatnonzero(~found.ravel())[0]
+            raise IndexRangeError(
+                f"no edge joins vertices {int(u.ravel()[bad])} and "
+                f"{int(v.ravel()[bad])}")
+        return int(e) if e.ndim == 0 else e
 
     @cached_property
     def boundary_edge_mask(self) -> np.ndarray:
@@ -410,28 +425,50 @@ def build_mesh(points, faces, *, check_self_intersections: bool = False,
     edge_left[inverse[left_slots]] = slot_face[left_slots]
     edge_right[inverse[~left_slots]] = slot_face[~left_slots]
 
-    if E:
-        zero_len = np.all(positions[edges[:, 0]] == positions[edges[:, 1]],
-                          axis=1)
-        if zero_len.any():
-            e = int(np.flatnonzero(zero_len)[0])
-            raise DegenerateFaceError(
-                f"edge ({int(edges[e, 0])}, {int(edges[e, 1])}) has zero length")
-
-        if not allow_pinched_boundary:
-            boundary = (edge_left < 0) | (edge_right < 0)
-            bdeg = np.bincount(edges[boundary].ravel(), minlength=V)
-            bad_v = np.flatnonzero((bdeg != 0) & (bdeg != 2))
-            if len(bad_v):
-                raise NonManifoldError(
-                    f"boundary is pinched at vertex {int(bad_v[0])} "
-                    f"({int(bdeg[bad_v[0]])} boundary edges meet there)")
+    _reject_zero_length_edges(positions, edges)
+    if not allow_pinched_boundary:
+        _reject_pinched_boundary(edges, edge_left, edge_right, V)
 
     mesh = Mesh(positions.copy(), flat, starts, edges,
                 edge_left, edge_right, inverse)
     if check_self_intersections:
         _check_self_intersections(mesh)
     return mesh
+
+
+def _reject_zero_length_edges(positions: np.ndarray,
+                              edges: np.ndarray) -> None:
+    """Raise :class:`DegenerateFaceError` for an edge whose ends coincide."""
+    zero_len = np.all(positions[edges[:, 0]] == positions[edges[:, 1]],
+                      axis=1)
+    if zero_len.any():
+        a, b = edges[int(np.flatnonzero(zero_len)[0])]
+        raise DegenerateFaceError(f"edge ({int(a)}, {int(b)}) has zero length")
+
+
+def _reject_pinched_boundary(edges: np.ndarray, edge_left: np.ndarray,
+                             edge_right: np.ndarray, V: int) -> None:
+    """Raise :class:`NonManifoldError` where more than two boundary edges
+    (or just one) meet at a vertex."""
+    boundary = (edge_left < 0) | (edge_right < 0)
+    bdeg = np.bincount(edges[boundary].ravel(), minlength=V)
+    bad_v = np.flatnonzero((bdeg != 0) & (bdeg != 2))
+    if len(bad_v):
+        raise NonManifoldError(
+            f"boundary is pinched at vertex {int(bad_v[0])} "
+            f"({int(bdeg[bad_v[0]])} boundary edges meet there)")
+
+
+def _edge_slots(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
+    """Per edge, its flat face slot in the left and the right face (-1)."""
+    flat = mesh.face_vertex_flat
+    forward = flat < flat[mesh.slot_next]
+    left = np.full(mesh.edge_count, -1, dtype=np.int64)
+    right = np.full(mesh.edge_count, -1, dtype=np.int64)
+    slots = np.arange(len(flat), dtype=np.int64)
+    left[mesh.face_edge_flat[forward]] = slots[forward]
+    right[mesh.face_edge_flat[~forward]] = slots[~forward]
+    return left, right
 
 
 def _check_self_intersections(mesh: Mesh) -> None:

@@ -13,11 +13,11 @@ One refinement step applies four operations to a planar mesh:
    the barycenters of its incident faces, while outer vertices stay exactly
    where they are.
 
-The bend direction of each Z is controlled by a per-edge side flag.  A
-geometric fact makes flag assignment trivial: reversing an edge's direction
-swaps both the reference endpoint and left/right, so the flag reads the same
-from both incident faces, and the all-pentagon structure forces one global
-flag value.  The two values (+1/-1) produce mirror-image refinements.
+The bend direction of each Z is set by a side flag.  Reversing an edge's
+direction swaps both the reference endpoint and left/right, so the flag
+reads the same from both incident faces, and the all-pentagon structure
+forces every edge to bend the same way: one global flag ``s`` (+1 or -1)
+picks between two mirror-image refinements.
 
 Positions use an exact closed form: on an edge from ``a`` to ``b`` with
 ``d = b - a``, the bend point near ``a`` for flag ``s`` is
@@ -28,13 +28,25 @@ edge direction rotated by ``s * atan(sqrt(3)/5)`` and scaled by
 Operations 1-3 are built in one pass from closed-form connectivity, with no
 edge hashing.  For a source mesh with ``V`` vertices, edges ``(lo, hi)`` and
 ``F`` faces, edge ``e`` gets the bend points ``V + 2e`` (near ``lo``) and
-``V + 2e + 1``, and face ``f`` the barycenter ``V + 2E + f``; source face
-slot ``i`` becomes refined face ``i``.  The refined edge table is written
-directly in the sorted ``(lo, hi)`` order :func:`~.mesh_core.build_mesh`
-would produce: first the ``2E`` outer Z segments ``(source vertex, bend)``,
-then, per source edge, its middle segment followed by the spokes at its two
-bend points.  That order is load-bearing, because the next step numbers its
-bend points by edge id.
+``V + 2e + 1``, and face ``f`` the barycenter ``V + 2E + f``.  Source face
+slot ``i`` becomes refined face ``i``, a fixed row of five: the barycenter,
+then a window of four on the slot's walk ``(first bend, second bend, next
+corner, next edge's first bend, its second bend)`` that starts at the first
+bend for ``s = +1`` and at the second for ``s = -1`` (the bend that gets the
+spoke).  The refined edge table is written directly in the sorted
+``(lo, hi)`` order :func:`~.mesh_core.build_mesh` would produce: first the
+``2E`` outer Z segments ``(source vertex, bend)``, then, per source edge,
+its middle segment followed by the spokes at its two bend points.  That
+order is load-bearing, because the next step numbers its bend points by
+edge id.
+
+The checks fire in this order: a pinched source boundary raises
+:class:`~.errors.NonManifoldError`; a spoke's bend point on its source
+edge's line raises :class:`~.errors.AmbiguousHalfPlaneError` (both before
+the mesh is built); then a zero-area refined face raises
+:class:`~.errors.DegenerateFaceError`, a clockwise (folded) one
+:class:`~.errors.NonManifoldError`, and a zero-length refined edge
+:class:`~.errors.DegenerateFaceError`.
 """
 
 from __future__ import annotations
@@ -59,6 +71,8 @@ from .mesh_core import (
     ParentKind,
     Provenance,
     VertexTag,
+    _reject_pinched_boundary,
+    _reject_zero_length_edges,
     classify,
 )
 
@@ -123,46 +137,16 @@ def assign_z_orientations(mesh: Mesh, seed_flag: int = 1) -> ZOrientation:
 # operations 1-3: bend points, barycenters and spokes in one pass
 # ---------------------------------------------------------------------------
 
-def _bend_points(mesh: Mesh, orient: ZOrientation):
-    """Positions of the two bend points of every edge, shape (E, 2) each."""
+def _bend_points(mesh: Mesh, s: int):
+    """Positions of the two bend points of every edge for flag ``s``."""
     pa = mesh.positions[mesh.edges[:, 0]]
     pb = mesh.positions[mesh.edges[:, 1]]
     d = pb - pa
-    s = orient.edge_flags.astype(np.float64)
     near_a = np.empty_like(pa)
     near_a[:, 0] = pa[:, 0] + (5.0 * d[:, 0] - s * _SQRT3 * d[:, 1]) / 14.0
     near_a[:, 1] = pa[:, 1] + (s * _SQRT3 * d[:, 0] + 5.0 * d[:, 1]) / 14.0
     near_b = pa + pb - near_a
     return near_a, near_b
-
-
-def _edge_flags_from_bends(source: Mesh, positions: np.ndarray) -> np.ndarray:
-    """Read every edge's bend side back from its bend point ``V + 2e``.
-
-    Flag +1 means that bend point lies left of the edge walked from its
-    lower- to its higher-index endpoint.  A bend point exactly on its edge
-    raises :class:`AmbiguousHalfPlaneError`.
-    """
-    V, E = source.vertex_count, source.edge_count
-    pa = source.positions[source.edges[:, 0]]
-    d = source.positions[source.edges[:, 1]] - pa
-    zna = positions[V:V + 2 * E:2] - pa
-    bend_cross = d[:, 0] * zna[:, 1] - d[:, 1] * zna[:, 0]
-    if (bend_cross == 0.0).any():
-        raise AmbiguousHalfPlaneError(
-            "a bend point lies exactly on its source edge")
-    return np.where(bend_cross > 0.0, 1, -1).astype(np.int64)
-
-
-def _check_source_boundary(source: Mesh) -> None:
-    """Reject a source whose boundary is pinched; the refinement keeps it."""
-    boundary = source.edges[(source.edge_left < 0) | (source.edge_right < 0)]
-    bdeg = np.bincount(boundary.ravel(), minlength=source.vertex_count)
-    bad_v = np.flatnonzero((bdeg != 0) & (bdeg != 2))
-    if len(bad_v):
-        raise NonManifoldError(
-            f"boundary is pinched at vertex {int(bad_v[0])} "
-            f"({int(bdeg[bad_v[0]])} boundary edges meet there)")
 
 
 def _check_refined_geometry(refined: Mesh) -> None:
@@ -180,31 +164,29 @@ def _check_refined_geometry(refined: Mesh) -> None:
         raise NonManifoldError(
             f"face {int(np.flatnonzero(areas < 0.0)[0])} is folded over its "
             f"neighbors (clockwise after refinement)")
-    zero_len = refined.edge_lengths() == 0.0
-    if zero_len.any():
-        a, b = refined.edges[int(np.flatnonzero(zero_len)[0])]
-        raise DegenerateFaceError(f"edge ({int(a)}, {int(b)}) has zero length")
+    _reject_zero_length_edges(refined.positions, refined.edges)
 
 
 def _refine(source: Mesh, orient: ZOrientation) -> tuple[Mesh, Provenance]:
     """Operations 1-3: the pentagon mesh and its provenance.
 
-    For every walk position of every source face, the bend point on the
-    face's side of the source edge receives a spoke to that face's
-    barycenter; the region between consecutive spokes is a pentagon.  The
-    faces are built structurally from the bend-side flags, then the stated
-    half-plane rule is verified for every spoke: any disagreement with it,
-    or with plain nearest-barycenter distance, is logged (never asserted).
+    Each source slot gives one pentagon, a fixed row of five chosen by the
+    flag (see the module docstring).  The stated half-plane rule is
+    verified for every spoke before the mesh is built: any disagreement
+    with it, or with plain nearest-barycenter distance, is logged (never
+    asserted).
     """
-    _check_source_boundary(source)
+    _reject_pinched_boundary(source.edges, source.edge_left,
+                             source.edge_right, source.vertex_count)
     V, E, F = source.vertex_count, source.edge_count, source.face_count
-    near_a, near_b = _bend_points(source, orient)
+    s = orient.seed_flag
+    k = (1 - s) // 2
+    near_a, near_b = _bend_points(source, s)
     positions = np.empty((V + 2 * E + F, 2))
     positions[:V] = source.positions
     positions[V:V + 2 * E:2] = near_a
     positions[V + 1:V + 2 * E:2] = near_b
     positions[V + 2 * E:] = source.face_centroids()
-    edge_flags = _edge_flags_from_bends(source, positions)
 
     # per source slot: the bend points met walking the slot's edge, and the
     # one of them on the face's side, which gets the spoke
@@ -212,14 +194,14 @@ def _refine(source: Mesh, orient: ZOrientation) -> tuple[Mesh, Provenance]:
     nxt = source.slot_next
     e_slot = source.face_edge_flat
     slot_face = source.slot_face
-    s_here = edge_flags[e_slot]
-    s_next = s_here[nxt]
     walk_first = np.where(flat == source.edges[e_slot, 0],
                           V + 2 * e_slot, V + 2 * e_slot + 1)
     walk_second = (2 * V + 4 * e_slot + 1) - walk_first
-    spoke_z = np.where(s_here == 1, walk_first, walk_second)
+    spoke_z = (walk_first, walk_second)[k]
     bary = V + 2 * E + slot_face
     corner_next = flat[nxt]
+    _verify_half_plane_rule(source, positions, spoke_z, bary, flat,
+                            corner_next, e_slot)
 
     # edge ids: block 1 holds the outer segment (edges.ravel()[k], V + k) of
     # bend k at rank k of a stable sort by source vertex; block 2 holds, per
@@ -249,48 +231,37 @@ def _refine(source: Mesh, orient: ZOrientation) -> tuple[Mesh, Provenance]:
     edge_tags[mid_id] = EdgeTag.Z_MIDDLE
     edge_tags[spoke_id[bends]] = EdgeTag.SPOKE
 
-    # one pentagon per source slot: the barycenter, the spoke's bend point,
-    # [the other bend point if the spoke sits first on the edge], the next
-    # corner, the next edge's first bend point [and its second one if the
-    # next spoke sits there]; each slot also records its edge to the next
-    a_bit = (s_here == 1).astype(np.int64)
-    b_bit = (s_next == -1).astype(np.int64)
-    lens = 4 + a_bit + b_bit
-    out_starts = np.zeros(len(flat) + 1, dtype=np.int64)
-    np.cumsum(lens, out=out_starts[1:])
-    out_flat = np.empty(out_starts[-1], dtype=np.int64)
-    out_edge = np.empty(out_starts[-1], dtype=np.int64)
-    p0 = out_starts[:-1]
+    # one pentagon per source slot, written column by column: the vertex
+    # row and, entry j joining vertices j and j + 1, its edge row
+    n = len(flat)
+    out_flat = np.empty(5 * n, dtype=np.int64)
+    out_edge = np.empty(5 * n, dtype=np.int64)
+    rows = out_flat.reshape(n, 5)
+    row_edges = out_edge.reshape(n, 5)
+    chain = (walk_first, walk_second, corner_next, walk_first[nxt],
+             walk_second[nxt])
+    links = (mid_id[e_slot], outer_id[walk_second - V],
+             outer_id[walk_first[nxt] - V], mid_id[e_slot[nxt]])
     spoke_here = spoke_id[spoke_z - V]
-    out_flat[p0] = bary
-    out_edge[p0] = spoke_here
-    out_flat[p0 + 1] = spoke_z
-    two = np.flatnonzero(a_bit)
-    out_flat[p0[two] + 2] = walk_second[two]
-    out_edge[p0[two] + 1] = mid_id[e_slot[two]]
-    out_flat[p0 + 2 + a_bit] = corner_next
-    out_edge[p0 + 1 + a_bit] = outer_id[walk_second - V]
-    out_flat[p0 + 3 + a_bit] = walk_first[nxt]
-    out_edge[p0 + 2 + a_bit] = outer_id[walk_first[nxt] - V]
-    tail = np.flatnonzero(b_bit)
-    out_flat[p0[tail] + 4 + a_bit[tail]] = walk_second[nxt][tail]
-    out_edge[p0[tail] + 3 + a_bit[tail]] = mid_id[e_slot[nxt][tail]]
-    out_edge[out_starts[1:] - 1] = spoke_here[nxt]
+    rows[:, 0] = bary
+    row_edges[:, 0] = spoke_here
+    for j, column in enumerate(chain[k:k + 4], start=1):
+        rows[:, j] = column
+    for j, column in enumerate(links[k:k + 3], start=1):
+        row_edges[:, j] = column
+    row_edges[:, 4] = spoke_here[nxt]
 
     # each slot's face is left of its edge when walked from lower to higher
     # vertex id, right otherwise
-    out_next = np.arange(1, len(out_flat) + 1, dtype=np.int64)
-    out_next[out_starts[1:] - 1] = p0
     sides = np.full((2, E_out), -1, dtype=np.int64)
-    sides[(out_flat > out_flat[out_next]).astype(np.int64), out_edge] = \
-        np.repeat(np.arange(len(flat), dtype=np.int64), lens)
+    sides[(rows > np.roll(rows, -1, axis=1)).astype(np.int8), row_edges] = \
+        np.arange(n, dtype=np.int64)[:, None]
     edge_left, edge_right = sides
 
-    refined = Mesh(positions, out_flat, out_starts, edges,
+    refined = Mesh(positions, out_flat,
+                   np.arange(0, 5 * n + 1, 5, dtype=np.int64), edges,
                    edge_left, edge_right, out_edge)
     _check_refined_geometry(refined)
-    _verify_half_plane_rule(source, positions, spoke_z, bary, flat,
-                            corner_next, e_slot)
 
     vertex_tags = np.repeat(np.array([VertexTag.ORIGINAL, VertexTag.Z_VERTEX,
                                       VertexTag.BARYCENTER], dtype=np.int8),
@@ -380,7 +351,6 @@ class StepRecord:
     orientation: ZOrientation
     provenance: Provenance
     element_class: ElementClass      # classification of the refined mesh
-    fixed_vertices: np.ndarray       # outer-vertex ids (never smoothed)
 
 
 @dataclass(frozen=True)
@@ -437,10 +407,8 @@ def snub_subdivide(mesh: Mesh, steps: int, smoothing: bool = True,
         refined_classes = classify(refined)
         result = (smooth_inner_vertices(refined, refined_classes)
                   if smoothing else refined)
-        records.append(StepRecord(
-            orientation=orient, provenance=prov,
-            element_class=refined_classes,
-            fixed_vertices=refined_classes.outer_vertex_ids))
+        records.append(StepRecord(orientation=orient, provenance=prov,
+                                  element_class=refined_classes))
         meshes.append(result)
         current = result
     return SubdivisionHistory(meshes=meshes, records=records,

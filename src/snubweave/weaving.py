@@ -47,7 +47,7 @@ from .errors import (
     NotBipartiteError,
     NotTriangleMeshError,
 )
-from .mesh_core import EdgeTag, Mesh, Provenance, build_mesh
+from .mesh_core import EdgeTag, Mesh, Provenance, _edge_slots, build_mesh
 
 __all__ = [
     "VertexColoring",
@@ -433,18 +433,6 @@ def _color_ranks(tiles: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     ranks = np.empty(len(lowest), dtype=np.int64)
     ranks[np.argsort(lowest, kind="stable")] = np.arange(len(lowest))
     return ranks
-
-
-def _edge_slots(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
-    """Per edge, its flat face slot in the left and the right face (-1)."""
-    flat = mesh.face_vertex_flat
-    forward = flat < flat[mesh.slot_next]
-    left = np.full(mesh.edge_count, -1, dtype=np.int64)
-    right = np.full(mesh.edge_count, -1, dtype=np.int64)
-    slots = np.arange(len(flat), dtype=np.int64)
-    left[mesh.face_edge_flat[forward]] = slots[forward]
-    right[mesh.face_edge_flat[~forward]] = slots[~forward]
-    return left, right
 
 
 def quad_weaving(mesh: Mesh, coloring: VertexColoring, *,

@@ -215,6 +215,13 @@ class TestMeshObject:
         assert m.edge_id(1, 0) == e
         with pytest.raises(IndexRangeError):
             m.edge_id(0, 3)  # diagonal of the square is not an edge
+        # equal-length arrays give an array of ids, pairs in either order
+        u, v = m.edges[:, 1][::-1], m.edges[:, 0][::-1]
+        assert m.edge_id(u, v).tolist() == [3, 2, 1, 0]
+        with pytest.raises(IndexRangeError, match="vertices 0 and 3"):
+            m.edge_id(np.array([0, 0]), np.array([1, 3]))
+        with pytest.raises(IndexRangeError):
+            m.edge_id(0, 7)  # out of range; 0 * V + 7 is edge (1, 3)'s key
 
     def test_positions_are_immutable(self):
         m = sw.pentagon()

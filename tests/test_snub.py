@@ -16,7 +16,7 @@ from snubweave import (
     NonManifoldError,
     VertexTag,
 )
-from snubweave.snub import _check_refined_geometry, _edge_flags_from_bends
+from snubweave.snub import _check_refined_geometry, _verify_half_plane_rule
 
 import snub_reference
 from mesh_compare import assert_isomorphic
@@ -195,7 +195,15 @@ class TestConnectNewVertices:
         e = m.edge_id(0, 1)
         pos[4 + 2 * e] = (0.5, 0.0)
         with pytest.raises(AmbiguousHalfPlaneError):
-            _edge_flags_from_bends(m, pos)
+            _verify_half_plane_rule(m, pos, np.array([4 + 2 * e]),
+                                    np.array([4 + 2 * 4]), np.array([0]),
+                                    np.array([1]), np.array([e]))
+        # a collapsed source edge puts its bend points on its ends; that is
+        # caught before the zero-length refined edges it would make
+        collapsed = np.asarray(m.positions).copy()
+        collapsed[1] = collapsed[0]
+        with pytest.raises(AmbiguousHalfPlaneError):
+            sw.snub_subdivide(m.with_positions(collapsed), 1)
 
 
 class TestRefinedGeometryChecks:
@@ -351,13 +359,6 @@ class TestSnubSubdivide:
         for ma, mb in zip(a.meshes, b.meshes):
             assert ma == mb   # exact positions and identical face arrays
 
-    def test_fixed_vertex_record_matches_boundary(self):
-        hist = sw.snub_subdivide(sw.square_grid(2, 2), 2)
-        for t, rec in enumerate(hist.records, start=1):
-            classes = sw.classify(hist.meshes[t])
-            assert np.array_equal(rec.fixed_vertices,
-                                  classes.outer_vertex_ids)
-
     def test_half_plane_vs_distance_disagreement_is_logged(self, caplog):
         # at refinement depth 4 of the pentagon, five bend points sit nearer
         # to the *other* side's barycenter; the half-plane rule wins and the
@@ -379,7 +380,6 @@ class TestSnubSubdivide:
     def test_half_plane_sign_mismatch_is_a_warning(self, caplog):
         # a bend point on the other side of its source edge than its
         # barycenter is a real anomaly, so it stays a warning
-        from snubweave.snub import _verify_half_plane_rule
         source = sw.build_mesh([[0, 0], [4, 0], [4, 4], [0, 4]],
                                [[0, 1, 2, 3]])
         positions = np.array([[0.0, 0.0], [4.0, 0.0], [2.0, -1.0],

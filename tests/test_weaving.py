@@ -256,6 +256,44 @@ class TestInvariants:
 
 
 # ---------------------------------------------------------------------------
+# breadth-first two-coloring of quad meshes
+# ---------------------------------------------------------------------------
+
+class TestTwoColorVertices:
+    def test_grid_coloring_is_proper_and_starts_each_component_at_c1(self):
+        grid = sw.square_grid(3, 2)
+        # a second component: a lone quad on vertices 12..15
+        apart = sw.build_mesh(
+            np.vstack((grid.positions, [[5, 0], [6, 0], [6, 1], [5, 1]])),
+            grid.faces + [(12, 13, 14, 15)])
+        for mesh, lowest in ((grid, [0]), (apart, [0, 12])):
+            is_c1 = sw.two_color_vertices(mesh).is_c1
+            edges = mesh.edges
+            assert (is_c1[edges[:, 0]] != is_c1[edges[:, 1]]).all()
+            assert is_c1[lowest].all()
+
+    def test_agrees_with_catmull_clark_coloring_up_to_swap(self):
+        cc = sw.catmull_clark_step(sw.pentagon_flower())
+        got = sw.two_color_vertices(cc.mesh).is_c1
+        want = sw.catmull_clark_coloring(cc)
+        assert (np.array_equal(got, want.is_c1)
+                or np.array_equal(got, want.swapped().is_c1))
+
+    def test_rejects_a_mesh_that_is_not_all_quads(self):
+        with pytest.raises(InvalidParameterError):
+            sw.two_color_vertices(sw.pentagon_flower())
+
+    def test_odd_cycle_is_not_bipartite(self):
+        # three quads around a triangular hole: the hole's rim is a 3-cycle
+        ring = sw.build_mesh(
+            [(0, 1), (-0.87, -0.5), (0.87, -0.5),
+             (0, 3), (-2.6, -1.5), (2.6, -1.5)],
+            [[0, 3, 4, 1], [1, 4, 5, 2], [2, 5, 3, 0]])
+        with pytest.raises(NotBipartiteError):
+            sw.two_color_vertices(ring)
+
+
+# ---------------------------------------------------------------------------
 # error paths
 # ---------------------------------------------------------------------------
 
