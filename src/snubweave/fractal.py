@@ -110,8 +110,9 @@ def boundary_lengths(history: SubdivisionHistory) -> list[float]:
     """Total boundary length of every mesh in the history."""
     out = []
     for mesh in history.meshes:
-        lengths = mesh.edge_lengths()
-        out.append(float(lengths[mesh.boundary_edge_mask].sum()))
+        ends = mesh.edges[mesh.boundary_edge_mask]
+        d = mesh.positions[ends[:, 1]] - mesh.positions[ends[:, 0]]
+        out.append(float(np.hypot(d[:, 0], d[:, 1]).sum()))
     return out
 
 
@@ -363,19 +364,16 @@ def first_hit_raster(history: SubdivisionHistory, resolution: int,
     W = int(resolution)
     H = max(int(round(W * (ymax - ymin) / (xmax - xmin))), 1)
     grid = np.full(H * W, -1, dtype=np.int32)
-    counts = np.zeros(len(history.meshes), dtype=np.int64)
-    saturation = 0
     for t, mesh in enumerate(history.meshes):
         pos = np.asarray(mesh.positions)
         px = np.floor((pos[:, 0] - xmin) / (xmax - xmin) * W).astype(np.int64)
         py = np.floor((ymax - pos[:, 1]) / (ymax - ymin) * H).astype(np.int64)
         ok = (px >= 0) & (px < W) & (py >= 0) & (py < H)
         idx = py[ok] * W + px[ok]
-        unset = idx[grid[idx] == -1]
-        if len(unset):
-            grid[unset] = t
-            counts[t] = len(np.unique(unset))
-            saturation = t
+        grid[idx[grid[idx] == -1]] = t
+    counts = np.bincount(grid[grid >= 0], minlength=len(history.meshes))
+    hit = np.flatnonzero(counts)
+    saturation = int(hit[-1]) if len(hit) else 0
     if palette is None:
         palette = default_palette(len(history.meshes))
     return FirstHitRaster(step_index=grid.reshape(H, W), window=window,

@@ -40,13 +40,18 @@ its middle segment followed by the spokes at its two bend points.  That
 order is load-bearing, because the next step numbers its bend points by
 edge id.
 
-The checks fire in this order: a pinched source boundary raises
+A pinched source boundary is rejected before the build.  Every other
+check is one pass over the finished arrays, before the refined mesh is
+smoothed or recorded.  Its source side gathers each slot's corner, next
+corner, spoke bend point and barycenter once; its refined side gathers each
+face's vertices once, reads each slot's next vertex by rolling the row of
+five, and sums the face centroids the smoothing reuses.  The errors fire in
+this order: a pinched source boundary raises
 :class:`~.errors.NonManifoldError`; a spoke's bend point on its source
-edge's line raises :class:`~.errors.AmbiguousHalfPlaneError` (both before
-the mesh is built); then a zero-area refined face raises
-:class:`~.errors.DegenerateFaceError`, a clockwise (folded) one
-:class:`~.errors.NonManifoldError`, and a zero-length refined edge
-:class:`~.errors.DegenerateFaceError`.
+edge's line raises :class:`~.errors.AmbiguousHalfPlaneError`; then a
+zero-area refined face raises :class:`~.errors.DegenerateFaceError`, a
+clockwise (folded) one :class:`~.errors.NonManifoldError`, and a
+zero-length refined edge :class:`~.errors.DegenerateFaceError`.
 """
 
 from __future__ import annotations
@@ -72,7 +77,6 @@ from .mesh_core import (
     Provenance,
     VertexTag,
     _reject_pinched_boundary,
-    _reject_zero_length_edges,
     classify,
 )
 
@@ -96,30 +100,21 @@ _SQRT3 = math.sqrt(3.0)
 
 @dataclass(frozen=True)
 class ZOrientation:
-    """Bend-side flags, one per undirected edge.
+    """The bend side shared by every edge.
 
-    ``edge_flags[e]`` is +1 when, looking along the edge from its
-    lower-index endpoint to its higher-index endpoint, the bend point near
-    the lower-index endpoint lies to the *left*; -1 when it lies to the
-    right.  The reading is direction-symmetric (reversing the viewing
-    direction swaps both the reference endpoint and left/right), so the
-    same value serves both incident faces.
+    ``seed_flag`` is +1 when, looking along any edge from its lower-index
+    endpoint to its higher-index endpoint, the bend point near the
+    lower-index endpoint lies to the *left*; -1 when it lies to the right.
+    The reading is direction-symmetric (reversing the viewing direction
+    swaps both the reference endpoint and left/right), so the same value
+    serves both incident faces.
     """
 
-    edge_flags: np.ndarray
     seed_flag: int
-
-    def flag_between(self, mesh: Mesh, u: int, v: int) -> int:
-        """Bend-side flag of the edge joining ``u`` and ``v``.
-
-        The value is the same whichever way the pair is given (the reading
-        is direction-symmetric; see the class docstring).
-        """
-        return int(self.edge_flags[mesh.edge_id(u, v)])
 
 
 def assign_z_orientations(mesh: Mesh, seed_flag: int = 1) -> ZOrientation:
-    """Choose a bend side for every edge.
+    """Choose the bend side of the edges of ``mesh``.
 
     Consistency around every face requires all edges of the face to carry
     the same flag, and sharing an edge transfers that requirement to the
@@ -129,8 +124,7 @@ def assign_z_orientations(mesh: Mesh, seed_flag: int = 1) -> ZOrientation:
     """
     if seed_flag not in (1, -1):
         raise InvalidParameterError(f"seed flag must be +1 or -1, got {seed_flag}")
-    flags = np.full(mesh.edge_count, seed_flag, dtype=np.int8)
-    return ZOrientation(edge_flags=flags, seed_flag=int(seed_flag))
+    return ZOrientation(seed_flag=int(seed_flag))
 
 
 # ---------------------------------------------------------------------------
@@ -149,32 +143,12 @@ def _bend_points(mesh: Mesh, s: int):
     return near_a, near_b
 
 
-def _check_refined_geometry(refined: Mesh) -> None:
-    """The failures the construction's structure does not rule out.
-
-    A zero-area face or a zero-length edge raises
-    :class:`DegenerateFaceError`; a clockwise (folded) face overlaps its
-    neighbors and raises :class:`NonManifoldError`.
-    """
-    areas = refined.face_signed_areas()
-    if (areas == 0.0).any():
-        raise DegenerateFaceError(
-            f"face {int(np.flatnonzero(areas == 0.0)[0])} has zero area")
-    if (areas < 0.0).any():
-        raise NonManifoldError(
-            f"face {int(np.flatnonzero(areas < 0.0)[0])} is folded over its "
-            f"neighbors (clockwise after refinement)")
-    _reject_zero_length_edges(refined.positions, refined.edges)
-
-
 def _refine(source: Mesh, orient: ZOrientation) -> tuple[Mesh, Provenance]:
     """Operations 1-3: the pentagon mesh and its provenance.
 
     Each source slot gives one pentagon, a fixed row of five chosen by the
-    flag (see the module docstring).  The stated half-plane rule is
-    verified for every spoke before the mesh is built: any disagreement
-    with it, or with plain nearest-barycenter distance, is logged (never
-    asserted).
+    flag (see the module docstring).  The caller checks the result with
+    :func:`_check_geometry`, after this function's temporaries are freed.
     """
     _reject_pinched_boundary(source.edges, source.edge_left,
                              source.edge_right, source.vertex_count)
@@ -200,8 +174,6 @@ def _refine(source: Mesh, orient: ZOrientation) -> tuple[Mesh, Provenance]:
     spoke_z = (walk_first, walk_second)[k]
     bary = V + 2 * E + slot_face
     corner_next = flat[nxt]
-    _verify_half_plane_rule(source, positions, spoke_z, bary, flat,
-                            corner_next, e_slot)
 
     # edge ids: block 1 holds the outer segment (edges.ravel()[k], V + k) of
     # bend k at rank k of a stable sort by source vertex; block 2 holds, per
@@ -261,7 +233,6 @@ def _refine(source: Mesh, orient: ZOrientation) -> tuple[Mesh, Provenance]:
     refined = Mesh(positions, out_flat,
                    np.arange(0, 5 * n + 1, 5, dtype=np.int64), edges,
                    edge_left, edge_right, out_edge)
-    _check_refined_geometry(refined)
 
     vertex_tags = np.repeat(np.array([VertexTag.ORIGINAL, VertexTag.Z_VERTEX,
                                       VertexTag.BARYCENTER], dtype=np.int8),
@@ -277,19 +248,36 @@ def _refine(source: Mesh, orient: ZOrientation) -> tuple[Mesh, Provenance]:
     return refined, prov
 
 
-def _verify_half_plane_rule(source: Mesh, positions: np.ndarray,
-                            spoke_z: np.ndarray, bary: np.ndarray,
-                            walk_u: np.ndarray, walk_v: np.ndarray,
-                            e_slot: np.ndarray) -> None:
-    """Check every structural spoke against the half-plane statement."""
-    pu = positions[walk_u]
-    pv = positions[walk_v]
-    d = pv - pu
-    z = positions[spoke_z] - pu
-    bc = positions[bary] - pu
+def _check_geometry(source: Mesh, refined: Mesh, s: int) -> np.ndarray:
+    """The step's checks in one pass; returns the refined face centroids.
+
+    Source side: every spoke is checked against the stated half-plane rule.
+    A bend point on its source edge's line raises
+    :class:`AmbiguousHalfPlaneError`; a disagreement with the rule, or with
+    plain nearest-barycenter distance, is logged (never asserted).
+    Refined side: a zero-area face raises :class:`DegenerateFaceError`, a
+    clockwise (folded) face overlaps its neighbors and raises
+    :class:`NonManifoldError`, and a zero-length edge raises
+    :class:`DegenerateFaceError`.  Each per-slot temporary is freed once
+    used, so the two sides never hold their arrays at once.
+    """
+    positions = refined.positions
+    rows = refined.face_vertex_flat.reshape(-1, 5)
+    spoke_z = rows[:, 1]
+    # source side: per slot its corner, the next corner, the spoke's bend
+    # point and the face's barycenter, each gathered once (``np.take`` of
+    # whole rows is several times faster than fancy indexing)
+    pu = np.take(source.positions, source.face_vertex_flat, axis=0)
+    d = np.take(source.positions, rows[:, 3 - (1 - s) // 2], axis=0) - pu
+    pz = np.take(positions, spoke_z, axis=0)
+    pb = np.take(positions, rows[:, 0], axis=0)
+    z = pz - pu
+    bc = pb - pu
+    del pu
     cross_z = d[:, 0] * z[:, 1] - d[:, 1] * z[:, 0]
     cross_b = d[:, 0] * bc[:, 1] - d[:, 1] * bc[:, 0]
     scale = np.hypot(d[:, 0], d[:, 1]) * np.hypot(z[:, 0], z[:, 1])
+    del d, z, bc
     ambiguous = np.abs(cross_z) <= 1e-12 * scale
     if ambiguous.any():
         raise AmbiguousHalfPlaneError(
@@ -300,22 +288,49 @@ def _verify_half_plane_rule(source: Mesh, positions: np.ndarray,
         logger.warning(
             "half-plane rule disagreed with the bend-side construction for "
             "%d spokes (non-convex source faces?)", int(mism.sum()))
+    del cross_z, cross_b, scale
 
     # nearest-barycenter comparison on interior edges (logged, never asserted)
-    e = e_slot
-    inner = (source.edge_left[e] >= 0) & (source.edge_right[e] >= 0)
+    left = source.edge_left[source.face_edge_flat]
+    right = source.edge_right[source.face_edge_flat]
+    inner = (left >= 0) & (right >= 0)
     if inner.any():
-        V0, E0 = source.vertex_count, source.edge_count
-        other_face = np.where(source.edge_left[e] == bary - V0 - 2 * E0,
-                              source.edge_right[e], source.edge_left[e])
-        zp = positions[spoke_z]
-        d_own = np.hypot(*(positions[bary] - zp).T)
-        d_oth = np.hypot(*(positions[V0 + 2 * E0 + other_face] - zp).T)
+        other = np.take(positions, source.vertex_count + 2 * source.edge_count
+                        + np.where(left == source.slot_face, right, left),
+                        axis=0)
+        d_own = np.hypot(*(pb - pz).T)
+        d_oth = np.hypot(*(other - pz).T)
+        del other
         disagree = inner & (d_oth < d_own)
         if disagree.any():
             logger.debug(
                 "nearest-barycenter distance disagreed with the half-plane "
                 "rule for %d spokes", int(disagree.sum()))
+        del d_own, d_oth
+    del pb, pz, left, right
+
+    # refined side: each face's vertices, and by a roll of the row of five
+    # each slot's next vertex
+    starts = refined.face_starts[:-1]
+    pf = np.take(positions, refined.face_vertex_flat, axis=0)
+    q = np.roll(pf.reshape(-1, 5, 2), -1, axis=1).reshape(-1, 2)
+    cross = pf[:, 0] * q[:, 1]
+    cross -= q[:, 0] * pf[:, 1]
+    areas = 0.5 * np.add.reduceat(cross, starts)
+    del cross
+    if (areas == 0.0).any():
+        raise DegenerateFaceError(
+            f"face {int(np.flatnonzero(areas == 0.0)[0])} has zero area")
+    if (areas < 0.0).any():
+        raise NonManifoldError(
+            f"face {int(np.flatnonzero(areas < 0.0)[0])} is folded over its "
+            f"neighbors (clockwise after refinement)")
+    zero_len = (pf[:, 0] == q[:, 0]) & (pf[:, 1] == q[:, 1])
+    del q
+    if zero_len.any():
+        a, b = refined.edges[int(refined.face_edge_flat[zero_len].min())]
+        raise DegenerateFaceError(f"edge ({int(a)}, {int(b)}) has zero length")
+    return np.add.reduceat(pf, starts, axis=0) / 5
 
 
 # ---------------------------------------------------------------------------
@@ -328,14 +343,20 @@ def smooth_inner_vertices(mesh: Mesh, classes: ElementClass) -> Mesh:
     All moves use the pre-move positions (simultaneous update); outer
     vertices are returned bitwise unchanged.
     """
-    barys = mesh.face_centroids()[mesh.slot_face]
+    return _smooth(mesh, classes, mesh.face_centroids())
+
+
+def _smooth(mesh: Mesh, classes: ElementClass,
+            centroids: np.ndarray) -> Mesh:
+    """:func:`smooth_inner_vertices` with the face centroids given."""
     flat = mesh.face_vertex_flat
     V = mesh.vertex_count
     cnt = np.bincount(flat, minlength=V)
     inner = classes.vertex_is_inner & (cnt > 0)
     new_positions = mesh.positions.copy()
     for axis in (0, 1):
-        acc = np.bincount(flat, weights=barys[:, axis], minlength=V)
+        acc = np.bincount(flat, weights=centroids[mesh.slot_face, axis],
+                          minlength=V)
         new_positions[inner, axis] = acc[inner] / cnt[inner]
     return mesh.with_positions(new_positions)
 
@@ -403,9 +424,10 @@ def snub_subdivide(mesh: Mesh, steps: int, smoothing: bool = True,
     for _ in range(steps):
         orient = assign_z_orientations(current, seed_flag=seed_flag)
         refined, prov = _refine(current, orient)
+        centroids = _check_geometry(current, refined, orient.seed_flag)
         _check_count_recursion(current, refined)
         refined_classes = classify(refined)
-        result = (smooth_inner_vertices(refined, refined_classes)
+        result = (_smooth(refined, refined_classes, centroids)
                   if smoothing else refined)
         records.append(StepRecord(orientation=orient, provenance=prov,
                                   element_class=refined_classes))

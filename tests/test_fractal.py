@@ -108,6 +108,8 @@ class TestBoundaryLengths:
         lengths = sw.boundary_lengths(hist)
         for a, b in zip(lengths, lengths[1:]):
             assert abs(b / a - 3.0 / SQRT7) < 1e-9
+        assert lengths == [float(m.edge_lengths()[m.boundary_edge_mask].sum())
+                           for m in hist.meshes]
 
     def test_zero_steps_is_perimeter(self):
         hist = sw.snub_subdivide(sw.square_grid(1, 1), 0)
@@ -254,6 +256,9 @@ class TestFirstHitRaster:
         raster = sw.first_hit_raster(history, 128)
         assert raster.pixel_counts.sum() == (raster.step_index >= 0).sum()
         assert raster.saturation_step <= len(history.meshes) - 1
+        for t, count in enumerate(raster.pixel_counts):
+            assert count == (raster.step_index == t).sum()
+        assert raster.saturation_step == np.flatnonzero(raster.pixel_counts)[-1]
 
     def test_default_window_contains_every_step(self, history):
         raster = sw.first_hit_raster(history, 64)

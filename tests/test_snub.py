@@ -16,9 +16,10 @@ from snubweave import (
     NonManifoldError,
     VertexTag,
 )
-from snubweave.snub import _check_refined_geometry, _verify_half_plane_rule
+from snubweave.snub import _check_geometry
 
 import snub_reference
+import snub_step_reference
 from mesh_compare import assert_isomorphic
 
 SQRT7 = math.sqrt(7.0)
@@ -36,39 +37,23 @@ def count_recursion(v, e, f, face_sizes):
 
 class TestAssignZOrientations:
     def test_pentagon_all_edges_flagged(self):
-        orient = sw.assign_z_orientations(sw.pentagon())
-        assert len(orient.edge_flags) == 5
-        assert set(orient.edge_flags.tolist()) == {1}
+        assert sw.assign_z_orientations(sw.pentagon()).seed_flag == 1
 
     def test_unit_grid_flags_every_edge(self):
         orient = sw.assign_z_orientations(sw.square_grid(1, 1))
-        assert orient.edge_flags.tolist() == [1, 1, 1, 1]
-
-    def test_grid_2x2_flags_are_globally_consistent(self):
-        orient = sw.assign_z_orientations(sw.square_grid(2, 2))
-        assert len(orient.edge_flags) == 12
-        # consistency: any two edges sharing a face carry equal flags
-        m = sw.square_grid(2, 2)
-        for f in range(m.face_count):
-            face_edges = m.face_edges(f)
-            flags = orient.edge_flags[np.asarray(face_edges)]
-            assert len(set(flags.tolist())) == 1
+        assert orient == sw.ZOrientation(seed_flag=1)
 
     def test_seed_flag_controls_all_flags(self):
         orient = sw.assign_z_orientations(sw.pentagon(), seed_flag=-1)
-        assert set(orient.edge_flags.tolist()) == {-1}
         assert orient.seed_flag == -1
+        hist = sw.snub_subdivide(sw.pentagon(), 2, seed_flag=-1)
+        assert [r.orientation.seed_flag for r in hist.records] == [-1, -1]
 
     def test_invalid_parameters(self):
         with pytest.raises(InvalidParameterError):
             sw.assign_z_orientations(sw.pentagon(), seed_flag=0)
         with pytest.raises(InvalidParameterError):
             sw.snub_subdivide(sw.pentagon(), 1, seed_flag=2)
-
-    def test_flag_between_reads_the_same_both_ways(self):
-        m = sw.square_grid(1, 1)
-        orient = sw.assign_z_orientations(m)
-        assert orient.flag_between(m, 0, 1) == orient.flag_between(m, 1, 0)
 
 
 def refine_once(mesh, flag=1):
@@ -194,10 +179,10 @@ class TestConnectNewVertices:
         # drag the bend point V + 2e onto the middle of its edge, y = 0
         e = m.edge_id(0, 1)
         pos[4 + 2 * e] = (0.5, 0.0)
-        with pytest.raises(AmbiguousHalfPlaneError):
-            _verify_half_plane_rule(m, pos, np.array([4 + 2 * e]),
-                                    np.array([4 + 2 * 4]), np.array([0]),
-                                    np.array([1]), np.array([e]))
+        with pytest.raises(AmbiguousHalfPlaneError,
+                           match=f"^bend point {4 + 2 * e} lies on its source "
+                                 f"edge's supporting line$"):
+            _check_geometry(m, refined.with_positions(pos), 1)
         # a collapsed source edge puts its bend points on its ends; that is
         # caught before the zero-length refined edges it would make
         collapsed = np.asarray(m.positions).copy()
@@ -208,37 +193,56 @@ class TestConnectNewVertices:
 
 class TestRefinedGeometryChecks:
     def test_unjittered_fan3_folds_at_depth_three(self):
-        with pytest.raises(NonManifoldError):
+        with pytest.raises(NonManifoldError, match=r"^face \d+ is folded"):
             sw.snub_subdivide(sw.fan_ngon(3), 3)
 
     def test_pinched_source_is_non_manifold(self):
         bowtie = sw.build_mesh([(0, 0), (1, 0), (0, 1), (-1, 0), (0, -1)],
                                [[0, 1, 2], [0, 3, 4]],
                                allow_pinched_boundary=True)
-        with pytest.raises(NonManifoldError, match="pinched"):
+        with pytest.raises(NonManifoldError,
+                           match=r"^boundary is pinched at vertex 0 "
+                                 r"\(4 boundary edges meet there\)$"):
             sw.snub_subdivide(bowtie, 1)
 
     def test_folded_face_is_non_manifold(self):
-        refined, _ = refine_once(sw.pentagon())
-        pos = np.asarray(refined.positions).copy()
-        pos[15] = 3.0 * pos[5] - 2.0 * pos[15]   # barycenter past a bend
-        with pytest.raises(NonManifoldError):
-            _check_refined_geometry(refined.with_positions(pos))
-
-    def test_collapsed_face_is_degenerate(self):
-        refined, _ = refine_once(sw.pentagon())
-        pos = np.asarray(refined.positions).copy()
-        pos[refined.face(0)] = pos[15]
-        with pytest.raises(DegenerateFaceError):
-            _check_refined_geometry(refined.with_positions(pos))
-
-    def test_zero_length_edge_is_degenerate(self):
         m = sw.pentagon()
         refined, _ = refine_once(m)
         pos = np.asarray(refined.positions).copy()
-        pos[5] = pos[m.edges[0, 0]]              # bend onto its endpoint
-        with pytest.raises(DegenerateFaceError, match="zero length"):
-            _check_refined_geometry(refined.with_positions(pos))
+        pos[15] = 3.0 * pos[5] - 2.0 * pos[15]   # barycenter past a bend
+        with pytest.raises(NonManifoldError,
+                           match=r"^face 0 is folded over its neighbors "
+                                 r"\(clockwise after refinement\)$"):
+            _check_geometry(m, refined.with_positions(pos), 1)
+
+    def test_collapsed_face_is_degenerate(self):
+        m = sw.pentagon()
+        refined, _ = refine_once(m)
+        pos = np.asarray(refined.positions).copy()
+        pos[refined.face(0)] = pos[15]
+        with pytest.raises(DegenerateFaceError, match="^face 0 has zero area$"):
+            _check_geometry(m, refined.with_positions(pos), 1)
+
+    def test_zero_length_edge_is_degenerate(self):
+        # with flag -1 the bend V + 2e gets no spoke, so moving it onto its
+        # endpoint leaves the half-plane rule and every face area intact;
+        # of the two edges collapsed, face 0 holds (1, 9) but the lowest
+        # edge id is (0, 5)'s
+        m = sw.pentagon()
+        refined, _ = refine_once(m, flag=-1)
+        pos = np.asarray(refined.positions).copy()
+        for e in (0, 2):                         # edges (0, 1) and (1, 2)
+            pos[5 + 2 * e] = pos[m.edges[e, 0]]  # bend onto its endpoint
+        assert refined.edge_id(0, 5) < refined.edge_id(1, 9)
+        with pytest.raises(DegenerateFaceError,
+                           match=r"^edge \(0, 5\) has zero length$"):
+            _check_geometry(m, refined.with_positions(pos), -1)
+
+    def test_returns_the_face_centroids_bitwise(self):
+        m = jittered(sw.pentagon_flower(), 5)
+        refined, _ = refine_once(m, flag=-1)
+        centroids = _check_geometry(m, refined, -1)
+        assert centroids.tobytes() == refined.face_centroids().tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -382,15 +386,15 @@ class TestSnubSubdivide:
         # barycenter is a real anomaly, so it stays a warning
         source = sw.build_mesh([[0, 0], [4, 0], [4, 4], [0, 4]],
                                [[0, 1, 2, 3]])
-        positions = np.array([[0.0, 0.0], [4.0, 0.0], [2.0, -1.0],
-                              [2.0, 1.0]])
-        e = source.edge_id(0, 1)
+        refined, _ = refine_once(source)
+        pos = np.asarray(refined.positions).copy()
+        pos[4 + 2 * source.edge_id(0, 1), 1] = -0.05  # spoke bend below y = 0
         with caplog.at_level(logging.DEBUG, logger="snubweave.snub"):
-            _verify_half_plane_rule(source, positions, np.array([2]),
-                                    np.array([3]), np.array([0]),
-                                    np.array([1]), np.array([e]))
+            _check_geometry(source, refined.with_positions(pos), 1)
         assert [r.levelno for r in caplog.records] == [logging.WARNING]
-        assert "half-plane rule disagreed" in caplog.messages[0]
+        assert caplog.messages == [
+            "half-plane rule disagreed with the bend-side construction for "
+            "1 spokes (non-convex source faces?)"]
 
 
 # ---------------------------------------------------------------------------
@@ -504,3 +508,75 @@ class TestOracleEquivalence:
         hist = sw.snub_subdivide(m0, 2)
         ref_pts, ref_faces = snub_reference.refine(pts, faces, 2)
         assert_isomorphic(hist.final, ref_pts, ref_faces, tol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# frozen oracle of the step: same bits, errors and log records
+# ---------------------------------------------------------------------------
+
+PROVENANCE_ARRAYS = ("vertex_tags", "edge_tags", "vertex_parent_kind",
+                     "vertex_parent_id", "face_parent")
+
+
+class _RecordList(logging.Handler):
+    def __init__(self):
+        super().__init__(level=logging.DEBUG)
+        self.records = []
+
+    def emit(self, record):
+        self.records.append((record.levelno, record.msg, record.args))
+
+
+def logged_outcome(logger_name, run):
+    """``("returned", run())`` or ``("raised", type, message)`` for a typed
+    error, and the ``(level, msg, args)`` of every record ``run`` logged on
+    ``logger_name``."""
+    log = logging.getLogger(logger_name)
+    handler, level = _RecordList(), log.level
+    log.addHandler(handler)
+    log.setLevel(logging.DEBUG)
+    try:
+        outcome = ("returned", run())
+    except sw.SnubWeaveError as exc:
+        outcome = ("raised", type(exc), str(exc))
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
+    return outcome, handler.records
+
+
+def assert_same_bits(a, b, what):
+    assert a.dtype == b.dtype and a.shape == b.shape, what
+    assert a.tobytes() == b.tobytes(), what
+
+
+class TestStepOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(spec=demo_specs, seed=st.integers(0, 2**32 - 1),
+           amount=st.sampled_from([0.0, 0.04, 0.15]), steps=st.integers(1, 4),
+           flag=st.sampled_from([1, -1]), smoothing=st.booleans())
+    def test_history_errors_and_logs_match_frozen_step(
+            self, spec, seed, amount, steps, flag, smoothing):
+        mesh = jittered(sw.generate_demo_mesh(spec), seed, amount)
+        got, got_log = logged_outcome("snubweave.snub", lambda: (
+            sw.snub_subdivide(mesh, steps, smoothing=smoothing,
+                              seed_flag=flag)))
+        want, want_log = logged_outcome("snub_step_reference", lambda: (
+            snub_step_reference.subdivide(mesh, steps, smoothing=smoothing,
+                                          seed_flag=flag)))
+        assert got_log == want_log
+        assert got[0] == want[0]
+        if got[0] == "raised":
+            assert got == want
+            return
+        hist, (meshes, provenances) = got[1], want[1]
+        assert len(hist.meshes) == len(meshes) == steps + 1
+        for m, ref in zip(hist.meshes, meshes):
+            for name in MESH_ARRAYS:
+                assert_same_bits(getattr(m, name), getattr(ref, name), name)
+        for t, (record, ref) in enumerate(zip(hist.records, provenances)):
+            prov = record.provenance
+            for name in PROVENANCE_ARRAYS:
+                assert_same_bits(getattr(prov, name), getattr(ref, name), name)
+            assert prov.source is hist.meshes[t]
+            assert record.orientation.seed_flag == flag
