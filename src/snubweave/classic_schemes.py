@@ -13,8 +13,18 @@ vertex's edges and neighbours in edge order, and one of
 largest valence.  A per-vertex sum adds the table's columns one by one,
 left to right from zero, the order in which ``values[ids].sum(axis=0)``
 adds one vertex's ``(d, 2)`` block, so the result does not depend on how
-the vertices are batched.  Every refined mesh is validated by
-:func:`build_mesh`, which also derives its edge table.
+the vertices are batched.
+
+Every refined mesh is written with its sorted edge table, derived in closed
+form from the source's tables rather than by hashing the refined faces, and
+handed to :func:`~.mesh_core._direct_mesh` for the checks that derivation
+cannot rule out; the result equals what :func:`~.mesh_core.build_mesh`
+gives for the same faces, errors included.  New vertices are numbered
+after the old ones, so the edges at an old vertex come first: they are
+ranked by a stable argsort of their old ends (``edges.ravel()`` for the
+edge vertices ``V + e``, ``face_vertex_flat`` for the sqrt-3 face
+centers).  The edges among new vertices follow, ranked by one sort of
+their keys.
 """
 
 from __future__ import annotations
@@ -25,8 +35,8 @@ import math
 
 import numpy as np
 
-from .errors import NotTriangleMeshError
-from .mesh_core import Mesh, _edge_slots, build_mesh, classify
+from .errors import DegenerateFaceError, NotTriangleMeshError
+from .mesh_core import Mesh, _direct_mesh, _edge_slots, classify
 
 __all__ = [
     "OriginKind",
@@ -131,17 +141,68 @@ def _triangle_opposites(mesh: Mesh):
     return left, right
 
 
-def _one_to_four_faces(mesh: Mesh):
-    """The standard triangle split: three corner triangles plus the core.
+def _inverse(order: np.ndarray) -> np.ndarray:
+    """The inverse of the permutation ``order``: the rank of each entry.
+    Of ``slot_next``, it gives each slot's previous slot."""
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order), dtype=np.int64)
+    return rank
 
-    Returned as flat CSR arrays ``(face_vertex_flat, face_starts)``.
+
+def _ranked(lo: np.ndarray, hi: np.ndarray, n: int):
+    """The distinct pairs ``(lo, hi)``, entries below ``n``, in sorted order,
+    and the place of each pair in that order."""
+    order = np.argsort(lo * np.int64(n) + hi)
+    return np.column_stack((lo[order], hi[order])), _inverse(order)
+
+
+def _half_edges(mesh: Mesh):
+    """The refined edges ``(v, V + e)`` from each source edge's new vertex
+    to the edge's ends, in ``(v, e)`` order, and per slot the ids of those
+    along its out-edge and its in-edge.
+
+    A stable argsort of ``edges.ravel()`` ranks end ``2e + j`` of edge
+    ``e``; a slot's vertex is end ``j = 1`` of an edge exactly when it is
+    not the edge's lower end.
     """
+    ends = mesh.edges.ravel()
+    order = np.argsort(ends, kind="stable")
+    rank = _inverse(order)
+    table = np.column_stack((ends[order], mesh.vertex_count + order // 2))
+    flat = mesh.face_vertex_flat
+
+    def along(e):
+        return rank[2 * e + (mesh.edges[e, 0] != flat)]
+
+    e_out = mesh.face_edge_flat
+    return table, along(e_out), along(e_out[_inverse(mesh.slot_next)])
+
+
+def _one_to_four_mesh(mesh: Mesh, positions: np.ndarray) -> Mesh:
+    """The standard triangle split at the edge vertices ``V + e``: per
+    source face, its three corner triangles, then the core.
+
+    The edges are the ``2E`` half edges, then the ``3F`` core edges, which
+    each corner triangle shares with the core.
+    """
+    V, E = mesh.vertex_count, mesh.edge_count
     a, b, c = mesh.face_vertex_flat.reshape(-1, 3).T
-    m_ab, m_bc, m_ca = (mesh.vertex_count
-                        + mesh.face_edge_flat.reshape(-1, 3).T)
+    m = V + mesh.face_edge_flat.reshape(-1, 3)
+    m_ab, m_bc, m_ca = m.T
     flat = np.stack([a, m_ab, m_ca, b, m_bc, m_ab, c, m_ca, m_bc,
                      m_ab, m_bc, m_ca], axis=1).ravel()
-    return flat, np.arange(0, len(flat) + 1, 3)
+    half, out_h, in_h = _half_edges(mesh)
+    m_next = np.roll(m, -1, axis=1)
+    core, rank = _ranked(np.minimum(m, m_next).ravel(),
+                         np.maximum(m, m_next).ravel(), V + E)
+    # core[:, k] joins the edge vertices of corner slots k and k + 1
+    core_id = (2 * E + rank).reshape(-1, 3)
+    out_h, in_h = out_h.reshape(-1, 3), in_h.reshape(-1, 3)
+    face_edges = np.column_stack([
+        np.column_stack((out_h[:, k], core_id[:, (k + 2) % 3], in_h[:, k]))
+        for k in range(3)] + [core_id]).ravel()
+    return _direct_mesh(positions, flat, np.arange(0, len(flat) + 1, 3),
+                        np.concatenate((half, core)), face_edges)
 
 
 def _origins_old_plus_edges(mesh: Mesh):
@@ -187,8 +248,7 @@ def loop_step(mesh: Mesh) -> SchemeStepResult:
                   + beta[:, None] * _row_sums(pos, neighbors[v], d))
     _boundary_rule(mesh, old_pos)
 
-    refined = build_mesh(np.vstack([old_pos, edge_pos]),
-                         _one_to_four_faces(mesh))
+    refined = _one_to_four_mesh(mesh, np.vstack([old_pos, edge_pos]))
     kind, ids = _origins_old_plus_edges(mesh)
     return SchemeStepResult(mesh=refined, vertex_origin_kind=kind,
                             vertex_origin_id=ids,
@@ -234,7 +294,7 @@ def butterfly_step(mesh: Mesh) -> SchemeStepResult:
     edge_pos[e] = (0.5 * (pos[u] + pos[v])
                    + 0.125 * (pos[c] + pos[d]) - wings / 16.0)
 
-    refined = build_mesh(np.vstack([pos, edge_pos]), _one_to_four_faces(mesh))
+    refined = _one_to_four_mesh(mesh, np.vstack([pos, edge_pos]))
     kind, ids = _origins_old_plus_edges(mesh)
     return SchemeStepResult(mesh=refined, vertex_origin_kind=kind,
                             vertex_origin_id=ids,
@@ -268,23 +328,49 @@ def sqrt3_step(mesh: Mesh) -> SchemeStepResult:
     old_pos[v] = ((1.0 - alpha)[:, None] * pos[v]
                   + (alpha / n)[:, None] * _row_sums(pos, neighbors[v], n))
 
+    # edges: the boundary edges and the spokes (v, V + f), one per source
+    # slot, merged by lower end, boundary edges first (their upper ends
+    # are below V); then the flipped edges (V + f, V + g)
     boundary = mesh.boundary_edge_mask
+    inner = ~boundary
     a, b = mesh.edges.T
     f, g = mesh.edge_left, mesh.edge_right
-    kept = (f >= 0)[:, None]
+    kept = np.flatnonzero(boundary)
+    lower = np.concatenate((a[kept], mesh.face_vertex_flat))
+    upper = np.concatenate((b[kept], V + mesh.slot_face))
+    order = np.argsort(lower, kind="stable")
+    rank = _inverse(order)
+    flips, flip_rank = _ranked(V + np.minimum(f, g)[inner],
+                               V + np.maximum(f, g)[inner],
+                               V + mesh.face_count)
+    edges = np.concatenate((np.column_stack((lower[order], upper[order])),
+                            flips))
+    e_id = np.empty(mesh.edge_count, dtype=np.int64)
+    e_id[kept] = rank[:len(kept)]
+    e_id[inner] = len(order) + flip_rank
+    spoke = rank[len(kept):]
+    left, right = _edge_slots(mesh)
+    nxt = mesh.slot_next
+    a_f, b_f = spoke[left], spoke[nxt[left]]
+    b_g, a_g = spoke[right], spoke[nxt[right]]
+
+    # per new face its three vertices, then the edges leaving them
     first = np.where(boundary[:, None],
-                     np.where(kept, np.column_stack((a, b, V + f)),
-                              np.column_stack((b, a, V + g))),
-                     np.column_stack((a, V + g, V + f)))
+                     np.where((f >= 0)[:, None],
+                              np.column_stack((a, b, V + f, e_id, b_f, a_f)),
+                              np.column_stack((b, a, V + g, e_id, a_g, b_g))),
+                     np.column_stack((a, V + g, V + f, a_g, e_id, a_f)))
     count = np.where(boundary, 1, 2)
     at = np.cumsum(count) - count
-    faces = np.empty((count.sum(), 3), dtype=np.int64)
-    faces[at] = first
-    inner = ~boundary
-    faces[at[inner] + 1] = np.column_stack((b, V + f, V + g))[inner]
+    rows = np.empty((count.sum(), 6), dtype=np.int64)
+    rows[at] = first
+    rows[at[inner] + 1] = np.column_stack((b, V + f, V + g,
+                                           b_f, e_id, b_g))[inner]
 
-    refined = build_mesh(np.vstack([old_pos, centers]),
-                         (faces.ravel(), np.arange(0, faces.size + 1, 3)))
+    refined = _direct_mesh(np.vstack([old_pos, centers]),
+                           rows[:, :3].ravel(),
+                           np.arange(0, 3 * len(rows) + 1, 3), edges,
+                           rows[:, 3:].ravel())
     kind = np.concatenate([
         np.full(V, OriginKind.OLD_VERTEX, dtype=np.int8),
         np.full(mesh.face_count, OriginKind.FACE_CENTER, dtype=np.int8)])
@@ -305,16 +391,23 @@ def midedge_step(mesh: Mesh) -> SchemeStepResult:
     midpoints (a face of the same degree).  Boundary corners fall away,
     which shrinks the outline; near the boundary the clipping can leave
     refined faces touching only at a shared midpoint, so the result is
-    built with the pinched-boundary check relaxed.
+    not checked for a pinched boundary.  An inner vertex of degree 2 would
+    give a 2-cycle face and raises :class:`DegenerateFaceError`.
 
     The vertex cycles are walked for all inner vertices at once, one step
     per unit of valence: from a face slot of the vertex, the next slot is
     the vertex's slot in the other face of the slot's out-edge.  Each walk
     starts at the vertex's lowest face slot and is reversed, so the cycle
     begins with that slot's in-edge.
+
+    Every refined edge joins the midpoints of a corner's in-edge and
+    out-edge: the face cycle walks it from the in-edge's midpoint, and the
+    cycle of the corner's vertex, when inner, walks it back.  So the edges
+    are one per source slot, ranked by one sort.
     """
     pos = mesh.positions
-    midpoints = (pos[mesh.edges[:, 0]] + pos[mesh.edges[:, 1]]) / 2.0
+    midpoints = (np.take(pos, mesh.edges[:, 0], axis=0)
+                 + np.take(pos, mesh.edges[:, 1], axis=0)) / 2.0
 
     flat = mesh.face_vertex_flat
     out_edge = mesh.face_edge_flat
@@ -326,6 +419,11 @@ def midedge_step(mesh: Mesh) -> SchemeStepResult:
 
     v = classify(mesh).inner_vertex_ids
     slots, valence = _incidence(flat, slot, mesh.vertex_count)
+    short = v[valence[v] < 3]
+    if len(short):
+        raise DegenerateFaceError(
+            f"mid-edge refinement needs inner vertices of degree 3 or more; "
+            f"vertex {int(short[0])} has degree {int(valence[short[0]])}")
     walk = [slots[v, 0]]
     for _ in range(int(valence[v].max(initial=1))):
         walk.append(mesh.slot_next[twin[walk[-1]]])
@@ -334,13 +432,18 @@ def midedge_step(mesh: Mesh) -> SchemeStepResult:
     row = np.repeat(np.arange(len(v)), length)
     ends = np.cumsum(length)
     back = np.repeat(ends, length) - 1 - np.arange(len(row))
-    vertex_cycles = out_edge[walk[row, back]]
+    corner_of_cycle = walk[row, back]
 
-    refined = build_mesh(
+    in_edge = out_edge[_inverse(mesh.slot_next)]
+    edges, corner = _ranked(np.minimum(in_edge, out_edge),
+                            np.maximum(in_edge, out_edge), mesh.edge_count)
+    refined = _direct_mesh(
         midpoints,
-        (np.concatenate([out_edge, vertex_cycles]),
-         np.concatenate([mesh.face_starts, len(out_edge) + ends])),
-        allow_pinched_boundary=True)
+        np.concatenate([out_edge, out_edge[corner_of_cycle]]),
+        np.concatenate([mesh.face_starts, len(out_edge) + ends]),
+        edges,
+        np.concatenate([corner[mesh.slot_next], corner[corner_of_cycle]]),
+        pinch_check=False)
     kind = np.full(mesh.edge_count, OriginKind.EDGE_MIDPOINT, dtype=np.int8)
     ids = np.arange(mesh.edge_count, dtype=np.int64)
     return SchemeStepResult(mesh=refined, vertex_origin_kind=kind,
@@ -388,14 +491,30 @@ def catmull_clark_step(mesh: Mesh) -> SchemeStepResult:
     _boundary_rule(mesh, old_pos)
 
     # one quad per face corner: vertex, next edge, face, previous edge
-    prev = np.empty_like(mesh.slot_next)
-    prev[mesh.slot_next] = np.arange(len(prev))
+    prev = _inverse(mesh.slot_next)
     edge_of_slot = V + mesh.face_edge_flat
     quads = np.column_stack((mesh.face_vertex_flat, edge_of_slot,
                              V + E + mesh.slot_face, edge_of_slot[prev]))
 
-    refined = build_mesh(np.vstack([old_pos, edge_pts, face_pts]),
-                         (quads.ravel(), np.arange(0, quads.size + 1, 4)))
+    # edges: the half edges, then per source edge (V + e, V + E + f) to
+    # each of its faces f, the lower face first
+    half, out_h, in_h = _half_edges(mesh)
+    f, g = mesh.edge_left, mesh.edge_right
+    both = (f >= 0) & (g >= 0)
+    first = np.where(both, np.minimum(f, g), np.maximum(f, g))
+    n_faces = 1 + both
+    at = np.cumsum(n_faces) - n_faces
+    face_of = np.empty(len(mesh.face_vertex_flat), dtype=np.int64)
+    face_of[at] = first
+    face_of[at[both] + 1] = np.maximum(f, g)[both]
+    links = np.column_stack((np.repeat(np.arange(V, V + E), n_faces),
+                             V + E + face_of))
+    e = mesh.face_edge_flat
+    link = 2 * E + at[e] + (mesh.slot_face != first[e])
+    refined = _direct_mesh(
+        np.vstack([old_pos, edge_pts, face_pts]), quads.ravel(),
+        np.arange(0, quads.size + 1, 4), np.concatenate((half, links)),
+        np.column_stack((out_h, link, link[prev], in_h)).ravel())
     kind = np.concatenate([
         np.full(V, OriginKind.OLD_VERTEX, dtype=np.int8),
         np.full(E, OriginKind.EDGE_MIDPOINT, dtype=np.int8),

@@ -119,13 +119,15 @@ class Mesh:
 
     Use :func:`build_mesh` (or a generator) instead of calling the
     constructor directly; the constructor trusts its arguments.  Only code
-    that derives every table in closed form, such as the snub step, calls
-    it directly.
+    that derives every table in closed form calls it: the snub step
+    directly, and the classic schemes, the glued tilings and the face-split
+    weaving through :func:`_direct_mesh`, which runs the checks their
+    derivation cannot rule out.
 
     The edge table holds each undirected edge once as ``(lo, hi)`` with
     ``lo < hi``, sorted by ``(lo, hi)``.  :meth:`edge_id` binary-searches
     it, so every constructor of a mesh (:func:`build_mesh`, the snub step,
-    :meth:`with_positions`) keeps that order.
+    :func:`_direct_mesh`, :meth:`with_positions`) keeps that order.
     """
 
     def __init__(self, positions, face_vertex_flat, face_starts,
@@ -202,14 +204,15 @@ class Mesh:
 
     def face_centroids(self) -> np.ndarray:
         """Vertex centroid of every face, shape (F, 2)."""
-        sums = np.add.reduceat(self.positions[self.face_vertex_flat],
-                               self.face_starts[:-1], axis=0)
+        sums = np.add.reduceat(
+            np.take(self.positions, self.face_vertex_flat, axis=0),
+            self.face_starts[:-1], axis=0)
         return sums / self.face_sizes[:, None]
 
     def face_signed_areas(self) -> np.ndarray:
         """Shoelace signed area of every face (positive = counterclockwise)."""
-        p = self.positions[self.face_vertex_flat]
-        q = self.positions[self.face_vertex_flat[self.slot_next]]
+        p = np.take(self.positions, self.face_vertex_flat, axis=0)
+        q = np.take(p, self.slot_next, axis=0)
         cross = p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1]
         return 0.5 * np.add.reduceat(cross, self.face_starts[:-1])
 
@@ -246,7 +249,8 @@ class Mesh:
         return np.bincount(self.edges.ravel(), minlength=self.vertex_count)
 
     def edge_lengths(self) -> np.ndarray:
-        d = self.positions[self.edges[:, 1]] - self.positions[self.edges[:, 0]]
+        d = np.take(self.positions, self.edges[:, 1], axis=0) \
+            - np.take(self.positions, self.edges[:, 0], axis=0)
         return np.hypot(d[:, 0], d[:, 1])
 
     # -- derived meshes ------------------------------------------------------
@@ -347,9 +351,10 @@ def build_mesh(points, faces, *, check_self_intersections: bool = False,
     zero-length edges, and :class:`NonManifoldError` when an edge has more
     than two incident faces or the boundary is pinched at a vertex.
 
-    ``allow_pinched_boundary`` skips the pinch check; mid-edge refinement
-    legitimately produces faces that touch at a single vertex after its
-    boundary clipping, and such meshes are otherwise well-formed.
+    ``allow_pinched_boundary`` skips the pinch check, for meshes whose
+    faces may touch at a single vertex and are otherwise well-formed: when
+    one of its checks fails, :func:`_direct_mesh` hands such a mesh (a
+    mid-edge step, a glued tiling or a face-split weave) here with it set.
 
     The optional quadratic self-intersection test is off by default because
     it is far too slow for deeply refined meshes.
@@ -382,8 +387,8 @@ def build_mesh(points, faces, *, check_self_intersections: bool = False,
     total = len(flat)
     nxt = np.arange(1, total + 1, dtype=np.int64)
     nxt[starts[1:] - 1] = starts[:-1]
-    p = positions[flat]
-    q = positions[flat[nxt]]
+    p = np.take(positions, flat, axis=0)
+    q = np.take(p, nxt, axis=0)
     doubled = np.add.reduceat(p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1],
                               starts[:-1]) if F else np.zeros(0)
     if F and (doubled == 0.0).any():
@@ -439,24 +444,80 @@ def build_mesh(points, faces, *, check_self_intersections: bool = False,
 def _reject_zero_length_edges(positions: np.ndarray,
                               edges: np.ndarray) -> None:
     """Raise :class:`DegenerateFaceError` for an edge whose ends coincide."""
-    zero_len = np.all(positions[edges[:, 0]] == positions[edges[:, 1]],
-                      axis=1)
+    zero_len = np.all(np.take(positions, edges[:, 0], axis=0)
+                      == np.take(positions, edges[:, 1], axis=0), axis=1)
     if zero_len.any():
         a, b = edges[int(np.flatnonzero(zero_len)[0])]
         raise DegenerateFaceError(f"edge ({int(a)}, {int(b)}) has zero length")
+
+
+def _boundary_degrees(edges: np.ndarray, edge_left: np.ndarray,
+                      edge_right: np.ndarray, V: int) -> np.ndarray:
+    """Number of boundary edges at each vertex; 0 or 2 unless pinched."""
+    boundary = (edge_left < 0) | (edge_right < 0)
+    return np.bincount(edges[boundary].ravel(), minlength=V)
 
 
 def _reject_pinched_boundary(edges: np.ndarray, edge_left: np.ndarray,
                              edge_right: np.ndarray, V: int) -> None:
     """Raise :class:`NonManifoldError` where more than two boundary edges
     (or just one) meet at a vertex."""
-    boundary = (edge_left < 0) | (edge_right < 0)
-    bdeg = np.bincount(edges[boundary].ravel(), minlength=V)
+    bdeg = _boundary_degrees(edges, edge_left, edge_right, V)
     bad_v = np.flatnonzero((bdeg != 0) & (bdeg != 2))
     if len(bad_v):
         raise NonManifoldError(
             f"boundary is pinched at vertex {int(bad_v[0])} "
             f"({int(bdeg[bad_v[0]])} boundary edges meet there)")
+
+
+def _direct_mesh(positions: np.ndarray, flat: np.ndarray, starts: np.ndarray,
+                 edges: np.ndarray, face_edge_flat: np.ndarray, *,
+                 merged_cycles: bool = False,
+                 pinch_check: bool = True) -> Mesh:
+    """A mesh from tables derived in closed form, checked where the
+    derivation cannot rule a fault out.
+
+    ``edges`` is the ``(lo, hi)``-sorted edge table of the face cycles
+    ``(flat, starts)``, and ``face_edge_flat`` the edge from each slot to
+    the next; each edge's two faces are read off the slots.  Construction
+    keeps indices in range and every edge between two faces at most, so
+    the checks left are: at least 3 vertices per face, finite coordinates,
+    positive area, no zero-length edge, no vertex twice in a cycle (only
+    ``merged_cycles``, where a cycle joins two source faces that may share
+    a third vertex) and, with ``pinch_check``, no pinched boundary.  When
+    one fails, the faces go to :func:`build_mesh` with the same pinch
+    setting, so the caller gets what a full build gives: its error, or the
+    mesh it builds after reversing a clockwise face.
+    """
+    F = len(starts) - 1
+    V = len(positions)
+    sizes = np.diff(starts)
+    nxt = np.arange(1, len(flat) + 1, dtype=np.int64)
+    nxt[starts[1:] - 1] = starts[:-1]
+    slot_face = np.repeat(np.arange(F, dtype=np.int64), sizes)
+    E = len(edges)
+    sides = np.full(2 * E, -1, dtype=np.int64)
+    sides[(flat > flat[nxt]) * E + face_edge_flat] = slot_face
+
+    ok = (F == 0 or sizes.min() >= 3) and bool(np.isfinite(positions).all())
+    if ok and F:
+        p = np.take(positions, flat, axis=0)
+        q = np.take(p, nxt, axis=0)
+        doubled = np.add.reduceat(p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1],
+                                  starts[:-1])
+        ok = bool((doubled > 0.0).all()) and not bool(
+            ((p[:, 0] == q[:, 0]) & (p[:, 1] == q[:, 1])).any())
+    if ok and merged_cycles:
+        keys = np.sort(slot_face * V + flat)
+        ok = not bool((keys[1:] == keys[:-1]).any())
+    if ok and pinch_check:
+        bdeg = _boundary_degrees(edges, sides[:E], sides[E:], V)
+        ok = not bool(((bdeg != 0) & (bdeg != 2)).any())
+    if not ok:
+        return build_mesh(positions, (flat, starts),
+                          allow_pinched_boundary=not pinch_check)
+    return Mesh(positions, flat, starts, edges, sides[:E], sides[E:],
+                face_edge_flat)
 
 
 def _edge_slots(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
@@ -535,9 +596,9 @@ def convexity_report(mesh: Mesh, tolerance: float = 1e-9) -> list[int]:
     nxt = mesh.slot_next
     prv = np.empty_like(nxt)
     prv[nxt] = np.arange(len(nxt), dtype=np.int64)
-    p0 = mesh.positions[flat[prv]]
-    p1 = mesh.positions[flat]
-    p2 = mesh.positions[flat[nxt]]
+    p1 = np.take(mesh.positions, flat, axis=0)
+    p0 = np.take(p1, prv, axis=0)
+    p2 = np.take(p1, nxt, axis=0)
     d1 = p1 - p0
     d2 = p2 - p1
     cross = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]

@@ -133,8 +133,8 @@ def assign_z_orientations(mesh: Mesh, seed_flag: int = 1) -> ZOrientation:
 
 def _bend_points(mesh: Mesh, s: int):
     """Positions of the two bend points of every edge for flag ``s``."""
-    pa = mesh.positions[mesh.edges[:, 0]]
-    pb = mesh.positions[mesh.edges[:, 1]]
+    pa = np.take(mesh.positions, mesh.edges[:, 0], axis=0)
+    pb = np.take(mesh.positions, mesh.edges[:, 1], axis=0)
     d = pb - pa
     near_a = np.empty_like(pa)
     near_a[:, 0] = pa[:, 0] + (5.0 * d[:, 0] - s * _SQRT3 * d[:, 1]) / 14.0

@@ -47,7 +47,7 @@ from .errors import (
     NotBipartiteError,
     NotTriangleMeshError,
 )
-from .mesh_core import EdgeTag, Mesh, Provenance, _edge_slots, build_mesh
+from .mesh_core import EdgeTag, Mesh, Provenance, _direct_mesh, _edge_slots
 
 __all__ = [
     "VertexColoring",
@@ -237,6 +237,11 @@ def _build_tiling(source: Mesh, partner: np.ndarray,
     the face on the shared edge's left: its own cycle from the slot after
     the shared edge, then the other face's cycle without the two shared
     vertices.
+
+    The tiling keeps the source's vertex ids and positions, and its edge
+    table is the source's minus the glued edges, in the same order.  A
+    tile slot's edge is its source slot's, except at the walker's last
+    vertex, whose edge leads into the other face's cycle.
     """
     F = source.face_count
     sizes = source.face_sizes
@@ -262,9 +267,17 @@ def _build_tiling(source: Mesh, partner: np.ndarray,
     gather = np.repeat(source.face_starts[seg_face], seg_len) \
         + (np.repeat(seg_rot, seg_len) + within) \
         % np.repeat(sizes[seg_face], seg_len)
-    mesh = build_mesh(source.positions,
-                      (source.face_vertex_flat[gather], seg_starts[::2]),
-                      allow_pinched_boundary=True)
+    kept = np.ones(source.edge_count, dtype=bool)
+    kept[e] = False
+    new_id = np.cumsum(kept) - 1
+    edge_gather = gather.copy()
+    g = other[glued]
+    edge_gather[seg_starts[1::2][glued] - 1] = \
+        source.face_starts[g] + (at[g] + 1) % sizes[g]
+    mesh = _direct_mesh(source.positions, source.face_vertex_flat[gather],
+                        seg_starts[::2], source.edges[kept],
+                        new_id[source.face_edge_flat[edge_gather]],
+                        merged_cycles=True, pinch_check=False)
     mates = partner[lead].tolist()
     return GluedTiling(
         source=source, mesh=mesh,
@@ -749,6 +762,10 @@ def general_face_split_weaving(mesh: Mesh,
     pairwise diagonal).  Original vertices are colored ``c1``, centers
     ``c2``, and the quads are woven by the two-coloring rule — one
     crossing per interior original edge.
+
+    Every quad edge joins a source vertex ``v`` to the center ``V + f`` of
+    a face at it, so the edges are the source slots next to an interior
+    edge, in ``(v, f)`` order: a stable argsort of their vertices.
     """
     inner = np.flatnonzero(~mesh.boundary_edge_mask)
     if len(inner) == 0:
@@ -758,9 +775,23 @@ def general_face_split_weaving(mesh: Mesh,
     centers = mesh.face_centroids()
     quads = np.column_stack((mesh.edges[inner, 0], V + mesh.edge_right[inner],
                              mesh.edges[inner, 1], V + mesh.edge_left[inner]))
-    quad_mesh = build_mesh(np.vstack([mesh.positions, centers]),
-                           (quads.ravel(), np.arange(0, quads.size + 1, 4)),
-                           allow_pinched_boundary=True)
+    # per quad slot, the source slot (v, f) of its edge (v, V + f)
+    left, right = _edge_slots(mesh)
+    nxt = mesh.slot_next
+    corner = np.column_stack((nxt[right[inner]], right[inner],
+                              nxt[left[inner]], left[inner]))
+    used = np.zeros(len(nxt), dtype=bool)
+    used[corner.ravel()] = True
+    slots = np.flatnonzero(used)
+    slots = slots[np.argsort(mesh.face_vertex_flat[slots], kind="stable")]
+    edge_of = np.empty(len(nxt), dtype=np.int64)
+    edge_of[slots] = np.arange(len(slots), dtype=np.int64)
+    quad_mesh = _direct_mesh(
+        np.vstack([mesh.positions, centers]), quads.ravel(),
+        np.arange(0, quads.size + 1, 4),
+        np.column_stack((mesh.face_vertex_flat[slots],
+                         V + mesh.slot_face[slots])),
+        edge_of[corner].ravel(), pinch_check=False)
     tiling = GluedTiling(
         source=mesh, mesh=quad_mesh,
         pairs=np.zeros((0, 2), dtype=np.int64),

@@ -1,13 +1,17 @@
 """Tests for the comparison subdivision schemes."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import snubweave as sw
+from snubweave import mesh_core
 from snubweave import (
+    DegenerateFaceError,
+    NonManifoldError,
     NotTriangleMeshError,
     OriginKind,
     build_mesh,
@@ -23,6 +27,7 @@ from snubweave import (
 )
 from mesh_compare import match_vertices
 import classic_reference as ref
+import weaving_reference as wref
 
 ROOT3 = math.sqrt(3.0)
 
@@ -295,6 +300,22 @@ class TestMidedge:
         midpoints = (p[mesh.edges[:, 0]] + p[mesh.edges[:, 1]]) / 2.0
         assert np.array_equal(result.mesh.positions, midpoints)
 
+    @pytest.mark.parametrize("step", [midedge_step, doo_sabin_step])
+    def test_rejects_inner_vertex_of_degree_two(self, step):
+        # every glued snub tiling has inner vertices of degree 2, whose
+        # vertex cycle would be a 2-gon; the error names the source vertex
+        hist = sw.snub_subdivide(sw.pentagon(), 2)
+        tiling = sw.glue_snub_pairs(hist.final, hist.records[-1].provenance)
+        mesh = tiling.mesh
+        short = np.flatnonzero(sw.classify(mesh).vertex_is_inner
+                               & (mesh.vertex_degrees == 2))
+        assert len(short) == 10
+        with pytest.raises(DegenerateFaceError) as got:
+            step(mesh)
+        assert str(got.value) == (
+            f"mid-edge refinement needs inner vertices of degree 3 or more; "
+            f"vertex {short[0]} has degree 2")
+
 
 class TestCatmullClark:
     def test_ngon_becomes_n_quads(self):
@@ -493,11 +514,11 @@ def assert_same_step(got, want):
         assert_same_step(got.intermediate, want.intermediate)
 
 
-def step_outcome(step, mesh):
-    """``("returned", step(mesh))``, or ``("raised", type, message)`` when
+def step_outcome(step, *args):
+    """``("returned", step(*args))``, or ``("raised", type, message)`` when
     the step raises a typed error."""
     try:
-        return "returned", step(mesh)
+        return "returned", step(*args)
     except sw.SnubWeaveError as exc:
         return "raised", type(exc), str(exc)
 
@@ -577,6 +598,17 @@ class TestOracleEquivalence:
     def test_catmull_clark_matches_oracle(self, mesh):
         assert_same_step(catmull_clark_step(mesh), ref.catmull_clark_step(mesh))
 
+    def test_butterfly_fold_raises_as_the_oracle_does(self):
+        # a jittered 3 x 3 grid with one coned square, on which butterfly
+        # folds one refined triangle clockwise; build_mesh reverses it and
+        # finds an edge walked twice the same way
+        mesh = mixed_triangulation(3, 3, [1, 0, 1, 2, 1, 0, 1, 0, 0], seed=782)
+        got = step_outcome(butterfly_step, mesh)
+        assert got == step_outcome(ref.butterfly_step, mesh)
+        assert got == ("raised", NonManifoldError,
+                       "edge (1, 20) has more than two incident faces or is "
+                       "traversed twice in the same direction")
+
     def test_all_schemes_match_oracle_on_mixed_valences(self):
         mesh = mixed_triangulation(4, 4, [2, 0, 1, 2, 1, 1, 0, 0,
                                           2, 0, 1, 1, 0, 2, 0, 1], seed=7)
@@ -585,3 +617,101 @@ class TestOracleEquivalence:
         assert 2 in mesh.vertex_degrees[~inner]
         for name in TRIANGLE_SCHEMES + ("catmull_clark_step",):
             assert_same_step(getattr(sw, name)(mesh), getattr(ref, name)(mesh))
+
+
+# ---------------------------------------------------------------------------
+# meshes written from closed-form tables against build_mesh
+# ---------------------------------------------------------------------------
+
+def built_meshes(result):
+    """The meshes a construction writes from its closed-form tables."""
+    if isinstance(result, sw.SchemeStepResult):
+        return ([result.mesh] if result.intermediate is None
+                else [result.intermediate.mesh, result.mesh])
+    if isinstance(result, tuple):   # sqrt3_quadization, face-split weaving
+        result = result[0]
+    return [result.mesh]
+
+
+def assert_built_as_build_mesh(ours, oracle, *args, pinch_check=True):
+    """``ours(*args)`` writes meshes equal, in all seven arrays, to what
+    :func:`build_mesh` makes of their faces; or it raises the error of
+    ``oracle``, which hands the same faces to ``build_mesh``.
+
+    A check that fails hands the faces to ``build_mesh``, which would also
+    mend a wrong table, so a mesh that comes back must not have gone there.
+    """
+    with mock.patch.object(mesh_core, "build_mesh",
+                           wraps=mesh_core.build_mesh) as full_build:
+        got = step_outcome(ours, *args)
+    if got[0] == "raised":
+        assert got == step_outcome(oracle, *args)
+        return
+    assert not full_build.called
+    for mesh in built_meshes(got[1]):
+        rebuilt = build_mesh(mesh.positions,
+                             (mesh.face_vertex_flat, mesh.face_starts),
+                             allow_pinched_boundary=not pinch_check)
+        for name in MESH_ARRAYS:
+            assert_same_bits(getattr(mesh, name), getattr(rebuilt, name),
+                             name)
+
+
+class TestDirectBuild:
+    @settings(max_examples=30, deadline=None)
+    @given(mesh=triangle_meshes())
+    def test_triangle_schemes_quadization_and_face_split(self, mesh):
+        for name in ("loop_step", "butterfly_step", "sqrt3_step"):
+            assert_built_as_build_mesh(getattr(sw, name), getattr(ref, name),
+                                       mesh)
+        for name in ("midedge_step", "doo_sabin_step"):
+            assert_built_as_build_mesh(getattr(sw, name), getattr(ref, name),
+                                       mesh, pinch_check=False)
+        sqrt3 = step_outcome(sqrt3_step, mesh)
+        if sqrt3[0] == "returned":
+            assert_built_as_build_mesh(sw.sqrt3_quadization,
+                                       wref.sqrt3_quadization, sqrt3[1],
+                                       pinch_check=False)
+        assert_built_as_build_mesh(sw.general_face_split_weaving,
+                                   wref.general_face_split_weaving, mesh,
+                                   pinch_check=False)
+
+    @settings(max_examples=25, deadline=None)
+    @given(mesh=polygon_meshes())
+    def test_catmull_clark_and_face_split(self, mesh):
+        assert_built_as_build_mesh(catmull_clark_step, ref.catmull_clark_step,
+                                   mesh)
+        assert_built_as_build_mesh(sw.general_face_split_weaving,
+                                   wref.general_face_split_weaving, mesh,
+                                   pinch_check=False)
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(3, 8), seed=st.integers(0, 2**32 - 1),
+           steps=st.integers(0, 2))
+    def test_glued_triangle_pairs(self, n, seed, steps):
+        # the fan's center is its one c1 vertex, then Loop carries the
+        # coloring along
+        mesh = irregular_fan(n, seed)
+        coloring = sw.VertexColoring(np.arange(mesh.vertex_count) == n)
+        for _ in range(steps):
+            step = loop_step(mesh)
+            coloring = sw.loop_color_update(coloring, step)
+            mesh = step.mesh
+        assert_built_as_build_mesh(sw.glue_triangle_pairs,
+                                   wref.glue_triangle_pairs, mesh, coloring,
+                                   pinch_check=False)
+
+    @settings(max_examples=20, deadline=None)
+    @given(spec=st.sampled_from(["pentagon", "pentaflower", "grid:2x2",
+                                 "fan:6"]),
+           seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 3),
+           flag=st.sampled_from([1, -1]))
+    def test_glued_snub_pairs(self, spec, seed, steps, flag):
+        base = sw.generate_demo_mesh(spec)
+        rng = np.random.default_rng(seed)
+        moved = base.positions + rng.uniform(-0.04, 0.04, base.positions.shape)
+        hist = sw.snub_subdivide(build_mesh(moved, base.faces), steps,
+                                 seed_flag=flag)
+        assert_built_as_build_mesh(sw.glue_snub_pairs, wref.glue_snub_pairs,
+                                   hist.final, hist.records[-1].provenance,
+                                   pinch_check=False)

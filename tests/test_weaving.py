@@ -319,6 +319,23 @@ class TestErrors:
         with pytest.raises(InternalInvariantError, match="exactly one"):
             sw.glue_snub_pairs(hist.final, Provenance(prov.vertex_tags, tags))
 
+    def test_tile_repeating_a_vertex_fails_as_build_mesh_does(self):
+        # faces 0 and 1 share the middle edge (0, 1) and also vertex 3, so
+        # their glued cycle visits 3 twice; faces 2 and 3 fill the hole
+        # between them and share the middle edge (1, 3)
+        mesh = sw.build_mesh(
+            [(0, 0), (1, 0), (2, 0.5), (3, 0), (1.5, 2), (1.5, -2),
+             (2, -0.5)],
+            [[0, 1, 2, 3, 4], [1, 0, 5, 3, 6], [1, 6, 3], [1, 3, 2]])
+        tags = np.full(mesh.edge_count, EdgeTag.Z_OUTER, dtype=np.int8)
+        tags[mesh.edge_id([0, 1], [1, 3])] = EdgeTag.Z_MIDDLE
+        prov = Provenance(np.zeros(mesh.vertex_count, dtype=np.int8), tags)
+        with pytest.raises(sw.DegenerateFaceError) as got:
+            sw.glue_snub_pairs(mesh, prov)
+        with pytest.raises(sw.DegenerateFaceError) as want:
+            ref.glue_snub_pairs(mesh, prov)
+        assert str(got.value) == str(want.value) == "face 0 repeats vertex 3"
+
     def test_not_bipartite_names_the_lowest_edge(self):
         mesh = sw.square_grid(3, 3)
         coloring = sw.VertexColoring(
