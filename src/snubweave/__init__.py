@@ -40,7 +40,6 @@ from .mesh_core import (
     ElementClass,
     Mesh,
     ParentKind,
-    Point2,
     Provenance,
     VertexTag,
     build_mesh,

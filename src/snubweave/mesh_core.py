@@ -35,7 +35,6 @@ from .errors import (
 )
 
 __all__ = [
-    "Point2",
     "Mesh",
     "ElementClass",
     "VertexTag",
@@ -53,18 +52,6 @@ __all__ = [
     "pentagon_flower",
     "generate_demo_mesh",
 ]
-
-
-@dataclass(frozen=True)
-class Point2:
-    """A point in the plane.  Coordinates must be finite."""
-
-    x: float
-    y: float
-
-    def __iter__(self):
-        yield self.x
-        yield self.y
 
 
 class VertexTag(IntEnum):
@@ -178,11 +165,6 @@ class Mesh:
         starts = self.face_starts.tolist()
         return [tuple(flat[starts[f]:starts[f + 1]])
                 for f in range(self.face_count)]
-
-    @cached_property
-    def vertices(self) -> tuple[Point2, ...]:
-        """All vertex positions as :class:`Point2` (materialized lazily)."""
-        return tuple(Point2(float(x), float(y)) for x, y in self.positions)
 
     def face_edges(self, f: int) -> np.ndarray:
         """Edge ids along face ``f``; entry ``k`` joins cycle slots k, k+1."""
@@ -330,8 +312,7 @@ def _check_point_array(points) -> np.ndarray:
     if isinstance(points, np.ndarray):
         positions = np.ascontiguousarray(points, dtype=np.float64)
     else:
-        positions = np.array([(p.x, p.y) if isinstance(p, Point2) else tuple(p)
-                              for p in points], dtype=np.float64)
+        positions = np.array([tuple(p) for p in points], dtype=np.float64)
     if positions.size == 0:
         positions = positions.reshape(0, 2)
     if positions.ndim != 2 or positions.shape[1] != 2:
@@ -356,8 +337,8 @@ def build_mesh(points, faces, *, check_self_intersections: bool = False,
     one of its checks fails, :func:`_direct_mesh` hands such a mesh (a
     mid-edge step, a glued tiling or a face-split weave) here with it set.
 
-    The optional quadratic self-intersection test is off by default because
-    it is far too slow for deeply refined meshes.
+    ``check_self_intersections`` also rejects two edges that cross (see
+    :func:`_check_self_intersections`); it is off by default.
     """
     positions = _check_point_array(points)
     flat, starts = _flatten_faces(faces)
@@ -533,30 +514,69 @@ def _edge_slots(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_self_intersections(mesh: Mesh) -> None:
-    """Quadratic proper-crossing test between all edge pairs."""
-    P = mesh.positions
+    """Raise :class:`SelfIntersectionError` when two edges cross.
+
+    Two edges cross when they share no endpoint and the endpoints of each
+    lie strictly on opposite sides of the other's line.  Of all crossing
+    pairs, the one named has the lowest first edge, then the lowest
+    second edge.
+
+    Only edges whose bounding boxes cover a common cell of a uniform grid
+    are tested against each other, which crossing edges always do.  The
+    cell side is the mean bounding-box side of the edges, but at least a
+    sixteenth of the longest, so no edge covers more than about 17 x 17
+    cells.  On meshes whose edges have similar lengths, each cell holds a
+    few edges and the test takes time linear in the edge count.
+    """
     E = mesh.edge_count
-    a = P[mesh.edges[:, 0]]
-    b = P[mesh.edges[:, 1]]
+    if E < 2:
+        return
+    edges = mesh.edges
+    a = np.take(mesh.positions, edges[:, 0], axis=0)
+    b = np.take(mesh.positions, edges[:, 1], axis=0)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    side = (hi - lo).max(axis=1)
+    cell = max(float(side.mean()), float(side.max()) / 16.0)
+    origin = lo.min(axis=0)
+    first = ((lo - origin) / cell).astype(np.int64)
+    span = ((hi - origin) / cell).astype(np.int64) - first + 1
+    covered = span[:, 0] * span[:, 1]
+
+    # one entry per (edge, cell) its box covers, grouped by cell; within a
+    # cell the edges stay in id order
+    edge = np.repeat(np.arange(E, dtype=np.int64), covered)
+    k = np.arange(len(edge), dtype=np.int64) \
+        - np.repeat(np.cumsum(covered) - covered, covered)
+    cx = first[edge, 0] + k % span[edge, 0]
+    cy = first[edge, 1] + k // span[edge, 0]
+    order = np.lexsort((cy, cx))
+    edge, cx, cy = edge[order], cx[order], cy[order]
+    new_cell = np.flatnonzero((cx[1:] != cx[:-1]) | (cy[1:] != cy[:-1])) + 1
+    ends = np.append(new_cell, len(edge))
+    group_end = np.repeat(ends, np.diff(ends, prepend=0))
+    # every pair of entries in one cell, the lower edge id first
+    n_later = group_end - np.arange(len(edge)) - 1
+    at = np.repeat(np.arange(len(edge)), n_later)
+    later = np.arange(len(at)) - np.repeat(np.cumsum(n_later) - n_later,
+                                           n_later)
+    e, o = edge[at], edge[at + 1 + later]
 
     def cross2(u, w):
         return u[..., 0] * w[..., 1] - u[..., 1] * w[..., 0]
 
-    for e in range(E):
-        shares = ((mesh.edges[:, 0, None] == mesh.edges[e][None, :]) |
-                  (mesh.edges[:, 1, None] == mesh.edges[e][None, :])).any(axis=1)
-        d1 = b[e] - a[e]
-        c1 = cross2(d1, a - a[e])
-        c2 = cross2(d1, b - a[e])
-        d2 = b - a
-        c3 = cross2(d2, a[e] - a)
-        c4 = cross2(d2, b[e] - a)
-        crossing = (~shares) & (c1 * c2 < 0) & (c3 * c4 < 0)
-        crossing[:e + 1] = False
-        if crossing.any():
-            other = int(np.flatnonzero(crossing)[0])
-            raise SelfIntersectionError(
-                f"edges {e} and {other} cross each other")
+    shares = (edges[o][:, :, None] == edges[e][:, None, :]).any(axis=(1, 2))
+    d1 = b[e] - a[e]
+    c1 = cross2(d1, a[o] - a[e])
+    c2 = cross2(d1, b[o] - a[e])
+    d2 = b[o] - a[o]
+    c3 = cross2(d2, a[e] - a[o])
+    c4 = cross2(d2, b[e] - a[o])
+    crossing = ~shares & (c1 * c2 < 0) & (c3 * c4 < 0)
+    if crossing.any():
+        pair = np.argmin(e[crossing] * E + o[crossing])
+        raise SelfIntersectionError(
+            f"edges {int(e[crossing][pair])} and {int(o[crossing][pair])} "
+            f"cross each other")
 
 
 # ---------------------------------------------------------------------------

@@ -24,14 +24,14 @@ order of the underlying mesh elements.
 
 Every table (tile cycles, per-slot successors, designated bend vertices,
 ribbon points) is built with array operations in time linear in the mesh
-size.  Only the strand walks themselves run as Python loops, over plain
-ints.
+size.  The strands are walks of a successor table; :func:`_rank_walks`
+orders them by pointer jumping, in O(n log L) array work for walks of at
+most L steps, and a :class:`Weaving` keeps them as flat arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import chain
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -202,18 +202,20 @@ def loop_color_update(coloring: VertexColoring,
 class GluedTiling:
     """Faces of a source mesh merged pairwise into larger tiles.
 
-    ``mesh`` holds one face per tile over the source vertex set;
-    ``tile_faces[k]`` lists the source faces forming tile ``k`` (two for a
-    glued pair, one for a singleton).  The face-split construction has no
-    source-face tiles; it records the interior source edge each quad
-    covers in ``tile_source_edges`` instead.
+    ``mesh`` holds one face per tile over the source vertex set.
+    ``tile_faces`` is a ``(T, 2)`` int64 array: row ``k`` holds the source
+    faces forming tile ``k``, the lower one first, with ``-1`` in the
+    second column for a singleton.  The face-split construction has no
+    source-face tiles (``tile_faces`` has shape ``(0, 2)``); it records the
+    interior source edge each quad covers in ``tile_source_edges``
+    instead.
     """
 
     source: Mesh
     mesh: Mesh
     pairs: np.ndarray
     singletons: np.ndarray
-    tile_faces: tuple[tuple[int, ...], ...]
+    tile_faces: np.ndarray
     tile_source_edges: np.ndarray | None = None
 
 
@@ -278,13 +280,11 @@ def _build_tiling(source: Mesh, partner: np.ndarray,
                         seg_starts[::2], source.edges[kept],
                         new_id[source.face_edge_flat[edge_gather]],
                         merged_cycles=True, pinch_check=False)
-    mates = partner[lead].tolist()
     return GluedTiling(
         source=source, mesh=mesh,
         pairs=np.column_stack((lead[glued], partner[lead[glued]])),
         singletons=lead[~glued],
-        tile_faces=tuple((f, g) if g >= 0 else (f,)
-                         for f, g in zip(lead.tolist(), mates)))
+        tile_faces=np.column_stack((lead, partner[lead])))
 
 
 def _glue_across(mesh: Mesh, edges: np.ndarray) -> GluedTiling:
@@ -380,7 +380,7 @@ def glue_snub_pairs(mesh: Mesh, provenance: Provenance) -> GluedTiling:
 
 @dataclass(frozen=True)
 class Strand:
-    """One maximal woven strand.
+    """One maximal woven strand, as :attr:`Weaving.strands` presents it.
 
     ``tiles`` are the tile ids visited in order (quad faces for quad
     weavings, tiling indices for snub weavings).  ``crossings`` are the
@@ -390,6 +390,9 @@ class Strand:
     the edge they enter and leave each tile through.  ``lead_terminal``
     marks open snub strands whose first crossing precedes the first tile
     (the strand starts by emerging across a boundary middle edge).
+
+    A :class:`Weaving` stores no strand objects; it builds these tuples
+    from its flat arrays each time :attr:`Weaving.strands` is read.
     """
 
     tiles: tuple[int, ...]
@@ -406,19 +409,95 @@ class Strand:
 class Weaving:
     """A full strand decomposition with per-crossing over/under records.
 
-    Snub weavings keep a reference to the glued tiling they were traced
-    on, because their crossing ids name middle edges of the refined mesh
-    underneath it.
+    Strands are stored as flat arrays in CSR form.  Strand ``i`` visits
+    ``tiles[tile_offsets[i]:tile_offsets[i + 1]]`` and meets the crossings
+    ``crossings[crossing_offsets[i]:crossing_offsets[i + 1]]``; ``over``
+    has one entry per crossing visit, true where the strand passes over.
+    ``closed``, ``color_index`` and ``lead_terminal`` have one entry per
+    strand (see :class:`Strand`).  Quad weavings visit each quad once per
+    axis and cross exactly there, so their ``crossings`` are their
+    ``tiles``; they also record, per tile visit, the edge the strand enters
+    through (``enter_edges``) and leaves through (``exit_edges``), which
+    are ``None`` for snub weavings.
+
+    ``crossing_ids`` lists every crossing once, with the strand passing
+    over it in ``over_strands`` and the one passing under in
+    ``under_strands``: in strand order of the over visits for quad
+    weavings, of the crossing visits for snub weavings.
+
+    :attr:`strands`, :attr:`over_strand` and :attr:`under_strand` are
+    read-only views built from the arrays on each access.  Snub weavings
+    keep a reference to the glued tiling they were traced on, because
+    their crossing ids name middle edges of the refined mesh underneath
+    it.
     """
 
     kind: str                       # "quad" or "snub"
-    strands: tuple[Strand, ...]
-    over_strand: dict
-    under_strand: dict
+    tile_offsets: np.ndarray
+    tiles: np.ndarray
+    crossing_offsets: np.ndarray
+    crossings: np.ndarray
+    over: np.ndarray
+    closed: np.ndarray
+    color_index: np.ndarray
+    lead_terminal: np.ndarray
+    crossing_ids: np.ndarray
+    over_strands: np.ndarray
+    under_strands: np.ndarray
+    enter_edges: np.ndarray | None = None
+    exit_edges: np.ndarray | None = None
     tiling: "GluedTiling | None" = None
 
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+
+    @property
+    def strands(self) -> tuple[Strand, ...]:
+        """Every strand as a :class:`Strand`, in strand order."""
+        t_off = self.tile_offsets.tolist()
+        c_off = self.crossing_offsets.tolist()
+        tiles = _split(self.tiles.tolist(), t_off)
+        if self.enter_edges is None:
+            enters = exits = [()] * len(tiles)
+        else:
+            enters = _split(self.enter_edges.tolist(), t_off)
+            exits = _split(self.exit_edges.tolist(), t_off)
+        return tuple(
+            Strand(tiles=t, crossings=c, over=o, closed=z, color_index=r,
+                   enter_edges=ei, exit_edges=eo, lead_terminal=ld)
+            for t, c, o, z, r, ei, eo, ld in zip(
+                tiles, _split(self.crossings.tolist(), c_off),
+                _split(self.over.tolist(), c_off), self.closed.tolist(),
+                self.color_index.tolist(), enters, exits,
+                self.lead_terminal.tolist()))
+
+    @property
+    def over_strand(self) -> dict:
+        """Crossing id to the strand passing over it."""
+        return dict(zip(self.crossing_ids.tolist(),
+                        self.over_strands.tolist()))
+
+    @property
+    def under_strand(self) -> dict:
+        """Crossing id to the strand passing under it.
+
+        Snub crossings come in the order of :attr:`over_strand`; quad
+        crossings in strand order of their under visits.
+        """
+        if self.kind == "snub":
+            return dict(zip(self.crossing_ids.tolist(),
+                            self.under_strands.tolist()))
+        under = ~self.over
+        strand = np.repeat(np.arange(len(self.closed)),
+                           np.diff(self.crossing_offsets))
+        return dict(zip(self.crossings[under].tolist(),
+                        strand[under].tolist()))
+
     def crossing_count(self) -> int:
-        return len(self.over_strand)
+        return len(self.crossing_ids)
 
 
 def _split(flat: list, offsets: list) -> list[tuple]:
@@ -426,17 +505,15 @@ def _split(flat: list, offsets: list) -> list[tuple]:
     return [tuple(flat[a:b]) for a, b in zip(offsets, offsets[1:])]
 
 
-def _shared_ints(values: np.ndarray) -> np.ndarray:
-    """``values`` as Python ints, one shared object per distinct value."""
-    distinct, inverse = np.unique(values, return_inverse=True)
-    return distinct.astype(object)[inverse]
-
-
 def _first_repeat(values: np.ndarray) -> int:
-    """Position of the first value seen before in ``values`` (-1: none)."""
-    _, first = np.unique(values, return_index=True)
-    if len(first) == len(values):
+    """Position of the first value seen before in ``values`` (-1: none).
+
+    ``values`` are non-negative ints.  A bincount rules a repeat out; only
+    when there is one does a sort find where it first shows.
+    """
+    if len(values) == 0 or np.bincount(values).max() < 2:
         return -1
+    _, first = np.unique(values, return_index=True)
     return int(np.setdiff1d(np.arange(len(values)), first)[0])
 
 
@@ -446,6 +523,121 @@ def _color_ranks(tiles: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     ranks = np.empty(len(lowest), dtype=np.int64)
     ranks[np.argsort(lowest, kind="stable")] = np.arange(len(lowest))
     return ranks
+
+
+def _pointer_jump(succ: np.ndarray, order: np.ndarray):
+    """Pointer jumping over the partial injection ``succ`` (-1: no next).
+
+    Returns ``(ptr, dist, low, on_cycle)``.  On a chain, ``ptr[s]`` is the
+    chain's last node and ``dist[s]`` the number of steps from ``s`` to
+    it.  On a cycle, ``low[s]`` is the lowest ``order`` on the cycle.
+
+    Round ``r`` moves every unfinished node's pointer ``2**r`` steps ahead,
+    adding up ``dist`` on the way.  A chain node is finished once its
+    pointer reaches the chain's end, which a node ``d`` steps before the
+    end does in round ``ceil(log2 d)``; so a round that finishes no node
+    has finished every chain, and the nodes left lie on cycles.  On those,
+    a second series of rounds folds the lowest ``order`` over windows of
+    ``2**r`` nodes; it stops once a round lowers no node's window, as a
+    window whose minimum equals that of the window after it, on every
+    node of a cycle, already holds the cycle's minimum.
+    """
+    n = len(succ)
+    end = succ < 0
+    ptr = np.where(end, np.arange(n, dtype=np.int64), succ)
+    dist = (~end).astype(np.int64)
+    active = np.flatnonzero(~end[ptr])
+    while len(active):
+        ahead = ptr[active]
+        dist[active] += dist[ahead]
+        ahead = ptr[ahead]
+        ptr[active] = ahead
+        done = end[ahead]
+        if not done.any():
+            break
+        active = active[~done]
+
+    low = order.copy()      # lowest order from s up to step[s], exclusive
+    step = succ.copy()
+    while len(active):
+        ahead = step[active]
+        mine = low[active]
+        lowered = np.minimum(mine, low[ahead])
+        if (lowered == mine).all():
+            break
+        low[active] = lowered
+        step[active] = step[ahead]
+    on_cycle = np.zeros(n, dtype=bool)
+    on_cycle[active] = True
+    return ptr, dist, low, on_cycle
+
+
+def _rank_walks(succ: np.ndarray, rev: np.ndarray, order: np.ndarray):
+    """Strand walks of the partial injection ``succ``, each walked once.
+
+    Every node lies on one walk of ``succ``: a chain (open, ending where
+    ``succ`` is -1) or a cycle.  ``rev`` maps a node to the same step
+    taken the other way, so a walk and its reverse make one strand:
+    ``rev`` of a chain's last node is the first node of the reverse chain,
+    and ``rev`` of a cycle node lies on the reverse cycle (-1: the walk has
+    no reverse).  ``order`` ranks the nodes, all distinct.
+
+    A chain is kept when its first node comes before (in ``order``) the
+    first node of its reverse; a chain that is its own reverse is dropped.
+    A cycle is kept when its lowest node comes before its reverse's lowest
+    node, and is cut before that node to become a chain.
+
+    Returns ``(path, offsets, closed)``: the nodes of the kept walks, walk
+    by walk and each in ``succ`` order from its first node, with walk
+    ``i`` at ``path[offsets[i]:offsets[i + 1]]``.  Kept chains come first,
+    by the order of their first node, then kept cycles by the order of
+    their lowest node; ``closed`` marks the cycles.
+    """
+    n = len(succ)
+    ptr, dist, low, on_cycle = _pointer_jump(succ, order)
+
+    # chains: a node's first node is found through the chain's last node
+    has_pred = np.zeros(n, dtype=bool)
+    has_pred[succ[succ >= 0]] = True
+    heads = np.flatnonzero(~has_pred & ~on_cycle)
+    back = rev[ptr[heads]]
+    heads = heads[(back < 0) | (order[heads] < order[back])]
+    heads = heads[np.argsort(order[heads])]
+    head_of_last = np.full(n, -1, dtype=np.int64)
+    head_of_last[ptr[heads]] = heads
+    nodes = np.flatnonzero(~on_cycle)
+    head = head_of_last[ptr[nodes]]
+    nodes, head = nodes[head >= 0], head[head >= 0]
+    rank = dist[head] - dist[nodes]
+
+    # cycles: each kept one is cut before its lowest node and ranked as a
+    # chain on its own
+    cycle = np.flatnonzero(on_cycle)
+    mate = rev[cycle]
+    cycle = cycle[(mate < 0) | (low[cycle] < low[mate])]
+    local = np.full(n, -1, dtype=np.int64)
+    local[cycle] = np.arange(len(cycle))
+    nxt = succ[cycle]
+    cut = np.where(order[nxt] == low[cycle], -1, local[nxt])
+    c_ptr, c_dist, _, _ = _pointer_jump(cut, order[cycle])
+    firsts = np.flatnonzero(order[cycle] == low[cycle])
+    firsts = firsts[np.argsort(order[cycle[firsts]])]
+    head_of_last = np.empty(len(cycle), dtype=np.int64)
+    head_of_last[c_ptr[firsts]] = firsts
+    c_head = head_of_last[c_ptr]
+    nodes = np.concatenate((nodes, cycle))
+    head = np.concatenate((head, cycle[c_head]))
+    rank = np.concatenate((rank, c_dist[c_head] - c_dist))
+    heads = np.concatenate((heads, cycle[firsts]))
+
+    S = len(heads)
+    walk = np.empty(n, dtype=np.int64)
+    walk[heads] = np.arange(S)
+    offsets = np.zeros(S + 1, dtype=np.int64)
+    np.cumsum(np.bincount(walk[head], minlength=S), out=offsets[1:])
+    path = np.empty(len(nodes), dtype=np.int64)
+    path[offsets[walk[head]] + rank] = nodes
+    return path, offsets, np.arange(S) >= S - len(firsts)
 
 
 def quad_weaving(mesh: Mesh, coloring: VertexColoring, *,
@@ -458,6 +650,11 @@ def quad_weaving(mesh: Mesh, coloring: VertexColoring, *,
     counterclockwise faces that endpoint is the one the face walks first.
     ``mirror`` flips the chirality.  Faces that are not quads (boundary
     leftovers of a gluing) terminate strands.
+
+    Open strands come first, each walked from the end whose entry edge
+    comes first in edge order (left face before right face); closed
+    strands follow, by their lowest (quad, axis), each walked from that
+    quad's slot on that axis with cycle position 0 or 1.
 
     Raises :class:`NotBipartiteError` if any quad edge joins two vertices
     of the same color.
@@ -481,7 +678,9 @@ def quad_weaving(mesh: Mesh, coloring: VertexColoring, *,
             f"{int(slot_face[s])} joins two same-colored vertices")
 
     # a strand enters a quad at a slot (the edge from that slot's vertex),
-    # leaves through the opposite slot and goes on at the twin slot across
+    # leaves through the opposite slot and goes on at the twin slot across;
+    # the opposite slot is the same step walked the other way, and a slot
+    # off the quads is its own opposite, so the ranking drops it
     left, right = _edge_slots(mesh)
     edge = mesh.face_edge_flat
     slots = np.arange(len(flat), dtype=np.int64)
@@ -490,43 +689,20 @@ def quad_weaving(mesh: Mesh, coloring: VertexColoring, *,
                         mesh.face_starts[slot_face] + (local + 2) % 4, slots)
     twin = np.where(left[edge] == slots, right[edge], left[edge])
     ahead = np.where(on_quad, twin[opposite], -1)
-    nxt = np.where((ahead >= 0) & on_quad[ahead], ahead, -1).tolist()
-    key = (2 * slot_face + local % 2).tolist()    # one per (quad, axis)
+    nxt = np.where((ahead >= 0) & on_quad[ahead], ahead, -1)
 
-    visited = bytearray(2 * mesh.face_count)
-    path, offsets, closed = [], [0], []
-
-    def trace(s: int) -> None:
-        """Walk from quad slot ``s``, recording every entry slot."""
-        while True:
-            k = key[s]
-            if visited[k]:
-                closed.append(True)     # returned to the starting crossing
-                break
-            visited[k] = 1
-            path.append(s)
-            s = nxt[s]
-            if s < 0:
-                closed.append(False)
-                break
-        offsets.append(len(path))
-
-    # open strands start wherever a quad is entered from outside the
-    # quad set (mesh boundary or a non-quad face), in edge order
+    # open strands start wherever a quad is entered from outside the quad
+    # set (mesh boundary or a non-quad face), in edge order; closed ones at
+    # their lowest (quad, axis), from cycle position 0 or 1
     quad_of = np.append(on_quad, False)         # slot -1: no face
     lq, rq = quad_of[left], quad_of[right]
     entries = np.column_stack((np.where(lq & ~rq, left, -1),
                                np.where(rq & ~lq, right, -1))).ravel()
-    for s in entries[entries >= 0].tolist():
-        if not visited[key[s]]:
-            trace(s)
-    # remaining strands are closed cycles
-    firsts = mesh.face_starts[:-1][is_quad]
-    for s in np.column_stack((firsts, firsts + 1)).ravel().tolist():
-        if not visited[key[s]]:
-            trace(s)
+    entries = entries[entries >= 0]
+    order = len(entries) + 4 * slot_face + 2 * (local % 2) + local // 2
+    order[entries] = np.arange(len(entries))
+    path, offsets, closed = _rank_walks(nxt, opposite, order)
 
-    path = np.asarray(path, dtype=np.int64)
     tiles = slot_face[path]
     over = is_c1[flat[path]] ^ mirror
     dup = _first_repeat(2 * tiles + over)       # one per (quad, side)
@@ -534,38 +710,22 @@ def quad_weaving(mesh: Mesh, coloring: VertexColoring, *,
         raise InternalInvariantError(
             f"quad {int(tiles[dup])} has two "
             f"{'over' if over[dup] else 'under'} strands")
-    over_q, under_q = tiles[over], tiles[~over]
-    if len(over_q) != int(is_quad.sum()) \
-            or not np.array_equal(np.sort(over_q), np.sort(under_q)):
+    n_quads = int(is_quad.sum())
+    if len(tiles) != 2 * n_quads or int(over.sum()) != n_quads:
         raise InternalInvariantError(
             "every quad must carry exactly one over and one under strand")
 
-    tile_o = _shared_ints(tiles)
-    edge_o = _shared_ints(np.concatenate((edge[path], edge[opposite[path]])))
-    sid = _shared_ints(np.repeat(np.arange(len(closed)), np.diff(offsets)))
-    strands = tuple(
-        Strand(tiles=t, crossings=t, over=o, closed=c, color_index=r,
-               enter_edges=ei, exit_edges=eo)
-        for t, o, c, r, ei, eo in zip(
-            _split(tile_o.tolist(), offsets), _split(over.tolist(), offsets),
-            closed, _color_ranks(tiles, np.asarray(offsets)).tolist(),
-            _split(edge_o[:len(path)].tolist(), offsets),
-            _split(edge_o[len(path):].tolist(), offsets)))
-    return Weaving(kind="quad", strands=strands,
-                   over_strand=dict(zip(tile_o[over].tolist(),
-                                        sid[over].tolist())),
-                   under_strand=dict(zip(tile_o[~over].tolist(),
-                                         sid[~over].tolist())))
-
-
-def _first_per_group(groups: np.ndarray, mask: np.ndarray,
-                     size: int) -> np.ndarray:
-    """Per group id, the first position where ``mask`` holds (-1: none)."""
-    pos = np.flatnonzero(mask)
-    ids, first = np.unique(groups[pos], return_index=True)
-    out = np.full(size, -1, dtype=np.int64)
-    out[ids] = pos[first]
-    return out
+    strand = np.repeat(np.arange(len(closed)), np.diff(offsets))
+    crossing_ids = tiles[over]
+    under_of = np.empty(mesh.face_count, dtype=np.int64)
+    under_of[tiles[~over]] = strand[~over]
+    return Weaving(kind="quad", tile_offsets=offsets, tiles=tiles,
+                   crossing_offsets=offsets, crossings=tiles, over=over,
+                   closed=closed, color_index=_color_ranks(tiles, offsets),
+                   lead_terminal=np.zeros(len(closed), dtype=bool),
+                   crossing_ids=crossing_ids, over_strands=strand[over],
+                   under_strands=under_of[crossing_ids],
+                   enter_edges=edge[path], exit_edges=edge[opposite[path]])
 
 
 def trace_snub_strands(tiling: GluedTiling,
@@ -580,6 +740,10 @@ def trace_snub_strands(tiling: GluedTiling,
     vertex) ends the strand.  The tile glued over a crossed middle edge is
     a node of its own strand; the over/under of the two strands meeting
     there alternates along the crossing strand.
+
+    Open strands come first, by their lower end tile, each walked from
+    that end; closed strands follow, by their lowest tile, each walked
+    from that tile's first designated vertex.
     """
     if provenance is None or provenance.edge_tags is None:
         raise MissingProvenanceError(
@@ -593,30 +757,25 @@ def trace_snub_strands(tiling: GluedTiling,
 
     # each tile's own middle edge: the edge its two faces share, or the
     # singleton's middle edge
-    n_faces = np.fromiter(map(len, tiling.tile_faces), dtype=np.int64,
-                          count=len(tiling.tile_faces))
-    faces = np.fromiter(chain.from_iterable(tiling.tile_faces),
-                        dtype=np.int64, count=int(n_faces.sum()))
-    head = np.concatenate(([0], np.cumsum(n_faces)[:-1]))
-    paired = n_faces == 2
-    mate = np.full(len(head), -1, dtype=np.int64)
-    mate[paired] = faces[head[paired] + 1]
+    mate = tiling.tile_faces[:, 1]
+    paired = mate >= 0
+    n_faces = 1 + paired.astype(np.int64)
     tile_of_first = np.full(source.face_count, -1, dtype=np.int64)
-    tile_of_first[faces[head]] = np.arange(len(head))
+    tile_of_first[tiling.tile_faces[:, 0]] = np.arange(T)
     t_slot = tile_of_first[source.slot_face]
     e = source.face_edge_flat
     across = source.edge_left[e] + source.edge_right[e] - source.slot_face
     own_hit = (t_slot >= 0) & np.where(paired[t_slot], across == mate[t_slot],
                                        is_middle[e])
-    own_count = np.bincount(t_slot[own_hit], minlength=len(head))
+    own_count = np.bincount(t_slot[own_hit], minlength=T)
     if (own_count != 1).any():
         t = int(np.flatnonzero(own_count != 1)[0])
         raise InternalInvariantError(
             f"tile {t} has {int(own_count[t])} own middle edges, expected 1")
-    own = np.empty(len(head), dtype=np.int64)
+    own = np.empty(T, dtype=np.int64)
     own[t_slot[own_hit]] = e[own_hit]
     tile_of_middle = np.full(source.edge_count, -1, dtype=np.int64)
-    tile_of_middle[own] = np.arange(len(head))
+    tile_of_middle[own] = np.arange(T)
 
     # designated vertices per tile (in cycle order); designator per vertex
     mv = middle_of_vertex[tmesh.face_vertex_flat]
@@ -635,94 +794,57 @@ def trace_snub_strands(tiling: GluedTiling,
         raise InternalInvariantError(
             f"bend vertex {int(des_v[dup])} designated by two tiles")
     D = len(des_v)
-    des_off = np.zeros(T + 1, dtype=np.int64)
-    np.cumsum(count, out=des_off[1:])
     index_of = np.full(source.vertex_count, -1, dtype=np.int64)
     index_of[des_v] = np.arange(D)
 
-    # hopping from designated vertex d crosses middle hop_m[d] and arrives
-    # at the far endpoint's designated index arrive[d] in tile hop_t[d]
+    # hopping from designated index d crosses middle hop_m[d] and arrives
+    # at the far endpoint's designated index arrive[d] in tile hop_t[d]; a
+    # strand arriving at a goes on from the other designated index of its
+    # tile, other[a] (-1: none), as a tile designates one or two vertices
     hop_m = middle_of_vertex[des_v]
     far = source.edges[hop_m].sum(axis=1) - des_v
     arrive = index_of[far]
-    hop_t = np.where(arrive >= 0, des_t[arrive], -1)
-    # a strand arriving at a goes on from the designated vertices of its
-    # tile on another middle edge
-    span = count[des_t]
-    pair_a = np.repeat(np.arange(D), span)
-    pair_b = np.repeat(des_off[des_t], span) + np.arange(len(pair_a)) \
-        - np.repeat(np.cumsum(span) - span, span)
-    onward = hop_m[pair_b] != hop_m[pair_a]
-    n_out = np.bincount(pair_a[onward], minlength=D)
-    cont = np.full(D, -1, dtype=np.int64)
-    ids, first = np.unique(pair_a[onward], return_index=True)
-    cont[ids] = pair_b[onward][first]
+    live = arrive >= 0
+    hop_t = np.where(live, des_t[arrive], -1)
+    des_off = np.zeros(T + 1, dtype=np.int64)
+    np.cumsum(count, out=des_off[1:])
+    other = np.where(count[des_t] == 2,
+                     2 * des_off[des_t] + 1 - np.arange(D), -1)
+    # every hop must lead into another tile, and the hop from where it
+    # arrives must lead back; then each tile lies on one strand, entered
+    # once, and other[a] is on another middle edge than a
+    back = live & ((hop_t == des_t) | (arrive[arrive] != np.arange(D)))
+    if back.any():
+        raise InternalInvariantError(
+            f"strand re-entered tile {int(hop_t[back].min())}")
+    # walks over designated indices, d -> other[arrive[d]]; an open walk's
+    # reverse starts at the far end of its last hop, or (a dead last hop)
+    # at the other index of its last tile; indices are in tile order, so
+    # the lower end tile starts a strand
+    path, offsets, closed = _rank_walks(
+        np.where(live, other[arrive], -1), np.where(live, arrive, other),
+        np.arange(D))
 
-    # open strands start at tiles with at most one continuing hop and
-    # trace away from the dead side, after its terminal crossing
-    live = hop_t >= 0
-    n_live = np.bincount(des_t[live], minlength=T)
-    first_live = _first_per_group(des_t, live, T)
-    first_dead = _first_per_group(des_t, ~live, T)
-    start = np.where(count == 0, -1,
-                     np.where(n_live == 1, first_live, des_off[:-1]))
-    lead_d = np.where(n_live == 1, first_dead,
-                      np.where(count > 1, des_off[:-1] + 1, -1))
-    lead_m = np.where(lead_d >= 0, hop_m[lead_d], -1)
-    opens = np.flatnonzero((count < 2) | (n_live < 2))
-
-    hop_m, hop_t, arrive, n_out, cont = (
-        a.tolist() for a in (hop_m, hop_t, arrive, n_out, cont))
-    visited = bytearray(T)
-    tiles, crossings, t_off, c_off, closed, lead = [], [], [0], [0], [], []
-
-    def trace(t0: int, d: int, m0: int) -> None:
-        """Walk from tile ``t0``, first hopping at designated index ``d``."""
-        if m0 >= 0:
-            crossings.append(m0)
-        tiles.append(t0)
-        visited[t0] = 1
-        n, loop = 1, False
-        while d >= 0:
-            crossings.append(hop_m[d])
-            nxt = hop_t[d]
-            if nxt < 0:
-                break
-            if nxt == t0 and n > 1:
-                loop = True
-                break
-            if visited[nxt]:
-                raise InternalInvariantError(
-                    f"strand re-entered tile {nxt}")
-            visited[nxt] = 1
-            tiles.append(nxt)
-            n += 1
-            a = arrive[d]
-            if n_out[a] > 1:
-                raise InternalInvariantError(
-                    f"tile {nxt} offers {n_out[a]} continuations")
-            d = cont[a]
-        closed.append(loop)
-        lead.append(m0 >= 0)
-        t_off.append(len(tiles))
-        c_off.append(len(crossings))
-
-    start_l, lead_l = start.tolist(), lead_m.tolist()
-    for t in opens.tolist():
-        if not visited[t]:
-            trace(t, start_l[t], lead_l[t])
-    # remaining tiles lie on closed strands
-    first_l = des_off.tolist()
-    for t in np.flatnonzero(~np.frombuffer(visited, dtype=bool)).tolist():
-        if not visited[t]:
-            trace(t, first_l[t], -1)
-
-    tiles = np.asarray(tiles, dtype=np.int64)
-    crossings = np.asarray(crossings, dtype=np.int64)
+    # an open strand also visits the tile its last hop arrives at and,
+    # when its first tile holds a dead hop, starts with that crossing
     S = len(closed)
-    n_c = np.diff(c_off)
-    strand_of_tile = np.empty(T, dtype=np.int64)
-    strand_of_tile[tiles] = np.repeat(np.arange(S), np.diff(t_off))
+    n_d = np.diff(offsets)
+    first, last = path[offsets[:-1]], path[offsets[1:] - 1]
+    lead = ~closed & (other[first] >= 0)
+    end_tile = np.where(closed, -1, hop_t[last])
+    t_off = np.zeros(S + 1, dtype=np.int64)
+    np.cumsum(n_d + (end_tile >= 0), out=t_off[1:])
+    c_off = np.zeros(S + 1, dtype=np.int64)
+    np.cumsum(n_d + lead, out=c_off[1:])
+    sid = np.repeat(np.arange(S), n_d)
+    k = np.arange(len(path)) - offsets[sid]
+    tiles = np.empty(t_off[-1], dtype=np.int64)
+    tiles[t_off[sid] + k] = des_t[path]
+    tiles[t_off[1:][end_tile >= 0] - 1] = end_tile[end_tile >= 0]
+    crossings = np.empty(c_off[-1], dtype=np.int64)
+    crossings[c_off[sid] + lead[sid] + k] = hop_m[path]
+    crossings[c_off[:-1][lead]] = hop_m[other[first[lead]]]
+
     dup = _first_repeat(crossings)
     if dup >= 0:
         raise InternalInvariantError(
@@ -731,24 +853,18 @@ def trace_snub_strands(tiling: GluedTiling,
     if (host < 0).any():
         raise InternalInvariantError(
             f"middle edge {int(crossings[host < 0][0])} belongs to no tile")
-    sid = np.repeat(np.arange(S), n_c)
+    n_c = np.diff(c_off)
+    strand_of_tile = np.empty(T, dtype=np.int64)
+    strand_of_tile[tiles] = np.repeat(np.arange(S), np.diff(t_off))
+    c_sid = np.repeat(np.arange(S), n_c)
     over = (np.arange(len(crossings)) - np.repeat(c_off[:-1], n_c)) % 2 == 0
     node = strand_of_tile[host]
-    keys = crossings.tolist()
-    strands = tuple(
-        Strand(tiles=t, crossings=c, over=o, closed=z, color_index=r,
-               lead_terminal=ld)
-        for t, c, o, z, r, ld in zip(
-            _split(tiles.tolist(), t_off), _split(keys, c_off),
-            _split(over.tolist(), c_off), closed,
-            _color_ranks(tiles, np.asarray(t_off)).tolist(), lead))
-    sides = _shared_ints(np.concatenate((np.where(over, sid, node),
-                                         np.where(over, node, sid))))
-    n = len(keys)
-    return Weaving(kind="snub", strands=strands,
-                   over_strand=dict(zip(keys, sides[:n].tolist())),
-                   under_strand=dict(zip(keys, sides[n:].tolist())),
-                   tiling=tiling)
+    return Weaving(kind="snub", tile_offsets=t_off, tiles=tiles,
+                   crossing_offsets=c_off, crossings=crossings, over=over,
+                   closed=closed, color_index=_color_ranks(tiles, t_off),
+                   lead_terminal=lead, crossing_ids=crossings,
+                   over_strands=np.where(over, c_sid, node),
+                   under_strands=np.where(over, node, c_sid), tiling=tiling)
 
 
 def general_face_split_weaving(mesh: Mesh,
@@ -796,7 +912,8 @@ def general_face_split_weaving(mesh: Mesh,
         source=mesh, mesh=quad_mesh,
         pairs=np.zeros((0, 2), dtype=np.int64),
         singletons=np.zeros(0, dtype=np.int64),
-        tile_faces=(), tile_source_edges=np.asarray(inner, dtype=np.int64))
+        tile_faces=np.zeros((0, 2), dtype=np.int64),
+        tile_source_edges=np.asarray(inner, dtype=np.int64))
     coloring = VertexColoring(np.concatenate([
         np.ones(V, dtype=bool), np.zeros(mesh.face_count, dtype=bool)]))
     return tiling, coloring, quad_weaving(quad_mesh, coloring)
@@ -835,16 +952,12 @@ def strand_ribbons(weaving: Weaving, mesh: Mesh,
         raise InvalidParameterError(
             f"width_fraction must lie strictly between 0 and 1, got "
             f"{width_fraction}")
-    strands = weaving.strands
-    S = len(strands)
+    S = len(weaving.closed)
     centers = mesh.face_centroids()
-    tiles = np.fromiter(chain.from_iterable(s.tiles for s in strands),
-                        dtype=np.int64)
-    n_t = np.fromiter((len(s.tiles) for s in strands), dtype=np.int64,
-                      count=S)
-    t_first = np.cumsum(n_t) - n_t
+    tiles = weaving.tiles
+    n_t = np.diff(weaving.tile_offsets)
     t_sid = np.repeat(np.arange(S), n_t)
-    k = np.arange(len(tiles)) - np.repeat(t_first, n_t)    # tile's place
+    k = np.arange(len(tiles)) - weaving.tile_offsets[t_sid]  # tile's place
 
     def midpoints(m: Mesh, ids: np.ndarray) -> np.ndarray:
         return (m.positions[m.edges[ids, 0]] + m.positions[m.edges[ids, 1]]) \
@@ -859,23 +972,19 @@ def strand_ribbons(weaving: Weaving, mesh: Mesh,
     if weaving.kind == "quad":
         # edge midpoint in, then per tile its center and exit midpoint
         lengths = mesh.edge_lengths()
-        e_in = np.fromiter(chain.from_iterable(s.enter_edges for s in strands),
-                           dtype=np.int64, count=len(tiles))
-        e_out = np.fromiter(chain.from_iterable(s.exit_edges
-                                                for s in strands),
-                            dtype=np.int64, count=len(tiles))
+        e_in, e_out = weaving.enter_edges, weaving.exit_edges
+        first_in = e_in[weaving.tile_offsets[:-1]]
         p_off, points, widths = layout(2 * n_t + 1)
-        points[p_off[:-1]] = midpoints(mesh, e_in[t_first])
-        widths[p_off[:-1]] = lengths[e_in[t_first]] * width_fraction / 2.0
+        points[p_off[:-1]] = midpoints(mesh, first_in)
+        widths[p_off[:-1]] = lengths[first_in] * width_fraction / 2.0
         at_tile = p_off[t_sid] + 1 + 2 * k
         points[at_tile] = centers[tiles]
         widths[at_tile] = (lengths[e_in] + lengths[e_out]) \
             * width_fraction / 4.0
         points[at_tile + 1] = midpoints(mesh, e_out)
         widths[at_tile + 1] = lengths[e_out] * width_fraction / 2.0
-        over = np.fromiter(chain.from_iterable(s.over for s in strands),
-                           dtype=bool, count=len(tiles))
-        under_sid, under_at = t_sid[~over], (1 + 2 * k)[~over]
+        under = ~weaving.over
+        under_sid, under_at = t_sid[under], (1 + 2 * k)[under]
     else:
         # snub: tile centers with crossed middle-edge midpoints between,
         # after a leading terminal crossing if any; crossing ids name
@@ -891,15 +1000,10 @@ def strand_ribbons(weaving: Weaving, mesh: Mesh,
                                       + np.arange(n)]
             tile_width[faces] = lengths[ids].mean(axis=1) \
                 * width_fraction / 2.0
-        cross = np.fromiter(chain.from_iterable(s.crossings
-                                                for s in strands),
-                            dtype=np.int64)
-        n_c = np.fromiter((len(s.crossings) for s in strands),
-                          dtype=np.int64, count=S)
-        lead = np.fromiter((s.lead_terminal for s in strands), dtype=bool,
-                           count=S).astype(np.int64)
-        closed = np.fromiter((s.closed for s in strands), dtype=bool,
-                             count=S)
+        cross = weaving.crossings
+        n_c = np.diff(weaving.crossing_offsets)
+        lead = weaving.lead_terminal.astype(np.int64)
+        closed = weaving.closed
         drawn = np.minimum(n_c - lead, n_t)
         p_off, points, widths = layout(lead + n_t + drawn + closed)
         at_tile = p_off[t_sid] + lead[t_sid] + k + np.minimum(k, drawn[t_sid])
@@ -907,7 +1011,7 @@ def strand_ribbons(weaving: Weaving, mesh: Mesh,
         widths[at_tile] = tile_width[tiles]
         c_sid = np.repeat(np.arange(S), n_c)
         # j: position after the lead crossing (-1 for the lead itself)
-        j = np.arange(len(cross)) - np.repeat(np.cumsum(n_c) - n_c, n_c) \
+        j = np.arange(len(cross)) - weaving.crossing_offsets[c_sid] \
             - lead[c_sid]
         on = j < drawn[c_sid]
         rel = np.where(j < 0, 0, lead[c_sid] + 2 * j + 1)
@@ -917,9 +1021,7 @@ def strand_ribbons(weaving: Weaving, mesh: Mesh,
         ends = np.flatnonzero(closed)
         points[p_off[ends + 1] - 1] = points[p_off[ends]]
         widths[p_off[ends + 1] - 1] = widths[p_off[ends]]
-        over = np.fromiter(chain.from_iterable(s.over for s in strands),
-                           dtype=bool, count=len(cross))
-        under = on & ~over
+        under = on & ~weaving.over
         under_sid, under_at = c_sid[under], rel[under]
 
     u_off = np.zeros(S + 1, dtype=np.int64)
@@ -930,4 +1032,4 @@ def strand_ribbons(weaving: Weaving, mesh: Mesh,
             for i, (c, w, u, z) in enumerate(zip(
                 np.split(points, bounds), np.split(widths, bounds),
                 _split(under_at.tolist(), u_off.tolist()),
-                (s.closed for s in strands)))]
+                weaving.closed.tolist()))]

@@ -5,6 +5,7 @@ the test suite, and not only in a full benchmark run.  ``bench/workloads.py``
 is imported as it is, read-only.
 """
 
+import dataclasses
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -23,10 +24,35 @@ LIB = SimpleNamespace(mesh_core=mesh_core, snub=snub, weaving=weaving,
                       errors=errors)
 
 
+def records(obj, kinds):
+    """Every instance of ``kinds`` reachable through containers and
+    dataclass fields of ``obj``."""
+    if isinstance(obj, kinds):
+        yield obj
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        for x in obj:
+            yield from records(x, kinds)
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        for f in dataclasses.fields(obj):
+            yield from records(getattr(obj, f.name), kinds)
+
+
 def test_weaves_full_size_item_passes_its_checks():
     weaves = workloads.WORKLOADS["weaves"]
     (item,) = weaves.items(LIB, np.random.default_rng(3), warm=False)
     out = weaves.run(LIB, item)
+    # the op builds no per-strand Python objects: weaves and tilings hold
+    # arrays (and meshes, which hold arrays), never tuples or dicts
+    found = set()
+    for record in records(out, (weaving.Weaving, weaving.GluedTiling)):
+        found.add(type(record))
+        for f in dataclasses.fields(record):
+            assert isinstance(getattr(record, f.name),
+                              (np.ndarray, str, type(None), mesh_core.Mesh,
+                               weaving.GluedTiling)), f.name
+    assert found == {weaving.Weaving, weaving.GluedTiling}
     assert weaves.check(item, out)
     assert weaves.faces_out(out) > 0
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import snubweave as sw
 from snubweave import (
@@ -13,6 +14,7 @@ from snubweave import (
     NonManifoldError,
     SelfIntersectionError,
 )
+from snubweave.mesh_core import _check_self_intersections
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
@@ -85,6 +87,70 @@ class TestBuildMesh:
         sw.build_mesh(pts, faces)  # accepted silently by default
         with pytest.raises(SelfIntersectionError):
             sw.build_mesh(pts, faces, check_self_intersections=True)
+
+
+def first_crossing(mesh, block=64):
+    """The lowest ``(e, other)`` pair of crossing edges, by testing every
+    pair in blocks of rows (None: no two edges cross)."""
+    edges = mesh.edges
+    ax, ay = mesh.positions[edges[:, 0]].T
+    bx, by = mesh.positions[edges[:, 1]].T
+    for start in range(0, len(edges), block):
+        e = np.arange(start, min(start + block, len(edges)))[:, None]
+        o = np.arange(start, len(edges))[None, :]
+        shares = ((edges[e, 0] == edges[o, 0]) | (edges[e, 0] == edges[o, 1])
+                  | (edges[e, 1] == edges[o, 0])
+                  | (edges[e, 1] == edges[o, 1]))
+        d1x, d1y = bx[e] - ax[e], by[e] - ay[e]
+        c1 = d1x * (ay[o] - ay[e]) - d1y * (ax[o] - ax[e])
+        c2 = d1x * (by[o] - ay[e]) - d1y * (bx[o] - ax[e])
+        d2x, d2y = bx[o] - ax[o], by[o] - ay[o]
+        c3 = d2x * (ay[e] - ay[o]) - d2y * (ax[e] - ax[o])
+        c4 = d2x * (by[e] - ay[o]) - d2y * (bx[e] - ax[o])
+        hit = ~shares & (c1 * c2 < 0) & (c3 * c4 < 0) & (o > e)
+        if hit.any():
+            row, col = np.argwhere(hit)[0]
+            return int(start + row), int(start + col)
+    return None
+
+
+def edges_after(mesh, steps):
+    """Edge count after ``steps`` snub steps, from the count recursion."""
+    e, sum_n = mesh.edge_count, len(mesh.face_vertex_flat)
+    for _ in range(steps):
+        e, sum_n = 3 * e + sum_n, 5 * sum_n
+    return e
+
+
+class TestSelfIntersections:
+    @settings(max_examples=12, deadline=None)
+    @given(spec=st.sampled_from(["pentagon", "pentaflower", "fan:6",
+                                 "grid:2x2"]),
+           steps=st.integers(0, 5), seed=st.integers(0, 2**32 - 1),
+           moved=st.integers(0, 3))
+    @example(spec="pentagon", steps=5, seed=0, moved=2)
+    def test_grid_test_names_the_pair_brute_force_finds(self, spec, steps,
+                                                         seed, moved):
+        # snub histories up to t=5 (8,420 edges on the pentagon), with a
+        # few vertices thrown up to three edge lengths to make crossings
+        source = sw.generate_demo_mesh(spec)
+        steps = min(steps, next(t for t in range(6, -1, -1)
+                                if edges_after(source, t) <= 8420))
+        rng = np.random.default_rng(seed)
+        for mesh in sw.snub_subdivide(source, steps).meshes:
+            scale = float(np.median(mesh.edge_lengths()))
+            positions = mesh.positions.copy()
+            picks = rng.choice(mesh.vertex_count, moved)
+            positions[picks] += rng.uniform(-3, 3, (moved, 2)) * scale
+            mesh = mesh.with_positions(positions)
+            want = first_crossing(mesh)
+            if want is None:
+                _check_self_intersections(mesh)
+                continue
+            with pytest.raises(SelfIntersectionError) as got:
+                _check_self_intersections(mesh)
+            assert str(got.value) == \
+                f"edges {want[0]} and {want[1]} cross each other"
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from snubweave import (
 )
 
 import weaving_reference as ref
+from snubweave.weaving import _rank_walks
 
 MESH_ARRAYS = ("positions", "face_vertex_flat", "face_starts", "edges",
                "edge_left", "edge_right", "face_edge_flat")
@@ -60,21 +61,32 @@ def assert_same_array(a, b, what):
     assert np.array_equal(a, b), what
 
 
+def tile_face_tuples(tile_faces):
+    """A ``(T, 2)`` tile-face array as the reference's tuple of tuples."""
+    if isinstance(tile_faces, tuple):
+        return tile_faces
+    assert tile_faces.dtype == np.int64 and tile_faces.shape[1:] == (2,)
+    return tuple((f,) if g < 0 else (f, g) for f, g in tile_faces.tolist())
+
+
 def assert_same_tiling(got, want):
     for name in MESH_ARRAYS:
         assert_same_array(getattr(got.mesh, name), getattr(want.mesh, name),
                           name)
     assert_same_array(got.pairs, want.pairs, "pairs")
     assert_same_array(got.singletons, want.singletons, "singletons")
-    assert got.tile_faces == want.tile_faces
+    assert tile_face_tuples(got.tile_faces) \
+        == tile_face_tuples(want.tile_faces)
 
 
 def assert_same_weaving(got, want):
+    """Compare through the views, which the reference stores as fields."""
     assert got.kind == want.kind
     assert got.strands == want.strands
     for name in ("over_strand", "under_strand"):
         a, b = getattr(got, name), getattr(want, name)
         assert a == b and list(a) == list(b), name
+    assert got.crossing_count() == want.crossing_count()
 
 
 def assert_same_ribbons(got, want):
@@ -170,6 +182,98 @@ class TestOracleEquivalence:
         assert_same_ribbons(sw.strand_ribbons(got[2], got[0].mesh, width),
                             ref.strand_ribbons(want[2], want[0].mesh, width))
 
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_catmull_clark_fans_have_closed_strands(self, n):
+        # the quads around a fan's centre close up into rings: 1, 2 and 4
+        # of them after 1, 2 and 3 steps
+        mesh = sw.fan_ngon(n)
+        for steps, rings in enumerate((1, 2, 4), start=1):
+            cc = sw.catmull_clark_step(mesh)
+            mesh = cc.mesh
+            coloring = sw.catmull_clark_coloring(cc)
+            for mirror in (False, True):
+                assert_same_quad_weave(mesh, coloring, mirror, 0.3)
+            weaving = sw.quad_weaving(mesh, coloring)
+            assert int(weaving.closed.sum()) == rings
+
+
+# ---------------------------------------------------------------------------
+# ranking strand walks
+# ---------------------------------------------------------------------------
+
+@st.composite
+def walk_tables(draw):
+    """Strands as a successor table: open chains and cycles, each with its
+    reverse walk or without one, and lone nodes that are their own
+    reverse (a quad weave's slots off the quads), under random node ids
+    and orders."""
+    succ, rev = [], []
+    for kind, length in draw(st.lists(st.tuples(
+            st.sampled_from(["chain", "cycle", "one-way chain",
+                             "one-way cycle", "own reverse"]),
+            st.integers(1, 6)), max_size=8)):
+        if kind == "own reverse":
+            rev.append(len(succ))
+            succ.append(-1)
+            continue
+        fwd = list(range(len(succ), len(succ) + length))
+        nxt = fwd[1:] + ([fwd[0]] if "cycle" in kind else [-1])
+        succ += nxt
+        if kind.startswith("one-way"):
+            rev += [-1] * length
+            continue
+        bwd = [x + length for x in fwd]
+        if kind == "chain":     # bwd[i] walks the step fwd[length - 1 - i]
+            succ += bwd[1:] + [-1]
+            rev += bwd[::-1]
+            rev += fwd[::-1]
+        else:                   # bwd[i] walks the step fwd[i] backwards
+            succ += [bwd[-1]] + bwd[:-1]
+            rev += bwd
+            rev += fwd
+    n = len(succ)
+    label = draw(st.permutations(range(n)))
+    new_succ, new_rev = [0] * n, [0] * n
+    for x in range(n):
+        new_succ[label[x]] = label[succ[x]] if succ[x] >= 0 else -1
+        new_rev[label[x]] = label[rev[x]] if rev[x] >= 0 else -1
+    return new_succ, new_rev, draw(st.permutations(range(n)))
+
+
+def walks_by_loop(succ, rev, order):
+    """Walk the table one step at a time, as the loop tracers did: open
+    walks from their first node by order, then cycles from their lowest
+    node; a step walked either way is not walked again, and a node that
+    is its own reverse is no step."""
+    key = [s if r < 0 else min(s, r) for s, r in enumerate(rev)]
+    has_pred = set(succ) - {-1}
+    visited = {s for s, r in enumerate(rev) if r == s}
+    path, offsets, closed = [], [0], []
+    starts = sorted((s for s in range(len(succ)) if s not in has_pred),
+                    key=order.__getitem__)
+    starts += sorted(range(len(succ)), key=order.__getitem__)
+    for s in starts:
+        if key[s] in visited:
+            continue
+        while s >= 0 and key[s] not in visited:
+            visited.add(key[s])
+            path.append(s)
+            s = succ[s]
+        closed.append(s >= 0)
+        offsets.append(len(path))
+    return path, offsets, closed
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=walk_tables())
+def test_rank_walks_matches_a_step_by_step_walk(table):
+    succ, rev, order = table
+    path, offsets, closed = _rank_walks(
+        np.array(succ, dtype=np.int64), np.array(rev, dtype=np.int64),
+        np.array(order, dtype=np.int64))
+    assert (path.tolist(), offsets.tolist(), closed.tolist()) \
+        == walks_by_loop(succ, rev, order)
+
 
 # ---------------------------------------------------------------------------
 # invariants of the woven output
@@ -183,19 +287,20 @@ class TestInvariants:
         check_crossings(weaving)
         tiles = sorted(t for s in weaving.strands for t in s.tiles)
         assert tiles == list(range(tiling.mesh.face_count))
-        faces = sorted(f for fs in tiling.tile_faces for f in fs)
-        assert faces == list(range(tiling.source.face_count))
+        faces = tiling.tile_faces
+        assert np.sort(faces[faces >= 0]).tolist() \
+            == list(range(tiling.source.face_count))
 
     def test_tiles_follow_their_lowest_face(self):
         _, tiling, _ = snub_weave(sw.pentagon_flower(), 2)
-        firsts = [fs[0] for fs in tiling.tile_faces]
-        assert firsts == sorted(firsts)
-        assert all(fs[0] < fs[1] for fs in tiling.tile_faces if len(fs) == 2)
-        sizes = tiling.mesh.face_sizes
+        first, mate = tiling.tile_faces.T
+        paired = mate >= 0
+        assert (np.diff(first) > 0).all()
+        assert (first[paired] < mate[paired]).all()
         src_sizes = tiling.source.face_sizes
-        for t, fs in enumerate(tiling.tile_faces):
-            assert sizes[t] == sum(src_sizes[f] for f in fs) - 2 * (
-                len(fs) - 1)
+        assert np.array_equal(
+            tiling.mesh.face_sizes,
+            src_sizes[first] + np.where(paired, src_sizes[mate] - 2, 0))
 
     def test_quad_strands_cover_each_quad_twice(self):
         cc = sw.catmull_clark_step(sw.pentagon_flower())

@@ -3,12 +3,21 @@
 These are the per-element Python loops the weaving layer was first written
 with: dictionary partner maps, per-face ``np.isin`` and ``mesh.face()``
 calls, cycle merging by search, and per-strand edge-length tables.  They
-are kept verbatim, apart from imports, so the vectorized implementations in
-:mod:`snubweave.weaving` can be checked against them bit for bit.  They are
-slow (quadratic in places); use small inputs.
+are kept verbatim, apart from imports and the local record types below, so
+the vectorized implementations in :mod:`snubweave.weaving` can be checked
+against them bit for bit.  They are slow (quadratic in places); use small
+inputs.
+
+:class:`GluedTiling` and :class:`Weaving` are the records these loops were
+written for: tile faces as a tuple of tuples, strands as a tuple of
+:class:`~snubweave.weaving.Strand` objects and crossings as two dicts.  The
+library stores the same data as arrays; the tests compare the two through
+the library's views.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,13 +33,49 @@ from snubweave.errors import (
 )
 from snubweave.mesh_core import EdgeTag, Mesh, Provenance, build_mesh
 from snubweave.weaving import (
-    GluedTiling,
     Ribbon,
     Strand,
     VertexColoring,
-    Weaving,
     triangle_coloring_check,
 )
+
+
+@dataclass(frozen=True)
+class GluedTiling:
+    """Faces of a source mesh merged pairwise into larger tiles.
+
+    ``mesh`` holds one face per tile over the source vertex set;
+    ``tile_faces[k]`` lists the source faces forming tile ``k`` (two for a
+    glued pair, one for a singleton).  The face-split construction has no
+    source-face tiles; it records the interior source edge each quad
+    covers in ``tile_source_edges`` instead.
+    """
+
+    source: Mesh
+    mesh: Mesh
+    pairs: np.ndarray
+    singletons: np.ndarray
+    tile_faces: tuple[tuple[int, ...], ...]
+    tile_source_edges: np.ndarray | None = None
+
+
+@dataclass(frozen=True)
+class Weaving:
+    """A full strand decomposition with per-crossing over/under records.
+
+    Snub weavings keep a reference to the glued tiling they were traced
+    on, because their crossing ids name middle edges of the refined mesh
+    underneath it.
+    """
+
+    kind: str                       # "quad" or "snub"
+    strands: tuple[Strand, ...]
+    over_strand: dict
+    under_strand: dict
+    tiling: "GluedTiling | None" = None
+
+    def crossing_count(self) -> int:
+        return len(self.over_strand)
 
 
 def _merge_cycles(cycle_f, cycle_g, a: int, b: int) -> list[int]:
