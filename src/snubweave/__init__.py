@@ -19,7 +19,6 @@ from .errors import (
     BoundaryC2EdgeError,
     DegenerateFaceError,
     DepthTooLargeError,
-    InconsistentOrientationError,
     IndexRangeError,
     InsufficientDataError,
     InternalInvariantError,

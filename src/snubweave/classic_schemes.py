@@ -19,7 +19,10 @@ Every refined mesh is written with its sorted edge table, derived in closed
 form from the source's tables rather than by hashing the refined faces, and
 handed to :func:`~.mesh_core._direct_mesh` for the checks that derivation
 cannot rule out; the result equals what :func:`~.mesh_core.build_mesh`
-gives for the same faces, errors included.  New vertices are numbered
+gives for the same faces, errors included, except that a clockwise
+(folded) refined face raises :class:`~.errors.NonManifoldError` naming the
+lowest such face, where ``build_mesh`` would reverse it and name an edge
+walked twice in one direction.  New vertices are numbered
 after the old ones, so the edges at an old vertex come first: they are
 ranked by a stable argsort of their old ends (``edges.ravel()`` for the
 edge vertices ``V + e``, ``face_vertex_flat`` for the sqrt-3 face
@@ -29,7 +32,7 @@ their keys.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import IntEnum
 import math
 
@@ -205,13 +208,21 @@ def _one_to_four_mesh(mesh: Mesh, positions: np.ndarray) -> Mesh:
                         np.concatenate((half, core)), face_edges)
 
 
-def _origins_old_plus_edges(mesh: Mesh):
-    kind = np.concatenate([
-        np.full(mesh.vertex_count, OriginKind.OLD_VERTEX, dtype=np.int8),
-        np.full(mesh.edge_count, OriginKind.EDGE_MIDPOINT, dtype=np.int8)])
-    ids = np.concatenate([np.arange(mesh.vertex_count, dtype=np.int64),
-                          np.arange(mesh.edge_count, dtype=np.int64)])
-    return kind, ids
+def _step_result(source: Mesh, refined: Mesh, sizes,
+                 flipped_edges=None) -> SchemeStepResult:
+    """The result of a step whose refined vertices come in one block per
+    :class:`OriginKind`, in order: ``sizes[k]`` vertices of kind ``k``,
+    made from source elements ``0, 1, ...``.  ``flipped_edges`` defaults to
+    none."""
+    if flipped_edges is None:
+        flipped_edges = np.empty(0, dtype=np.int64)
+    return SchemeStepResult(
+        mesh=refined,
+        vertex_origin_kind=np.repeat(
+            np.arange(len(OriginKind), dtype=np.int8), sizes),
+        vertex_origin_id=np.concatenate(
+            [np.arange(n, dtype=np.int64) for n in sizes]),
+        flipped_edges=flipped_edges, source=source)
 
 
 def loop_step(mesh: Mesh) -> SchemeStepResult:
@@ -249,11 +260,7 @@ def loop_step(mesh: Mesh) -> SchemeStepResult:
     _boundary_rule(mesh, old_pos)
 
     refined = _one_to_four_mesh(mesh, np.vstack([old_pos, edge_pos]))
-    kind, ids = _origins_old_plus_edges(mesh)
-    return SchemeStepResult(mesh=refined, vertex_origin_kind=kind,
-                            vertex_origin_id=ids,
-                            flipped_edges=np.empty(0, dtype=np.int64),
-                            source=mesh)
+    return _step_result(mesh, refined, (mesh.vertex_count, mesh.edge_count, 0))
 
 
 def butterfly_step(mesh: Mesh) -> SchemeStepResult:
@@ -295,11 +302,7 @@ def butterfly_step(mesh: Mesh) -> SchemeStepResult:
                    + 0.125 * (pos[c] + pos[d]) - wings / 16.0)
 
     refined = _one_to_four_mesh(mesh, np.vstack([pos, edge_pos]))
-    kind, ids = _origins_old_plus_edges(mesh)
-    return SchemeStepResult(mesh=refined, vertex_origin_kind=kind,
-                            vertex_origin_id=ids,
-                            flipped_edges=np.empty(0, dtype=np.int64),
-                            source=mesh)
+    return _step_result(mesh, refined, (mesh.vertex_count, mesh.edge_count, 0))
 
 
 def sqrt3_step(mesh: Mesh) -> SchemeStepResult:
@@ -371,15 +374,8 @@ def sqrt3_step(mesh: Mesh) -> SchemeStepResult:
                            rows[:, :3].ravel(),
                            np.arange(0, 3 * len(rows) + 1, 3), edges,
                            rows[:, 3:].ravel())
-    kind = np.concatenate([
-        np.full(V, OriginKind.OLD_VERTEX, dtype=np.int8),
-        np.full(mesh.face_count, OriginKind.FACE_CENTER, dtype=np.int8)])
-    ids = np.concatenate([np.arange(V, dtype=np.int64),
-                          np.arange(mesh.face_count, dtype=np.int64)])
-    return SchemeStepResult(mesh=refined, vertex_origin_kind=kind,
-                            vertex_origin_id=ids,
-                            flipped_edges=np.flatnonzero(inner),
-                            source=mesh)
+    return _step_result(mesh, refined, (V, 0, mesh.face_count),
+                        flipped_edges=np.flatnonzero(inner))
 
 
 def midedge_step(mesh: Mesh) -> SchemeStepResult:
@@ -444,12 +440,7 @@ def midedge_step(mesh: Mesh) -> SchemeStepResult:
         edges,
         np.concatenate([corner[mesh.slot_next], corner[corner_of_cycle]]),
         pinch_check=False)
-    kind = np.full(mesh.edge_count, OriginKind.EDGE_MIDPOINT, dtype=np.int8)
-    ids = np.arange(mesh.edge_count, dtype=np.int64)
-    return SchemeStepResult(mesh=refined, vertex_origin_kind=kind,
-                            vertex_origin_id=ids,
-                            flipped_edges=np.empty(0, dtype=np.int64),
-                            source=mesh)
+    return _step_result(mesh, refined, (0, mesh.edge_count, 0))
 
 
 def catmull_clark_step(mesh: Mesh) -> SchemeStepResult:
@@ -515,17 +506,7 @@ def catmull_clark_step(mesh: Mesh) -> SchemeStepResult:
         np.vstack([old_pos, edge_pts, face_pts]), quads.ravel(),
         np.arange(0, quads.size + 1, 4), np.concatenate((half, links)),
         np.column_stack((out_h, link, link[prev], in_h)).ravel())
-    kind = np.concatenate([
-        np.full(V, OriginKind.OLD_VERTEX, dtype=np.int8),
-        np.full(E, OriginKind.EDGE_MIDPOINT, dtype=np.int8),
-        np.full(mesh.face_count, OriginKind.FACE_CENTER, dtype=np.int8)])
-    ids = np.concatenate([np.arange(V, dtype=np.int64),
-                          np.arange(E, dtype=np.int64),
-                          np.arange(mesh.face_count, dtype=np.int64)])
-    return SchemeStepResult(mesh=refined, vertex_origin_kind=kind,
-                            vertex_origin_id=ids,
-                            flipped_edges=np.empty(0, dtype=np.int64),
-                            source=mesh)
+    return _step_result(mesh, refined, (V, E, mesh.face_count))
 
 
 def doo_sabin_step(mesh: Mesh) -> SchemeStepResult:
@@ -536,9 +517,4 @@ def doo_sabin_step(mesh: Mesh) -> SchemeStepResult:
     intermediate edge.
     """
     first = midedge_step(mesh)
-    second = midedge_step(first.mesh)
-    return SchemeStepResult(mesh=second.mesh,
-                            vertex_origin_kind=second.vertex_origin_kind,
-                            vertex_origin_id=second.vertex_origin_id,
-                            flipped_edges=np.empty(0, dtype=np.int64),
-                            source=mesh, intermediate=first)
+    return replace(midedge_step(first.mesh), source=mesh, intermediate=first)

@@ -42,10 +42,6 @@ class SelfIntersectionError(SnubWeaveError):
 # snub subdivision
 # ---------------------------------------------------------------------------
 
-class InconsistentOrientationError(SnubWeaveError):
-    """Bend-side propagation reached an edge with contradictory flags."""
-
-
 class AmbiguousHalfPlaneError(SnubWeaveError):
     """A new vertex lies on the supporting line of its source edge."""
 

@@ -105,16 +105,19 @@ class Mesh:
     """Immutable planar polygon mesh with derived connectivity tables.
 
     Use :func:`build_mesh` (or a generator) instead of calling the
-    constructor directly; the constructor trusts its arguments.  Only code
-    that derives every table in closed form calls it: the snub step
-    directly, and the classic schemes, the glued tilings and the face-split
-    weaving through :func:`_direct_mesh`, which runs the checks their
-    derivation cannot rule out.
+    constructor directly; the constructor trusts its arguments.  Meshes
+    are made one way: :func:`build_mesh` hashes the face cycles into an
+    edge table and hands it to :func:`_direct_mesh`, which runs the face
+    and pinch checks and calls the constructor.  The classic schemes, the
+    glued tilings and the face-split weaving derive their tables in closed
+    form and call :func:`_direct_mesh` themselves; the snub step calls the
+    constructor and runs the same face checks on its rows of five.
 
     The edge table holds each undirected edge once as ``(lo, hi)`` with
     ``lo < hi``, sorted by ``(lo, hi)``.  :meth:`edge_id` binary-searches
-    it, so every constructor of a mesh (:func:`build_mesh`, the snub step,
-    :func:`_direct_mesh`, :meth:`with_positions`) keeps that order.
+    it, so every maker of a mesh (:func:`_direct_mesh`, and so
+    :func:`build_mesh`; the snub step; :meth:`with_positions`) keeps that
+    order.
     """
 
     def __init__(self, positions, face_vertex_flat, face_starts,
@@ -329,13 +332,14 @@ def build_mesh(points, faces, *, check_self_intersections: bool = False,
     Faces given clockwise are reversed to counterclockwise.  Raises
     :class:`IndexRangeError` for out-of-range indices,
     :class:`DegenerateFaceError` for short/repeating/zero-area cycles or
-    zero-length edges, and :class:`NonManifoldError` when an edge has more
-    than two incident faces or the boundary is pinched at a vertex.
+    zero-length edges, and :class:`NonManifoldError` when an edge is walked
+    twice in the same direction (so also when it has more than two incident
+    faces) or the boundary is pinched at a vertex.
 
+    The edge table is found by hashing the cycles; the rest is
+    :func:`_direct_mesh`, which runs the face and pinch checks.
     ``allow_pinched_boundary`` skips the pinch check, for meshes whose
-    faces may touch at a single vertex and are otherwise well-formed: when
-    one of its checks fails, :func:`_direct_mesh` hands such a mesh (a
-    mid-edge step, a glued tiling or a face-split weave) here with it set.
+    faces may touch at a single vertex and are otherwise well-formed.
 
     ``check_self_intersections`` also rejects two edges that cross (see
     :func:`_check_self_intersections`); it is off by default.
@@ -372,6 +376,7 @@ def build_mesh(points, faces, *, check_self_intersections: bool = False,
     q = np.take(p, nxt, axis=0)
     doubled = np.add.reduceat(p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1],
                               starts[:-1]) if F else np.zeros(0)
+    del p, q
     if F and (doubled == 0.0).any():
         raise DegenerateFaceError(
             f"face {int(np.flatnonzero(doubled == 0.0)[0])} has zero area")
@@ -384,66 +389,67 @@ def build_mesh(points, faces, *, check_self_intersections: bool = False,
         flat_fixed = np.empty_like(flat)
         flat_fixed[np.repeat(starts[:-1], sizes) + new_within] = flat
         flat = flat_fixed
-        nxt = np.arange(1, total + 1, dtype=np.int64)
-        nxt[starts[1:] - 1] = starts[:-1]
 
     # undirected edge table
     u = flat
     v = flat[nxt]
-    a = np.minimum(u, v)
-    b = np.maximum(u, v)
-    key = a * np.int64(V) + b
+    key = np.minimum(u, v) * np.int64(V) + np.maximum(u, v)
     unique_keys, inverse = np.unique(key, return_inverse=True)
     E = len(unique_keys)
     edges = np.column_stack((unique_keys // V, unique_keys % V)) \
         if E else np.zeros((0, 2), dtype=np.int64)
 
-    edge_left = np.full(E, -1, dtype=np.int64)
-    edge_right = np.full(E, -1, dtype=np.int64)
+    # an edge walked twice in one direction has two faces on one side
     left_slots = u < v
-    if np.bincount(inverse[left_slots], minlength=E).max(initial=0) > 1 or \
-       np.bincount(inverse[~left_slots], minlength=E).max(initial=0) > 1:
-        counts = np.bincount(inverse, minlength=E)
-        bad = int(np.argmax(counts))
+    twice = (np.bincount(inverse[left_slots], minlength=E) > 1) \
+        | (np.bincount(inverse[~left_slots], minlength=E) > 1)
+    if twice.any():
+        bad = int(np.argmax(twice))
         raise NonManifoldError(
             f"edge ({int(edges[bad, 0])}, {int(edges[bad, 1])}) has more than "
             f"two incident faces or is traversed twice in the same direction")
-    edge_left[inverse[left_slots]] = slot_face[left_slots]
-    edge_right[inverse[~left_slots]] = slot_face[~left_slots]
 
-    _reject_zero_length_edges(positions, edges)
-    if not allow_pinched_boundary:
-        _reject_pinched_boundary(edges, edge_left, edge_right, V)
-
-    mesh = Mesh(positions.copy(), flat, starts, edges,
-                edge_left, edge_right, inverse)
+    mesh = _direct_mesh(positions.copy(), flat, starts, edges, inverse,
+                        pinch_check=not allow_pinched_boundary)
     if check_self_intersections:
         _check_self_intersections(mesh)
     return mesh
 
 
-def _reject_zero_length_edges(positions: np.ndarray,
-                              edges: np.ndarray) -> None:
-    """Raise :class:`DegenerateFaceError` for an edge whose ends coincide."""
-    zero_len = np.all(np.take(positions, edges[:, 0], axis=0)
-                      == np.take(positions, edges[:, 1], axis=0), axis=1)
+def _reject_bad_faces(p: np.ndarray, q: np.ndarray, starts: np.ndarray,
+                      face_edge_flat: np.ndarray, edges: np.ndarray) -> None:
+    """Raise for a face of zero area, a clockwise face or a zero-length edge.
+
+    ``p`` and ``q`` hold the position of each face slot's vertex and of the
+    next vertex in its cycle, and ``starts`` the first slot of each face.  A
+    zero-area face raises :class:`DegenerateFaceError`, then a clockwise
+    one, which is folded over its neighbors, :class:`NonManifoldError`,
+    each naming the lowest such face; then a zero-length edge raises
+    :class:`DegenerateFaceError` naming the lowest such edge.
+    """
+    cross = p[:, 0] * q[:, 1]
+    cross -= q[:, 0] * p[:, 1]
+    areas = 0.5 * np.add.reduceat(cross, starts)
+    del cross
+    if (areas == 0.0).any():
+        raise DegenerateFaceError(
+            f"face {int(np.flatnonzero(areas == 0.0)[0])} has zero area")
+    if (areas < 0.0).any():
+        raise NonManifoldError(
+            f"face {int(np.flatnonzero(areas < 0.0)[0])} is folded over its "
+            f"neighbors (clockwise after refinement)")
+    zero_len = (p[:, 0] == q[:, 0]) & (p[:, 1] == q[:, 1])
     if zero_len.any():
-        a, b = edges[int(np.flatnonzero(zero_len)[0])]
+        a, b = edges[int(face_edge_flat[zero_len].min())]
         raise DegenerateFaceError(f"edge ({int(a)}, {int(b)}) has zero length")
-
-
-def _boundary_degrees(edges: np.ndarray, edge_left: np.ndarray,
-                      edge_right: np.ndarray, V: int) -> np.ndarray:
-    """Number of boundary edges at each vertex; 0 or 2 unless pinched."""
-    boundary = (edge_left < 0) | (edge_right < 0)
-    return np.bincount(edges[boundary].ravel(), minlength=V)
 
 
 def _reject_pinched_boundary(edges: np.ndarray, edge_left: np.ndarray,
                              edge_right: np.ndarray, V: int) -> None:
     """Raise :class:`NonManifoldError` where more than two boundary edges
     (or just one) meet at a vertex."""
-    bdeg = _boundary_degrees(edges, edge_left, edge_right, V)
+    boundary = (edge_left < 0) | (edge_right < 0)
+    bdeg = np.bincount(edges[boundary].ravel(), minlength=V)
     bad_v = np.flatnonzero((bdeg != 0) & (bdeg != 2))
     if len(bad_v):
         raise NonManifoldError(
@@ -455,48 +461,48 @@ def _direct_mesh(positions: np.ndarray, flat: np.ndarray, starts: np.ndarray,
                  edges: np.ndarray, face_edge_flat: np.ndarray, *,
                  merged_cycles: bool = False,
                  pinch_check: bool = True) -> Mesh:
-    """A mesh from tables derived in closed form, checked where the
-    derivation cannot rule a fault out.
+    """A mesh from known connectivity, checked where that cannot rule a
+    fault out.
 
     ``edges`` is the ``(lo, hi)``-sorted edge table of the face cycles
     ``(flat, starts)``, and ``face_edge_flat`` the edge from each slot to
-    the next; each edge's two faces are read off the slots.  Construction
-    keeps indices in range and every edge between two faces at most, so
-    the checks left are: at least 3 vertices per face, finite coordinates,
-    positive area, no zero-length edge, no vertex twice in a cycle (only
-    ``merged_cycles``, where a cycle joins two source faces that may share
-    a third vertex) and, with ``pinch_check``, no pinched boundary.  When
-    one fails, the faces go to :func:`build_mesh` with the same pinch
-    setting, so the caller gets what a full build gives: its error, or the
-    mesh it builds after reversing a clockwise face.
+    the next; each edge's two faces are read off the slots.  Indices must
+    be in range and no edge walked twice in one direction, as every caller
+    (:func:`build_mesh`, the classic schemes, the glued tilings and the
+    face-split weaving) ensures.  The checks follow :func:`build_mesh`'s
+    order and raise its errors: finite coordinates, at least 3 vertices
+    per face, no vertex twice in a cycle (only ``merged_cycles``, where a
+    cycle joins two source faces that may share a third vertex), the face
+    checks of :func:`_reject_bad_faces` (a clockwise face is not reversed
+    but rejected as folded) and, with ``pinch_check``, no pinched boundary.
     """
     F = len(starts) - 1
     V = len(positions)
     sizes = np.diff(starts)
+    if not np.isfinite(positions).all():
+        raise InvalidParameterError("vertex coordinates must be finite")
+    if F and sizes.min() < 3:
+        raise DegenerateFaceError(
+            f"face {int(np.argmin(sizes))} has fewer than 3 vertices")
+    slot_face = np.repeat(np.arange(F, dtype=np.int64), sizes)
+    if merged_cycles:
+        keys = np.sort(slot_face * V + flat)
+        dup = np.flatnonzero(keys[1:] == keys[:-1])
+        if len(dup):
+            f, v = divmod(int(keys[dup[0]]), V)
+            raise DegenerateFaceError(f"face {f} repeats vertex {v}")
     nxt = np.arange(1, len(flat) + 1, dtype=np.int64)
     nxt[starts[1:] - 1] = starts[:-1]
-    slot_face = np.repeat(np.arange(F, dtype=np.int64), sizes)
+    if F:
+        p = np.take(positions, flat, axis=0)
+        _reject_bad_faces(p, np.take(p, nxt, axis=0), starts[:-1],
+                          face_edge_flat, edges)
+        del p
     E = len(edges)
     sides = np.full(2 * E, -1, dtype=np.int64)
     sides[(flat > flat[nxt]) * E + face_edge_flat] = slot_face
-
-    ok = (F == 0 or sizes.min() >= 3) and bool(np.isfinite(positions).all())
-    if ok and F:
-        p = np.take(positions, flat, axis=0)
-        q = np.take(p, nxt, axis=0)
-        doubled = np.add.reduceat(p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1],
-                                  starts[:-1])
-        ok = bool((doubled > 0.0).all()) and not bool(
-            ((p[:, 0] == q[:, 0]) & (p[:, 1] == q[:, 1])).any())
-    if ok and merged_cycles:
-        keys = np.sort(slot_face * V + flat)
-        ok = not bool((keys[1:] == keys[:-1]).any())
-    if ok and pinch_check:
-        bdeg = _boundary_degrees(edges, sides[:E], sides[E:], V)
-        ok = not bool(((bdeg != 0) & (bdeg != 2)).any())
-    if not ok:
-        return build_mesh(positions, (flat, starts),
-                          allow_pinched_boundary=not pinch_check)
+    if pinch_check:
+        _reject_pinched_boundary(edges, sides[:E], sides[E:], V)
     return Mesh(positions, flat, starts, edges, sides[:E], sides[E:],
                 face_edge_flat)
 

@@ -45,13 +45,16 @@ check is one pass over the finished arrays, before the refined mesh is
 smoothed or recorded.  Its source side gathers each slot's corner, next
 corner, spoke bend point and barycenter once; its refined side gathers each
 face's vertices once, reads each slot's next vertex by rolling the row of
-five, and sums the face centroids the smoothing reuses.  The errors fire in
-this order: a pinched source boundary raises
-:class:`~.errors.NonManifoldError`; a spoke's bend point on its source
-edge's line raises :class:`~.errors.AmbiguousHalfPlaneError`; then a
+five, runs the face checks every mesh construction shares
+(:func:`~.mesh_core._reject_bad_faces`) and sums the face centroids the
+smoothing reuses.  The errors fire in this order: a pinched source boundary
+raises :class:`~.errors.NonManifoldError`; a spoke's bend point on its
+source edge's line raises :class:`~.errors.AmbiguousHalfPlaneError`; then a
 zero-area refined face raises :class:`~.errors.DegenerateFaceError`, a
 clockwise (folded) one :class:`~.errors.NonManifoldError`, and a
-zero-length refined edge :class:`~.errors.DegenerateFaceError`.
+zero-length refined edge :class:`~.errors.DegenerateFaceError`; last, a
+count that breaks the recursion raises
+:class:`~.errors.InternalInvariantError`.
 """
 
 from __future__ import annotations
@@ -64,10 +67,8 @@ import numpy as np
 
 from .errors import (
     AmbiguousHalfPlaneError,
-    DegenerateFaceError,
     InternalInvariantError,
     InvalidParameterError,
-    NonManifoldError,
 )
 from .mesh_core import (
     EdgeTag,
@@ -76,6 +77,7 @@ from .mesh_core import (
     ParentKind,
     Provenance,
     VertexTag,
+    _reject_bad_faces,
     _reject_pinched_boundary,
     classify,
 )
@@ -255,11 +257,10 @@ def _check_geometry(source: Mesh, refined: Mesh, s: int) -> np.ndarray:
     A bend point on its source edge's line raises
     :class:`AmbiguousHalfPlaneError`; a disagreement with the rule, or with
     plain nearest-barycenter distance, is logged (never asserted).
-    Refined side: a zero-area face raises :class:`DegenerateFaceError`, a
-    clockwise (folded) face overlaps its neighbors and raises
-    :class:`NonManifoldError`, and a zero-length edge raises
-    :class:`DegenerateFaceError`.  Each per-slot temporary is freed once
-    used, so the two sides never hold their arrays at once.
+    Refined side: the shared face checks of
+    :func:`~.mesh_core._reject_bad_faces` (zero area, then clockwise, then
+    a zero-length edge).  Each per-slot temporary is freed once used, so
+    the two sides never hold their arrays at once.
     """
     positions = refined.positions
     rows = refined.face_vertex_flat.reshape(-1, 5)
@@ -314,22 +315,8 @@ def _check_geometry(source: Mesh, refined: Mesh, s: int) -> np.ndarray:
     starts = refined.face_starts[:-1]
     pf = np.take(positions, refined.face_vertex_flat, axis=0)
     q = np.roll(pf.reshape(-1, 5, 2), -1, axis=1).reshape(-1, 2)
-    cross = pf[:, 0] * q[:, 1]
-    cross -= q[:, 0] * pf[:, 1]
-    areas = 0.5 * np.add.reduceat(cross, starts)
-    del cross
-    if (areas == 0.0).any():
-        raise DegenerateFaceError(
-            f"face {int(np.flatnonzero(areas == 0.0)[0])} has zero area")
-    if (areas < 0.0).any():
-        raise NonManifoldError(
-            f"face {int(np.flatnonzero(areas < 0.0)[0])} is folded over its "
-            f"neighbors (clockwise after refinement)")
-    zero_len = (pf[:, 0] == q[:, 0]) & (pf[:, 1] == q[:, 1])
+    _reject_bad_faces(pf, q, starts, refined.face_edge_flat, refined.edges)
     del q
-    if zero_len.any():
-        a, b = refined.edges[int(refined.face_edge_flat[zero_len].min())]
-        raise DegenerateFaceError(f"edge ({int(a)}, {int(b)}) has zero length")
     return np.add.reduceat(pf, starts, axis=0) / 5
 
 
@@ -415,6 +402,12 @@ def snub_subdivide(mesh: Mesh, steps: int, smoothing: bool = True,
     The bend sides are re-derived at every step from ``seed_flag``, so
     identical inputs and parameters give bitwise-identical histories.  With
     ``smoothing`` off, operation 4 is skipped.
+
+    A step that folds a face raises :class:`~.errors.NonManifoldError`, but
+    only clockwise faces are rejected: two counterclockwise faces can still
+    overlap, so edges can cross (without smoothing this happens at modest
+    depth, e.g. on ``ngon(3)`` at t=4).  ``_check_self_intersections`` in
+    :mod:`~.mesh_core` finds such crossings; the step does not run it.
     """
     if steps < 0:
         raise InvalidParameterError(f"steps must be >= 0, got {steps}")

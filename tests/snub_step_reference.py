@@ -8,7 +8,8 @@ smoothing, which recomputes the face centroids.  They are kept verbatim,
 apart from imports and the small loop ``subdivide`` (the one of
 ``snub_subdivide``), so the library's step can be checked against them bit
 for bit: meshes, provenance, errors and log records.  The log records go to
-this module's own logger.
+this module's own logger.  ``_reject_zero_length_edges`` is a verbatim copy
+of the edge-table check ``mesh_core`` had then.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from snubweave.mesh_core import (
     Provenance,
     VertexTag,
     _reject_pinched_boundary,
-    _reject_zero_length_edges,
     classify,
 )
 from snubweave.snub import ZOrientation
@@ -39,6 +39,16 @@ from snubweave.snub import ZOrientation
 logger = logging.getLogger(__name__)
 
 _SQRT3 = math.sqrt(3.0)
+
+
+def _reject_zero_length_edges(positions: np.ndarray,
+                              edges: np.ndarray) -> None:
+    """Raise :class:`DegenerateFaceError` for an edge whose ends coincide."""
+    zero_len = np.all(np.take(positions, edges[:, 0], axis=0)
+                      == np.take(positions, edges[:, 1], axis=0), axis=1)
+    if zero_len.any():
+        a, b = edges[int(np.flatnonzero(zero_len)[0])]
+        raise DegenerateFaceError(f"edge ({int(a)}, {int(b)}) has zero length")
 
 
 def _bend_points(mesh: Mesh, s: int):

@@ -523,6 +523,68 @@ def step_outcome(step, *args):
         return "raised", type(exc), str(exc)
 
 
+FOLD = "face {} is folded over its neighbors (clockwise after refinement)"
+
+
+def clockwise_faces(points, faces):
+    """Ids of the cycles of ``faces`` (lists, or CSR arrays) that wind
+    clockwise, by the shoelace sum :func:`build_mesh` takes."""
+    if isinstance(faces, tuple):
+        flat, starts = faces
+    else:
+        starts = np.cumsum([0] + [len(cycle) for cycle in faces])
+        flat = np.concatenate([np.asarray(cycle, dtype=np.int64)
+                               for cycle in faces])
+    p = np.asarray(points, dtype=np.float64)[flat]
+    nxt = np.arange(1, len(flat) + 1)
+    nxt[starts[1:] - 1] = starts[:-1]
+    q = p[nxt]
+    doubled = np.add.reduceat(p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1],
+                              starts[:-1])
+    return np.flatnonzero(doubled < 0.0)
+
+
+def oracle_outcome(oracle, *args):
+    """``step_outcome(oracle, *args)``, and the points and faces of the
+    oracle's ``build_mesh`` call that raised (None if none did)."""
+    failed = []
+
+    def spy(points, faces, **kwargs):
+        try:
+            return build_mesh(points, faces, **kwargs)
+        except sw.SnubWeaveError:
+            failed.append((points, faces))
+            raise
+
+    with mock.patch.object(ref, "build_mesh", spy), \
+            mock.patch.object(wref, "build_mesh", spy):
+        outcome = step_outcome(oracle, *args)
+    return outcome, (failed[-1] if failed else None)
+
+
+def assert_outcome_as_oracle(got, oracle, *args):
+    """Check a library step's outcome ``got`` against ``oracle(*args)``, and
+    return the oracle's outcome.
+
+    A library step rejects a clockwise face as folded, where the oracle's
+    ``build_mesh`` reverses it and then finds an edge walked twice in one
+    direction.  So a library fold passes when the oracle raises
+    :class:`NonManifoldError` and the folded face is the lowest clockwise
+    face of the oracle's failing ``build_mesh`` call.  Any other outcome
+    must be the oracle's: the same error and message, or a returned
+    result (compared by the caller).
+    """
+    want, failed = oracle_outcome(oracle, *args)
+    clockwise = clockwise_faces(*failed) if failed else []
+    if want[:2] == ("raised", NonManifoldError) and len(clockwise) \
+            and got == ("raised", NonManifoldError, FOLD.format(clockwise[0])):
+        return want
+    assert got[0] == want[0]
+    if got[0] == "raised":
+        assert got == want
+    return want
+
+
 def mixed_triangulation(w, h, splits, seed):
     """Jittered ``w`` x ``h`` grid of unit squares, square ``k`` cut by
     ``splits[k]``: 0 or 1 picks a diagonal, 2 also cones the first triangle
@@ -583,14 +645,11 @@ class TestOracleEquivalence:
     @settings(max_examples=40, deadline=None)
     @given(mesh=triangle_meshes())
     def test_triangle_schemes_match_oracle(self, mesh):
-        # butterfly can fold a jittered mesh; then both must raise alike
+        # butterfly can fold a jittered mesh (see assert_outcome_as_oracle)
         for name in TRIANGLE_SCHEMES:
             got = step_outcome(getattr(sw, name), mesh)
-            want = step_outcome(getattr(ref, name), mesh)
-            assert got[0] == want[0], name
-            if got[0] == "raised":
-                assert got == want, name
-            else:
+            want = assert_outcome_as_oracle(got, getattr(ref, name), mesh)
+            if got[0] == "returned":
                 assert_same_step(got[1], want[1])
 
     @settings(max_examples=25, deadline=None)
@@ -600,14 +659,18 @@ class TestOracleEquivalence:
 
     def test_butterfly_fold_raises_as_the_oracle_does(self):
         # a jittered 3 x 3 grid with one coned square, on which butterfly
-        # folds one refined triangle clockwise; build_mesh reverses it and
-        # finds an edge walked twice the same way
+        # folds refined triangle 30 = (16, 33, 45) clockwise; the oracle's
+        # build_mesh reverses it and finds its edge (16, 33) walked twice
+        # the same way
         mesh = mixed_triangulation(3, 3, [1, 0, 1, 2, 1, 0, 1, 0, 0], seed=782)
         got = step_outcome(butterfly_step, mesh)
-        assert got == step_outcome(ref.butterfly_step, mesh)
-        assert got == ("raised", NonManifoldError,
-                       "edge (1, 20) has more than two incident faces or is "
-                       "traversed twice in the same direction")
+        assert got == ("raised", NonManifoldError, FOLD.format(30))
+        assert assert_outcome_as_oracle(got, ref.butterfly_step, mesh) == (
+            "raised", NonManifoldError,
+            "edge (16, 33) has more than two incident faces or is traversed "
+            "twice in the same direction")
+        _, (points, (flat, starts)) = oracle_outcome(ref.butterfly_step, mesh)
+        assert sorted(flat[starts[30]:starts[31]]) == [16, 33, 45]
 
     def test_all_schemes_match_oracle_on_mixed_valences(self):
         mesh = mixed_triangulation(4, 4, [2, 0, 1, 2, 1, 1, 0, 0,
@@ -635,19 +698,17 @@ def built_meshes(result):
 
 def assert_built_as_build_mesh(ours, oracle, *args, pinch_check=True):
     """``ours(*args)`` writes meshes equal, in all seven arrays, to what
-    :func:`build_mesh` makes of their faces; or it raises the error of
-    ``oracle``, which hands the same faces to ``build_mesh``.
-
-    A check that fails hands the faces to ``build_mesh``, which would also
-    mend a wrong table, so a mesh that comes back must not have gone there.
+    :func:`build_mesh` makes of their faces, without calling it; or it
+    raises the error of ``oracle``, which hands the same faces to
+    ``build_mesh`` (see :func:`assert_outcome_as_oracle` for a fold).
     """
     with mock.patch.object(mesh_core, "build_mesh",
                            wraps=mesh_core.build_mesh) as full_build:
         got = step_outcome(ours, *args)
-    if got[0] == "raised":
-        assert got == step_outcome(oracle, *args)
-        return
     assert not full_build.called
+    if got[0] == "raised":
+        assert_outcome_as_oracle(got, oracle, *args)
+        return
     for mesh in built_meshes(got[1]):
         rebuilt = build_mesh(mesh.positions,
                              (mesh.face_vertex_flat, mesh.face_starts),

@@ -14,7 +14,7 @@ from snubweave import (
     NonManifoldError,
     SelfIntersectionError,
 )
-from snubweave.mesh_core import _check_self_intersections
+from snubweave.mesh_core import _check_self_intersections, _direct_mesh
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
@@ -74,6 +74,14 @@ class TestBuildMesh:
         with pytest.raises(NonManifoldError):
             sw.build_mesh(pts, [[0, 1, 2, 3], [2, 4, 5, 6]])
 
+    def test_non_manifold_error_names_the_edge_walked_twice(self):
+        # edge (1, 4) has two faces, one on each side; (4, 5) is walked from
+        # 5 to 4 by both the right quad and the triangle
+        pts = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (0.0, 1.0), (1.0, 1.0),
+               (2.0, 1.0), (1.5, 0.5)]
+        with pytest.raises(NonManifoldError, match=r"^edge \(4, 5\) has "):
+            sw.build_mesh(pts, [[0, 1, 4, 3], [1, 2, 5, 4], [5, 4, 6]])
+
     def test_nonfinite_coordinates_rejected(self):
         with pytest.raises(InvalidParameterError):
             sw.build_mesh([(0.0, 0.0), (1.0, float("nan")), (0.0, 1.0)],
@@ -87,6 +95,94 @@ class TestBuildMesh:
         sw.build_mesh(pts, faces)  # accepted silently by default
         with pytest.raises(SelfIntersectionError):
             sw.build_mesh(pts, faces, check_self_intersections=True)
+
+
+# ---------------------------------------------------------------------------
+# _direct_mesh: known connectivity, the checks it cannot rule out
+# ---------------------------------------------------------------------------
+
+# hand-written tables: positions, face cycles, the sorted edge table and
+# each slot's edge id
+TWO_TRIANGLES = (UNIT_SQUARE, [0, 1, 2, 0, 2, 3], [0, 3, 6],
+                 [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)],
+                 [0, 3, 1, 1, 4, 2])
+BOWTIE = ([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)],
+          [0, 1, 2, 0, 3, 4], [0, 3, 6],
+          [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (3, 4)],
+          [0, 4, 1, 2, 5, 3])
+
+
+def direct(points, flat, starts, edges, face_edge_flat, **options):
+    return _direct_mesh(np.array(points, dtype=np.float64),
+                        np.array(flat, dtype=np.int64),
+                        np.array(starts, dtype=np.int64),
+                        np.array(edges, dtype=np.int64).reshape(-1, 2),
+                        np.array(face_edge_flat, dtype=np.int64), **options)
+
+
+class TestDirectMesh:
+    def test_equals_build_mesh(self):
+        got = direct(*TWO_TRIANGLES)
+        want = sw.build_mesh(UNIT_SQUARE, [[0, 1, 2], [0, 2, 3]])
+        for name in ("positions", "face_vertex_flat", "face_starts", "edges",
+                     "edge_left", "edge_right", "face_edge_flat"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
+    def test_nonfinite_coordinates_rejected_first(self):
+        points = [(0.0, 0.0), (1.0, float("inf")), (0.0, 1.0)]
+        with pytest.raises(InvalidParameterError,
+                           match="^vertex coordinates must be finite$"):
+            direct(points, [0, 1], [0, 2], [(0, 1)], [0, 0])
+
+    def test_short_cycle_rejected(self):
+        with pytest.raises(DegenerateFaceError,
+                           match="^face 1 has fewer than 3 vertices$"):
+            direct(UNIT_SQUARE, [0, 1, 2, 0, 2], [0, 3, 5],
+                   [(0, 1), (0, 2), (1, 2)], [0, 2, 1, 1, 1])
+
+    def test_repeated_vertex_rejected_in_merged_cycles_only(self):
+        # a zero-area cycle (0, 1, 2, 1): a merged cycle stops at the
+        # repeat, any other at the area
+        table = ([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)], [0, 1, 2, 1], [0, 4],
+                 [(0, 1), (1, 2)], [0, 1, 1, 0])
+        with pytest.raises(DegenerateFaceError,
+                           match="^face 0 repeats vertex 1$"):
+            direct(*table, merged_cycles=True)
+        with pytest.raises(DegenerateFaceError,
+                           match="^face 0 has zero area$"):
+            direct(*table)
+
+    def test_zero_area_face_rejected(self):
+        with pytest.raises(DegenerateFaceError,
+                           match="^face 0 has zero area$"):
+            direct([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)], [0, 1, 2], [0, 3],
+                   [(0, 1), (0, 2), (1, 2)], [0, 2, 1])
+
+    def test_clockwise_face_rejected_as_folded(self):
+        # build_mesh reverses face 1 and builds the square; known
+        # connectivity is not reoriented
+        points, _, starts, edges, _ = TWO_TRIANGLES
+        with pytest.raises(NonManifoldError,
+                           match=r"^face 1 is folded over its neighbors "
+                                 r"\(clockwise after refinement\)$"):
+            direct(points, [0, 1, 2, 0, 3, 2], starts, edges,
+                   [0, 3, 1, 2, 4, 1])
+        assert sw.build_mesh(points, [[0, 1, 2], [0, 3, 2]]).face_count == 2
+
+    def test_zero_length_edge_names_the_lowest_edge(self):
+        # slot 1 walks (1, 2) first, but (0, 4) has the lower edge id
+        points = [(0.0, 0.0), (2.0, 0.0), (2.0, 0.0), (1.0, 2.0), (0.0, 0.0)]
+        with pytest.raises(DegenerateFaceError,
+                           match=r"^edge \(0, 4\) has zero length$"):
+            direct(points, [0, 1, 2, 3, 4], [0, 5],
+                   [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)], [0, 2, 3, 4, 1])
+
+    def test_pinched_boundary_rejected_unless_allowed(self):
+        with pytest.raises(NonManifoldError,
+                           match=r"^boundary is pinched at vertex 0 "
+                                 r"\(4 boundary edges meet there\)$"):
+            direct(*BOWTIE)
+        assert direct(*BOWTIE, pinch_check=False).face_count == 2
 
 
 def first_crossing(mesh, block=64):

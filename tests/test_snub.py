@@ -14,8 +14,10 @@ from snubweave import (
     EdgeTag,
     InvalidParameterError,
     NonManifoldError,
+    SelfIntersectionError,
     VertexTag,
 )
+from snubweave.mesh_core import _check_self_intersections
 from snubweave.snub import _check_geometry
 
 import snub_reference
@@ -195,6 +197,16 @@ class TestRefinedGeometryChecks:
     def test_unjittered_fan3_folds_at_depth_three(self):
         with pytest.raises(NonManifoldError, match=r"^face \d+ is folded"):
             sw.snub_subdivide(sw.fan_ngon(3), 3)
+
+    def test_unsmoothed_triangle_overlaps_without_a_fold(self):
+        # known defect: only clockwise faces are rejected, and at t=4 without
+        # smoothing two counterclockwise faces of the triangle's refinement
+        # overlap, so their edges cross
+        mesh = sw.snub_subdivide(sw.ngon(3), 4, smoothing=False).meshes[4]
+        assert (mesh.face_signed_areas() > 0).all()
+        with pytest.raises(SelfIntersectionError,
+                           match="^edges 104 and 717 cross each other$"):
+            _check_self_intersections(mesh)
 
     def test_pinched_source_is_non_manifold(self):
         bowtie = sw.build_mesh([(0, 0), (1, 0), (0, 1), (-1, 0), (0, -1)],
