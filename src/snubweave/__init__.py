@@ -94,8 +94,6 @@ from .fractal import (
     CurveTrack,
     DimensionEstimate,
     FirstHitRaster,
-    LSystem,
-    SNUB_BOUNDARY_LSYSTEM,
     boundary_lengths,
     box_counting_dimension,
     default_palette,

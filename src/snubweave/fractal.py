@@ -12,8 +12,9 @@ fixed rate; they are tracked and reported, never asserted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
+import numbers
 
 import numpy as np
 
@@ -26,8 +27,6 @@ from .errors import (
 from .snub import ALPHA, SubdivisionHistory
 
 __all__ = [
-    "LSystem",
-    "SNUB_BOUNDARY_LSYSTEM",
     "lsystem_expand",
     "boundary_lengths",
     "DimensionEstimate",
@@ -49,28 +48,12 @@ SEGMENT_SCALE = 1.0 / _SQRT7
 #: Boundary length growth factor per step.
 LENGTH_FACTOR = 3.0 / _SQRT7
 
-
-@dataclass(frozen=True)
-class LSystem:
-    """A single-rule turtle rewriting system."""
-
-    axiom: str = "F"
-    variable: str = "F"
-    production: str = "∇F-F+F△"
-    alpha: float = ALPHA
-    #: turn (in units of ``alpha`` and ``pi/3`` respectively) per symbol
-    turns: dict = field(default_factory=lambda: {
-        "∇": (1, 0), "△": (-1, 0), "+": (0, 1), "-": (0, -1)})
+#: Deepest expansion ``lsystem_expand`` runs (``3**12`` segments).
+_MAX_DEPTH = 12
 
 
-#: The rewriting system whose curve is the snub boundary of one edge.
-SNUB_BOUNDARY_LSYSTEM = LSystem()
-
-
-def lsystem_expand(depth: int, max_depth: int = 12,
-                   system: LSystem = SNUB_BOUNDARY_LSYSTEM
-                   ) -> tuple[str, np.ndarray]:
-    """Expand the rewriting system and run its turtle.
+def lsystem_expand(depth: int) -> tuple[str, np.ndarray]:
+    """Expand ``F -> ∇F-F+F△`` ``depth`` times and run its turtle.
 
     Returns the symbol string after ``depth`` rewrites and the turtle
     polyline as an ``(n+1, 2)`` array, starting at the origin with one unit
@@ -80,26 +63,24 @@ def lsystem_expand(depth: int, max_depth: int = 12,
     ``alpha`` and of 60 degrees), so long expansions accumulate no heading
     drift.
     """
-    if depth < 0:
-        raise InvalidParameterError(f"depth must be >= 0, got {depth}")
-    if depth > max_depth:
+    if not isinstance(depth, numbers.Integral) or depth < 0:
+        raise InvalidParameterError(
+            f"depth must be an integer >= 0, got {depth!r}")
+    if depth > _MAX_DEPTH:
         raise DepthTooLargeError(
-            f"depth {depth} exceeds the guard cap {max_depth}")
-    symbols = system.axiom
+            f"depth {depth} exceeds the guard cap {_MAX_DEPTH}")
+    symbols = "F"
     for _ in range(depth):
-        symbols = symbols.replace(system.variable, system.production)
+        symbols = symbols.replace("F", "∇F-F+F△")
 
-    a = b = 0
-    headings = []
-    for ch in symbols:
-        if ch == system.variable:
-            headings.append((a, b))
-        else:
-            da, db = system.turns[ch]
-            a += da
-            b += db
-    heading = np.asarray(headings, dtype=np.float64)
-    angle = heading[:, 0] * system.alpha + heading[:, 1] * (math.pi / 3.0)
+    # each F's heading is the sum of the turns before it: one running sum
+    # per (left, right) turn pair over the code points, read at the Fs
+    codes = np.frombuffer(symbols.encode("utf-32-le"), dtype="<u4")
+    forward = codes == ord("F")
+    a, b = (np.cumsum((codes == ord(left)).astype(np.int64)
+                      - (codes == ord(right)))[forward]
+            for left, right in ("∇△", "+-"))
+    angle = a * ALPHA + b * (math.pi / 3.0)
     step = SEGMENT_SCALE ** depth
     moves = np.stack([np.cos(angle), np.sin(angle)], axis=1) * step
     polyline = np.vstack([[0.0, 0.0], np.cumsum(moves, axis=0)])
@@ -126,6 +107,14 @@ class DimensionEstimate:
     log_values: np.ndarray
 
 
+def _loglog_fit(log_x: np.ndarray, log_y: np.ndarray) -> tuple[float, float]:
+    """Least-squares slope of ``log_y`` against ``log_x``, and the fit's RMS
+    residual."""
+    slope, intercept = np.polyfit(log_x, log_y, 1)
+    fit = slope * log_x + intercept
+    return slope, float(np.sqrt(np.mean((fit - log_y) ** 2)))
+
+
 def estimate_fractal_dimension(lengths) -> DimensionEstimate:
     """Dimension of a curve family from its per-step lengths.
 
@@ -143,9 +132,7 @@ def estimate_fractal_dimension(lengths) -> DimensionEstimate:
     t = np.arange(len(lengths))
     log_s = t * math.log(SEGMENT_SCALE)
     log_l = np.log(lengths)
-    slope, intercept = np.polyfit(log_s, log_l, 1)
-    fit = slope * log_s + intercept
-    residual = float(np.sqrt(np.mean((fit - log_l) ** 2)))
+    slope, residual = _loglog_fit(log_s, log_l)
     return DimensionEstimate(dimension=float(1.0 - slope), residual=residual,
                              log_sizes=log_s, log_values=log_l)
 
@@ -163,6 +150,8 @@ def box_counting_dimension(polyline: np.ndarray,
     pts = np.asarray(polyline, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 2:
         raise InvalidParameterError("polyline must be an (n, 2) array, n >= 2")
+    if not np.isfinite(pts).all():
+        raise InvalidParameterError("polyline coordinates must be finite")
     if len(grid_sizes) < 3:
         raise InsufficientDataError("need at least 3 grid sizes")
     if min(grid_sizes) < 2 or len(set(grid_sizes)) != len(grid_sizes):
@@ -187,9 +176,7 @@ def box_counting_dimension(polyline: np.ndarray,
         counts.append(len(np.unique(ij[:, 0] * n + ij[:, 1])))
     log_n = np.log(np.asarray(grid_sizes, dtype=np.float64))
     log_c = np.log(np.asarray(counts, dtype=np.float64))
-    slope, intercept = np.polyfit(log_n, log_c, 1)
-    fit = slope * log_n + intercept
-    residual = float(np.sqrt(np.mean((fit - log_c) ** 2)))
+    slope, residual = _loglog_fit(log_n, log_c)
     return DimensionEstimate(dimension=float(slope), residual=residual,
                              log_sizes=log_n, log_values=log_c)
 
@@ -205,7 +192,7 @@ class CurveTrack:
     seed_edge: int
     vertex_paths: list      # per step: (k,) vertex-id array into that mesh
     lengths: list           # per step: polyline length (float)
-    endpoints_fixed: tuple  # (bool, bool): endpoint never moves across steps
+    endpoints_fixed: tuple  # (bool, bool): endpoint within 1e-12 of start
 
     @property
     def growth_factors(self) -> list:
@@ -227,69 +214,58 @@ def track_inner_curves(history: SubdivisionHistory, seed_edges,
     Each edge becomes three at every step (its replacement segments); the
     tracked object is the polyline through the descendant vertices, measured
     with each step's final (smoothed) positions.  An endpoint is flagged
-    fixed when its position is identical across all tracked steps — true for
-    boundary vertices and for vertices pinned by symmetry.
+    fixed when both its coordinates stay within ``1e-12`` of their
+    start-step values across all tracked steps — true for boundary vertices
+    and for vertices pinned by symmetry.
     """
     if not 0 <= start_step < len(history.meshes):
         raise InvalidParameterError(
             f"start step {start_step} outside history of {len(history.meshes)}")
     base = history.meshes[start_step]
-    seed_edges = [int(e) for e in seed_edges]
-    for e in seed_edges:
-        if not 0 <= e < base.edge_count:
-            raise UnknownSeedError(
-                f"edge {e} does not exist at step {start_step} "
-                f"({base.edge_count} edges)")
+    seeds = np.asarray(seed_edges)
+    if seeds.ndim != 1 or (seeds.size and seeds.dtype.kind not in "iu"):
+        raise UnknownSeedError(
+            f"seed edges must be a sequence of integer edge ids, "
+            f"got {seed_edges!r}")
+    outside = (seeds < 0) | (seeds >= base.edge_count)
+    if outside.any():
+        raise UnknownSeedError(
+            f"edge {seeds[outside][0]} does not exist at step {start_step} "
+            f"({base.edge_count} edges)")
 
-    curves = []
-    for e in seed_edges:
-        a, b = (int(v) for v in base.edges[e])
-        path = np.asarray([a, b], dtype=np.int64)
-        paths = [path]
-        lengths = [_polyline_length(base, path)]
-        for t in range(start_step + 1, len(history.meshes)):
-            source = history.meshes[t - 1]
-            mesh = history.meshes[t]
-            path = _refine_path(source, path)
-            paths.append(path)
-            lengths.append(_polyline_length(mesh, path))
-        fixed = tuple(_position_stable(history, start_step, paths, which)
-                      for which in (0, -1))
-        curves.append(CurveTrack(seed_edge=e, vertex_paths=paths,
-                                 lengths=lengths, endpoints_fixed=fixed))
+    # one row per seed: every step refines and measures all paths at once
+    ends = base.edges[seeds.astype(np.int64)]
+    home = base.positions[ends]
+    fixed = np.ones(ends.shape, dtype=bool)
+    path, paths, lengths = ends, [], []
+    for t in range(start_step, len(history.meshes)):
+        if t > start_step:
+            path = _refine_path(history.meshes[t - 1], path)
+        pos = np.asarray(history.meshes[t].positions)
+        d = np.diff(pos[path], axis=1)
+        paths.append(path)
+        lengths.append(np.hypot(d[..., 0], d[..., 1]).sum(axis=1))
+        fixed &= np.isclose(pos[ends], home, rtol=0.0, atol=1e-12).all(axis=2)
+    rows = zip(seeds.tolist(), np.column_stack(lengths).tolist(),
+               fixed.tolist())
+    curves = [CurveTrack(seed_edge=e, vertex_paths=[p[i] for p in paths],
+                         lengths=row, endpoints_fixed=tuple(ok))
+              for i, (e, row, ok) in enumerate(rows)]
     return CurveFamily(start_step=start_step, curves=curves)
 
 
-def _polyline_length(mesh, path: np.ndarray) -> float:
-    pos = np.asarray(mesh.positions)[path]
-    return float(np.hypot(*(np.diff(pos, axis=0)).T).sum())
-
-
 def _refine_path(source, path: np.ndarray) -> np.ndarray:
-    """Vertex path in the refined mesh after replacing each edge by three."""
+    """Vertex paths (rows) in the refined mesh, each edge replaced by three."""
     V = source.vertex_count
-    u = path[:-1]
-    v = path[1:]
+    u, v = path[:, :-1], path[:, 1:]
     e = source.edge_id(u, v)
-    first = np.where(u == source.edges[e, 0],
-                     V + 2 * e, V + 2 * e + 1)
+    first = np.where(u == source.edges[e, 0], V + 2 * e, V + 2 * e + 1)
     second = (2 * V + 4 * e + 1) - first
-    out = np.empty(3 * len(e) + 1, dtype=np.int64)
-    out[0::3] = path
-    out[1::3] = first
-    out[2::3] = second
+    out = np.empty((len(path), 3 * e.shape[1] + 1), dtype=np.int64)
+    out[:, 0::3] = path
+    out[:, 1::3] = first
+    out[:, 2::3] = second
     return out
-
-
-def _position_stable(history, start_step, paths, which) -> bool:
-    reference = None
-    for t, path in zip(range(start_step, len(history.meshes)), paths):
-        p = np.asarray(history.meshes[t].positions)[path[which]]
-        if reference is None:
-            reference = p
-        elif not np.allclose(p, reference, atol=1e-12, rtol=0.0):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -299,17 +275,13 @@ def _position_stable(history, start_step, paths, which) -> bool:
 def default_palette(steps: int) -> np.ndarray:
     """RGB ramp per step: dark-to-bright blues for the first ten steps,
     then a dark-to-bright green ramp for later ones."""
-    colors = np.zeros((max(steps, 1), 3), dtype=np.uint8)
-    for t in range(len(colors)):
-        if t < 10:
-            f = t / 9.0 if len(colors) > 1 else 0.0
-            colors[t] = (int(30 + 90 * f), int(40 + 140 * f),
-                         int(90 + 165 * f))
-        else:
-            f = min((t - 10) / 9.0, 1.0)
-            colors[t] = (int(20 + 80 * f), int(110 + 145 * f),
-                         int(40 + 60 * f))
-    return colors
+    t = np.arange(max(steps, 1))
+    blue = (t < 10)[:, None]
+    f = np.where(blue, t[:, None] / 9.0,
+                 np.minimum((t[:, None] - 10) / 9.0, 1.0))
+    low = np.where(blue, (30, 40, 90), (20, 110, 40))
+    gain = np.where(blue, (90, 140, 165), (80, 145, 60))
+    return (low + gain * f).astype(np.uint8)
 
 
 @dataclass(frozen=True)
@@ -357,9 +329,12 @@ def first_hit_raster(history: SubdivisionHistory, resolution: int,
         pad = 0.25 * float(max(hi - lo))
         window = (float(lo[0] - pad), float(lo[1] - pad),
                   float(hi[0] + pad), float(hi[1] + pad))
-    xmin, ymin, xmax, ymax = map(float, window)
-    if not (xmax > xmin and ymax > ymin):
-        raise InvalidParameterError("window must have positive extent")
+    bounds = np.asarray(window, dtype=np.float64)
+    if (bounds.shape != (4,) or not np.isfinite(bounds).all()
+            or (bounds[2:] <= bounds[:2]).any()):
+        raise InvalidParameterError("window must be four finite numbers "
+                                    f"with positive extent, got {window!r}")
+    xmin, ymin, xmax, ymax = bounds.tolist()
 
     W = int(resolution)
     H = max(int(round(W * (ymax - ymin) / (xmax - xmin))), 1)

@@ -4,14 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 import snubweave as sw
 from snubweave import (
     DepthTooLargeError,
     InsufficientDataError,
     InvalidParameterError,
+    SnubWeaveError,
     UnknownSeedError,
 )
+
+import fractal_reference as ref
 
 SQRT7 = math.sqrt(7.0)
 TARGET_DIMENSION = math.log(3.0) / math.log(SQRT7)
@@ -60,6 +64,11 @@ class TestLSystemExpand:
             sw.lsystem_expand(13)
         with pytest.raises(InvalidParameterError):
             sw.lsystem_expand(-1)
+
+    @pytest.mark.parametrize("depth", [2.0, "2", None])
+    def test_depth_must_be_an_integer(self, depth):
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            sw.lsystem_expand(depth)
 
     def test_alpha_identity(self):
         # |2 e^{i a} + e^{i(a - 60deg)}| = sqrt(7) with real-positive sum
@@ -164,6 +173,13 @@ class TestDimensionEstimate:
             sw.box_counting_dimension(polyline, grid_sizes=grid_sizes)
         assert capfd.readouterr() == ("", "")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_box_counting_rejects_non_finite_polylines(self, bad):
+        _, polyline = sw.lsystem_expand(3)
+        polyline[5, 1] = bad
+        with pytest.raises(InvalidParameterError, match="must be finite"):
+            sw.box_counting_dimension(polyline)
+
     def test_box_counting_rejects_zero_samples_per_segment(self):
         _, polyline = sw.lsystem_expand(4)
         with pytest.raises(InvalidParameterError):
@@ -212,6 +228,12 @@ class TestTrackInnerCurves:
         hist = sw.snub_subdivide(sw.pentagon(), 1)
         with pytest.raises(UnknownSeedError):
             sw.track_inner_curves(hist, [99])
+
+    @pytest.mark.parametrize("seeds", [[1.7], [1, 2.0], [[0, 1]], 3])
+    def test_seeds_must_be_integer_edge_ids(self, seeds):
+        hist = sw.snub_subdivide(sw.pentagon(), 1)
+        with pytest.raises(UnknownSeedError, match="integer edge ids"):
+            sw.track_inner_curves(hist, seeds)
 
     def test_path_vertices_triple_per_step(self):
         hist = sw.snub_subdivide(sw.pentagon(), 3)
@@ -273,6 +295,15 @@ class TestFirstHitRaster:
         b = sw.first_hit_raster(history, 64)
         assert np.array_equal(a.step_index, b.step_index)
 
+    @pytest.mark.parametrize("window", [
+        (0.0, 0.0, np.inf, 1.0), (0.0, np.nan, 1.0, 1.0),
+        (-np.inf, 0.0, 1.0, 1.0), (0.0, 0.0, 1.0), (0.0, 0.0, 1.0, 1.0, 2.0),
+        (1.0, 0.0, 1.0, 1.0), (0.0, 1.0, 1.0, 0.5)])
+    def test_window_must_be_finite_with_positive_extent(self, history,
+                                                          window):
+        with pytest.raises(InvalidParameterError, match="window must be"):
+            sw.first_hit_raster(history, 32, window=window)
+
     def test_resolution_guard(self, history):
         with pytest.raises(InvalidParameterError):
             sw.first_hit_raster(history, 8)
@@ -281,3 +312,125 @@ class TestFirstHitRaster:
         raster = sw.first_hit_raster(history, 64)
         assert raster.palette.shape == (len(history.meshes), 3)
         assert raster.palette.dtype == np.uint8
+
+
+# ---------------------------------------------------------------------------
+# bit-for-bit agreement with the frozen loop implementations
+# ---------------------------------------------------------------------------
+
+def jittered(mesh, seed, amount=0.04):
+    """``mesh`` with every vertex moved by up to ``amount`` edge lengths."""
+    rng = np.random.default_rng(seed)
+    scale = float(np.median(mesh.edge_lengths()))
+    moved = mesh.positions + rng.uniform(-amount, amount,
+                                         mesh.positions.shape) * scale
+    return sw.build_mesh(moved, mesh.faces)
+
+
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def assert_same_estimate(got, want):
+    assert type(got.dimension) is float and type(got.residual) is float
+    assert bits([got.dimension, got.residual]) \
+        == bits([want.dimension, want.residual])
+    assert bits(got.log_sizes) == bits(want.log_sizes)
+    assert bits(got.log_values) == bits(want.log_values)
+
+
+def assert_same_family(got, want):
+    assert got.start_step == want.start_step
+    assert len(got.curves) == len(want.curves)
+    for g, w in zip(got.curves, want.curves):
+        assert type(g.seed_edge) is int and g.seed_edge == w.seed_edge
+        assert bits(g.lengths) == bits(w.lengths)
+        assert all(type(x) is float for x in g.lengths)
+        assert g.endpoints_fixed == w.endpoints_fixed
+        assert all(type(x) is bool for x in g.endpoints_fixed)
+        assert len(g.vertex_paths) == len(w.vertex_paths)
+        for p, q in zip(g.vertex_paths, w.vertex_paths):
+            assert p.dtype == q.dtype and np.array_equal(p, q)
+
+
+fractal_specs = st.one_of(
+    st.just("pentagon"),
+    st.just("pentaflower"),
+    st.integers(3, 9).map(lambda n: f"ngon:{n}"),
+    st.integers(3, 8).map(lambda n: f"fan:{n}"),
+    st.tuples(st.integers(1, 3), st.integers(1, 3)).map(
+        lambda wh: f"grid:{wh[0]}x{wh[1]}"),
+)
+
+
+class TestOracleEquivalence:
+    @pytest.mark.parametrize("depth", range(11))
+    def test_lsystem_expand_matches_oracle(self, depth):
+        symbols, polyline = sw.lsystem_expand(depth)
+        want_symbols, want_polyline = ref.lsystem_expand(depth)
+        assert symbols == want_symbols
+        assert polyline.shape == want_polyline.shape
+        assert bits(polyline) == bits(want_polyline)
+
+    @settings(max_examples=100, deadline=None)
+    @given(spec=fractal_specs, seed=st.integers(0, 2**32 - 1),
+           steps=st.integers(0, 4), smoothing=st.booleans(), data=st.data())
+    def test_track_inner_curves_matches_oracle(self, spec, seed, steps,
+                                               smoothing, data):
+        mesh = jittered(sw.generate_demo_mesh(spec), seed)
+        try:
+            hist = sw.snub_subdivide(mesh, steps, smoothing=smoothing)
+        except SnubWeaveError:
+            reject()
+        start = data.draw(st.integers(0, steps), label="start_step")
+        edges = hist.meshes[start].edge_count
+        seeds = data.draw(st.lists(st.integers(0, edges - 1), max_size=8),
+                          label="seeds")
+        seeds += data.draw(st.lists(st.sampled_from(seeds), max_size=2)
+                           if seeds else st.just([]), label="repeats")
+        assert_same_family(sw.track_inner_curves(hist, seeds, start),
+                           ref.track_inner_curves(hist, seeds, start))
+
+    @pytest.mark.parametrize("smoothing", [True, False])
+    def test_every_start_step_with_repeats_and_no_seeds(self, smoothing):
+        hist = sw.snub_subdivide(jittered(sw.pentagon_flower(), 7), 3,
+                                 smoothing=smoothing)
+        for start, mesh in enumerate(hist.meshes):
+            last = mesh.edge_count - 1
+            for seeds in ([], np.zeros(0, dtype=np.int64),
+                          [0, last, 0, 3, last, 3]):
+                assert_same_family(
+                    sw.track_inner_curves(hist, seeds, start),
+                    ref.track_inner_curves(hist, seeds, start))
+
+    @settings(max_examples=60, deadline=None)
+    @given(lengths=st.lists(st.floats(1e-6, 1e6), min_size=3, max_size=12))
+    def test_estimate_fractal_dimension_matches_oracle(self, lengths):
+        assert_same_estimate(sw.estimate_fractal_dimension(lengths),
+                             ref.estimate_fractal_dimension(lengths))
+
+    @settings(max_examples=40, deadline=None)
+    @given(points=st.lists(st.tuples(st.floats(-100, 100),
+                                     st.floats(-100, 100)),
+                           min_size=2, max_size=60),
+           grid_sizes=st.lists(st.integers(2, 300), min_size=3, max_size=7,
+                               unique=True),
+           samples=st.integers(1, 6))
+    def test_box_counting_dimension_matches_oracle(self, points, grid_sizes,
+                                                   samples):
+        assert_same_estimate(
+            sw.box_counting_dimension(points, tuple(grid_sizes), samples),
+            ref.box_counting_dimension(points, tuple(grid_sizes), samples))
+
+    @pytest.mark.parametrize("depth", [2, 5, 8])
+    def test_box_counting_on_the_boundary_curve_matches_oracle(self, depth):
+        _, polyline = sw.lsystem_expand(depth)
+        assert_same_estimate(sw.box_counting_dimension(polyline),
+                             ref.box_counting_dimension(polyline))
+
+    def test_default_palette_matches_oracle(self):
+        for steps in range(-1, 25):
+            got, want = sw.default_palette(steps), ref.default_palette(steps)
+            assert got.dtype == want.dtype == np.uint8
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)

@@ -10,9 +10,11 @@ from snubweave import (
     EdgeTag,
     InternalInvariantError,
     InvalidParameterError,
+    InvalidTriangleColoringError,
     MissingProvenanceError,
     NonManifoldError,
     NotBipartiteError,
+    NotTriangleMeshError,
     Provenance,
 )
 
@@ -460,6 +462,39 @@ class TestErrors:
         with pytest.raises(BoundaryC2EdgeError) as want:
             ref.glue_triangle_pairs(loop.mesh, loop_coloring, strict=True)
         assert str(got.value) == str(want.value)
+
+    def test_triangle_coloring_check_messages(self):
+        fan = sw.fan_ngon(6)
+        with pytest.raises(InvalidTriangleColoringError,
+                           match=r"^face 0 has 0 c1 vertices "
+                                 r"\(needs exactly 1\)$"):
+            sw.triangle_coloring_check(
+                fan, sw.VertexColoring(np.zeros(7, dtype=bool)))
+        with pytest.raises(InvalidParameterError,
+                           match="^coloring covers 3 vertices, mesh has 7$"):
+            sw.triangle_coloring_check(
+                fan, sw.VertexColoring(np.zeros(3, dtype=bool)))
+        with pytest.raises(NotTriangleMeshError):
+            sw.triangle_coloring_check(sw.square_grid(1, 1), sw.VertexColoring(
+                np.zeros(4, dtype=bool)))
+
+    def test_loop_color_update_messages(self):
+        fan = sw.fan_ngon(6)
+        center = sw.VertexColoring(np.arange(7) == 6)
+        with pytest.raises(InvalidParameterError,
+                           match=r"^loop_color_update needs a step with "
+                                 r"old-vertex \+ edge-vertex layout"):
+            sw.loop_color_update(center, sw.sqrt3_step(fan))
+        with pytest.raises(InvalidParameterError,
+                           match="^coloring covers 3 vertices, source mesh "
+                                 "has 7$"):
+            sw.loop_color_update(sw.VertexColoring(np.zeros(3, dtype=bool)),
+                                 sw.loop_step(fan))
+        # all c2: every edge vertex turns c1, so corner triangles get two
+        with pytest.raises(InvalidTriangleColoringError,
+                           match=r"^face 0 has 2 c1 vertices"):
+            sw.loop_color_update(sw.VertexColoring(np.zeros(7, dtype=bool)),
+                                 sw.loop_step(fan))
 
     @pytest.mark.parametrize("width", [0.0, 1.0, -0.2, 1.5])
     def test_width_fraction_outside_unit_interval(self, width):
