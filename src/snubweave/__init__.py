@@ -16,7 +16,6 @@ The package is organized by capability:
 
 from .errors import (
     AmbiguousHalfPlaneError,
-    BoundaryC2EdgeError,
     DegenerateFaceError,
     DepthTooLargeError,
     IndexRangeError,
@@ -38,7 +37,6 @@ from .mesh_core import (
     EdgeTag,
     ElementClass,
     Mesh,
-    ParentKind,
     Provenance,
     VertexTag,
     build_mesh,
@@ -56,7 +54,6 @@ from .snub import (
     ALPHA,
     StepRecord,
     SubdivisionHistory,
-    ZOrientation,
     assign_z_orientations,
     smooth_inner_vertices,
     snub_subdivide,

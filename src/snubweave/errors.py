@@ -70,10 +70,6 @@ class InvalidTriangleColoringError(SnubWeaveError):
     """Some triangle does not have exactly one vertex of the first color."""
 
 
-class BoundaryC2EdgeError(SnubWeaveError):
-    """A second-color edge lies on the boundary, leaving an unglued triangle."""
-
-
 class MissingOriginRecordsError(SnubWeaveError):
     """The step result lacks the origin records this operation consumes."""
 

@@ -51,6 +51,9 @@ LENGTH_FACTOR = 3.0 / _SQRT7
 #: Deepest expansion ``lsystem_expand`` runs (``3**12`` segments).
 _MAX_DEPTH = 12
 
+#: Most pixels ``first_hit_raster`` allocates (1024 x 1024 is ``2**20``).
+_MAX_PIXELS = 2 ** 24
+
 
 def lsystem_expand(depth: int) -> tuple[str, np.ndarray]:
     """Expand ``F -> ∇F-F+F△`` ``depth`` times and run its turtle.
@@ -160,6 +163,10 @@ def box_counting_dimension(polyline: np.ndarray,
     if samples_per_segment < 1:
         raise InvalidParameterError(
             f"samples_per_segment must be >= 1, got {samples_per_segment}")
+    with np.errstate(over="ignore"):
+        extent = pts.max(axis=0) - pts.min(axis=0)
+    if not np.isfinite(extent).all():
+        raise InvalidParameterError("polyline's extent overflows a float")
     if samples_per_segment > 1:
         frac = np.linspace(0.0, 1.0, samples_per_segment, endpoint=False)
         seg_a = pts[:-1]
@@ -300,13 +307,8 @@ class FirstHitRaster:
     pixel_counts: np.ndarray
     saturation_step: int
 
-    @property
-    def resolution(self) -> int:
-        return self.step_index.shape[1]
-
 
 def first_hit_raster(history: SubdivisionHistory, resolution: int,
-                     palette: np.ndarray | None = None,
                      window: tuple | None = None) -> FirstHitRaster:
     """Color each pixel by the first step whose mesh has a vertex inside it.
 
@@ -315,7 +317,8 @@ def first_hit_raster(history: SubdivisionHistory, resolution: int,
     larger dimension, which contains every later mesh (each step's new
     vertices stay within a fraction of an edge length of the old ones).
     Already-colored pixels never change, so extending the history only adds
-    pixels (until saturation, after which nothing changes).
+    pixels (until saturation, after which nothing changes).  A raster of
+    more than ``2**24`` pixels raises :class:`InvalidParameterError`.
     """
     if resolution < 16:
         raise InvalidParameterError(
@@ -337,7 +340,11 @@ def first_hit_raster(history: SubdivisionHistory, resolution: int,
     xmin, ymin, xmax, ymax = bounds.tolist()
 
     W = int(resolution)
-    H = max(int(round(W * (ymax - ymin) / (xmax - xmin))), 1)
+    # capped before rounding, so an infinite aspect ratio is caught too
+    H = max(round(min(W * (ymax - ymin) / (xmax - xmin), _MAX_PIXELS)), 1)
+    if W * H > _MAX_PIXELS:
+        raise InvalidParameterError(
+            f"a {H}x{W} raster exceeds the limit of {_MAX_PIXELS} pixels")
     grid = np.full(H * W, -1, dtype=np.int32)
     for t, mesh in enumerate(history.meshes):
         pos = np.asarray(mesh.positions)
@@ -349,8 +356,6 @@ def first_hit_raster(history: SubdivisionHistory, resolution: int,
     counts = np.bincount(grid[grid >= 0], minlength=len(history.meshes))
     hit = np.flatnonzero(counts)
     saturation = int(hit[-1]) if len(hit) else 0
-    if palette is None:
-        palette = default_palette(len(history.meshes))
     return FirstHitRaster(step_index=grid.reshape(H, W), window=window,
-                          palette=np.asarray(palette, dtype=np.uint8),
+                          palette=default_palette(len(history.meshes)),
                           pixel_counts=counts, saturation_step=saturation)

@@ -39,7 +39,6 @@ __all__ = [
     "ElementClass",
     "VertexTag",
     "EdgeTag",
-    "ParentKind",
     "Provenance",
     "build_mesh",
     "classify",
@@ -71,14 +70,6 @@ class EdgeTag(IntEnum):
     SPOKE = 3         # connection between a bend point and a barycenter
 
 
-class ParentKind(IntEnum):
-    """What source element a refined vertex descends from."""
-
-    VERTEX = 0
-    EDGE = 1
-    FACE = 2
-
-
 @dataclass(frozen=True)
 class Provenance:
     """Per-element role tags for one refinement step, plus lineage maps.
@@ -87,15 +78,15 @@ class Provenance:
     mesh with a :class:`VertexTag` / :class:`EdgeTag` value.  The optional
     lineage fields record where each element came from:
 
-    * ``vertex_parent_kind[v]`` / ``vertex_parent_id[v]`` — the source
-      vertex, edge, or face of the previous mesh that produced vertex ``v``;
+    * ``vertex_parent_id[v]`` — the source vertex, edge, or face of the
+      previous mesh that produced vertex ``v``; ``vertex_tags[v]`` names
+      which of the three it is (original, bend point, barycenter);
     * ``face_parent[f]`` — the source face that produced face ``f``;
     * ``source`` — the mesh the step was applied to.
     """
 
     vertex_tags: np.ndarray
     edge_tags: np.ndarray
-    vertex_parent_kind: np.ndarray | None = None
     vertex_parent_id: np.ndarray | None = None
     face_parent: np.ndarray | None = None
     source: "Mesh | None" = None
@@ -329,6 +320,10 @@ def build_mesh(points, faces, *, check_self_intersections: bool = False,
                allow_pinched_boundary: bool = False) -> Mesh:
     """Build a validated mesh from vertex positions and face index cycles.
 
+    ``faces`` is a sequence of index cycles, or the CSR pair of arrays
+    ``(face_vertex_flat, face_starts)``: a tuple of two arrays is always
+    read as CSR, so give two faces as arrays in a list.
+
     Faces given clockwise are reversed to counterclockwise.  Raises
     :class:`IndexRangeError` for out-of-range indices,
     :class:`DegenerateFaceError` for short/repeating/zero-area cycles or
@@ -513,9 +508,9 @@ def _edge_slots(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     forward = flat < flat[mesh.slot_next]
     left = np.full(mesh.edge_count, -1, dtype=np.int64)
     right = np.full(mesh.edge_count, -1, dtype=np.int64)
-    slots = np.arange(len(flat), dtype=np.int64)
-    left[mesh.face_edge_flat[forward]] = slots[forward]
-    right[mesh.face_edge_flat[~forward]] = slots[~forward]
+    fwd, back = np.flatnonzero(forward), np.flatnonzero(~forward)
+    left[mesh.face_edge_flat[fwd]] = fwd
+    right[mesh.face_edge_flat[back]] = back
     return left, right
 
 

@@ -74,7 +74,6 @@ from .mesh_core import (
     EdgeTag,
     ElementClass,
     Mesh,
-    ParentKind,
     Provenance,
     VertexTag,
     _reject_bad_faces,
@@ -84,7 +83,6 @@ from .mesh_core import (
 
 __all__ = [
     "ALPHA",
-    "ZOrientation",
     "StepRecord",
     "SubdivisionHistory",
     "assign_z_orientations",
@@ -100,33 +98,18 @@ ALPHA = math.atan(math.sqrt(3.0) / 5.0)
 _SQRT3 = math.sqrt(3.0)
 
 
-@dataclass(frozen=True)
-class ZOrientation:
-    """The bend side shared by every edge.
+def assign_z_orientations(seed_flag: int = 1) -> int:
+    """The bend side shared by every edge, checked to be +1 or -1.
 
-    ``seed_flag`` is +1 when, looking along any edge from its lower-index
-    endpoint to its higher-index endpoint, the bend point near the
-    lower-index endpoint lies to the *left*; -1 when it lies to the right.
-    The reading is direction-symmetric (reversing the viewing direction
-    swaps both the reference endpoint and left/right), so the same value
-    serves both incident faces.
-    """
-
-    seed_flag: int
-
-
-def assign_z_orientations(mesh: Mesh, seed_flag: int = 1) -> ZOrientation:
-    """Choose the bend side of the edges of ``mesh``.
-
-    Consistency around every face requires all edges of the face to carry
-    the same flag, and sharing an edge transfers that requirement to the
-    neighboring face, so on a connected mesh one edge's flag determines
-    every flag: all edges receive ``seed_flag``.  The two possible values
-    yield mirror refinements.
+    +1 puts the bend point near an edge's lower-index endpoint to the
+    *left* of the edge walked towards its higher-index endpoint, -1 to the
+    right.  That reading is the same from both incident faces, and on a
+    connected mesh one edge's flag forces every other (see the module
+    docstring); the two values give mirror refinements.
     """
     if seed_flag not in (1, -1):
         raise InvalidParameterError(f"seed flag must be +1 or -1, got {seed_flag}")
-    return ZOrientation(seed_flag=int(seed_flag))
+    return int(seed_flag)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +128,7 @@ def _bend_points(mesh: Mesh, s: int):
     return near_a, near_b
 
 
-def _refine(source: Mesh, orient: ZOrientation) -> tuple[Mesh, Provenance]:
+def _refine(source: Mesh, s: int) -> tuple[Mesh, Provenance]:
     """Operations 1-3: the pentagon mesh and its provenance.
 
     Each source slot gives one pentagon, a fixed row of five chosen by the
@@ -155,7 +138,6 @@ def _refine(source: Mesh, orient: ZOrientation) -> tuple[Mesh, Provenance]:
     _reject_pinched_boundary(source.edges, source.edge_left,
                              source.edge_right, source.vertex_count)
     V, E, F = source.vertex_count, source.edge_count, source.face_count
-    s = orient.seed_flag
     k = (1 - s) // 2
     near_a, near_b = _bend_points(source, s)
     positions = np.empty((V + 2 * E + F, 2))
@@ -239,13 +221,11 @@ def _refine(source: Mesh, orient: ZOrientation) -> tuple[Mesh, Provenance]:
     vertex_tags = np.repeat(np.array([VertexTag.ORIGINAL, VertexTag.Z_VERTEX,
                                       VertexTag.BARYCENTER], dtype=np.int8),
                             (V, 2 * E, F))
-    kind = np.repeat(np.array([ParentKind.VERTEX, ParentKind.EDGE,
-                               ParentKind.FACE], dtype=np.int8), (V, 2 * E, F))
     pid = np.concatenate([np.arange(V, dtype=np.int64),
                           np.repeat(np.arange(E, dtype=np.int64), 2),
                           np.arange(F, dtype=np.int64)])
     prov = Provenance(vertex_tags=vertex_tags, edge_tags=edge_tags,
-                      vertex_parent_kind=kind, vertex_parent_id=pid,
+                      vertex_parent_id=pid,
                       face_parent=slot_face.copy(), source=source)
     return refined, prov
 
@@ -356,7 +336,6 @@ def _smooth(mesh: Mesh, classes: ElementClass,
 class StepRecord:
     """Everything recorded about one refinement step (producing mesh t)."""
 
-    orientation: ZOrientation
     provenance: Provenance
     element_class: ElementClass      # classification of the refined mesh
 
@@ -365,12 +344,14 @@ class StepRecord:
 class SubdivisionHistory:
     """Meshes ``M_0 .. M_t`` plus per-step lineage records.
 
-    ``records[k]`` describes the step that produced ``meshes[k + 1]``.
+    ``records[k]`` describes the step that produced ``meshes[k + 1]``;
+    every step bends by ``seed_flag`` (see :func:`assign_z_orientations`).
     """
 
     meshes: list[Mesh]
     records: list[StepRecord]
     smoothing: bool
+    seed_flag: int
 
     @property
     def final(self) -> Mesh:
@@ -415,16 +396,16 @@ def snub_subdivide(mesh: Mesh, steps: int, smoothing: bool = True,
     records: list[StepRecord] = []
     current = mesh
     for _ in range(steps):
-        orient = assign_z_orientations(current, seed_flag=seed_flag)
-        refined, prov = _refine(current, orient)
-        centroids = _check_geometry(current, refined, orient.seed_flag)
+        s = assign_z_orientations(seed_flag)
+        refined, prov = _refine(current, s)
+        centroids = _check_geometry(current, refined, s)
         _check_count_recursion(current, refined)
         refined_classes = classify(refined)
         result = (_smooth(refined, refined_classes, centroids)
                   if smoothing else refined)
-        records.append(StepRecord(orientation=orient, provenance=prov,
+        records.append(StepRecord(provenance=prov,
                                   element_class=refined_classes))
         meshes.append(result)
         current = result
     return SubdivisionHistory(meshes=meshes, records=records,
-                              smoothing=smoothing)
+                              smoothing=smoothing, seed_flag=seed_flag)

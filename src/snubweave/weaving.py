@@ -37,7 +37,6 @@ import numpy as np
 
 from .classic_schemes import OriginKind, SchemeStepResult
 from .errors import (
-    BoundaryC2EdgeError,
     InternalInvariantError,
     InvalidParameterError,
     InvalidTriangleColoringError,
@@ -82,14 +81,6 @@ class VertexColoring:
     def __post_init__(self):
         arr = np.asarray(self.is_c1, dtype=bool)
         object.__setattr__(self, "is_c1", arr)
-
-    @property
-    def c1_ids(self) -> np.ndarray:
-        return np.flatnonzero(self.is_c1)
-
-    @property
-    def c2_ids(self) -> np.ndarray:
-        return np.flatnonzero(~self.is_c1)
 
     def swapped(self) -> "VertexColoring":
         """The coloring with both classes exchanged."""
@@ -138,10 +129,7 @@ def catmull_clark_coloring(step: SchemeStepResult) -> VertexColoring:
     Every refined quad walks old-vertex, edge, face, edge origins in turn,
     so the rule always yields a proper 2-coloring of the quad mesh.
     """
-    if step.vertex_origin_kind is None:
-        raise MissingOriginRecordsError("step carries no origin records")
-    return VertexColoring(step.vertex_origin_kind
-                          == OriginKind.EDGE_MIDPOINT)
+    return VertexColoring(step.vertex_origin_kind == OriginKind.EDGE_MIDPOINT)
 
 
 def triangle_coloring_check(mesh: Mesh,
@@ -219,16 +207,6 @@ class GluedTiling:
     tile_source_edges: np.ndarray | None = None
 
 
-def _slot_of(mesh: Mesh, edge_of_face: np.ndarray) -> np.ndarray:
-    """Per face, the cycle position of edge ``edge_of_face[f]`` (-1: none)."""
-    slots = np.flatnonzero(mesh.face_edge_flat
-                           == edge_of_face[mesh.slot_face])
-    pos = np.full(mesh.face_count, -1, dtype=np.int64)
-    faces = mesh.slot_face[slots]
-    pos[faces] = slots - mesh.face_starts[faces]
-    return pos
-
-
 def _build_tiling(source: Mesh, partner: np.ndarray,
                   shared_edge: np.ndarray) -> GluedTiling:
     """Assemble a tiling from per-face partner faces and shared edges.
@@ -256,10 +234,14 @@ def _build_tiling(source: Mesh, partner: np.ndarray,
     e = shared_edge[lead[glued]]
     walker[glued] = source.edge_left[e]
     other[glued] = source.edge_right[e]
-    at = _slot_of(source, shared_edge)
-    seg_face = np.column_stack((walker, other)).ravel()
-    seg_rot = np.column_stack((np.where(glued, at[walker] + 1, 0),
-                               at[other] + 2)).ravel()
+    # segments start after the shared edge's slot (-1 for a singleton)
+    # in the walker, and one slot later in the other face
+    left, right = _edge_slots(source)
+    seg_face = np.column_stack((walker, other))
+    seg_rot = np.full(seg_face.shape, -1, dtype=np.int64)
+    seg_rot[glued] = np.column_stack((left[e], right[e])) \
+        - source.face_starts[seg_face[glued]]
+    seg_face, seg_rot = seg_face.ravel(), (seg_rot + (1, 2)).ravel()
     seg_len = np.column_stack((sizes[walker],
                                np.where(glued, sizes[other] - 2, 0))).ravel()
     seg_starts = np.zeros(len(seg_len) + 1, dtype=np.int64)
@@ -273,9 +255,7 @@ def _build_tiling(source: Mesh, partner: np.ndarray,
     kept[e] = False
     new_id = np.cumsum(kept) - 1
     edge_gather = gather.copy()
-    g = other[glued]
-    edge_gather[seg_starts[1::2][glued] - 1] = \
-        source.face_starts[g] + (at[g] + 1) % sizes[g]
+    edge_gather[seg_starts[1::2][glued] - 1] = source.slot_next[right[e]]
     mesh = _direct_mesh(source.positions, source.face_vertex_flat[gather],
                         seg_starts[::2], source.edges[kept],
                         new_id[source.face_edge_flat[edge_gather]],
@@ -300,26 +280,17 @@ def _glue_across(mesh: Mesh, edges: np.ndarray) -> GluedTiling:
     return _build_tiling(mesh, partner, shared)
 
 
-def glue_triangle_pairs(mesh: Mesh, coloring: VertexColoring, *,
-                        strict: bool = False) -> GluedTiling:
+def glue_triangle_pairs(mesh: Mesh, coloring: VertexColoring) -> GluedTiling:
     """Merge triangles across their ``c2``–``c2`` edges into quads.
 
     Every validly colored triangle has exactly one edge joining its two
     ``c2`` vertices; deleting the interior ones merges the flanking
-    triangles pairwise.  A triangle whose ``c2``–``c2`` edge lies on the
-    boundary stays behind as a singleton (or raises
-    :class:`BoundaryC2EdgeError` when ``strict``).
+    triangles pairwise.  The triangles whose ``c2``–``c2`` edge lies on the
+    boundary stay behind, and are exactly the tiling's ``singletons``.
     """
     triangle_coloring_check(mesh, coloring)
     is_c1 = coloring.is_c1
     c2c2 = np.flatnonzero(~is_c1[mesh.edges[:, 0]] & ~is_c1[mesh.edges[:, 1]])
-    if strict:
-        open_ = c2c2[mesh.boundary_edge_mask[c2c2]]
-        if len(open_):
-            a, b = mesh.edges[open_[0]]
-            raise BoundaryC2EdgeError(
-                f"c2-c2 edge ({int(a)}, {int(b)}) lies on the boundary; "
-                f"its triangle cannot be glued")
     return _glue_across(mesh, c2c2)
 
 
@@ -333,9 +304,6 @@ def sqrt3_quadization(step: SchemeStepResult,
     source vertices ``c1`` and face centers ``c2``.
     """
     kinds = step.vertex_origin_kind
-    if kinds is None or step.flipped_edges is None:
-        raise MissingOriginRecordsError(
-            "sqrt3_quadization needs the origin records of a sqrt3_step")
     mesh = step.mesh
     if (kinds == OriginKind.FACE_CENTER).sum() != step.source.face_count \
             or mesh.vertex_count != step.source.vertex_count \
@@ -640,16 +608,16 @@ def _rank_walks(succ: np.ndarray, rev: np.ndarray, order: np.ndarray):
     return path, offsets, np.arange(S) >= S - len(firsts)
 
 
-def quad_weaving(mesh: Mesh, coloring: VertexColoring, *,
-                 mirror: bool = False) -> Weaving:
+def quad_weaving(mesh: Mesh, coloring: VertexColoring) -> Weaving:
     """Trace the two-strand crossings of a two-colored quad mesh.
 
     Each quad is a crossing of the two strands running through its
     opposite edge pairs.  The strand entering across an edge whose ``c1``
     endpoint lies to the left of the entry direction passes over — with
     counterclockwise faces that endpoint is the one the face walks first.
-    ``mirror`` flips the chirality.  Faces that are not quads (boundary
-    leftovers of a gluing) terminate strands.
+    Weaving :meth:`VertexColoring.swapped` instead flips the chirality.
+    Faces that are not quads (boundary leftovers of a gluing) terminate
+    strands.
 
     Open strands come first, each walked from the end whose entry edge
     comes first in edge order (left face before right face); closed
@@ -704,7 +672,7 @@ def quad_weaving(mesh: Mesh, coloring: VertexColoring, *,
     path, offsets, closed = _rank_walks(nxt, opposite, order)
 
     tiles = slot_face[path]
-    over = is_c1[flat[path]] ^ mirror
+    over = is_c1[flat[path]]
     dup = _first_repeat(2 * tiles + over)       # one per (quad, side)
     if dup >= 0:
         raise InternalInvariantError(

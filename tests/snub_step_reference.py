@@ -9,11 +9,16 @@ apart from imports and the small loop ``subdivide`` (the one of
 ``snub_subdivide``), so the library's step can be checked against them bit
 for bit: meshes, provenance, errors and log records.  The log records go to
 this module's own logger.  ``_reject_zero_length_edges`` is a verbatim copy
-of the edge-table check ``mesh_core`` had then.
+of the edge-table check ``mesh_core`` had then, and ``ParentKind``,
+``Provenance`` and ``ZOrientation`` are verbatim copies of the record types
+the library had then (it has since dropped the orientation record and the
+parent-kind array, which equals ``vertex_tags``).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from enum import IntEnum
 import logging
 import math
 
@@ -28,15 +33,57 @@ from snubweave.mesh_core import (
     EdgeTag,
     ElementClass,
     Mesh,
-    ParentKind,
-    Provenance,
     VertexTag,
     _reject_pinched_boundary,
     classify,
 )
-from snubweave.snub import ZOrientation
 
 logger = logging.getLogger(__name__)
+
+
+class ParentKind(IntEnum):
+    """What source element a refined vertex descends from."""
+
+    VERTEX = 0
+    EDGE = 1
+    FACE = 2
+
+
+@dataclass(frozen=True)
+class Provenance:
+    """Per-element role tags for one refinement step, plus lineage maps.
+
+    ``vertex_tags`` and ``edge_tags`` label every vertex/edge of the refined
+    mesh with a :class:`VertexTag` / :class:`EdgeTag` value.  The optional
+    lineage fields record where each element came from:
+
+    * ``vertex_parent_kind[v]`` / ``vertex_parent_id[v]`` — the source
+      vertex, edge, or face of the previous mesh that produced vertex ``v``;
+    * ``face_parent[f]`` — the source face that produced face ``f``;
+    * ``source`` — the mesh the step was applied to.
+    """
+
+    vertex_tags: np.ndarray
+    edge_tags: np.ndarray
+    vertex_parent_kind: np.ndarray | None = None
+    vertex_parent_id: np.ndarray | None = None
+    face_parent: np.ndarray | None = None
+    source: "Mesh | None" = None
+
+
+@dataclass(frozen=True)
+class ZOrientation:
+    """The bend side shared by every edge.
+
+    ``seed_flag`` is +1 when, looking along any edge from its lower-index
+    endpoint to its higher-index endpoint, the bend point near the
+    lower-index endpoint lies to the *left*; -1 when it lies to the right.
+    The reading is direction-symmetric (reversing the viewing direction
+    swaps both the reference endpoint and left/right), so the same value
+    serves both incident faces.
+    """
+
+    seed_flag: int
 
 _SQRT3 = math.sqrt(3.0)
 

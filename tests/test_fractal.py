@@ -180,6 +180,12 @@ class TestDimensionEstimate:
         with pytest.raises(InvalidParameterError, match="must be finite"):
             sw.box_counting_dimension(polyline)
 
+    def test_box_counting_rejects_a_bounding_box_too_large_to_measure(self):
+        # finite coordinates whose extent overflows a float
+        with pytest.raises(InvalidParameterError, match="extent overflows"):
+            sw.box_counting_dimension([[-1e308, 0.0], [1e308, 1.0],
+                                       [0.0, 2.0]])
+
     def test_box_counting_rejects_zero_samples_per_segment(self):
         _, polyline = sw.lsystem_expand(4)
         with pytest.raises(InvalidParameterError):
@@ -307,6 +313,18 @@ class TestFirstHitRaster:
     def test_resolution_guard(self, history):
         with pytest.raises(InvalidParameterError):
             sw.first_hit_raster(history, 8)
+
+    def test_tall_window_gets_rows_by_its_aspect(self, history):
+        raster = sw.first_hit_raster(history, 16, window=(0.0, 0.0, 1e-3, 1.0))
+        assert raster.step_index.shape == (16000, 16)
+
+    @pytest.mark.parametrize("resolution, window", [
+        (16, (0.0, 0.0, 1e-9, 1.0)), (16, (0.0, 0.0, 1e-300, 1e300)),
+        (10**5, None), (2**24 + 1, None)])
+    def test_pixel_limit(self, history, resolution, window):
+        # the raster refuses before allocating more than 2**24 pixels
+        with pytest.raises(InvalidParameterError, match="exceeds the limit"):
+            sw.first_hit_raster(history, resolution, window=window)
 
     def test_palette_shape(self, history):
         raster = sw.first_hit_raster(history, 64)

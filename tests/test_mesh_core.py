@@ -35,6 +35,18 @@ class TestBuildMesh:
         assert len(classes.inner_edge_ids) == 1
         assert len(classes.outer_edge_ids) == 4
 
+    def test_a_pair_of_arrays_is_read_as_csr(self):
+        # (face_vertex_flat, face_starts): two faces as arrays need a list
+        split = [np.array([0, 1, 2]), np.array([0, 2, 3])]
+        two = sw.build_mesh(UNIT_SQUARE, split)
+        assert two.faces == [(0, 1, 2), (0, 2, 3)]
+        with pytest.raises(DegenerateFaceError,
+                           match="^face 1 has fewer than 3 vertices$"):
+            sw.build_mesh(UNIT_SQUARE, tuple(split))
+        csr = sw.build_mesh(UNIT_SQUARE, (np.array([0, 1, 2, 0, 2, 3]),
+                                          np.array([0, 3, 6])))
+        assert csr == two
+
     def test_three_faces_on_one_edge_rejected(self):
         pts = UNIT_SQUARE + [(0.5, -1.0), (0.5, -2.0)]
         with pytest.raises(NonManifoldError):

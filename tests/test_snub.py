@@ -39,21 +39,22 @@ def count_recursion(v, e, f, face_sizes):
 
 class TestAssignZOrientations:
     def test_pentagon_all_edges_flagged(self):
-        assert sw.assign_z_orientations(sw.pentagon()).seed_flag == 1
+        assert sw.assign_z_orientations() == 1
+        assert sw.snub_subdivide(sw.pentagon(), 1).seed_flag == 1
 
     def test_unit_grid_flags_every_edge(self):
-        orient = sw.assign_z_orientations(sw.square_grid(1, 1))
-        assert orient == sw.ZOrientation(seed_flag=1)
+        flag = sw.assign_z_orientations(seed_flag=1)
+        assert type(flag) is int and flag == 1
+        assert sw.snub_subdivide(sw.square_grid(1, 1), 2).seed_flag == 1
 
     def test_seed_flag_controls_all_flags(self):
-        orient = sw.assign_z_orientations(sw.pentagon(), seed_flag=-1)
-        assert orient.seed_flag == -1
+        assert sw.assign_z_orientations(seed_flag=-1) == -1
         hist = sw.snub_subdivide(sw.pentagon(), 2, seed_flag=-1)
-        assert [r.orientation.seed_flag for r in hist.records] == [-1, -1]
+        assert hist.seed_flag == -1
 
     def test_invalid_parameters(self):
         with pytest.raises(InvalidParameterError):
-            sw.assign_z_orientations(sw.pentagon(), seed_flag=0)
+            sw.assign_z_orientations(seed_flag=0)
         with pytest.raises(InvalidParameterError):
             sw.snub_subdivide(sw.pentagon(), 1, seed_flag=2)
 
@@ -526,8 +527,8 @@ class TestOracleEquivalence:
 # frozen oracle of the step: same bits, errors and log records
 # ---------------------------------------------------------------------------
 
-PROVENANCE_ARRAYS = ("vertex_tags", "edge_tags", "vertex_parent_kind",
-                     "vertex_parent_id", "face_parent")
+PROVENANCE_ARRAYS = ("vertex_tags", "edge_tags", "vertex_parent_id",
+                     "face_parent")
 
 
 class _RecordList(logging.Handler):
@@ -590,5 +591,8 @@ class TestStepOracle:
             prov = record.provenance
             for name in PROVENANCE_ARRAYS:
                 assert_same_bits(getattr(prov, name), getattr(ref, name), name)
+            # the vertex tags name each vertex's parent kind, bit for bit
+            assert_same_bits(prov.vertex_tags, ref.vertex_parent_kind,
+                             "vertex_parent_kind")
             assert prov.source is hist.meshes[t]
-            assert record.orientation.seed_flag == flag
+        assert hist.seed_flag == flag

@@ -6,12 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 import snubweave as sw
 from snubweave import (
-    BoundaryC2EdgeError,
     EdgeTag,
     InternalInvariantError,
     InvalidParameterError,
     InvalidTriangleColoringError,
+    MissingOriginRecordsError,
     MissingProvenanceError,
+    NoInteriorEdgesError,
     NonManifoldError,
     NotBipartiteError,
     NotTriangleMeshError,
@@ -101,7 +102,8 @@ def assert_same_ribbons(got, want):
 
 
 def assert_same_quad_weave(mesh, coloring, mirror, width):
-    got = sw.quad_weaving(mesh, coloring, mirror=mirror)
+    """The library weaves the swapped coloring where the oracle mirrors."""
+    got = sw.quad_weaving(mesh, coloring.swapped() if mirror else coloring)
     want = ref.quad_weaving(mesh, coloring, mirror=mirror)
     assert_same_weaving(got, want)
     assert_same_ribbons(sw.strand_ribbons(got, mesh, width),
@@ -363,6 +365,55 @@ class TestInvariants:
 
 
 # ---------------------------------------------------------------------------
+# triangle-pair gluing
+# ---------------------------------------------------------------------------
+
+def boundary_c2_triangles(mesh, coloring):
+    """Faces whose ``c2``-``c2`` edge lies on the boundary, edge by edge."""
+    is_c1 = coloring.is_c1.tolist()
+    return sorted(max(int(mesh.edge_left[e]), int(mesh.edge_right[e]))
+                  for e, (a, b) in enumerate(mesh.edges.tolist())
+                  if not (is_c1[a] or is_c1[b])
+                  and mesh.boundary_edge_mask[e])
+
+
+def triangle_gluings():
+    """Loop-refined lattices (one and two steps) and fans, with colorings."""
+    for n in range(1, 5):
+        triangles, coloring = triangle_lattice(n, n)
+        for k in (1, 2):
+            step = sw.loop_step(triangles)
+            coloring = sw.loop_color_update(coloring, step)
+            triangles = step.mesh
+            yield pytest.param(triangles, coloring, id=f"lattice{n}-loop{k}")
+    for n in (4, 6, 8):
+        ring = np.arange(n + 1) % 2 == 0
+        ring[n] = False     # the centre
+        yield pytest.param(sw.fan_ngon(n), sw.VertexColoring(ring),
+                           id=f"fan{n}-alternating-ring")
+        yield pytest.param(sw.fan_ngon(n),
+                           sw.VertexColoring(np.arange(n + 1) == n),
+                           id=f"fan{n}-c1-centre")
+
+
+class TestTriangleGluing:
+    @pytest.mark.parametrize("mesh, coloring", list(triangle_gluings()))
+    def test_singletons_are_the_boundary_c2_edge_triangles(self, mesh,
+                                                           coloring):
+        tiling = sw.glue_triangle_pairs(mesh, coloring)
+        singletons = tiling.singletons.tolist()
+        assert singletons == boundary_c2_triangles(mesh, coloring)
+        assert 2 * len(tiling.pairs) + len(singletons) == mesh.face_count
+        # the oracle's strict mode raises exactly when singletons are left
+        try:
+            ref.glue_triangle_pairs(mesh, coloring, strict=True)
+            raised = False
+        except ref.BoundaryC2EdgeError:
+            raised = True
+        assert raised == bool(singletons)
+
+
+# ---------------------------------------------------------------------------
 # breadth-first two-coloring of quad meshes
 # ---------------------------------------------------------------------------
 
@@ -453,16 +504,6 @@ class TestErrors:
             ref.quad_weaving(mesh, coloring)
         assert str(got.value) == str(want.value)
 
-    def test_strict_boundary_c2_edge_names_the_lowest_edge(self):
-        triangles, coloring = triangle_lattice(3, 0)
-        loop = sw.loop_step(triangles)
-        loop_coloring = sw.loop_color_update(coloring, loop)
-        with pytest.raises(BoundaryC2EdgeError) as got:
-            sw.glue_triangle_pairs(loop.mesh, loop_coloring, strict=True)
-        with pytest.raises(BoundaryC2EdgeError) as want:
-            ref.glue_triangle_pairs(loop.mesh, loop_coloring, strict=True)
-        assert str(got.value) == str(want.value)
-
     def test_triangle_coloring_check_messages(self):
         fan = sw.fan_ngon(6)
         with pytest.raises(InvalidTriangleColoringError,
@@ -495,6 +536,18 @@ class TestErrors:
                            match=r"^face 0 has 2 c1 vertices"):
             sw.loop_color_update(sw.VertexColoring(np.zeros(7, dtype=bool)),
                                  sw.loop_step(fan))
+
+    def test_face_split_needs_an_interior_edge(self):
+        with pytest.raises(NoInteriorEdgesError,
+                           match="needs at least one interior edge"):
+            sw.general_face_split_weaving(sw.ngon(3))
+
+    def test_sqrt3_quadization_rejects_other_steps(self):
+        # a Loop step's edge vertices are not face centres
+        with pytest.raises(MissingOriginRecordsError,
+                           match="^step does not look like a sqrt3_step "
+                                 "result$"):
+            sw.sqrt3_quadization(sw.loop_step(sw.fan_ngon(5)))
 
     @pytest.mark.parametrize("width", [0.0, 1.0, -0.2, 1.5])
     def test_width_fraction_outside_unit_interval(self, width):

@@ -12,7 +12,10 @@ inputs.
 written for: tile faces as a tuple of tuples, strands as a tuple of
 :class:`~snubweave.weaving.Strand` objects and crossings as two dicts.  The
 library stores the same data as arrays; the tests compare the two through
-the library's views.
+the library's views.  :class:`BoundaryC2EdgeError` is a verbatim copy of
+the error ``glue_triangle_pairs(strict=True)`` raised then; the library has
+since dropped ``strict``, whose raise is the same as a non-empty
+``singletons``.
 """
 
 from __future__ import annotations
@@ -23,13 +26,13 @@ import numpy as np
 
 from snubweave.classic_schemes import OriginKind, SchemeStepResult
 from snubweave.errors import (
-    BoundaryC2EdgeError,
     InternalInvariantError,
     InvalidParameterError,
     MissingOriginRecordsError,
     MissingProvenanceError,
     NoInteriorEdgesError,
     NotBipartiteError,
+    SnubWeaveError,
 )
 from snubweave.mesh_core import EdgeTag, Mesh, Provenance, build_mesh
 from snubweave.weaving import (
@@ -38,6 +41,10 @@ from snubweave.weaving import (
     VertexColoring,
     triangle_coloring_check,
 )
+
+
+class BoundaryC2EdgeError(SnubWeaveError):
+    """A second-color edge lies on the boundary, leaving an unglued triangle."""
 
 
 @dataclass(frozen=True)
