@@ -102,7 +102,7 @@ class Mesh:
     and pinch checks and calls the constructor.  The classic schemes, the
     glued tilings and the face-split weaving derive their tables in closed
     form and call :func:`_direct_mesh` themselves; the snub step calls the
-    constructor and runs the same face checks on its rows of five.
+    constructor and sums its areas by column for :func:`_reject_bad_faces`.
 
     The edge table holds each undirected edge once as ``(lo, hi)`` with
     ``lo < hi``, sorted by ``(lo, hi)``.  :meth:`edge_id` binary-searches
@@ -411,21 +411,18 @@ def build_mesh(points, faces, *, check_self_intersections: bool = False,
     return mesh
 
 
-def _reject_bad_faces(p: np.ndarray, q: np.ndarray, starts: np.ndarray,
+def _reject_bad_faces(areas: np.ndarray, zero_len: np.ndarray,
                       face_edge_flat: np.ndarray, edges: np.ndarray) -> None:
     """Raise for a face of zero area, a clockwise face or a zero-length edge.
 
-    ``p`` and ``q`` hold the position of each face slot's vertex and of the
-    next vertex in its cycle, and ``starts`` the first slot of each face.  A
-    zero-area face raises :class:`DegenerateFaceError`, then a clockwise
-    one, which is folded over its neighbors, :class:`NonManifoldError`,
-    each naming the lowest such face; then a zero-length edge raises
-    :class:`DegenerateFaceError` naming the lowest such edge.
+    The one raiser of these faults, for :func:`_direct_mesh` and the snub
+    step.  ``areas`` holds each face's signed area, ``zero_len`` marks each
+    slot whose vertex and the next in its cycle coincide.  A zero-area face
+    raises :class:`DegenerateFaceError`, then a clockwise one, folded over
+    its neighbors, :class:`NonManifoldError`, each naming the lowest such
+    face; then a zero-length edge raises :class:`DegenerateFaceError`
+    naming the lowest such edge.
     """
-    cross = p[:, 0] * q[:, 1]
-    cross -= q[:, 0] * p[:, 1]
-    areas = 0.5 * np.add.reduceat(cross, starts)
-    del cross
     if (areas == 0.0).any():
         raise DegenerateFaceError(
             f"face {int(np.flatnonzero(areas == 0.0)[0])} has zero area")
@@ -433,7 +430,6 @@ def _reject_bad_faces(p: np.ndarray, q: np.ndarray, starts: np.ndarray,
         raise NonManifoldError(
             f"face {int(np.flatnonzero(areas < 0.0)[0])} is folded over its "
             f"neighbors (clockwise after refinement)")
-    zero_len = (p[:, 0] == q[:, 0]) & (p[:, 1] == q[:, 1])
     if zero_len.any():
         a, b = edges[int(face_edge_flat[zero_len].min())]
         raise DegenerateFaceError(f"edge ({int(a)}, {int(b)}) has zero length")
@@ -490,9 +486,13 @@ def _direct_mesh(positions: np.ndarray, flat: np.ndarray, starts: np.ndarray,
     nxt[starts[1:] - 1] = starts[:-1]
     if F:
         p = np.take(positions, flat, axis=0)
-        _reject_bad_faces(p, np.take(p, nxt, axis=0), starts[:-1],
-                          face_edge_flat, edges)
-        del p
+        q = np.take(p, nxt, axis=0)
+        cross = p[:, 0] * q[:, 1]
+        cross -= q[:, 0] * p[:, 1]
+        areas = 0.5 * np.add.reduceat(cross, starts[:-1])
+        zero_len = (p[:, 0] == q[:, 0]) & (p[:, 1] == q[:, 1])
+        del p, q, cross
+        _reject_bad_faces(areas, zero_len, face_edge_flat, edges)
     E = len(edges)
     sides = np.full(2 * E, -1, dtype=np.int64)
     sides[(flat > flat[nxt]) * E + face_edge_flat] = slot_face

@@ -42,16 +42,17 @@ edge id.
 
 A pinched source boundary is rejected before the build.  Every other
 check is one pass over the finished arrays, before the refined mesh is
-smoothed or recorded.  Its source side gathers each slot's corner, next
-corner, spoke bend point and barycenter once; its refined side gathers each
-face's vertices once, reads each slot's next vertex by rolling the row of
-five, runs the face checks every mesh construction shares
-(:func:`~.mesh_core._reject_bad_faces`) and sums the face centroids the
-smoothing reuses.  The errors fire in this order: a pinched source boundary
-raises :class:`~.errors.NonManifoldError`; a spoke's bend point on its
-source edge's line raises :class:`~.errors.AmbiguousHalfPlaneError`; then a
-zero-area refined face raises :class:`~.errors.DegenerateFaceError`, a
-clockwise (folded) one :class:`~.errors.NonManifoldError`, and a
+smoothed or recorded.  It gathers the positions of each of the five columns
+of the row of five once.  Its source side reads each slot's corner and next
+corner from the source and its barycenter and spoke bend point from columns
+0 and 1; its refined side pairs each column with the next for the face
+areas and zero-length edges, which go to the raiser every mesh construction
+shares (:func:`~.mesh_core._reject_bad_faces`), and sums the face centroids
+the smoothing reuses.  The errors fire in this order: a pinched source
+boundary raises :class:`~.errors.NonManifoldError`; a spoke's bend point on
+its source edge's line raises :class:`~.errors.AmbiguousHalfPlaneError`;
+then a zero-area refined face raises :class:`~.errors.DegenerateFaceError`,
+a clockwise (folded) one :class:`~.errors.NonManifoldError`, and a
 zero-length refined edge :class:`~.errors.DegenerateFaceError`; last, a
 count that breaks the recursion raises
 :class:`~.errors.InternalInvariantError`.
@@ -60,8 +61,10 @@ count that breaks the recursion raises
 from __future__ import annotations
 
 from dataclasses import dataclass
+import functools
 import logging
 import math
+import numbers
 
 import numpy as np
 
@@ -107,6 +110,10 @@ def assign_z_orientations(seed_flag: int = 1) -> int:
     connected mesh one edge's flag forces every other (see the module
     docstring); the two values give mirror refinements.
     """
+    return _checked_flag(seed_flag)
+
+
+def _checked_flag(seed_flag) -> int:
     if seed_flag not in (1, -1):
         raise InvalidParameterError(f"seed flag must be +1 or -1, got {seed_flag}")
     return int(seed_flag)
@@ -139,25 +146,25 @@ def _refine(source: Mesh, s: int) -> tuple[Mesh, Provenance]:
                              source.edge_right, source.vertex_count)
     V, E, F = source.vertex_count, source.edge_count, source.face_count
     k = (1 - s) // 2
-    near_a, near_b = _bend_points(source, s)
     positions = np.empty((V + 2 * E + F, 2))
     positions[:V] = source.positions
-    positions[V:V + 2 * E:2] = near_a
-    positions[V + 1:V + 2 * E:2] = near_b
+    positions[V:V + 2 * E:2], positions[V + 1:V + 2 * E:2] = \
+        _bend_points(source, s)
     positions[V + 2 * E:] = source.face_centroids()
 
-    # per source slot: the bend points met walking the slot's edge, and the
-    # one of them on the face's side, which gets the spoke
+    # per source slot: the bend points met walking the slot's edge (the
+    # edge is ``(lo, hi)``, so walked forwards when the corner is the lower
+    # id), and the one of them on the face's side, which gets the spoke
     flat = source.face_vertex_flat
     nxt = source.slot_next
     e_slot = source.face_edge_flat
     slot_face = source.slot_face
-    walk_first = np.where(flat == source.edges[e_slot, 0],
-                          V + 2 * e_slot, V + 2 * e_slot + 1)
+    corner_next = flat[nxt]
+    walk_first = V + 2 * e_slot + (flat > corner_next)
     walk_second = (2 * V + 4 * e_slot + 1) - walk_first
     spoke_z = (walk_first, walk_second)[k]
     bary = V + 2 * E + slot_face
-    corner_next = flat[nxt]
+    first_next = walk_first[nxt]
 
     # edge ids: block 1 holds the outer segment (edges.ravel()[k], V + k) of
     # bend k at rank k of a stable sort by source vertex; block 2 holds, per
@@ -190,29 +197,35 @@ def _refine(source: Mesh, s: int) -> tuple[Mesh, Provenance]:
     # one pentagon per source slot, written column by column: the vertex
     # row and, entry j joining vertices j and j + 1, its edge row
     n = len(flat)
+    spoke_here = spoke_id[spoke_z - V]
+    verts = (bary,) + (walk_first, walk_second, corner_next, first_next,
+                       walk_second[nxt])[k:k + 4]
+    vert_edges = (spoke_here,) + (
+        mid_id[e_slot], outer_id[walk_second - V], outer_id[first_next - V],
+        mid_id[e_slot[nxt]])[k:k + 3] + (spoke_here[nxt],)
     out_flat = np.empty(5 * n, dtype=np.int64)
     out_edge = np.empty(5 * n, dtype=np.int64)
     rows = out_flat.reshape(n, 5)
     row_edges = out_edge.reshape(n, 5)
-    chain = (walk_first, walk_second, corner_next, walk_first[nxt],
-             walk_second[nxt])
-    links = (mid_id[e_slot], outer_id[walk_second - V],
-             outer_id[walk_first[nxt] - V], mid_id[e_slot[nxt]])
-    spoke_here = spoke_id[spoke_z - V]
-    rows[:, 0] = bary
-    row_edges[:, 0] = spoke_here
-    for j, column in enumerate(chain[k:k + 4], start=1):
-        rows[:, j] = column
-    for j, column in enumerate(links[k:k + 3], start=1):
-        row_edges[:, j] = column
-    row_edges[:, 4] = spoke_here[nxt]
+    for j in range(5):
+        rows[:, j] = verts[j]
+        row_edges[:, j] = vert_edges[j]
 
     # each slot's face is left of its edge when walked from lower to higher
-    # vertex id, right otherwise
-    sides = np.full((2, E_out), -1, dtype=np.int64)
-    sides[(rows > np.roll(rows, -1, axis=1)).astype(np.int8), row_edges] = \
-        np.arange(n, dtype=np.int64)[:, None]
-    edge_left, edge_right = sides
+    # vertex id, right otherwise; ids rise from source vertex to bend point
+    # to barycenter, so only the middle segment's column has both sides
+    edge_left = np.full(E_out, -1, dtype=np.int64)
+    edge_right = np.full(E_out, -1, dtype=np.int64)
+    face = np.arange(n, dtype=np.int64)
+    for j, e in enumerate(vert_edges):
+        right = verts[j] > verts[(j + 1) % 5]
+        if right.all():
+            edge_right[e] = face
+        elif not right.any():
+            edge_left[e] = face
+        else:
+            edge_right[e[right]] = face[right]
+            edge_left[e[~right]] = face[~right]
 
     refined = Mesh(positions, out_flat,
                    np.arange(0, 5 * n + 1, 5, dtype=np.int64), edges,
@@ -230,28 +243,36 @@ def _refine(source: Mesh, s: int) -> tuple[Mesh, Provenance]:
     return refined, prov
 
 
+def _row_sum(columns) -> np.ndarray:
+    """``c0 + (((c1 + c2) + c3) + c4)`` over five columns (or a generator of
+    them): the order ``np.add.reduceat`` adds a row of five in, so the sums
+    equal its sums bit for bit."""
+    columns = iter(columns)
+    return next(columns) + functools.reduce(np.add, columns)
+
+
 def _check_geometry(source: Mesh, refined: Mesh, s: int) -> np.ndarray:
     """The step's checks in one pass; returns the refined face centroids.
 
-    Source side: every spoke is checked against the stated half-plane rule.
-    A bend point on its source edge's line raises
+    Every refined face is a row of five, so the pass works on its five
+    columns: the x and y of each column's vertices are gathered once and
+    serve both sides.  Source side: every spoke is checked against the
+    stated half-plane rule.  A bend point on its source edge's line raises
     :class:`AmbiguousHalfPlaneError`; a disagreement with the rule, or with
-    plain nearest-barycenter distance, is logged (never asserted).
-    Refined side: the shared face checks of
-    :func:`~.mesh_core._reject_bad_faces` (zero area, then clockwise, then
-    a zero-length edge).  Each per-slot temporary is freed once used, so
-    the two sides never hold their arrays at once.
+    plain nearest-barycenter distance, is logged (never asserted).  Refined
+    side: each face's area and centroid are summed over its columns, and
+    each slot's edge is zero-length when a column equals the next; the
+    shared raiser :func:`~.mesh_core._reject_bad_faces` rejects a zero area,
+    then a clockwise face, then a zero-length edge.
     """
     positions = refined.positions
     rows = refined.face_vertex_flat.reshape(-1, 5)
-    spoke_z = rows[:, 1]
-    # source side: per slot its corner, the next corner, the spoke's bend
-    # point and the face's barycenter, each gathered once (``np.take`` of
-    # whole rows is several times faster than fancy indexing)
+    # source side: per slot its corner and the next corner, read from the
+    # source, and the columns of the face's barycenter and the spoke's bend
+    # point; ``np.take`` of whole rows moves each position in one piece
+    pb, pz = (np.take(positions, rows[:, j], axis=0) for j in (0, 1))
     pu = np.take(source.positions, source.face_vertex_flat, axis=0)
     d = np.take(source.positions, rows[:, 3 - (1 - s) // 2], axis=0) - pu
-    pz = np.take(positions, spoke_z, axis=0)
-    pb = np.take(positions, rows[:, 0], axis=0)
     z = pz - pu
     bc = pb - pu
     del pu
@@ -262,7 +283,7 @@ def _check_geometry(source: Mesh, refined: Mesh, s: int) -> np.ndarray:
     ambiguous = np.abs(cross_z) <= 1e-12 * scale
     if ambiguous.any():
         raise AmbiguousHalfPlaneError(
-            f"bend point {int(spoke_z[np.flatnonzero(ambiguous)[0]])} lies on "
+            f"bend point {int(rows[np.flatnonzero(ambiguous)[0], 1])} lies on "
             f"its source edge's supporting line")
     mism = np.sign(cross_z) != np.sign(cross_b)
     if mism.any():
@@ -288,16 +309,20 @@ def _check_geometry(source: Mesh, refined: Mesh, s: int) -> np.ndarray:
                 "nearest-barycenter distance disagreed with the half-plane "
                 "rule for %d spokes", int(disagree.sum()))
         del d_own, d_oth
-    del pb, pz, left, right
+    del left, right
 
-    # refined side: each face's vertices, and by a roll of the row of five
+    # refined side: the x and y of every column, where column j + 1 holds
     # each slot's next vertex
-    starts = refined.face_starts[:-1]
-    pf = np.take(positions, refined.face_vertex_flat, axis=0)
-    q = np.roll(pf.reshape(-1, 5, 2), -1, axis=1).reshape(-1, 2)
-    _reject_bad_faces(pf, q, starts, refined.face_edge_flat, refined.edges)
-    del q
-    return np.add.reduceat(pf, starts, axis=0) / 5
+    columns = [pb, pz] + [np.take(positions, rows[:, j], axis=0)
+                          for j in (2, 3, 4)]
+    x, y = [p[:, 0] for p in columns], [p[:, 1] for p in columns]
+    pairs = list(zip(x, x[1:] + x[:1], y, y[1:] + y[:1]))
+    _reject_bad_faces(
+        0.5 * _row_sum(x0 * y1 - x1 * y0 for x0, x1, y0, y1 in pairs),
+        np.stack([(x0 == x1) & (y0 == y1) for x0, x1, y0, y1 in pairs],
+                 axis=1).ravel(),
+        refined.face_edge_flat, refined.edges)
+    return np.stack([_row_sum(x) / 5, _row_sum(y) / 5], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +347,10 @@ def _smooth(mesh: Mesh, classes: ElementClass,
     inner = classes.vertex_is_inner & (cnt > 0)
     new_positions = mesh.positions.copy()
     for axis in (0, 1):
-        acc = np.bincount(flat, weights=centroids[mesh.slot_face, axis],
-                          minlength=V)
-        new_positions[inner, axis] = acc[inner] / cnt[inner]
+        acc = np.bincount(flat, minlength=V, weights=np.repeat(
+            centroids[:, axis], mesh.face_sizes))
+        np.divide(acc, cnt, out=new_positions[:, axis], where=inner)
+        del acc
     return mesh.with_positions(new_positions)
 
 
@@ -390,8 +416,12 @@ def snub_subdivide(mesh: Mesh, steps: int, smoothing: bool = True,
     depth, e.g. on ``ngon(3)`` at t=4).  ``_check_self_intersections`` in
     :mod:`~.mesh_core` finds such crossings; the step does not run it.
     """
-    if steps < 0:
-        raise InvalidParameterError(f"steps must be >= 0, got {steps}")
+    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) \
+            or steps < 0:
+        raise InvalidParameterError(
+            f"steps must be an integer >= 0, got {steps!r}")
+    # checked before the loop too, for a history of no steps
+    seed_flag = _checked_flag(seed_flag)
     meshes = [mesh]
     records: list[StepRecord] = []
     current = mesh

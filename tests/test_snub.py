@@ -18,7 +18,7 @@ from snubweave import (
     VertexTag,
 )
 from snubweave.mesh_core import _check_self_intersections
-from snubweave.snub import _check_geometry
+from snubweave.snub import _check_geometry, _row_sum
 
 import snub_reference
 import snub_step_reference
@@ -57,6 +57,12 @@ class TestAssignZOrientations:
             sw.assign_z_orientations(seed_flag=0)
         with pytest.raises(InvalidParameterError):
             sw.snub_subdivide(sw.pentagon(), 1, seed_flag=2)
+
+    @pytest.mark.parametrize("flag", [2, 0, -2])
+    def test_zero_steps_check_the_flag(self, flag):
+        with pytest.raises(InvalidParameterError,
+                           match=f"^seed flag must be \\+1 or -1, got {flag}$"):
+            sw.snub_subdivide(sw.pentagon(), 0, seed_flag=flag)
 
 
 def refine_once(mesh, flag=1):
@@ -257,6 +263,24 @@ class TestRefinedGeometryChecks:
         centroids = _check_geometry(m, refined, -1)
         assert centroids.tobytes() == refined.face_centroids().tobytes()
 
+    # signed zeros and magnitudes over 2**-20 .. 2**20, so that any other
+    # order of the five additions rounds differently somewhere
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(
+        st.one_of(st.sampled_from([0.0, -0.0]),
+                  st.builds(math.ldexp, st.floats(-1.0, 1.0),
+                            st.integers(-20, 20))),
+        min_size=10, max_size=200).map(
+            lambda v: np.array(v[:len(v) // 10 * 10]).reshape(-1, 5, 2)))
+    def test_row_sum_is_reduceat_over_rows_of_five_bitwise(self, values):
+        starts = np.arange(0, 5 * len(values), 5)
+        by_rows = np.add.reduceat(values.reshape(-1, 2), starts, axis=0)
+        for axis in (0, 1):
+            got = _row_sum(values[:, j, axis] for j in range(5))
+            flat = np.add.reduceat(values[:, :, axis].ravel(), starts)
+            assert got.tobytes() == flat.tobytes()
+            assert got.tobytes() == by_rows[:, axis].copy().tobytes()
+
 
 # ---------------------------------------------------------------------------
 # operation 4: smoothing
@@ -319,6 +343,13 @@ class TestSnubSubdivide:
     def test_negative_steps_rejected(self):
         with pytest.raises(InvalidParameterError):
             sw.snub_subdivide(sw.pentagon(), -1)
+
+    @pytest.mark.parametrize("steps", [2.0, None, True])
+    def test_steps_must_be_an_int(self, steps):
+        with pytest.raises(InvalidParameterError,
+                           match=f"^steps must be an integer >= 0, got "
+                                 f"{steps!r}$"):
+            sw.snub_subdivide(sw.pentagon(), steps)
 
     def test_pentagon_count_recursion_six_steps(self):
         hist = sw.snub_subdivide(sw.pentagon(), 6)
@@ -596,3 +627,35 @@ class TestStepOracle:
                              "vertex_parent_kind")
             assert prov.source is hist.meshes[t]
         assert hist.seed_flag == flag
+
+
+class TestDeepStepOracle:
+    """The step at depth 5, where the per-column code handles the most
+    faces, against the frozen step: equal bits, or the same typed error
+    and message, and the same log records."""
+
+    @pytest.mark.parametrize("spec", ["pentagon", "pentaflower", "grid:3x3"])
+    @pytest.mark.parametrize("amount", [0.0, 0.15])
+    @pytest.mark.parametrize("flag", [1, -1])
+    @pytest.mark.parametrize("smoothing", [True, False])
+    def test_depth_five_matches_frozen_step(self, spec, amount, flag,
+                                            smoothing):
+        mesh = jittered(sw.generate_demo_mesh(spec), 5, amount)
+        got, got_log = logged_outcome("snubweave.snub", lambda: (
+            sw.snub_subdivide(mesh, 5, smoothing=smoothing, seed_flag=flag)))
+        want, want_log = logged_outcome("snub_step_reference", lambda: (
+            snub_step_reference.subdivide(mesh, 5, smoothing=smoothing,
+                                          seed_flag=flag)))
+        assert got_log == want_log
+        assert got[0] == want[0]
+        if got[0] == "raised":
+            assert got == want
+            return
+        hist, (meshes, provenances) = got[1], want[1]
+        for m, ref in zip(hist.meshes, meshes, strict=True):
+            for name in MESH_ARRAYS:
+                assert_same_bits(getattr(m, name), getattr(ref, name), name)
+        for record, ref in zip(hist.records, provenances, strict=True):
+            for name in PROVENANCE_ARRAYS:
+                assert_same_bits(getattr(record.provenance, name),
+                                 getattr(ref, name), name)
