@@ -3,7 +3,7 @@
 The package is organized by capability:
 
 * :mod:`snubweave.mesh_core` — planar polygon meshes, validation,
-  classification, demo-input generators;
+  inner/outer masks, demo-input generators;
 * :mod:`snubweave.snub` — the pentagon-producing snub subdivision scheme
   with smoothing and multi-step histories;
 * :mod:`snubweave.classic_schemes` — Loop, butterfly, sqrt-3, mid-edge,
@@ -35,12 +35,10 @@ from .errors import (
 )
 from .mesh_core import (
     EdgeTag,
-    ElementClass,
     Mesh,
     Provenance,
     VertexTag,
     build_mesh,
-    classify,
     convexity_report,
     euler_characteristic,
     fan_ngon,

@@ -39,7 +39,7 @@ import math
 import numpy as np
 
 from .errors import DegenerateFaceError, NotTriangleMeshError
-from .mesh_core import Mesh, _direct_mesh, _edge_slots, classify
+from .mesh_core import Mesh, _direct_mesh, _edge_slots
 
 __all__ = [
     "OriginKind",
@@ -251,7 +251,7 @@ def loop_step(mesh: Mesh) -> SchemeStepResult:
                        + 1.0 / 8.0 * (pos[opp_l[inner]] + pos[opp_r[inner]]))
 
     neighbors, degree = _vertex_neighbors(mesh, mesh.edges)
-    v = classify(mesh).inner_vertex_ids
+    v = np.flatnonzero(mesh.inner_vertex_mask)
     d = degree[v]
     beta = np.where(d == 3, 3.0 / 16.0, 3.0 / (8.0 * d))
     old_pos = pos.copy()
@@ -322,7 +322,7 @@ def sqrt3_step(mesh: Mesh) -> SchemeStepResult:
     V = mesh.vertex_count
 
     neighbors, degree = _vertex_neighbors(mesh, mesh.edges)
-    v = classify(mesh).inner_vertex_ids
+    v = np.flatnonzero(mesh.inner_vertex_mask)
     n = degree[v]
     valences, which = np.unique(n, return_inverse=True)
     alpha = np.array([(4.0 - 2.0 * math.cos(2.0 * math.pi / int(k))) / 9.0
@@ -413,7 +413,7 @@ def midedge_step(mesh: Mesh) -> SchemeStepResult:
     # leaves through a boundary edge
     twin = np.where(left[out_edge] == slot, right[out_edge], left[out_edge])
 
-    v = classify(mesh).inner_vertex_ids
+    v = np.flatnonzero(mesh.inner_vertex_mask)
     slots, valence = _incidence(flat, slot, mesh.vertex_count)
     short = v[valence[v] < 3]
     if len(short):
@@ -473,7 +473,7 @@ def catmull_clark_step(mesh: Mesh) -> SchemeStepResult:
                                           mesh.slot_face, V)
     vertex_edges, degree = _incidence(
         mesh.edges.ravel(), np.repeat(np.arange(E, dtype=np.int64), 2), V)
-    v = classify(mesh).inner_vertex_ids
+    v = np.flatnonzero(mesh.inner_vertex_mask)
     k, d = face_count[v], degree[v]
     q = _row_sums(face_pts, vertex_faces[v], k) / k[:, None]
     r = _row_sums((pos[a] + pos[b]) / 2.0, vertex_edges[v], d) / d[:, None]

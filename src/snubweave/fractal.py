@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import math
-import numbers
 
 import numpy as np
 
@@ -24,6 +23,7 @@ from .errors import (
     InvalidParameterError,
     UnknownSeedError,
 )
+from .mesh_core import _checked_int
 from .snub import ALPHA, SubdivisionHistory
 
 __all__ = [
@@ -66,9 +66,7 @@ def lsystem_expand(depth: int) -> tuple[str, np.ndarray]:
     ``alpha`` and of 60 degrees), so long expansions accumulate no heading
     drift.
     """
-    if not isinstance(depth, numbers.Integral) or depth < 0:
-        raise InvalidParameterError(
-            f"depth must be an integer >= 0, got {depth!r}")
+    depth = _checked_int(depth, "depth", 0)
     if depth > _MAX_DEPTH:
         raise DepthTooLargeError(
             f"depth {depth} exceeds the guard cap {_MAX_DEPTH}")
@@ -157,12 +155,12 @@ def box_counting_dimension(polyline: np.ndarray,
         raise InvalidParameterError("polyline coordinates must be finite")
     if len(grid_sizes) < 3:
         raise InsufficientDataError("need at least 3 grid sizes")
-    if min(grid_sizes) < 2 or len(set(grid_sizes)) != len(grid_sizes):
+    grid_sizes = [_checked_int(n, "a grid size", 2) for n in grid_sizes]
+    if len(set(grid_sizes)) != len(grid_sizes):
         raise InvalidParameterError(
-            f"grid sizes must be distinct and at least 2, got {grid_sizes}")
-    if samples_per_segment < 1:
-        raise InvalidParameterError(
-            f"samples_per_segment must be >= 1, got {samples_per_segment}")
+            f"grid sizes must be distinct, got {grid_sizes}")
+    samples_per_segment = _checked_int(samples_per_segment,
+                                       "samples_per_segment", 1)
     with np.errstate(over="ignore"):
         extent = pts.max(axis=0) - pts.min(axis=0)
     if not np.isfinite(extent).all():
@@ -225,7 +223,7 @@ def track_inner_curves(history: SubdivisionHistory, seed_edges,
     start-step values across all tracked steps — true for boundary vertices
     and for vertices pinned by symmetry.
     """
-    if not 0 <= start_step < len(history.meshes):
+    if _checked_int(start_step, "start_step", 0) >= len(history.meshes):
         raise InvalidParameterError(
             f"start step {start_step} outside history of {len(history.meshes)}")
     base = history.meshes[start_step]
@@ -320,9 +318,7 @@ def first_hit_raster(history: SubdivisionHistory, resolution: int,
     pixels (until saturation, after which nothing changes).  A raster of
     more than ``2**24`` pixels raises :class:`InvalidParameterError`.
     """
-    if resolution < 16:
-        raise InvalidParameterError(
-            f"resolution must be >= 16 pixels, got {resolution}")
+    W = _checked_int(resolution, "resolution", 16)
     if len(history.meshes) == 0:
         raise InvalidParameterError("history is empty")
     if window is None:
@@ -339,7 +335,6 @@ def first_hit_raster(history: SubdivisionHistory, resolution: int,
                                     f"with positive extent, got {window!r}")
     xmin, ymin, xmax, ymax = bounds.tolist()
 
-    W = int(resolution)
     # capped before rounding, so an infinite aspect ratio is caught too
     H = max(round(min(W * (ymax - ymin) / (xmax - xmin), _MAX_PIXELS)), 1)
     if W * H > _MAX_PIXELS:

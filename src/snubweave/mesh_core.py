@@ -8,9 +8,10 @@ Conventions used throughout the package:
 
 * faces are simple cycles, oriented counterclockwise (positive signed area)
   in a y-up plane;
-* an edge is *inner* when it has two incident faces, *outer* otherwise;
+* an edge is *inner* when it has two incident faces, *outer* otherwise
+  (:attr:`Mesh.boundary_edge_mask` marks the outer ones);
 * a vertex is *inner* when it has at least one incident edge and all of its
-  incident edges are inner;
+  incident edges are inner (:attr:`Mesh.inner_vertex_mask`);
 * the face "barycenter" is the arithmetic mean of the face's vertex
   positions (the vertex centroid), not the area centroid.
 
@@ -23,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
+import itertools
+import numbers
 
 import numpy as np
 
@@ -36,12 +39,10 @@ from .errors import (
 
 __all__ = [
     "Mesh",
-    "ElementClass",
     "VertexTag",
     "EdgeTag",
     "Provenance",
     "build_mesh",
-    "classify",
     "euler_characteristic",
     "convexity_report",
     "pentagon",
@@ -199,9 +200,14 @@ class Mesh:
 
         ``u`` and ``v`` are ints or equal-length int arrays (then an array
         of ids is returned).  A binary search over the sorted edge table;
-        raises :class:`IndexRangeError` when a pair is not an edge.
+        raises :class:`IndexRangeError` when a pair is not an edge, and
+        :class:`InvalidParameterError` for an index that is not an integer.
         """
-        u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+        ids = np.asarray(u), np.asarray(v)
+        if any(a.size and a.dtype.kind not in "iu" for a in ids):
+            raise InvalidParameterError(
+                f"vertex ids must be integers, got {u!r} and {v!r}")
+        u, v = (a.astype(np.int64, copy=False) for a in ids)
         V = np.int64(self.vertex_count)
         # one key per edge, then a sentinel for searches past the last one
         keys = np.append(self.edges[:, 0] * V + self.edges[:, 1], -1)
@@ -218,7 +224,16 @@ class Mesh:
 
     @cached_property
     def boundary_edge_mask(self) -> np.ndarray:
+        """Per edge, whether it has fewer than two incident faces (outer)."""
         return (self.edge_left < 0) | (self.edge_right < 0)
+
+    @cached_property
+    def inner_vertex_mask(self) -> np.ndarray:
+        """Per vertex, whether it has an edge and no edge on the boundary."""
+        inner = np.zeros(self.vertex_count, dtype=bool)
+        inner[self.edges.ravel()] = True
+        inner[self.edges[self.boundary_edge_mask].ravel()] = False
+        return inner
 
     @cached_property
     def vertex_degrees(self) -> np.ndarray:
@@ -252,54 +267,49 @@ class Mesh:
     __hash__ = None
 
 
-@dataclass(frozen=True)
-class ElementClass:
-    """Inner/outer classification of every edge and vertex of a mesh.
-
-    ``edge_is_inner[e]`` is true when edge ``e`` has two incident faces;
-    ``vertex_is_inner[v]`` is true when vertex ``v`` has at least one
-    incident edge and every incident edge is inner.
-    """
-
-    edge_is_inner: np.ndarray
-    vertex_is_inner: np.ndarray
-
-    @property
-    def inner_edge_ids(self) -> np.ndarray:
-        return np.flatnonzero(self.edge_is_inner)
-
-    @property
-    def outer_edge_ids(self) -> np.ndarray:
-        return np.flatnonzero(~self.edge_is_inner)
-
-    @property
-    def inner_vertex_ids(self) -> np.ndarray:
-        return np.flatnonzero(self.vertex_is_inner)
-
-    @property
-    def outer_vertex_ids(self) -> np.ndarray:
-        return np.flatnonzero(~self.vertex_is_inner)
-
-
 # ---------------------------------------------------------------------------
 # construction
 # ---------------------------------------------------------------------------
 
+def _index_array(values, name: str) -> np.ndarray:
+    """``values`` as a 1-D int64 array; :class:`InvalidParameterError` for
+    entries that are not integers (a float, even a whole one, included)."""
+    a = np.asarray(values)
+    if a.ndim != 1 or (a.size and a.dtype.kind not in "iu"):
+        raise InvalidParameterError(
+            f"{name} must be a flat sequence of integers, got {a.dtype} "
+            f"values of shape {a.shape}")
+    return np.ascontiguousarray(a, dtype=np.int64)
+
+
 def _flatten_faces(faces) -> tuple[np.ndarray, np.ndarray]:
-    """Turn a sequence of index cycles into flat CSR arrays."""
+    """Turn a sequence of index cycles, or a CSR pair, into CSR arrays."""
     if isinstance(faces, tuple) and len(faces) == 2 \
             and isinstance(faces[0], np.ndarray):
-        flat, starts = faces
-        return (np.ascontiguousarray(flat, dtype=np.int64),
-                np.ascontiguousarray(starts, dtype=np.int64))
+        flat = _index_array(faces[0], "face_vertex_flat")
+        starts = _index_array(faces[1], "face_starts")
+        if not len(starts) or starts[0] != 0 or starts[-1] != len(flat) \
+                or (starts[1:] < starts[:-1]).any():
+            raise InvalidParameterError(
+                f"face_starts must rise from 0 to {len(flat)}, the length "
+                f"of face_vertex_flat, without decreasing")
+        return flat, starts
     sizes = np.fromiter((len(f) for f in faces), dtype=np.int64,
                         count=len(faces))
     starts = np.zeros(len(faces) + 1, dtype=np.int64)
     np.cumsum(sizes, out=starts[1:])
-    flat = np.empty(starts[-1], dtype=np.int64)
-    for f, cycle in enumerate(faces):
-        flat[starts[f]:starts[f + 1]] = cycle
-    return flat, starts
+    return _index_array(list(itertools.chain.from_iterable(faces)),
+                        "face indices"), starts
+
+
+def _checked_int(value, name: str, low: int) -> int:
+    """``value`` as an int; :class:`InvalidParameterError` unless it is an
+    integer of at least ``low`` (numpy integers pass, bools do not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+            or value < low:
+        raise InvalidParameterError(
+            f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
 
 
 def _check_point_array(points) -> np.ndarray:
@@ -322,7 +332,12 @@ def build_mesh(points, faces, *, check_self_intersections: bool = False,
 
     ``faces`` is a sequence of index cycles, or the CSR pair of arrays
     ``(face_vertex_flat, face_starts)``: a tuple of two arrays is always
-    read as CSR, so give two faces as arrays in a list.
+    read as CSR, so give two faces as arrays in a list.  In the CSR pair,
+    face ``f`` is ``face_vertex_flat[face_starts[f]:face_starts[f + 1]]``,
+    so ``face_starts`` holds ``F + 1`` offsets that start at 0, never
+    decrease and end at ``len(face_vertex_flat)``; both arrays are flat and
+    of an integer dtype.  Any other pair, or an index that is not an
+    integer in either form, raises :class:`InvalidParameterError`.
 
     Faces given clockwise are reversed to counterclockwise.  Raises
     :class:`IndexRangeError` for out-of-range indices,
@@ -581,23 +596,8 @@ def _check_self_intersections(mesh: Mesh) -> None:
 
 
 # ---------------------------------------------------------------------------
-# classification and reports
+# reports
 # ---------------------------------------------------------------------------
-
-def classify(mesh: Mesh) -> ElementClass:
-    """Split edges and vertices into inner and outer classes."""
-    edge_is_inner = (mesh.edge_left >= 0) & (mesh.edge_right >= 0)
-    V = mesh.vertex_count
-    has_edge = np.zeros(V, dtype=bool)
-    if mesh.edge_count:
-        has_edge[mesh.edges.ravel()] = True
-    on_outer = np.zeros(V, dtype=bool)
-    outer_edges = mesh.edges[~edge_is_inner]
-    if len(outer_edges):
-        on_outer[outer_edges.ravel()] = True
-    return ElementClass(edge_is_inner=edge_is_inner,
-                        vertex_is_inner=has_edge & ~on_outer)
-
 
 def euler_characteristic(mesh: Mesh) -> int:
     """V - E + F (1 for a disc, 2 for a sphere-like mesh without boundary)."""
@@ -635,8 +635,7 @@ def convexity_report(mesh: Mesh, tolerance: float = 1e-9) -> list[int]:
 
 def ngon(n: int) -> Mesh:
     """Regular n-gon with unit circumradius, one face, first vertex on top."""
-    if n < 3:
-        raise InvalidParameterError(f"an n-gon needs n >= 3, got {n}")
+    n = _checked_int(n, "n", 3)
     angles = np.pi / 2 + 2 * np.pi * np.arange(n) / n
     pts = np.column_stack((np.cos(angles), np.sin(angles)))
     return build_mesh(pts, [list(range(n))])
@@ -649,8 +648,7 @@ def pentagon() -> Mesh:
 
 def square_grid(w: int, h: int) -> Mesh:
     """Grid of w x h unit squares spanning [0, w] x [0, h]."""
-    if w < 1 or h < 1:
-        raise InvalidParameterError(f"grid needs w, h >= 1, got {w}x{h}")
+    w, h = _checked_int(w, "w", 1), _checked_int(h, "h", 1)
     xs, ys = np.meshgrid(np.arange(w + 1), np.arange(h + 1))
     pts = np.column_stack((xs.ravel(), ys.ravel())).astype(np.float64)
 
@@ -664,9 +662,7 @@ def square_grid(w: int, h: int) -> Mesh:
 
 def fan_ngon(n: int) -> Mesh:
     """Regular n-gon triangulated by fanning from its centroid."""
-    if n < 3:
-        raise InvalidParameterError(f"a fan n-gon needs n >= 3, got {n}")
-    ring = ngon(n).positions
+    ring = ngon(n).positions        # checks n
     pts = np.vstack((ring, [[0.0, 0.0]]))
     faces = [[k, (k + 1) % n, n] for k in range(n)]
     return build_mesh(pts, faces)

@@ -64,7 +64,6 @@ from dataclasses import dataclass
 import functools
 import logging
 import math
-import numbers
 
 import numpy as np
 
@@ -75,13 +74,12 @@ from .errors import (
 )
 from .mesh_core import (
     EdgeTag,
-    ElementClass,
     Mesh,
     Provenance,
     VertexTag,
+    _checked_int,
     _reject_bad_faces,
     _reject_pinched_boundary,
-    classify,
 )
 
 __all__ = [
@@ -329,22 +327,23 @@ def _check_geometry(source: Mesh, refined: Mesh, s: int) -> np.ndarray:
 # operation 4: smoothing
 # ---------------------------------------------------------------------------
 
-def smooth_inner_vertices(mesh: Mesh, classes: ElementClass) -> Mesh:
+def smooth_inner_vertices(mesh: Mesh) -> Mesh:
     """Move every inner vertex to the mean of its faces' barycenters.
 
-    All moves use the pre-move positions (simultaneous update); outer
-    vertices are returned bitwise unchanged.
+    The inner vertices are read off the mesh
+    (:attr:`~.mesh_core.Mesh.inner_vertex_mask`).  All moves use the
+    pre-move positions (simultaneous update); outer vertices are returned
+    bitwise unchanged.
     """
-    return _smooth(mesh, classes, mesh.face_centroids())
+    return _smooth(mesh, mesh.face_centroids())
 
 
-def _smooth(mesh: Mesh, classes: ElementClass,
-            centroids: np.ndarray) -> Mesh:
+def _smooth(mesh: Mesh, centroids: np.ndarray) -> Mesh:
     """:func:`smooth_inner_vertices` with the face centroids given."""
     flat = mesh.face_vertex_flat
     V = mesh.vertex_count
     cnt = np.bincount(flat, minlength=V)
-    inner = classes.vertex_is_inner & (cnt > 0)
+    inner = mesh.inner_vertex_mask & (cnt > 0)
     new_positions = mesh.positions.copy()
     for axis in (0, 1):
         acc = np.bincount(flat, minlength=V, weights=np.repeat(
@@ -360,10 +359,10 @@ def _smooth(mesh: Mesh, classes: ElementClass,
 
 @dataclass(frozen=True)
 class StepRecord:
-    """Everything recorded about one refinement step (producing mesh t)."""
+    """The lineage of one refinement step (producing mesh t).  The mesh's
+    inner and outer elements are read off the mesh, not stored here."""
 
     provenance: Provenance
-    element_class: ElementClass      # classification of the refined mesh
 
 
 @dataclass(frozen=True)
@@ -372,6 +371,8 @@ class SubdivisionHistory:
 
     ``records[k]`` describes the step that produced ``meshes[k + 1]``;
     every step bends by ``seed_flag`` (see :func:`assign_z_orientations`).
+    Smoothing moves positions only, so ``meshes[k + 1]`` has the inner and
+    outer elements of the step's refined mesh.
     """
 
     meshes: list[Mesh]
@@ -416,10 +417,7 @@ def snub_subdivide(mesh: Mesh, steps: int, smoothing: bool = True,
     depth, e.g. on ``ngon(3)`` at t=4).  ``_check_self_intersections`` in
     :mod:`~.mesh_core` finds such crossings; the step does not run it.
     """
-    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) \
-            or steps < 0:
-        raise InvalidParameterError(
-            f"steps must be an integer >= 0, got {steps!r}")
+    steps = _checked_int(steps, "steps", 0)
     # checked before the loop too, for a history of no steps
     seed_flag = _checked_flag(seed_flag)
     meshes = [mesh]
@@ -430,11 +428,8 @@ def snub_subdivide(mesh: Mesh, steps: int, smoothing: bool = True,
         refined, prov = _refine(current, s)
         centroids = _check_geometry(current, refined, s)
         _check_count_recursion(current, refined)
-        refined_classes = classify(refined)
-        result = (_smooth(refined, refined_classes, centroids)
-                  if smoothing else refined)
-        records.append(StepRecord(provenance=prov,
-                                  element_class=refined_classes))
+        result = _smooth(refined, centroids) if smoothing else refined
+        records.append(StepRecord(provenance=prov))
         meshes.append(result)
         current = result
     return SubdivisionHistory(meshes=meshes, records=records,

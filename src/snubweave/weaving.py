@@ -269,8 +269,7 @@ def _build_tiling(source: Mesh, partner: np.ndarray,
 
 def _glue_across(mesh: Mesh, edges: np.ndarray) -> GluedTiling:
     """Glue the two faces flanking each of ``edges`` (interior ones only)."""
-    edges = edges[(mesh.edge_left[edges] >= 0)
-                  & (mesh.edge_right[edges] >= 0)]
+    edges = edges[~mesh.boundary_edge_mask[edges]]
     partner = np.full(mesh.face_count, -1, dtype=np.int64)
     shared = np.full(mesh.face_count, -1, dtype=np.int64)
     for side, mate in ((mesh.edge_left, mesh.edge_right),

@@ -7,17 +7,65 @@ face lists for sqrt-3 and a per-vertex ``fan_next`` dictionary for the
 mid-edge vertex faces.  They are kept verbatim, apart from imports, so the
 array implementations in :mod:`snubweave.classic_schemes` can be checked
 against them bit for bit.  They are slow; use small inputs.
+``ElementClass`` and ``classify`` are verbatim copies of the inner/outer
+classification the library had then (it now reads inner vertices off
+``Mesh.inner_vertex_mask``).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 import math
 
 import numpy as np
 
 from snubweave.classic_schemes import OriginKind, SchemeStepResult
 from snubweave.errors import NotTriangleMeshError
-from snubweave.mesh_core import Mesh, build_mesh, classify
+from snubweave.mesh_core import Mesh, build_mesh
+
+
+@dataclass(frozen=True)
+class ElementClass:
+    """Inner/outer classification of every edge and vertex of a mesh.
+
+    ``edge_is_inner[e]`` is true when edge ``e`` has two incident faces;
+    ``vertex_is_inner[v]`` is true when vertex ``v`` has at least one
+    incident edge and every incident edge is inner.
+    """
+
+    edge_is_inner: np.ndarray
+    vertex_is_inner: np.ndarray
+
+    @property
+    def inner_edge_ids(self) -> np.ndarray:
+        return np.flatnonzero(self.edge_is_inner)
+
+    @property
+    def outer_edge_ids(self) -> np.ndarray:
+        return np.flatnonzero(~self.edge_is_inner)
+
+    @property
+    def inner_vertex_ids(self) -> np.ndarray:
+        return np.flatnonzero(self.vertex_is_inner)
+
+    @property
+    def outer_vertex_ids(self) -> np.ndarray:
+        return np.flatnonzero(~self.vertex_is_inner)
+
+
+def classify(mesh: Mesh) -> ElementClass:
+    """Split edges and vertices into inner and outer classes."""
+    edge_is_inner = (mesh.edge_left >= 0) & (mesh.edge_right >= 0)
+    V = mesh.vertex_count
+    has_edge = np.zeros(V, dtype=bool)
+    if mesh.edge_count:
+        has_edge[mesh.edges.ravel()] = True
+    on_outer = np.zeros(V, dtype=bool)
+    outer_edges = mesh.edges[~edge_is_inner]
+    if len(outer_edges):
+        on_outer[outer_edges.ravel()] = True
+    return ElementClass(edge_is_inner=edge_is_inner,
+                        vertex_is_inner=has_edge & ~on_outer)
 
 
 def _require_triangles(mesh: Mesh, scheme: str) -> None:

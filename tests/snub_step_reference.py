@@ -12,7 +12,10 @@ this module's own logger.  ``_reject_zero_length_edges`` is a verbatim copy
 of the edge-table check ``mesh_core`` had then, and ``ParentKind``,
 ``Provenance`` and ``ZOrientation`` are verbatim copies of the record types
 the library had then (it has since dropped the orientation record and the
-parent-kind array, which equals ``vertex_tags``).
+parent-kind array, which equals ``vertex_tags``).  ``ElementClass`` and
+``classify`` are verbatim copies of the inner/outer classification the
+library had then (it now reads inner vertices off
+``Mesh.inner_vertex_mask``).
 """
 
 from __future__ import annotations
@@ -31,11 +34,9 @@ from snubweave.errors import (
 )
 from snubweave.mesh_core import (
     EdgeTag,
-    ElementClass,
     Mesh,
     VertexTag,
     _reject_pinched_boundary,
-    classify,
 )
 
 logger = logging.getLogger(__name__)
@@ -84,6 +85,51 @@ class ZOrientation:
     """
 
     seed_flag: int
+
+
+@dataclass(frozen=True)
+class ElementClass:
+    """Inner/outer classification of every edge and vertex of a mesh.
+
+    ``edge_is_inner[e]`` is true when edge ``e`` has two incident faces;
+    ``vertex_is_inner[v]`` is true when vertex ``v`` has at least one
+    incident edge and every incident edge is inner.
+    """
+
+    edge_is_inner: np.ndarray
+    vertex_is_inner: np.ndarray
+
+    @property
+    def inner_edge_ids(self) -> np.ndarray:
+        return np.flatnonzero(self.edge_is_inner)
+
+    @property
+    def outer_edge_ids(self) -> np.ndarray:
+        return np.flatnonzero(~self.edge_is_inner)
+
+    @property
+    def inner_vertex_ids(self) -> np.ndarray:
+        return np.flatnonzero(self.vertex_is_inner)
+
+    @property
+    def outer_vertex_ids(self) -> np.ndarray:
+        return np.flatnonzero(~self.vertex_is_inner)
+
+
+def classify(mesh: Mesh) -> ElementClass:
+    """Split edges and vertices into inner and outer classes."""
+    edge_is_inner = (mesh.edge_left >= 0) & (mesh.edge_right >= 0)
+    V = mesh.vertex_count
+    has_edge = np.zeros(V, dtype=bool)
+    if mesh.edge_count:
+        has_edge[mesh.edges.ravel()] = True
+    on_outer = np.zeros(V, dtype=bool)
+    outer_edges = mesh.edges[~edge_is_inner]
+    if len(outer_edges):
+        on_outer[outer_edges.ravel()] = True
+    return ElementClass(edge_is_inner=edge_is_inner,
+                        vertex_is_inner=has_edge & ~on_outer)
+
 
 _SQRT3 = math.sqrt(3.0)
 

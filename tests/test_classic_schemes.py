@@ -307,7 +307,7 @@ class TestMidedge:
         hist = sw.snub_subdivide(sw.pentagon(), 2)
         tiling = sw.glue_snub_pairs(hist.final, hist.records[-1].provenance)
         mesh = tiling.mesh
-        short = np.flatnonzero(sw.classify(mesh).vertex_is_inner
+        short = np.flatnonzero(mesh.inner_vertex_mask
                                & (mesh.vertex_degrees == 2))
         assert len(short) == 10
         with pytest.raises(DegenerateFaceError) as got:
@@ -400,8 +400,6 @@ def direct_doo_sabin_grid(mesh):
     joining two interior vertices (matching the mid-edge boundary
     clipping).
     """
-    from snubweave import classify
-
     pos = np.asarray(mesh.positions)
     corner_id = {}
     new_pts = []
@@ -418,7 +416,7 @@ def direct_doo_sabin_grid(mesh):
     faces = [[corner_id[(f, int(v))] for v in mesh.face(f)]
              for f in range(mesh.face_count)]
 
-    classes = classify(mesh)
+    classes = ref.classify(mesh)
     vertex_faces = [[] for _ in range(mesh.vertex_count)]
     for f in range(mesh.face_count):
         for v in mesh.face(f):
@@ -675,7 +673,7 @@ class TestOracleEquivalence:
     def test_all_schemes_match_oracle_on_mixed_valences(self):
         mesh = mixed_triangulation(4, 4, [2, 0, 1, 2, 1, 1, 0, 0,
                                           2, 0, 1, 1, 0, 2, 0, 1], seed=7)
-        inner = sw.classify(mesh).vertex_is_inner
+        inner = mesh.inner_vertex_mask
         assert set(range(3, 9)) <= set(mesh.vertex_degrees[inner].tolist())
         assert 2 in mesh.vertex_degrees[~inner]
         for name in TRIANGLE_SCHEMES + ("catmull_clark_step",):

@@ -17,6 +17,9 @@ from snubweave import (
 
 import fractal_reference as ref
 
+#: Values that are not an integer where one is expected.
+NOT_INTEGERS = [True, 2.5, math.inf, math.nan, None]
+
 SQRT7 = math.sqrt(7.0)
 TARGET_DIMENSION = math.log(3.0) / math.log(SQRT7)
 
@@ -65,7 +68,8 @@ class TestLSystemExpand:
         with pytest.raises(InvalidParameterError):
             sw.lsystem_expand(-1)
 
-    @pytest.mark.parametrize("depth", [2.0, "2", None])
+    # True would otherwise expand once
+    @pytest.mark.parametrize("depth", [2.0, "2"] + NOT_INTEGERS)
     def test_depth_must_be_an_integer(self, depth):
         with pytest.raises(InvalidParameterError, match="must be an integer"):
             sw.lsystem_expand(depth)
@@ -186,6 +190,21 @@ class TestDimensionEstimate:
             sw.box_counting_dimension([[-1e308, 0.0], [1e308, 1.0],
                                        [0.0, 2.0]])
 
+    @pytest.mark.parametrize("value", NOT_INTEGERS)
+    def test_box_counting_needs_integer_counts(self, value):
+        _, polyline = sw.lsystem_expand(4)
+        with pytest.raises(InvalidParameterError,
+                           match="^samples_per_segment must be an integer"):
+            sw.box_counting_dimension(polyline, samples_per_segment=value)
+        with pytest.raises(InvalidParameterError,
+                           match="^a grid size must be an integer >= 2"):
+            sw.box_counting_dimension(polyline, grid_sizes=(value, 8, 16))
+        # numpy integers are integers, with the same estimate
+        got = sw.box_counting_dimension(polyline, np.array([4, 8, 16]),
+                                        np.int64(4))
+        want = sw.box_counting_dimension(polyline, (4, 8, 16), 4)
+        assert (got.dimension, got.residual) == (want.dimension, want.residual)
+
     def test_box_counting_rejects_zero_samples_per_segment(self):
         _, polyline = sw.lsystem_expand(4)
         with pytest.raises(InvalidParameterError):
@@ -223,8 +242,7 @@ class TestTrackInnerCurves:
 
     def test_interior_curve_lengths_reported_not_monotone_asserted(self):
         hist = sw.snub_subdivide(sw.square_grid(2, 2), 3)
-        classes = sw.classify(hist.meshes[0])
-        seed = int(classes.inner_edge_ids[0])
+        seed = int(np.flatnonzero(~hist.meshes[0].boundary_edge_mask)[0])
         family = sw.track_inner_curves(hist, [seed])
         track = family.curves[0]
         assert len(track.lengths) == 4
@@ -240,6 +258,17 @@ class TestTrackInnerCurves:
         hist = sw.snub_subdivide(sw.pentagon(), 1)
         with pytest.raises(UnknownSeedError, match="integer edge ids"):
             sw.track_inner_curves(hist, seeds)
+
+    @pytest.mark.parametrize("start_step", NOT_INTEGERS)
+    def test_start_step_must_be_an_integer(self, start_step):
+        # True would otherwise run from step 1
+        hist = sw.snub_subdivide(sw.pentagon(), 2)
+        with pytest.raises(InvalidParameterError,
+                           match="^start_step must be an integer >= 0"):
+            sw.track_inner_curves(hist, [0], start_step=start_step)
+        assert sw.track_inner_curves(
+            hist, [0], start_step=np.int64(1)).curves[0].lengths \
+            == sw.track_inner_curves(hist, [0], start_step=1).curves[0].lengths
 
     def test_path_vertices_triple_per_step(self):
         hist = sw.snub_subdivide(sw.pentagon(), 3)
@@ -313,6 +342,16 @@ class TestFirstHitRaster:
     def test_resolution_guard(self, history):
         with pytest.raises(InvalidParameterError):
             sw.first_hit_raster(history, 8)
+
+    @pytest.mark.parametrize("resolution", NOT_INTEGERS + [16.9])
+    def test_resolution_must_be_an_integer(self, history, resolution):
+        # inf overflowed and nan failed in ``int``; 16.9 gave a 15x16 raster
+        with pytest.raises(InvalidParameterError,
+                           match="^resolution must be an integer >= 16"):
+            sw.first_hit_raster(history, resolution)
+        assert np.array_equal(
+            sw.first_hit_raster(history, np.int64(32)).step_index,
+            sw.first_hit_raster(history, 32).step_index)
 
     def test_tall_window_gets_rows_by_its_aspect(self, history):
         raster = sw.first_hit_raster(history, 16, window=(0.0, 0.0, 1e-3, 1.0))

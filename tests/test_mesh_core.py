@@ -1,4 +1,4 @@
-"""Mesh construction, validation, classification, and demo generators."""
+"""Mesh construction, validation, inner/outer masks, and demo generators."""
 
 import math
 
@@ -16,7 +16,12 @@ from snubweave import (
 )
 from snubweave.mesh_core import _check_self_intersections, _direct_mesh
 
+import classic_reference
+
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+
+#: Values that are not an integer where one is expected.
+NOT_INTEGERS = [True, 2.5, math.inf, math.nan, None]
 
 
 # ---------------------------------------------------------------------------
@@ -31,9 +36,8 @@ class TestBuildMesh:
 
     def test_two_triangles_share_one_inner_edge(self):
         m = sw.build_mesh(UNIT_SQUARE, [[0, 1, 2], [0, 2, 3]])
-        classes = sw.classify(m)
-        assert len(classes.inner_edge_ids) == 1
-        assert len(classes.outer_edge_ids) == 4
+        assert np.count_nonzero(~m.boundary_edge_mask) == 1
+        assert np.count_nonzero(m.boundary_edge_mask) == 4
 
     def test_a_pair_of_arrays_is_read_as_csr(self):
         # (face_vertex_flat, face_starts): two faces as arrays need a list
@@ -46,6 +50,30 @@ class TestBuildMesh:
         csr = sw.build_mesh(UNIT_SQUARE, (np.array([0, 1, 2, 0, 2, 3]),
                                           np.array([0, 3, 6])))
         assert csr == two
+
+    @pytest.mark.parametrize("faces", [
+        [[0, 1, 2.7]],
+        [[0, 1, 2.0]],
+        (np.array([0.0, 1.0, 2.7]), np.array([0, 3])),
+        (np.array([0, 1, 2]), np.array([0.0, 3.0]))])
+    def test_non_integer_indices_rejected(self, faces):
+        # each would otherwise be truncated to the face (0, 1, 2)
+        with pytest.raises(InvalidParameterError,
+                           match="must be a flat sequence of integers"):
+            sw.build_mesh(UNIT_SQUARE, faces)
+
+    @pytest.mark.parametrize("flat, starts", [
+        ([0, 1, 2, 0, 2, 3], [1, 3, 6]),        # does not begin at 0
+        ([0, 1, 2, 0, 2, 3], [0, 4, 3, 6]),     # decreases
+        ([0, 1, 2, 0, 2], [0, 3]),              # does not end at len(flat)
+        ([0, 1, 2], [])])
+    def test_csr_starts_must_rise_from_zero_to_the_flat_length(self, flat,
+                                                               starts):
+        with pytest.raises(InvalidParameterError,
+                           match=f"^face_starts must rise from 0 to "
+                                 f"{len(flat)}, "):
+            sw.build_mesh(UNIT_SQUARE, (np.array(flat), np.array(starts,
+                                                                  dtype=int)))
 
     def test_three_faces_on_one_edge_rejected(self):
         pts = UNIT_SQUARE + [(0.5, -1.0), (0.5, -2.0)]
@@ -262,39 +290,79 @@ class TestSelfIntersections:
 
 
 # ---------------------------------------------------------------------------
-# classify
+# inner/outer classification: Mesh.inner_vertex_mask, Mesh.boundary_edge_mask
 # ---------------------------------------------------------------------------
+
+DEMO_SPECS = ("pentagon", "pentaflower", "ngon:3", "ngon:7", "fan:3",
+              "fan:5", "fan:8", "grid:1x1", "grid:3x2", "grid:3x3")
+
+
+@st.composite
+def classified_meshes(draw):
+    """A mesh and the ids of its unused points: a demo spec as built, its
+    snub output up to t = 3 (smoothing on or off; the last step before a
+    fold), a classic step's output, or the demo with one unused point."""
+    mesh = sw.generate_demo_mesh(draw(st.sampled_from(DEMO_SPECS)))
+    kind = draw(st.sampled_from(("demo", "snub", "classic", "unused point")))
+    if kind == "snub":
+        smoothing = draw(st.booleans())
+        for _ in range(draw(st.integers(1, 3))):
+            try:
+                mesh = sw.snub_subdivide(mesh, 1, smoothing=smoothing).final
+            except NonManifoldError:
+                break
+    elif kind == "classic":
+        names = ["midedge_step", "catmull_clark_step", "doo_sabin_step"]
+        if (mesh.face_sizes == 3).all():
+            names += ["loop_step", "butterfly_step", "sqrt3_step"]
+        mesh = getattr(sw, draw(st.sampled_from(names)))(mesh).mesh
+    elif kind == "unused point":
+        spare = draw(st.integers(0, mesh.vertex_count))
+        points = np.insert(mesh.positions, spare, [[7.0, 7.0]], axis=0)
+        flat = mesh.face_vertex_flat + (mesh.face_vertex_flat >= spare)
+        mesh = sw.build_mesh(points, (flat, mesh.face_starts))
+        return mesh, np.array([spare])
+    return mesh, np.zeros(0, dtype=np.int64)
 
 class TestClassify:
     def test_single_pentagon_all_outer(self):
-        classes = sw.classify(sw.pentagon())
-        assert len(classes.outer_edge_ids) == 5
-        assert len(classes.inner_edge_ids) == 0
-        assert len(classes.outer_vertex_ids) == 5
-        assert len(classes.inner_vertex_ids) == 0
+        m = sw.pentagon()
+        assert np.count_nonzero(m.boundary_edge_mask) == 5
+        assert np.count_nonzero(~m.boundary_edge_mask) == 0
+        assert np.count_nonzero(~m.inner_vertex_mask) == 5
+        assert np.count_nonzero(m.inner_vertex_mask) == 0
 
     def test_fan_with_two_inner_and_three_outer_vertices(self):
         # hull triangle with two interior vertices, fully triangulated
         pts = [(0.0, 0.0), (4.0, 0.0), (2.0, 3.0),   # hull
                (1.6, 0.9), (2.2, 1.6)]               # interior
         faces = [[0, 1, 3], [1, 4, 3], [1, 2, 4], [2, 0, 4], [0, 3, 4]]
-        classes = sw.classify(sw.build_mesh(pts, faces))
-        assert sorted(classes.inner_vertex_ids.tolist()) == [3, 4]
-        assert len(classes.outer_vertex_ids) == 3
+        inner = sw.build_mesh(pts, faces).inner_vertex_mask
+        assert np.flatnonzero(inner).tolist() == [3, 4]
+        assert np.count_nonzero(~inner) == 3
 
     def test_grid_3x3_inner_counts(self):
-        classes = sw.classify(sw.square_grid(3, 3))
-        assert len(classes.inner_vertex_ids) == 4
-        assert len(classes.inner_edge_ids) == 12
+        m = sw.square_grid(3, 3)
+        assert np.count_nonzero(m.inner_vertex_mask) == 4
+        assert np.count_nonzero(~m.boundary_edge_mask) == 12
 
     def test_inner_edge_has_two_faces(self):
         m = sw.square_grid(2, 2)
-        classes = sw.classify(m)
-        for e in classes.inner_edge_ids:
+        for e in np.flatnonzero(~m.boundary_edge_mask):
             assert m.edge_left[e] >= 0 and m.edge_right[e] >= 0
-        for v in classes.outer_vertex_ids:
+        for v in np.flatnonzero(~m.inner_vertex_mask):
             touching = set(m.edges[m.boundary_edge_mask].ravel().tolist())
             assert int(v) in touching
+
+    @settings(max_examples=60, deadline=None)
+    @given(classified_meshes())
+    def test_masks_equal_the_reference_classification(self, case):
+        mesh, unused = case
+        ref = classic_reference.classify(mesh)
+        assert np.array_equal(mesh.inner_vertex_mask, ref.vertex_is_inner)
+        assert np.array_equal(mesh.boundary_edge_mask, ~ref.edge_is_inner)
+        # a point no face uses has no edge, so it is outer
+        assert not mesh.inner_vertex_mask[unused].any()
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +395,30 @@ class TestGenerators:
             sw.square_grid(0, 2)
         with pytest.raises(InvalidParameterError):
             sw.fan_ngon(2)
+
+    @pytest.mark.parametrize("n", NOT_INTEGERS)
+    def test_ngon_needs_an_integer(self, n):
+        with pytest.raises(InvalidParameterError,
+                           match="^n must be an integer >= 3, got "):
+            sw.ngon(n)
+
+    @pytest.mark.parametrize("n", NOT_INTEGERS)
+    def test_fan_ngon_needs_an_integer(self, n):
+        with pytest.raises(InvalidParameterError,
+                           match="^n must be an integer >= 3, got "):
+            sw.fan_ngon(n)
+
+    @pytest.mark.parametrize("value", NOT_INTEGERS)
+    def test_square_grid_needs_integers(self, value):
+        for w, h in ((value, 1), (1, value)):
+            with pytest.raises(InvalidParameterError,
+                               match="^[wh] must be an integer >= 1, got "):
+                sw.square_grid(w, h)
+
+    def test_generators_accept_numpy_integers(self):
+        assert sw.ngon(np.int64(5)) == sw.pentagon()
+        assert sw.fan_ngon(np.int32(6)) == sw.fan_ngon(6)
+        assert sw.square_grid(np.int64(2), np.uint8(3)) == sw.square_grid(2, 3)
 
     def test_pentagon_flower_counts(self):
         m = sw.pentagon_flower()
@@ -396,6 +488,22 @@ class TestMeshObject:
             m.edge_id(np.array([0, 0]), np.array([1, 3]))
         with pytest.raises(IndexRangeError):
             m.edge_id(0, 7)  # out of range; 0 * V + 7 is edge (1, 3)'s key
+
+    @pytest.mark.parametrize("value", NOT_INTEGERS)
+    def test_edge_id_needs_integer_vertex_ids(self, value):
+        m = sw.square_grid(1, 1)
+        for u, v in ((value, 1), (0, value)):
+            with pytest.raises(InvalidParameterError,
+                               match="^vertex ids must be integers, got "):
+                m.edge_id(u, v)
+
+    def test_edge_id_refuses_float_arrays_and_takes_numpy_integers(self):
+        m = sw.square_grid(1, 1)
+        with pytest.raises(InvalidParameterError):
+            m.edge_id(0.7, 1.2)         # would otherwise be edge (0, 1)
+        with pytest.raises(InvalidParameterError):
+            m.edge_id(np.array([0.0, 1.0]), np.array([1.0, 3.0]))
+        assert m.edge_id(np.int64(1), np.uint8(0)) == m.edge_id(0, 1)
 
     def test_positions_are_immutable(self):
         m = sw.pentagon()

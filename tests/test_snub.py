@@ -289,38 +289,36 @@ class TestRefinedGeometryChecks:
 class TestSmoothing:
     def test_identity_on_all_outer_mesh(self):
         m = sw.pentagon()
-        smoothed = sw.smooth_inner_vertices(m, sw.classify(m))
+        smoothed = sw.smooth_inner_vertices(m)
         assert np.array_equal(np.asarray(smoothed.positions),
                               np.asarray(m.positions))
 
     def test_symmetric_fan_center_is_fixed_point(self):
         m = sw.fan_ngon(8)
-        smoothed = sw.smooth_inner_vertices(m, sw.classify(m))
+        smoothed = sw.smooth_inner_vertices(m)
         assert np.allclose(np.asarray(smoothed.positions)[8], [0.0, 0.0],
                            atol=1e-12)
 
     def test_outer_vertices_bitwise_unchanged(self):
         hist = sw.snub_subdivide(sw.square_grid(2, 2), 1, smoothing=False)
         m = hist.final
-        classes = sw.classify(m)
-        smoothed = sw.smooth_inner_vertices(m, classes)
-        outer = classes.outer_vertex_ids
+        smoothed = sw.smooth_inner_vertices(m)
+        outer = np.flatnonzero(~m.inner_vertex_mask)
         assert np.array_equal(np.asarray(smoothed.positions)[outer],
                               np.asarray(m.positions)[outer])
-        inner = classes.inner_vertex_ids
+        inner = np.flatnonzero(m.inner_vertex_mask)
         assert not np.array_equal(np.asarray(smoothed.positions)[inner],
                                   np.asarray(m.positions)[inner])
 
     def test_matches_add_at_reference_bitwise(self):
         m = sw.snub_subdivide(sw.pentagon_flower(), 2, smoothing=False).final
-        classes = sw.classify(m)
         acc = np.zeros((m.vertex_count, 2))
         np.add.at(acc, m.face_vertex_flat, m.face_centroids()[m.slot_face])
         cnt = np.bincount(m.face_vertex_flat, minlength=m.vertex_count)
         expect = m.positions.copy()
-        inner = classes.vertex_is_inner
+        inner = m.inner_vertex_mask
         expect[inner] = acc[inner] / cnt[inner, None]
-        smoothed = sw.smooth_inner_vertices(m, classes)
+        smoothed = sw.smooth_inner_vertices(m)
         assert np.array_equal(smoothed.positions, expect)
 
     def test_smoothing_restores_convexity(self):
@@ -344,7 +342,8 @@ class TestSnubSubdivide:
         with pytest.raises(InvalidParameterError):
             sw.snub_subdivide(sw.pentagon(), -1)
 
-    @pytest.mark.parametrize("steps", [2.0, None, True])
+    @pytest.mark.parametrize("steps", [2.0, None, True, 2.5, math.inf,
+                                       math.nan])
     def test_steps_must_be_an_int(self, steps):
         with pytest.raises(InvalidParameterError,
                            match=f"^steps must be an integer >= 0, got "
@@ -392,7 +391,7 @@ class TestSnubSubdivide:
             m = hist.meshes[t]
             rec = hist.records[t - 1]
             new = np.asarray(rec.provenance.vertex_tags) != VertexTag.ORIGINAL
-            inner = rec.element_class.vertex_is_inner
+            inner = m.inner_vertex_mask
             degrees = m.vertex_degrees[new & inner]
             assert set(degrees.tolist()) <= {3, 5}
 
