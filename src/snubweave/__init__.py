@@ -37,7 +37,6 @@ from .mesh_core import (
     EdgeTag,
     Mesh,
     Provenance,
-    VertexTag,
     build_mesh,
     convexity_report,
     euler_characteristic,

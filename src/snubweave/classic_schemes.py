@@ -65,17 +65,17 @@ class OriginKind(IntEnum):
 class SchemeStepResult:
     """One scheme application: the refined mesh plus per-vertex origins.
 
-    ``vertex_origin_id[v]`` indexes into the source mesh's vertices, edges,
-    or faces according to ``vertex_origin_kind[v]``.  For
-    :func:`doo_sabin_step` (defined as two mid-edge applications) the ids
-    reference the *intermediate* mesh, which is carried in ``intermediate``.
-    ``flipped_edges`` lists the source-mesh edges re-connected by
-    :func:`sqrt3_step`; it is empty for every other scheme.
+    ``vertex_origin_kind`` is one block per :class:`OriginKind`, in order:
+    block ``k`` holds ``sizes[k]`` vertices (the count of kind ``k``), made
+    from the source's elements ``0, 1, ...`` of kind ``k``.  For
+    :func:`doo_sabin_step` (two mid-edge applications) these are edges of
+    the *intermediate* mesh, carried in ``intermediate``.  ``flipped_edges``
+    lists the source-mesh edges re-connected by :func:`sqrt3_step`; it is
+    empty for every other scheme.
     """
 
     mesh: Mesh
     vertex_origin_kind: np.ndarray
-    vertex_origin_id: np.ndarray
     flipped_edges: np.ndarray
     source: Mesh
     intermediate: "SchemeStepResult | None" = None
@@ -220,8 +220,6 @@ def _step_result(source: Mesh, refined: Mesh, sizes,
         mesh=refined,
         vertex_origin_kind=np.repeat(
             np.arange(len(OriginKind), dtype=np.int8), sizes),
-        vertex_origin_id=np.concatenate(
-            [np.arange(n, dtype=np.int64) for n in sizes]),
         flipped_edges=flipped_edges, source=source)
 
 

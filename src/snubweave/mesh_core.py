@@ -39,7 +39,6 @@ from .errors import (
 
 __all__ = [
     "Mesh",
-    "VertexTag",
     "EdgeTag",
     "Provenance",
     "build_mesh",
@@ -54,14 +53,6 @@ __all__ = [
 ]
 
 
-class VertexTag(IntEnum):
-    """How a vertex of a refined mesh came to exist."""
-
-    ORIGINAL = 0      # carried over from the previous mesh
-    Z_VERTEX = 1      # one of the two bend points replacing an edge
-    BARYCENTER = 2    # inserted at a face's vertex centroid
-
-
 class EdgeTag(IntEnum):
     """Role of an edge in a refined mesh."""
 
@@ -73,24 +64,13 @@ class EdgeTag(IntEnum):
 
 @dataclass(frozen=True)
 class Provenance:
-    """Per-element role tags for one refinement step, plus lineage maps.
+    """The role of every edge of a snub-refined mesh (:class:`EdgeTag`).
 
-    ``vertex_tags`` and ``edge_tags`` label every vertex/edge of the refined
-    mesh with a :class:`VertexTag` / :class:`EdgeTag` value.  The optional
-    lineage fields record where each element came from:
-
-    * ``vertex_parent_id[v]`` — the source vertex, edge, or face of the
-      previous mesh that produced vertex ``v``; ``vertex_tags[v]`` names
-      which of the three it is (original, bend point, barycenter);
-    * ``face_parent[f]`` — the source face that produced face ``f``;
-    * ``source`` — the mesh the step was applied to.
+    Where each vertex and face came from is not stored: the numbering of
+    the step, stated in :mod:`~snubweave.snub`, says it.
     """
 
-    vertex_tags: np.ndarray
     edge_tags: np.ndarray
-    vertex_parent_id: np.ndarray | None = None
-    face_parent: np.ndarray | None = None
-    source: "Mesh | None" = None
 
 
 class Mesh:
@@ -294,12 +274,21 @@ def _flatten_faces(faces) -> tuple[np.ndarray, np.ndarray]:
                 f"face_starts must rise from 0 to {len(flat)}, the length "
                 f"of face_vertex_flat, without decreasing")
         return flat, starts
-    sizes = np.fromiter((len(f) for f in faces), dtype=np.int64,
-                        count=len(faces))
+    try:
+        sizes = np.fromiter((len(f) for f in faces), dtype=np.int64,
+                            count=len(faces))
+        indices = list(itertools.chain.from_iterable(faces))
+    except TypeError:
+        indices = [None]        # not a sequence of cycles: rejected below
+    # checked by type, as numpy would take a bool for an int
+    if any(t is bool or not issubclass(t, numbers.Integral)
+           for t in set(map(type, indices))):
+        raise InvalidParameterError(
+            "face indices must be a flat sequence of integers, not of bools, "
+            "floats or sequences")
     starts = np.zeros(len(faces) + 1, dtype=np.int64)
     np.cumsum(sizes, out=starts[1:])
-    return _index_array(list(itertools.chain.from_iterable(faces)),
-                        "face indices"), starts
+    return _index_array(indices, "face indices"), starts
 
 
 def _checked_int(value, name: str, low: int) -> int:
@@ -384,9 +373,14 @@ def build_mesh(points, faces, *, check_self_intersections: bool = False,
     nxt[starts[1:] - 1] = starts[:-1]
     p = np.take(positions, flat, axis=0)
     q = np.take(p, nxt, axis=0)
-    doubled = np.add.reduceat(p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1],
-                              starts[:-1]) if F else np.zeros(0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        doubled = np.add.reduceat(p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1],
+                                  starts[:-1]) if F else np.zeros(0)
     del p, q
+    if not np.isfinite(doubled).all():
+        raise InvalidParameterError(
+            f"face {int(np.flatnonzero(~np.isfinite(doubled))[0])} has an "
+            f"area that is not finite (coordinates too large)")
     if F and (doubled == 0.0).any():
         raise DegenerateFaceError(
             f"face {int(np.flatnonzero(doubled == 0.0)[0])} has zero area")

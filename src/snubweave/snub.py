@@ -38,7 +38,7 @@ spoke).  The refined edge table is written directly in the sorted
 ``2E`` outer Z segments ``(source vertex, bend)``, then, per source edge,
 its middle segment followed by the spokes at its two bend points.  That
 order is load-bearing, because the next step numbers its bend points by
-edge id.
+edge id, and it is the only record of where each element came from.
 
 A pinched source boundary is rejected before the build.  Every other
 check is one pass over the finished arrays, before the refined mesh is
@@ -76,7 +76,6 @@ from .mesh_core import (
     EdgeTag,
     Mesh,
     Provenance,
-    VertexTag,
     _checked_int,
     _reject_bad_faces,
     _reject_pinched_boundary,
@@ -112,8 +111,11 @@ def assign_z_orientations(seed_flag: int = 1) -> int:
 
 
 def _checked_flag(seed_flag) -> int:
-    if seed_flag not in (1, -1):
-        raise InvalidParameterError(f"seed flag must be +1 or -1, got {seed_flag}")
+    """``seed_flag`` as an int; numpy integers pass, bools do not."""
+    if isinstance(seed_flag, bool) or not isinstance(
+            seed_flag, (int, np.integer)) or seed_flag not in (1, -1):
+        raise InvalidParameterError(
+            f"seed flag must be +1 or -1, got {seed_flag!r}")
     return int(seed_flag)
 
 
@@ -134,7 +136,7 @@ def _bend_points(mesh: Mesh, s: int):
 
 
 def _refine(source: Mesh, s: int) -> tuple[Mesh, Provenance]:
-    """Operations 1-3: the pentagon mesh and its provenance.
+    """Operations 1-3: the pentagon mesh and its edge roles.
 
     Each source slot gives one pentagon, a fixed row of five chosen by the
     flag (see the module docstring).  The caller checks the result with
@@ -228,17 +230,7 @@ def _refine(source: Mesh, s: int) -> tuple[Mesh, Provenance]:
     refined = Mesh(positions, out_flat,
                    np.arange(0, 5 * n + 1, 5, dtype=np.int64), edges,
                    edge_left, edge_right, out_edge)
-
-    vertex_tags = np.repeat(np.array([VertexTag.ORIGINAL, VertexTag.Z_VERTEX,
-                                      VertexTag.BARYCENTER], dtype=np.int8),
-                            (V, 2 * E, F))
-    pid = np.concatenate([np.arange(V, dtype=np.int64),
-                          np.repeat(np.arange(E, dtype=np.int64), 2),
-                          np.arange(F, dtype=np.int64)])
-    prov = Provenance(vertex_tags=vertex_tags, edge_tags=edge_tags,
-                      vertex_parent_id=pid,
-                      face_parent=slot_face.copy(), source=source)
-    return refined, prov
+    return refined, Provenance(edge_tags=edge_tags)
 
 
 def _row_sum(columns) -> np.ndarray:
@@ -359,20 +351,20 @@ def _smooth(mesh: Mesh, centroids: np.ndarray) -> Mesh:
 
 @dataclass(frozen=True)
 class StepRecord:
-    """The lineage of one refinement step (producing mesh t).  The mesh's
-    inner and outer elements are read off the mesh, not stored here."""
+    """The edge roles of one refinement step (producing mesh t); where each
+    vertex and face came from is the step's numbering (module docstring)."""
 
     provenance: Provenance
 
 
 @dataclass(frozen=True)
 class SubdivisionHistory:
-    """Meshes ``M_0 .. M_t`` plus per-step lineage records.
+    """Meshes ``M_0 .. M_t`` plus per-step records.
 
-    ``records[k]`` describes the step that produced ``meshes[k + 1]``;
-    every step bends by ``seed_flag`` (see :func:`assign_z_orientations`).
-    Smoothing moves positions only, so ``meshes[k + 1]`` has the inner and
-    outer elements of the step's refined mesh.
+    ``records[k]`` describes the step that produced ``meshes[k + 1]`` from
+    ``meshes[k]``, numbered as the module docstring states; every step
+    bends by ``seed_flag`` (see :func:`assign_z_orientations`).  Smoothing
+    moves positions only, so ``meshes[k + 1]`` keeps the step's numbering.
     """
 
     meshes: list[Mesh]
@@ -418,6 +410,9 @@ def snub_subdivide(mesh: Mesh, steps: int, smoothing: bool = True,
     :mod:`~.mesh_core` finds such crossings; the step does not run it.
     """
     steps = _checked_int(steps, "steps", 0)
+    if not isinstance(smoothing, (bool, np.bool_)):
+        raise InvalidParameterError(
+            f"smoothing must be a bool, got {smoothing!r}")
     # checked before the loop too, for a history of no steps
     seed_flag = _checked_flag(seed_flag)
     meshes = [mesh]
@@ -433,4 +428,4 @@ def snub_subdivide(mesh: Mesh, steps: int, smoothing: bool = True,
         meshes.append(result)
         current = result
     return SubdivisionHistory(meshes=meshes, records=records,
-                              smoothing=smoothing, seed_flag=seed_flag)
+                              smoothing=bool(smoothing), seed_flag=seed_flag)

@@ -194,9 +194,8 @@ class GluedTiling:
     ``tile_faces`` is a ``(T, 2)`` int64 array: row ``k`` holds the source
     faces forming tile ``k``, the lower one first, with ``-1`` in the
     second column for a singleton.  The face-split construction has no
-    source-face tiles (``tile_faces`` has shape ``(0, 2)``); it records the
-    interior source edge each quad covers in ``tile_source_edges``
-    instead.
+    source-face tiles (``tile_faces`` has shape ``(0, 2)``); its quad ``k``
+    covers the ``k``-th interior source edge, in edge order.
     """
 
     source: Mesh
@@ -204,7 +203,6 @@ class GluedTiling:
     pairs: np.ndarray
     singletons: np.ndarray
     tile_faces: np.ndarray
-    tile_source_edges: np.ndarray | None = None
 
 
 def _build_tiling(source: Mesh, partner: np.ndarray,
@@ -879,8 +877,7 @@ def general_face_split_weaving(mesh: Mesh,
         source=mesh, mesh=quad_mesh,
         pairs=np.zeros((0, 2), dtype=np.int64),
         singletons=np.zeros(0, dtype=np.int64),
-        tile_faces=np.zeros((0, 2), dtype=np.int64),
-        tile_source_edges=np.asarray(inner, dtype=np.int64))
+        tile_faces=np.zeros((0, 2), dtype=np.int64))
     coloring = VertexColoring(np.concatenate([
         np.ones(V, dtype=bool), np.zeros(mesh.face_count, dtype=bool)]))
     return tiling, coloring, quad_weaving(quad_mesh, coloring)

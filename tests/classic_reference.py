@@ -9,7 +9,10 @@ array implementations in :mod:`snubweave.classic_schemes` can be checked
 against them bit for bit.  They are slow; use small inputs.
 ``ElementClass`` and ``classify`` are verbatim copies of the inner/outer
 classification the library had then (it now reads inner vertices off
-``Mesh.inner_vertex_mask``).
+``Mesh.inner_vertex_mask``), and ``SchemeStepResult`` is a verbatim copy of
+the record type the library had then (it has since dropped
+``vertex_origin_id``, which restates the block order of
+``vertex_origin_kind``).
 """
 
 from __future__ import annotations
@@ -19,9 +22,29 @@ import math
 
 import numpy as np
 
-from snubweave.classic_schemes import OriginKind, SchemeStepResult
+from snubweave.classic_schemes import OriginKind
 from snubweave.errors import NotTriangleMeshError
 from snubweave.mesh_core import Mesh, build_mesh
+
+
+@dataclass(frozen=True)
+class SchemeStepResult:
+    """One scheme application: the refined mesh plus per-vertex origins.
+
+    ``vertex_origin_id[v]`` indexes into the source mesh's vertices, edges,
+    or faces according to ``vertex_origin_kind[v]``.  For
+    :func:`doo_sabin_step` (defined as two mid-edge applications) the ids
+    reference the *intermediate* mesh, which is carried in ``intermediate``.
+    ``flipped_edges`` lists the source-mesh edges re-connected by
+    :func:`sqrt3_step`; it is empty for every other scheme.
+    """
+
+    mesh: Mesh
+    vertex_origin_kind: np.ndarray
+    vertex_origin_id: np.ndarray
+    flipped_edges: np.ndarray
+    source: Mesh
+    intermediate: "SchemeStepResult | None" = None
 
 
 @dataclass(frozen=True)

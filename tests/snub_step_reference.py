@@ -9,10 +9,12 @@ apart from imports and the small loop ``subdivide`` (the one of
 ``snub_subdivide``), so the library's step can be checked against them bit
 for bit: meshes, provenance, errors and log records.  The log records go to
 this module's own logger.  ``_reject_zero_length_edges`` is a verbatim copy
-of the edge-table check ``mesh_core`` had then, and ``ParentKind``,
-``Provenance`` and ``ZOrientation`` are verbatim copies of the record types
-the library had then (it has since dropped the orientation record and the
-parent-kind array, which equals ``vertex_tags``).  ``ElementClass`` and
+of the edge-table check ``mesh_core`` had then, and ``VertexTag``,
+``ParentKind``, ``Provenance`` and ``ZOrientation`` are verbatim copies of
+the record types the library had then (it has since dropped the orientation
+record, the parent-kind array, which equals ``vertex_tags``, and every
+per-vertex and per-face lineage array, which restate the step's
+numbering).  ``ElementClass`` and
 ``classify`` are verbatim copies of the inner/outer classification the
 library had then (it now reads inner vertices off
 ``Mesh.inner_vertex_mask``).
@@ -35,11 +37,18 @@ from snubweave.errors import (
 from snubweave.mesh_core import (
     EdgeTag,
     Mesh,
-    VertexTag,
     _reject_pinched_boundary,
 )
 
 logger = logging.getLogger(__name__)
+
+
+class VertexTag(IntEnum):
+    """How a vertex of a refined mesh came to exist."""
+
+    ORIGINAL = 0      # carried over from the previous mesh
+    Z_VERTEX = 1      # one of the two bend points replacing an edge
+    BARYCENTER = 2    # inserted at a face's vertex centroid
 
 
 class ParentKind(IntEnum):

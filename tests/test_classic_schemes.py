@@ -130,8 +130,11 @@ class TestLoop:
         V, E = mesh.vertex_count, mesh.edge_count
         assert (result.vertex_origin_kind[:V] == OriginKind.OLD_VERTEX).all()
         assert (result.vertex_origin_kind[V:] == OriginKind.EDGE_MIDPOINT).all()
-        assert np.array_equal(result.vertex_origin_id[:V], np.arange(V))
-        assert np.array_equal(result.vertex_origin_id[V:], np.arange(E))
+        assert len(result.vertex_origin_kind) == V + E
+        # the numbering the kind blocks state, as the frozen step records it
+        ids = ref.loop_step(mesh).vertex_origin_id
+        assert np.array_equal(ids[:V], np.arange(V))
+        assert np.array_equal(ids[V:], np.arange(E))
         assert result.flipped_edges.size == 0
 
     def test_euler_preserved(self):
@@ -238,7 +241,9 @@ class TestSqrt3:
         mesh = unit_triangle()
         result = sqrt3_step(mesh)
         assert (result.vertex_origin_kind[-1] == OriginKind.FACE_CENTER)
-        assert result.vertex_origin_id[-1] == 0
+        # the last vertex is V + 0, the center of face 0
+        assert result.mesh.vertex_count == mesh.vertex_count + 1
+        assert ref.sqrt3_step(mesh).vertex_origin_id[-1] == 0
         assert np.allclose(result.mesh.positions[-1],
                            np.asarray(mesh.positions).mean(axis=0))
 
@@ -294,7 +299,7 @@ class TestMidedge:
         mesh = square_grid(2, 1)
         result = midedge_step(mesh)
         assert (result.vertex_origin_kind == OriginKind.EDGE_MIDPOINT).all()
-        assert np.array_equal(result.vertex_origin_id,
+        assert np.array_equal(ref.midedge_step(mesh).vertex_origin_id,
                               np.arange(mesh.edge_count))
         p = np.asarray(mesh.positions)
         midpoints = (p[mesh.edges[:, 0]] + p[mesh.edges[:, 1]]) / 2.0
@@ -389,7 +394,11 @@ class TestCatmullClark:
         assert (kinds[:V] == OriginKind.OLD_VERTEX).all()
         assert (kinds[V:V + E] == OriginKind.EDGE_MIDPOINT).all()
         assert (kinds[V + E:] == OriginKind.FACE_CENTER).all()
-        assert np.array_equal(result.vertex_origin_id[V + E:], np.arange(F))
+        # vertex V + E + f is the face point of face f
+        assert np.array_equal(result.mesh.positions[V + E:],
+                              mesh.face_centroids())
+        assert np.array_equal(ref.catmull_clark_step(mesh).vertex_origin_id[
+            V + E:], np.arange(F))
 
 
 def direct_doo_sabin_grid(mesh):
@@ -456,8 +465,11 @@ class TestDooSabin:
         second = midedge_step(first.mesh)
         assert result.mesh == second.mesh
         assert result.intermediate.mesh == first.mesh
-        assert np.array_equal(result.vertex_origin_id,
-                              second.vertex_origin_id)
+        assert np.array_equal(result.vertex_origin_kind,
+                              second.vertex_origin_kind)
+        # the origins are the intermediate mesh's edges, in order
+        assert np.array_equal(ref.doo_sabin_step(maker()).vertex_origin_id,
+                              np.arange(first.mesh.edge_count))
 
     def test_direct_construction_matches_on_grid(self):
         mesh = square_grid(3, 3)
@@ -504,8 +516,15 @@ def assert_same_step(got, want):
     for name in MESH_ARRAYS:
         assert_same_bits(getattr(got.mesh, name), getattr(want.mesh, name),
                          name)
-    for name in ("vertex_origin_kind", "vertex_origin_id", "flipped_edges"):
+    for name in ("vertex_origin_kind", "flipped_edges"):
         assert_same_bits(getattr(got, name), getattr(want, name), name)
+    # the frozen step's origin ids restate the kind blocks: block k holds
+    # the source elements 0, 1, ... of kind k
+    kinds = got.vertex_origin_kind
+    assert (np.diff(kinds) >= 0).all()
+    assert_same_bits(want.vertex_origin_id,
+                     np.arange(len(kinds)) - np.searchsorted(kinds, kinds),
+                     "vertex_origin_id")
     assert got.source is want.source
     assert (got.intermediate is None) == (want.intermediate is None)
     if got.intermediate is not None:

@@ -55,12 +55,29 @@ class TestBuildMesh:
         [[0, 1, 2.7]],
         [[0, 1, 2.0]],
         (np.array([0.0, 1.0, 2.7]), np.array([0, 3])),
-        (np.array([0, 1, 2]), np.array([0.0, 3.0]))])
+        (np.array([0, 1, 2]), np.array([0.0, 3.0])),
+        [[0, True, 2]],
+        [[0, 1, [2, 3]]],
+        None,
+        [5]])
     def test_non_integer_indices_rejected(self, faces):
-        # each would otherwise be truncated to the face (0, 1, 2)
+        # the first five would otherwise be read as the face (0, 1, 2); the
+        # last three are not cycles of indices at all
         with pytest.raises(InvalidParameterError,
                            match="must be a flat sequence of integers"):
             sw.build_mesh(UNIT_SQUARE, faces)
+
+    def test_overflowing_area_rejected(self):
+        # 1e200 squared overflows: the face would get an area of inf
+        with pytest.raises(InvalidParameterError,
+                           match="^face 0 has an area that is not finite"):
+            sw.build_mesh(np.array(UNIT_SQUARE) * 1e200, [[0, 1, 2, 3]])
+        # 1e153 squared does not, and the mesh snubs to finite positions
+        m = sw.build_mesh(np.array(UNIT_SQUARE) * 1e153, [[0, 1, 2, 3]])
+        assert np.isfinite(m.face_signed_areas()).all()
+        final = sw.snub_subdivide(m, 2).final
+        assert final.face_count == 20
+        assert np.isfinite(final.positions).all()
 
     @pytest.mark.parametrize("flat, starts", [
         ([0, 1, 2, 0, 2, 3], [1, 3, 6]),        # does not begin at 0

@@ -15,7 +15,6 @@ from snubweave import (
     InvalidParameterError,
     NonManifoldError,
     SelfIntersectionError,
-    VertexTag,
 )
 from snubweave.mesh_core import _check_self_intersections
 from snubweave.snub import _check_geometry, _row_sum
@@ -57,6 +56,24 @@ class TestAssignZOrientations:
             sw.assign_z_orientations(seed_flag=0)
         with pytest.raises(InvalidParameterError):
             sw.snub_subdivide(sw.pentagon(), 1, seed_flag=2)
+        # True == 1.0 == 1, so a membership test alone would take them
+        for flag in (True, 1.0):
+            with pytest.raises(InvalidParameterError):
+                sw.assign_z_orientations(seed_flag=flag)
+            with pytest.raises(InvalidParameterError):
+                sw.snub_subdivide(sw.pentagon(), 1, seed_flag=flag)
+
+    def test_numpy_flags_pass(self):
+        hist = sw.snub_subdivide(sw.pentagon(), 1, seed_flag=np.int64(-1),
+                                 smoothing=np.bool_(False))
+        assert (hist.seed_flag, hist.smoothing) == (-1, False)
+        assert type(hist.seed_flag) is int and type(hist.smoothing) is bool
+
+    @pytest.mark.parametrize("smoothing", ["no", None, 0, 1, 1.0])
+    def test_smoothing_must_be_a_bool(self, smoothing):
+        with pytest.raises(InvalidParameterError,
+                           match="^smoothing must be a bool"):
+            sw.snub_subdivide(sw.pentagon(), 1, smoothing=smoothing)
 
     @pytest.mark.parametrize("flag", [2, 0, -2])
     def test_zero_steps_check_the_flag(self, flag):
@@ -109,10 +126,17 @@ class TestReplaceEdges:
                 assert abs(math.acos(cosang) - 2 * math.pi / 3) < 1e-12
 
     def test_pentagon_becomes_single_15_cycle(self):
-        # the refined pentagon's boundary is the 15-cycle of Z-triplets
-        refined, prov = refine_once(sw.pentagon())
-        assert (prov.vertex_tags[:5] == VertexTag.ORIGINAL).all()
-        assert (prov.vertex_tags[5:15] == VertexTag.Z_VERTEX).all()
+        # the refined pentagon's boundary is the 15-cycle of Z-triplets:
+        # its 5 source vertices, then the bend points 5 + 2e and 5 + 2e + 1
+        # that the middle segment of each source edge e joins
+        source = sw.pentagon()
+        refined, prov = refine_once(source)
+        V, E = source.vertex_count, source.edge_count
+        assert np.array_equal(refined.positions[:V], source.positions)
+        middles = refined.edges[prov.edge_tags == EdgeTag.Z_MIDDLE]
+        assert middles.tolist() == [[V + 2 * e, V + 2 * e + 1]
+                                    for e in range(E)]
+        assert V + 2 * E == 15
         boundary = refined.boundary_edge_mask
         assert int(boundary.sum()) == 15
         assert set(refined.edges[boundary].ravel().tolist()) == set(range(15))
@@ -136,11 +160,16 @@ class TestReplaceEdges:
 
 class TestInsertBarycenters:
     def test_pentagon_barycenter_at_origin(self):
-        refined, prov = refine_once(sw.pentagon())
+        source = sw.pentagon()
+        refined, _ = refine_once(source)
         assert refined.vertex_count == 16
         assert np.allclose(np.asarray(refined.positions)[15], [0.0, 0.0],
                            atol=1e-12)
-        assert prov.vertex_tags[15] == VertexTag.BARYCENTER
+        # vertex 15 is V + 2E + 0, the barycenter of source face 0, which
+        # opens every refined face
+        assert source.vertex_count + 2 * source.edge_count == 15
+        assert (refined.face_vertex_flat[refined.face_starts[:-1]]
+                == 15).all()
 
     def test_unit_square_barycenter(self):
         refined, _ = refine_once(sw.square_grid(1, 1))
@@ -176,9 +205,14 @@ class TestConnectNewVertices:
 
     def test_face_parent_points_to_source_face(self):
         m = sw.square_grid(2, 1)
-        refined, prov = refine_once(m)
-        assert len(prov.face_parent) == refined.face_count
-        counts = np.bincount(prov.face_parent, minlength=m.face_count)
+        refined, _ = refine_once(m)
+        # refined face i is made from source slot i and opens with the
+        # barycenter V + 2E + f of that slot's face f
+        parent = refined.face_vertex_flat[refined.face_starts[:-1]] \
+            - (m.vertex_count + 2 * m.edge_count)
+        assert np.array_equal(parent, m.slot_face)
+        assert len(parent) == refined.face_count
+        counts = np.bincount(parent, minlength=m.face_count)
         assert counts.tolist() == [4, 4]     # one pentagon per corner walk
 
     def test_bend_point_on_edge_line_is_rejected(self):
@@ -389,8 +423,8 @@ class TestSnubSubdivide:
         hist = sw.snub_subdivide(sw.pentagon(), 3)
         for t in (2, 3):
             m = hist.meshes[t]
-            rec = hist.records[t - 1]
-            new = np.asarray(rec.provenance.vertex_tags) != VertexTag.ORIGINAL
+            # the step numbers the source's vertices first
+            new = np.arange(m.vertex_count) >= hist.meshes[t - 1].vertex_count
             inner = m.inner_vertex_mask
             degrees = m.vertex_degrees[new & inner]
             assert set(degrees.tolist()) <= {3, 5}
@@ -495,6 +529,41 @@ class TestRefinedMeshesValidate:
             current = m
 
 
+class TestNumberingContract:
+    """The step's numbering is the only record of where each refined
+    element came from, so every refined mesh must follow it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=demo_specs, steps=st.integers(1, 3),
+           flag=st.sampled_from([1, -1]), smoothing=st.booleans())
+    def test_every_step_follows_the_numbering(self, spec, steps, flag,
+                                              smoothing):
+        source = sw.generate_demo_mesh(spec)
+        for _ in range(steps):
+            try:
+                hist = sw.snub_subdivide(source, 1, smoothing=smoothing,
+                                         seed_flag=flag)
+            except NonManifoldError:
+                # a folded face on a coarse fan: a typed failure ends the run
+                assert spec in ("fan:3", "fan:4")
+                return
+            refined = hist.final
+            V, E = source.vertex_count, source.edge_count
+            # the middle segment of source edge e joins its bend points
+            middle = hist.records[0].provenance.edge_tags == EdgeTag.Z_MIDDLE
+            bends = V + 2 * np.arange(E)
+            assert np.array_equal(refined.edges[middle],
+                                  np.column_stack((bends, bends + 1)))
+            # refined face i opens with the barycenter of slot i's face
+            assert np.array_equal(
+                refined.face_vertex_flat[refined.face_starts[:-1]],
+                V + 2 * E + source.slot_face)
+            if not smoothing:
+                assert np.array_equal(refined.positions[V + 2 * E:],
+                                      source.face_centroids())
+            source = refined
+
+
 def reflected(mesh):
     """``mesh`` mirrored in the y axis, faces reversed to stay CCW."""
     return sw.build_mesh(mesh.positions * [-1.0, 1.0],
@@ -557,10 +626,6 @@ class TestOracleEquivalence:
 # frozen oracle of the step: same bits, errors and log records
 # ---------------------------------------------------------------------------
 
-PROVENANCE_ARRAYS = ("vertex_tags", "edge_tags", "vertex_parent_id",
-                     "face_parent")
-
-
 class _RecordList(logging.Handler):
     def __init__(self):
         super().__init__(level=logging.DEBUG)
@@ -593,6 +658,25 @@ def assert_same_bits(a, b, what):
     assert a.tobytes() == b.tobytes(), what
 
 
+def assert_step_records(source, refined, prov, ref, ref_source):
+    """One step's record against the frozen step's: the edge tags bit for
+    bit, and the frozen step's lineage arrays, which the library no longer
+    stores, against the numbering computed from the source counts, as is
+    the refined mesh's."""
+    assert_same_bits(prov.edge_tags, ref.edge_tags, "edge_tags")
+    V, E, F = source.vertex_count, source.edge_count, source.face_count
+    kind = np.repeat(np.arange(3, dtype=np.int8), (V, 2 * E, F))
+    for name in ("vertex_tags", "vertex_parent_kind"):
+        assert_same_bits(getattr(ref, name), kind, name)
+    assert_same_bits(ref.vertex_parent_id, np.concatenate([
+        np.arange(V), np.arange(2 * E) // 2, np.arange(F)]),
+        "vertex_parent_id")
+    assert_same_bits(ref.face_parent, source.slot_face, "face_parent")
+    assert_same_bits(refined.face_vertex_flat[refined.face_starts[:-1]]
+                     - (V + 2 * E), source.slot_face, "face_parent")
+    assert ref.source is ref_source
+
+
 class TestStepOracle:
     @settings(max_examples=80, deadline=None)
     @given(spec=demo_specs, seed=st.integers(0, 2**32 - 1),
@@ -618,13 +702,8 @@ class TestStepOracle:
             for name in MESH_ARRAYS:
                 assert_same_bits(getattr(m, name), getattr(ref, name), name)
         for t, (record, ref) in enumerate(zip(hist.records, provenances)):
-            prov = record.provenance
-            for name in PROVENANCE_ARRAYS:
-                assert_same_bits(getattr(prov, name), getattr(ref, name), name)
-            # the vertex tags name each vertex's parent kind, bit for bit
-            assert_same_bits(prov.vertex_tags, ref.vertex_parent_kind,
-                             "vertex_parent_kind")
-            assert prov.source is hist.meshes[t]
+            assert_step_records(hist.meshes[t], hist.meshes[t + 1],
+                                record.provenance, ref, meshes[t])
         assert hist.seed_flag == flag
 
 
@@ -654,7 +733,7 @@ class TestDeepStepOracle:
         for m, ref in zip(hist.meshes, meshes, strict=True):
             for name in MESH_ARRAYS:
                 assert_same_bits(getattr(m, name), getattr(ref, name), name)
-        for record, ref in zip(hist.records, provenances, strict=True):
-            for name in PROVENANCE_ARRAYS:
-                assert_same_bits(getattr(record.provenance, name),
-                                 getattr(ref, name), name)
+        for t, (record, ref) in enumerate(zip(hist.records, provenances,
+                                              strict=True)):
+            assert_step_records(hist.meshes[t], hist.meshes[t + 1],
+                                record.provenance, ref, meshes[t])

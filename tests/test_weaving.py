@@ -180,8 +180,13 @@ class TestOracleEquivalence:
         got, want = (sw.general_face_split_weaving(triangles),
                      ref.general_face_split_weaving(triangles))
         assert_same_tiling(got[0], want[0])
-        assert_same_array(got[0].tile_source_edges, want[0].tile_source_edges,
+        # quad k covers interior edge k: the oracle records it, and the
+        # quad's corners 0 and 2 are that edge's ends
+        inner = np.flatnonzero(~triangles.boundary_edge_mask)
+        assert_same_array(want[0].tile_source_edges, inner,
                           "tile_source_edges")
+        assert_same_array(got[0].mesh.face_vertex_flat.reshape(-1, 4)[:, ::2],
+                          triangles.edges[inner], "tile_source_edges")
         assert_same_weaving(got[2], want[2])
         assert_same_ribbons(sw.strand_ribbons(got[2], got[0].mesh, width),
                             ref.strand_ribbons(want[2], want[0].mesh, width))
@@ -461,8 +466,7 @@ class TestErrors:
         mesh, prov = hist.final, hist.records[0].provenance
         with pytest.raises(MissingProvenanceError):
             sw.glue_snub_pairs(mesh, None)
-        unrefined = Provenance(vertex_tags=prov.vertex_tags,
-                               edge_tags=np.zeros_like(prov.edge_tags))
+        unrefined = Provenance(edge_tags=np.zeros_like(prov.edge_tags))
         with pytest.raises(MissingProvenanceError):
             sw.glue_snub_pairs(mesh, unrefined)
         tiling = sw.glue_snub_pairs(mesh, prov)
@@ -475,7 +479,7 @@ class TestErrors:
         tags = prov.edge_tags.copy()
         tags[np.flatnonzero(tags == EdgeTag.SPOKE)[0]] = EdgeTag.Z_MIDDLE
         with pytest.raises(InternalInvariantError, match="exactly one"):
-            sw.glue_snub_pairs(hist.final, Provenance(prov.vertex_tags, tags))
+            sw.glue_snub_pairs(hist.final, Provenance(tags))
 
     def test_tile_repeating_a_vertex_fails_as_build_mesh_does(self):
         # faces 0 and 1 share the middle edge (0, 1) and also vertex 3, so
@@ -487,7 +491,7 @@ class TestErrors:
             [[0, 1, 2, 3, 4], [1, 0, 5, 3, 6], [1, 6, 3], [1, 3, 2]])
         tags = np.full(mesh.edge_count, EdgeTag.Z_OUTER, dtype=np.int8)
         tags[mesh.edge_id([0, 1], [1, 3])] = EdgeTag.Z_MIDDLE
-        prov = Provenance(np.zeros(mesh.vertex_count, dtype=np.int8), tags)
+        prov = Provenance(tags)
         with pytest.raises(sw.DegenerateFaceError) as got:
             sw.glue_snub_pairs(mesh, prov)
         with pytest.raises(sw.DegenerateFaceError) as want:
