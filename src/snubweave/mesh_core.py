@@ -161,10 +161,8 @@ class Mesh:
 
     def face_centroids(self) -> np.ndarray:
         """Vertex centroid of every face, shape (F, 2)."""
-        sums = np.add.reduceat(
-            np.take(self.positions, self.face_vertex_flat, axis=0),
-            self.face_starts[:-1], axis=0)
-        return sums / self.face_sizes[:, None]
+        return _centroids(self.positions, self.face_vertex_flat,
+                          self.face_starts)
 
     def face_signed_areas(self) -> np.ndarray:
         """Shoelace signed area of every face (positive = counterclockwise)."""
@@ -250,6 +248,15 @@ class Mesh:
 # ---------------------------------------------------------------------------
 # construction
 # ---------------------------------------------------------------------------
+
+def _centroids(positions: np.ndarray, flat: np.ndarray,
+               starts: np.ndarray) -> np.ndarray:
+    """Vertex centroids of the face cycles that ``starts`` bounds in
+    ``flat``, a run of whole faces that need not begin at slot 0."""
+    sums = np.add.reduceat(np.take(positions, flat[starts[0]:starts[-1]],
+                                   axis=0), starts[:-1] - starts[0], axis=0)
+    return sums / np.diff(starts)[:, None]
+
 
 def _index_array(values, name: str) -> np.ndarray:
     """``values`` as a 1-D int64 array; :class:`InvalidParameterError` for

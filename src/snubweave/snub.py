@@ -40,22 +40,28 @@ its middle segment followed by the spokes at its two bend points.  That
 order is load-bearing, because the next step numbers its bend points by
 edge id, and it is the only record of where each element came from.
 
-A pinched source boundary is rejected before the build.  Every other
-check is one pass over the finished arrays, before the refined mesh is
-smoothed or recorded.  It gathers the positions of each of the five columns
-of the row of five once.  Its source side reads each slot's corner and next
-corner from the source and its barycenter and spoke bend point from columns
-0 and 1; its refined side pairs each column with the next for the face
-areas and zero-length edges, which go to the raiser every mesh construction
-shares (:func:`~.mesh_core._reject_bad_faces`), and sums the face centroids
-the smoothing reuses.  The errors fire in this order: a pinched source
-boundary raises :class:`~.errors.NonManifoldError`; a spoke's bend point on
-its source edge's line raises :class:`~.errors.AmbiguousHalfPlaneError`;
-then a zero-area refined face raises :class:`~.errors.DegenerateFaceError`,
-a clockwise (folded) one :class:`~.errors.NonManifoldError`, and a
-zero-length refined edge :class:`~.errors.DegenerateFaceError`; last, a
-count that breaks the recursion raises
-:class:`~.errors.InternalInvariantError`.
+The rows of five and the checks run over blocks of whole source faces,
+about 16k slots each.  A block derives its slots' next slot and face from
+``face_starts``, so no per-slot array is built at full size but the refined
+mesh's own, and none is cached on the meshes a history keeps; small blocks
+keep the step's temporaries small and short-lived, which lowers the memory
+peak of a run.  A pinched source boundary is rejected before the build.
+The other checks run before the refined mesh is smoothed or recorded, and
+gather the positions of each of the five columns of a block's rows once:
+the source side reads each slot's corner and next corner from the source
+and its barycenter and spoke bend point from columns 0 and 1; the refined
+side pairs each column with the next for the face areas and zero-length
+edges, which go to the raiser every mesh construction shares
+(:func:`~.mesh_core._reject_bad_faces`) after the pass, and sums the face
+centroids the smoothing reuses.  Smoothing writes the positions in place.
+The errors fire in this order, whatever block they are in: a pinched
+source boundary raises :class:`~.errors.NonManifoldError`; a spoke's bend
+point on its source edge's line raises
+:class:`~.errors.AmbiguousHalfPlaneError`; then a zero-area refined face
+raises :class:`~.errors.DegenerateFaceError`, a clockwise (folded) one
+:class:`~.errors.NonManifoldError`, and a zero-length refined edge
+:class:`~.errors.DegenerateFaceError`; last, a count that breaks the
+recursion raises :class:`~.errors.InternalInvariantError`.
 """
 
 from __future__ import annotations
@@ -76,6 +82,7 @@ from .mesh_core import (
     EdgeTag,
     Mesh,
     Provenance,
+    _centroids,
     _checked_int,
     _reject_bad_faces,
     _reject_pinched_boundary,
@@ -123,6 +130,25 @@ def _checked_flag(seed_flag) -> int:
 # operations 1-3: bend points, barycenters and spokes in one pass
 # ---------------------------------------------------------------------------
 
+#: Slots per block of the step's rows and checks (lowest measured peak RSS).
+_BLOCK = 1 << 14
+
+
+def _blocks(starts: np.ndarray):
+    """Runs of whole faces of about :data:`_BLOCK` slots, in slot order: per
+    run its faces ``f0:f1``, its slots ``a:b`` (a slice), each slot's face
+    and the slot of the next vertex in its cycle, counted from ``a``."""
+    cuts = np.searchsorted(starts, np.arange(0, starts[-1], _BLOCK))
+    bounds = list(dict.fromkeys(cuts.tolist() + [len(starts) - 1]))
+    for f0, f1 in zip(bounds, bounds[1:]):
+        first, end = starts[f0:f1], starts[f0 + 1:f1 + 1]
+        a, b = int(first[0]), int(end[-1])
+        nxt = np.arange(1, b - a + 1, dtype=np.int64)
+        nxt[end - 1 - a] = first - a
+        yield f0, f1, slice(a, b), np.repeat(
+            np.arange(f0, f1, dtype=np.int64), end - first), nxt
+
+
 def _bend_points(mesh: Mesh, s: int):
     """Positions of the two bend points of every edge for flag ``s``."""
     pa = np.take(mesh.positions, mesh.edges[:, 0], axis=0)
@@ -135,12 +161,13 @@ def _bend_points(mesh: Mesh, s: int):
     return near_a, near_b
 
 
-def _refine(source: Mesh, s: int) -> tuple[Mesh, Provenance]:
-    """Operations 1-3: the pentagon mesh and its edge roles.
+def _refine(source: Mesh, s: int) -> tuple[tuple, Provenance]:
+    """Operations 1-3: the pentagon mesh's arrays, in the order the
+    :class:`~.mesh_core.Mesh` constructor takes them, and its edge roles.
 
     Each source slot gives one pentagon, a fixed row of five chosen by the
-    flag (see the module docstring).  The caller checks the result with
-    :func:`_check_geometry`, after this function's temporaries are freed.
+    flag (see the module docstring).  The arrays stay writeable, so the
+    positions can be smoothed in place once :func:`_check_geometry` passed.
     """
     _reject_pinched_boundary(source.edges, source.edge_left,
                              source.edge_right, source.vertex_count)
@@ -150,31 +177,18 @@ def _refine(source: Mesh, s: int) -> tuple[Mesh, Provenance]:
     positions[:V] = source.positions
     positions[V:V + 2 * E:2], positions[V + 1:V + 2 * E:2] = \
         _bend_points(source, s)
-    positions[V + 2 * E:] = source.face_centroids()
-
-    # per source slot: the bend points met walking the slot's edge (the
-    # edge is ``(lo, hi)``, so walked forwards when the corner is the lower
-    # id), and the one of them on the face's side, which gets the spoke
-    flat = source.face_vertex_flat
-    nxt = source.slot_next
-    e_slot = source.face_edge_flat
-    slot_face = source.slot_face
-    corner_next = flat[nxt]
-    walk_first = V + 2 * e_slot + (flat > corner_next)
-    walk_second = (2 * V + 4 * e_slot + 1) - walk_first
-    spoke_z = (walk_first, walk_second)[k]
-    bary = V + 2 * E + slot_face
-    first_next = walk_first[nxt]
 
     # edge ids: block 1 holds the outer segment (edges.ravel()[k], V + k) of
     # bend k at rank k of a stable sort by source vertex; block 2 holds, per
-    # source edge, the middle segment, then the spokes at V + 2e, V + 2e + 1
+    # source edge, the middle segment, then the spokes at V + 2e, V + 2e + 1.
+    # Walked from lower to higher vertex id an edge has its left face on the
+    # side of the bend V + 2e + k, which gets that face's spoke (-1: none)
     ends = source.edges.ravel()
     order = np.argsort(ends, kind="stable")
     outer_id = np.empty(2 * E, dtype=np.int64)
     outer_id[order] = np.arange(2 * E, dtype=np.int64)
-    spoke_face = np.full(2 * E, -1, dtype=np.int64)
-    spoke_face[spoke_z - V] = slot_face
+    sides = (source.edge_left, source.edge_right)
+    spoke_face = np.column_stack((sides[k], sides[1 - k])).ravel()
     has_spoke = spoke_face >= 0
     per_edge = 1 + has_spoke.reshape(E, 2).sum(axis=1)
     mid_id = 2 * E + np.cumsum(per_edge) - per_edge
@@ -193,44 +207,57 @@ def _refine(source: Mesh, s: int) -> tuple[Mesh, Provenance]:
     edge_tags = np.full(E_out, EdgeTag.Z_OUTER, dtype=np.int8)
     edge_tags[mid_id] = EdgeTag.Z_MIDDLE
     edge_tags[spoke_id[bends]] = EdgeTag.SPOKE
+    del ends, order, spoke_face, has_spoke, per_edge, bends
 
-    # one pentagon per source slot, written column by column: the vertex
-    # row and, entry j joining vertices j and j + 1, its edge row
-    n = len(flat)
-    spoke_here = spoke_id[spoke_z - V]
-    verts = (bary,) + (walk_first, walk_second, corner_next, first_next,
-                       walk_second[nxt])[k:k + 4]
-    vert_edges = (spoke_here,) + (
-        mid_id[e_slot], outer_id[walk_second - V], outer_id[first_next - V],
-        mid_id[e_slot[nxt]])[k:k + 3] + (spoke_here[nxt],)
+    # one pentagon per source slot, block by block and column by column:
+    # the vertex row and, entry j joining vertices j and j + 1, its edge
+    # row.  Per slot: the bend points met walking the slot's edge (the edge
+    # is ``(lo, hi)``, so walked forwards when the corner is the lower id)
+    # and the one of them on the face's side, which gets the spoke.  Each
+    # slot's face is left of its edge when walked from lower to higher
+    # vertex id, right otherwise; ids rise from source vertex to bend point
+    # to barycenter, so only the middle segment's column has both sides
+    n = len(source.face_vertex_flat)
     out_flat = np.empty(5 * n, dtype=np.int64)
     out_edge = np.empty(5 * n, dtype=np.int64)
     rows = out_flat.reshape(n, 5)
     row_edges = out_edge.reshape(n, 5)
-    for j in range(5):
-        rows[:, j] = verts[j]
-        row_edges[:, j] = vert_edges[j]
-
-    # each slot's face is left of its edge when walked from lower to higher
-    # vertex id, right otherwise; ids rise from source vertex to bend point
-    # to barycenter, so only the middle segment's column has both sides
     edge_left = np.full(E_out, -1, dtype=np.int64)
     edge_right = np.full(E_out, -1, dtype=np.int64)
-    face = np.arange(n, dtype=np.int64)
-    for j, e in enumerate(vert_edges):
-        right = verts[j] > verts[(j + 1) % 5]
-        if right.all():
-            edge_right[e] = face
-        elif not right.any():
-            edge_left[e] = face
-        else:
-            edge_right[e[right]] = face[right]
-            edge_left[e[~right]] = face[~right]
+    for f0, f1, slots, slot_face, nxt in _blocks(source.face_starts):
+        corner = source.face_vertex_flat[slots]
+        e_slot = source.face_edge_flat[slots]
+        corner_next = corner[nxt]
+        walk_first = V + 2 * e_slot + (corner > corner_next)
+        walk_second = (2 * V + 4 * e_slot + 1) - walk_first
+        first_next = walk_first[nxt]
+        spoke_here = spoke_id[(walk_first, walk_second)[k] - V]
+        verts = (V + 2 * E + slot_face,) + (
+            walk_first, walk_second, corner_next, first_next,
+            walk_second[nxt])[k:k + 4]
+        vert_edges = (spoke_here,) + (
+            mid_id[e_slot], outer_id[walk_second - V],
+            outer_id[first_next - V], mid_id[e_slot[nxt]])[k:k + 3] \
+            + (spoke_here[nxt],)
+        face = np.arange(slots.start, slots.stop, dtype=np.int64)
+        for j, e in enumerate(vert_edges):
+            rows[slots, j] = verts[j]
+            row_edges[slots, j] = e
+            right = verts[j] > verts[(j + 1) % 5]
+            if right.all():
+                edge_right[e] = face
+            elif not right.any():
+                edge_left[e] = face
+            else:
+                edge_right[e[right]] = face[right]
+                edge_left[e[~right]] = face[~right]
+        positions[V + 2 * E + f0:V + 2 * E + f1] = _centroids(
+            source.positions, source.face_vertex_flat,
+            source.face_starts[f0:f1 + 1])
 
-    refined = Mesh(positions, out_flat,
-                   np.arange(0, 5 * n + 1, 5, dtype=np.int64), edges,
-                   edge_left, edge_right, out_edge)
-    return refined, Provenance(edge_tags=edge_tags)
+    return (positions, out_flat, np.arange(0, 5 * n + 1, 5, dtype=np.int64),
+            edges, edge_left, edge_right, out_edge), \
+        Provenance(edge_tags=edge_tags)
 
 
 def _row_sum(columns) -> np.ndarray:
@@ -242,77 +269,73 @@ def _row_sum(columns) -> np.ndarray:
 
 
 def _check_geometry(source: Mesh, refined: Mesh, s: int) -> np.ndarray:
-    """The step's checks in one pass; returns the refined face centroids.
+    """The step's checks in one blocked pass; returns the face centroids.
 
-    Every refined face is a row of five, so the pass works on its five
-    columns: the x and y of each column's vertices are gathered once and
-    serve both sides.  Source side: every spoke is checked against the
-    stated half-plane rule.  A bend point on its source edge's line raises
-    :class:`AmbiguousHalfPlaneError`; a disagreement with the rule, or with
-    plain nearest-barycenter distance, is logged (never asserted).  Refined
-    side: each face's area and centroid are summed over its columns, and
-    each slot's edge is zero-length when a column equals the next; the
-    shared raiser :func:`~.mesh_core._reject_bad_faces` rejects a zero area,
-    then a clockwise face, then a zero-length edge.
+    Each block of rows of five works on its five columns (see the module
+    docstring).  A spoke whose bend point is on its source edge's line
+    raises :class:`AmbiguousHalfPlaneError`; the spokes that disagree with
+    the half-plane rule, or with plain nearest-barycenter distance, are
+    counted and logged once (never asserted).
     """
     positions = refined.positions
     rows = refined.face_vertex_flat.reshape(-1, 5)
-    # source side: per slot its corner and the next corner, read from the
-    # source, and the columns of the face's barycenter and the spoke's bend
-    # point; ``np.take`` of whole rows moves each position in one piece
-    pb, pz = (np.take(positions, rows[:, j], axis=0) for j in (0, 1))
-    pu = np.take(source.positions, source.face_vertex_flat, axis=0)
-    d = np.take(source.positions, rows[:, 3 - (1 - s) // 2], axis=0) - pu
-    z = pz - pu
-    bc = pb - pu
-    del pu
-    cross_z = d[:, 0] * z[:, 1] - d[:, 1] * z[:, 0]
-    cross_b = d[:, 0] * bc[:, 1] - d[:, 1] * bc[:, 0]
-    scale = np.hypot(d[:, 0], d[:, 1]) * np.hypot(z[:, 0], z[:, 1])
-    del d, z, bc
-    ambiguous = np.abs(cross_z) <= 1e-12 * scale
-    if ambiguous.any():
-        raise AmbiguousHalfPlaneError(
-            f"bend point {int(rows[np.flatnonzero(ambiguous)[0], 1])} lies on "
-            f"its source edge's supporting line")
-    mism = np.sign(cross_z) != np.sign(cross_b)
-    if mism.any():
+    bary0 = source.vertex_count + 2 * source.edge_count
+    areas = np.empty(len(rows))
+    zero_len = np.empty(rows.shape, dtype=bool)
+    centroids = np.empty((len(rows), 2))
+    mismatches = disagreements = 0
+    for _, _, slots, slot_face, _ in _blocks(source.face_starts):
+        # the x and y of every column, where column j + 1 holds each slot's
+        # next vertex (``np.take`` of whole rows moves each position in one
+        # piece); source side: per slot its corner and the next corner, read
+        # from the source, and the barycenter and spoke bend point columns
+        block = rows[slots]
+        columns = [np.take(positions, block[:, j], axis=0) for j in range(5)]
+        pb, pz = columns[:2]
+        pu = np.take(source.positions, source.face_vertex_flat[slots], axis=0)
+        d = np.take(source.positions, block[:, 3 - (1 - s) // 2], axis=0) - pu
+        z = pz - pu
+        bc = pb - pu
+        cross_z = d[:, 0] * z[:, 1] - d[:, 1] * z[:, 0]
+        cross_b = d[:, 0] * bc[:, 1] - d[:, 1] * bc[:, 0]
+        scale = np.hypot(d[:, 0], d[:, 1]) * np.hypot(z[:, 0], z[:, 1])
+        ambiguous = np.flatnonzero(np.abs(cross_z) <= 1e-12 * scale)
+        if len(ambiguous):
+            # the first fault in the documented order, at its lowest row
+            raise AmbiguousHalfPlaneError(
+                f"bend point {int(block[ambiguous[0], 1])} lies on its "
+                f"source edge's supporting line")
+        mismatches += int(np.count_nonzero(np.sign(cross_z)
+                                           != np.sign(cross_b)))
+        # nearest-barycenter comparison on interior edges
+        e_slot = source.face_edge_flat[slots]
+        left, right = source.edge_left[e_slot], source.edge_right[e_slot]
+        other = np.take(positions, bary0 + np.where(left == slot_face,
+                                                    right, left), axis=0)
+        disagreements += int(np.count_nonzero(
+            (left >= 0) & (right >= 0)
+            & (np.hypot(*(other - pz).T) < np.hypot(*(pb - pz).T))))
+
+        x, y = [p[:, 0] for p in columns], [p[:, 1] for p in columns]
+        pairs = list(zip(x, x[1:] + x[:1], y, y[1:] + y[:1]))
+        areas[slots] = 0.5 * _row_sum(x0 * y1 - x1 * y0
+                                      for x0, x1, y0, y1 in pairs)
+        for j, (x0, x1, y0, y1) in enumerate(pairs):
+            zero_len[slots, j] = (x0 == x1) & (y0 == y1)
+        centroids[slots, 0] = _row_sum(x) / 5
+        centroids[slots, 1] = _row_sum(y) / 5
+
+    if mismatches:
         logger.warning(
             "half-plane rule disagreed with the bend-side construction for "
-            "%d spokes (non-convex source faces?)", int(mism.sum()))
-    del cross_z, cross_b, scale
-
-    # nearest-barycenter comparison on interior edges (logged, never asserted)
-    left = source.edge_left[source.face_edge_flat]
-    right = source.edge_right[source.face_edge_flat]
-    inner = (left >= 0) & (right >= 0)
-    if inner.any():
-        other = np.take(positions, source.vertex_count + 2 * source.edge_count
-                        + np.where(left == source.slot_face, right, left),
-                        axis=0)
-        d_own = np.hypot(*(pb - pz).T)
-        d_oth = np.hypot(*(other - pz).T)
-        del other
-        disagree = inner & (d_oth < d_own)
-        if disagree.any():
-            logger.debug(
-                "nearest-barycenter distance disagreed with the half-plane "
-                "rule for %d spokes", int(disagree.sum()))
-        del d_own, d_oth
-    del left, right
-
-    # refined side: the x and y of every column, where column j + 1 holds
-    # each slot's next vertex
-    columns = [pb, pz] + [np.take(positions, rows[:, j], axis=0)
-                          for j in (2, 3, 4)]
-    x, y = [p[:, 0] for p in columns], [p[:, 1] for p in columns]
-    pairs = list(zip(x, x[1:] + x[:1], y, y[1:] + y[:1]))
-    _reject_bad_faces(
-        0.5 * _row_sum(x0 * y1 - x1 * y0 for x0, x1, y0, y1 in pairs),
-        np.stack([(x0 == x1) & (y0 == y1) for x0, x1, y0, y1 in pairs],
-                 axis=1).ravel(),
-        refined.face_edge_flat, refined.edges)
-    return np.stack([_row_sum(x) / 5, _row_sum(y) / 5], axis=1)
+            "%d spokes (non-convex source faces?)", mismatches)
+    if disagreements:
+        logger.debug(
+            "nearest-barycenter distance disagreed with the half-plane "
+            "rule for %d spokes", disagreements)
+    _reject_bad_faces(areas, zero_len.ravel(), refined.face_edge_flat,
+                      refined.edges)
+    return centroids
 
 
 # ---------------------------------------------------------------------------
@@ -327,22 +350,24 @@ def smooth_inner_vertices(mesh: Mesh) -> Mesh:
     pre-move positions (simultaneous update); outer vertices are returned
     bitwise unchanged.
     """
-    return _smooth(mesh, mesh.face_centroids())
+    positions = mesh.positions.copy()
+    _smooth(positions, mesh.face_vertex_flat, mesh.face_starts,
+            mesh.face_centroids(), mesh.inner_vertex_mask)
+    return mesh.with_positions(positions)
 
 
-def _smooth(mesh: Mesh, centroids: np.ndarray) -> Mesh:
-    """:func:`smooth_inner_vertices` with the face centroids given."""
-    flat = mesh.face_vertex_flat
-    V = mesh.vertex_count
+def _smooth(positions: np.ndarray, flat: np.ndarray, starts: np.ndarray,
+            centroids: np.ndarray, inner: np.ndarray) -> None:
+    """:func:`smooth_inner_vertices` in place, on the face cycles ``(flat,
+    starts)`` with their centroids and inner-vertex mask given."""
+    V = len(positions)
     cnt = np.bincount(flat, minlength=V)
-    inner = mesh.inner_vertex_mask & (cnt > 0)
-    new_positions = mesh.positions.copy()
+    inner = inner & (cnt > 0)
     for axis in (0, 1):
         acc = np.bincount(flat, minlength=V, weights=np.repeat(
-            centroids[:, axis], mesh.face_sizes))
-        np.divide(acc, cnt, out=new_positions[:, axis], where=inner)
+            centroids[:, axis], np.diff(starts)))
+        np.divide(acc, cnt, out=positions[:, axis], where=inner)
         del acc
-    return mesh.with_positions(new_positions)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +410,7 @@ class SubdivisionHistory:
 
 
 def _check_count_recursion(source: Mesh, refined: Mesh) -> None:
-    sum_n = int(source.face_sizes.sum())
+    sum_n = len(source.face_vertex_flat)
     expect = (source.vertex_count + 2 * source.edge_count + source.face_count,
               3 * source.edge_count + sum_n,
               sum_n)
@@ -420,12 +445,15 @@ def snub_subdivide(mesh: Mesh, steps: int, smoothing: bool = True,
     current = mesh
     for _ in range(steps):
         s = assign_z_orientations(seed_flag)
-        refined, prov = _refine(current, s)
+        arrays, prov = _refine(current, s)
+        # the checks read views, so the arrays stay writeable for smoothing
+        refined = Mesh(*(a.view() for a in arrays))
         centroids = _check_geometry(current, refined, s)
         _check_count_recursion(current, refined)
-        result = _smooth(refined, centroids) if smoothing else refined
+        if smoothing:
+            _smooth(*arrays[:3], centroids, refined.inner_vertex_mask)
         records.append(StepRecord(provenance=prov))
-        meshes.append(result)
-        current = result
+        current = Mesh(*arrays)
+        meshes.append(current)
     return SubdivisionHistory(meshes=meshes, records=records,
                               smoothing=bool(smoothing), seed_flag=seed_flag)

@@ -317,17 +317,30 @@ def sqrt3_quadization(step: SchemeStepResult,
     return tiling, VertexColoring(~is_center)
 
 
+def _middle_edge_mask(provenance: Provenance, mesh: Mesh) -> np.ndarray:
+    """Per edge of ``mesh``, whether ``provenance`` tags it a bend middle;
+    :class:`InvalidParameterError` unless there is one tag per edge."""
+    tags = np.asarray(provenance.edge_tags)
+    if len(tags) != mesh.edge_count:
+        raise InvalidParameterError(
+            f"edge tags for {len(tags)} edges given for a mesh of "
+            f"{mesh.edge_count} edges (the record of another step?)")
+    return tags == EdgeTag.Z_MIDDLE
+
+
 def glue_snub_pairs(mesh: Mesh, provenance: Provenance) -> GluedTiling:
     """Pair every pentagon with its neighbor across the bend-middle edge.
 
     Each face of a snub-refined mesh contains exactly one middle edge of a
     bend triplet; interior middles glue their two pentagons into an
-    octagon, boundary middles leave singletons.
+    octagon, boundary middles leave singletons.  ``provenance`` is the
+    record of the step that made ``mesh``: tags that are not one per edge
+    raise :class:`InvalidParameterError`.
     """
     if provenance is None or provenance.edge_tags is None:
         raise MissingProvenanceError(
             "glue_snub_pairs needs edge tags from a snub refinement step")
-    is_middle = np.asarray(provenance.edge_tags) == EdgeTag.Z_MIDDLE
+    is_middle = _middle_edge_mask(provenance, mesh)
     if not is_middle.any():
         raise MissingProvenanceError(
             "mesh carries no bend-middle edges (unrefined input?)")
@@ -708,14 +721,16 @@ def trace_snub_strands(tiling: GluedTiling,
 
     Open strands come first, by their lower end tile, each walked from
     that end; closed strands follow, by their lowest tile, each walked
-    from that tile's first designated vertex.
+    from that tile's first designated vertex.  ``provenance`` is the
+    record of the step that made ``tiling.source``, as for
+    :func:`glue_snub_pairs`.
     """
     if provenance is None or provenance.edge_tags is None:
         raise MissingProvenanceError(
             "trace_snub_strands needs the edge tags of the refined mesh")
     source, tmesh = tiling.source, tiling.mesh
     T = tmesh.face_count
-    is_middle = np.asarray(provenance.edge_tags) == EdgeTag.Z_MIDDLE
+    is_middle = _middle_edge_mask(provenance, source)
     middles = np.flatnonzero(is_middle)
     middle_of_vertex = np.full(source.vertex_count, -1, dtype=np.int64)
     middle_of_vertex[source.edges[middles].ravel()] = np.repeat(middles, 2)

@@ -17,6 +17,7 @@ from snubweave import (
     SelfIntersectionError,
 )
 from snubweave.mesh_core import _check_self_intersections
+from snubweave import snub
 from snubweave.snub import _check_geometry, _row_sum
 
 import snub_reference
@@ -561,7 +562,23 @@ class TestNumberingContract:
             if not smoothing:
                 assert np.array_equal(refined.positions[V + 2 * E:],
                                       source.face_centroids())
+            # the spoke at bend V + b goes to the face on the bend's side:
+            # walked from lower to higher id, edge e has its left face on
+            # the side of bend V + 2e for flag +1, of V + 2e + 1 for -1
+            spokes = refined.edges[hist.records[0].provenance.edge_tags
+                                   == EdgeTag.SPOKE]
+            b = spokes[:, 0] - V
+            sides = np.where((b % 2 == 0) == (flag == 1),
+                             source.edge_left[b // 2],
+                             source.edge_right[b // 2])
+            assert np.array_equal(spokes[:, 1] - (V + 2 * E), sides)
             source = refined
+
+    def test_history_meshes_cache_no_per_slot_table(self):
+        hist = sw.snub_subdivide(sw.pentagon(), 8)
+        for m in hist.meshes:
+            assert not {"slot_next", "slot_face", "face_sizes"} & set(
+                vars(m)), m
 
 
 def reflected(mesh):
@@ -737,3 +754,103 @@ class TestDeepStepOracle:
                                               strict=True)):
             assert_step_records(hist.meshes[t], hist.meshes[t + 1],
                                 record.provenance, ref, meshes[t])
+
+
+# ---------------------------------------------------------------------------
+# the blocked passes: the block size changes no bit, error or log record
+# ---------------------------------------------------------------------------
+
+def mixed_mesh():
+    """A triangle, a quad and a hexagon in a row, each sharing an edge."""
+    return sw.build_mesh(
+        [(0, 0.5), (1, 0), (1, 1), (2, 0), (2, 1), (3, -0.5), (4, 0), (4, 1),
+         (3, 1.5)],
+        [[0, 1, 2], [1, 3, 4, 2], [3, 5, 6, 7, 8, 4]])
+
+
+def history_outcome(mesh, steps, flag, smoothing):
+    """The logged outcome of a history, with its meshes and edge tags as
+    bytes, so two outcomes compare bit for bit."""
+    outcome, log = logged_outcome("snubweave.snub", lambda: sw.snub_subdivide(
+        mesh, steps, smoothing=smoothing, seed_flag=flag))
+    if outcome[0] == "returned":
+        hist = outcome[1]
+        outcome = ("returned", [getattr(m, name).tobytes()
+                                for m in hist.meshes for name in MESH_ARRAYS],
+                   [r.provenance.edge_tags.tobytes() for r in hist.records])
+    return outcome, log
+
+
+class TestBlockBoundaries:
+    """The step runs block by block over whole source faces; tiny blocks
+    split these small inputs at many face boundaries."""
+
+    @pytest.mark.parametrize("spec", ["pentagon", "pentaflower", "ngon:3",
+                                      "ngon:7", "fan:3", "fan:5", "grid:3x2",
+                                      "mixed"])
+    @pytest.mark.parametrize("flag", [1, -1])
+    @pytest.mark.parametrize("smoothing", [True, False])
+    def test_block_size_changes_nothing(self, monkeypatch, spec, flag,
+                                        smoothing):
+        base = mixed_mesh() if spec == "mixed" else sw.generate_demo_mesh(spec)
+        mesh = jittered(base, 3, 0.1)
+        want = history_outcome(mesh, 3, flag, smoothing)
+        for block in (1, 7, 40):
+            monkeypatch.setattr(snub, "_BLOCK", block)
+            assert history_outcome(mesh, 3, flag, smoothing) == want, block
+
+    def faulty_check(self, monkeypatch, source, refined, pos, flag):
+        """The logged outcome of checking ``refined`` moved to ``pos``, the
+        same with one quad per block as in one block."""
+        moved = refined.with_positions(pos.copy())
+        outcomes = []
+        for block in (4, 1 << 14):
+            monkeypatch.setattr(snub, "_BLOCK", block)
+            outcomes.append(logged_outcome("snubweave.snub", lambda: (
+                _check_geometry(source, moved, flag))))
+        assert outcomes[0] == outcomes[1]
+        return outcomes[0][0], moved
+
+    def test_first_fault_in_the_documented_order_wins(self, monkeypatch):
+        # three unit quads in a row: each is one block of four slots, and
+        # with flag -1 the bend V + 2e of a bottom edge (walked left to
+        # right, face on the left) and V + 2e + 1 of a top edge get no spoke
+        source = sw.square_grid(3, 1)
+        refined, _ = refine_once(source, flag=-1)
+        V, E = source.vertex_count, source.edge_count
+        bottom2, top0 = source.edge_id(2, 3), source.edge_id(4, 5)
+        # zero-length edges: bends onto their endpoints, in quads 0 and 2
+        zero_len = np.asarray(refined.positions).copy()
+        zero_len[V + 2 * top0 + 1] = zero_len[5]
+        zero_len[V + 2 * bottom2] = zero_len[2]
+        outcome, moved = self.faulty_check(monkeypatch, source, refined,
+                                           zero_len, -1)
+        short = np.flatnonzero(moved.edge_lengths() == 0.0)
+        a, b = refined.edges[short[0]]
+        assert (a, len(short)) == (2, 2)     # the lowest one is quad 2's
+        assert outcome == ("raised", DegenerateFaceError,
+                           f"edge ({a}, {b}) has zero length")
+
+        # and a fold in quad 2, its barycenter below its bottom edge
+        pos = zero_len.copy()
+        pos[V + 2 * E + 2] = (2.5, -3.0)
+        outcome, moved = self.faulty_check(monkeypatch, source, refined, pos,
+                                           -1)
+        folded = np.flatnonzero(moved.face_signed_areas() < 0)
+        assert len(folded) and folded.min() >= 8      # quad 2's faces only
+        assert outcome == ("raised", NonManifoldError,
+                           f"face {folded[0]} is folded over its neighbors "
+                           f"(clockwise after refinement)")
+
+        # a fold in quad 0, then a spoke's bend point on its source edge's
+        # line in quad 2: the bend point comes first
+        pos = np.asarray(refined.positions).copy()
+        pos[V + 2 * E] = (0.5, -3.0)
+        spoke_bend = V + 2 * bottom2 + 1
+        pos[spoke_bend] = (2.5, 0.0)
+        outcome, moved = self.faulty_check(monkeypatch, source, refined, pos,
+                                           -1)
+        assert (moved.face_signed_areas()[:4] < 0).any()
+        assert outcome == ("raised", AmbiguousHalfPlaneError,
+                           f"bend point {spoke_bend} lies on its source "
+                           f"edge's supporting line")

@@ -473,6 +473,26 @@ class TestErrors:
         with pytest.raises(MissingProvenanceError):
             sw.trace_snub_strands(tiling, None)
 
+    def test_tags_of_another_step_are_invalid(self):
+        hist = sw.snub_subdivide(sw.pentagon(), 2)
+        first, last = (r.provenance for r in hist.records)
+        # an earlier step's tags are too few for the final mesh
+        with pytest.raises(InvalidParameterError,
+                           match=r"^edge tags for 20 edges given for a mesh "
+                                 r"of 85 edges \(the record of another "
+                                 r"step\?\)$"):
+            sw.glue_snub_pairs(hist.final, first)
+        tiling = sw.glue_snub_pairs(hist.final, last)
+        with pytest.raises(InvalidParameterError,
+                           match="^edge tags for 20 edges given for a mesh "
+                                 "of 85 edges"):
+            sw.trace_snub_strands(tiling, first)
+        # a later step's tags are too many for an earlier mesh
+        with pytest.raises(InvalidParameterError,
+                           match="^edge tags for 85 edges given for a mesh "
+                                 "of 20 edges"):
+            sw.glue_snub_pairs(hist.meshes[1], last)
+
     def test_face_with_two_middle_edges(self):
         hist = sw.snub_subdivide(sw.pentagon(), 2)
         prov = hist.records[-1].provenance
