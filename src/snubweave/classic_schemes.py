@@ -39,7 +39,7 @@ import math
 import numpy as np
 
 from .errors import DegenerateFaceError, NotTriangleMeshError
-from .mesh_core import Mesh, _direct_mesh, _edge_slots
+from .mesh_core import Mesh, _cycle_links, _direct_mesh, _edge_slots
 
 __all__ = [
     "OriginKind",
@@ -123,11 +123,13 @@ def _row_sums(values: np.ndarray, table: np.ndarray, count: np.ndarray):
     return total
 
 
-def _boundary_rule(mesh: Mesh, old_pos: np.ndarray) -> None:
+def _boundary_rule(mesh: Mesh, old_pos: np.ndarray,
+                   boundary: np.ndarray) -> None:
     """Move each boundary vertex ``v``, in place, to ``(b1 + 6 v + b2) / 8``,
-    with ``b1``, ``b2`` its first two boundary neighbours in edge order."""
+    with ``b1``, ``b2`` its first two neighbours in edge order across the
+    ``boundary`` edges (:attr:`~.mesh_core.Mesh.boundary_edge_mask`)."""
     pos = mesh.positions
-    table, count = _vertex_neighbors(mesh, mesh.edges[mesh.boundary_edge_mask])
+    table, count = _vertex_neighbors(mesh, mesh.edges[boundary])
     v = np.flatnonzero(count)
     old_pos[v] = (pos[table[v, 0]] + 6.0 * pos[v] + pos[table[v, 1]]) / 8.0
 
@@ -159,10 +161,10 @@ def _ranked(lo: np.ndarray, hi: np.ndarray, n: int):
     return np.column_stack((lo[order], hi[order])), _inverse(order)
 
 
-def _half_edges(mesh: Mesh):
+def _half_edges(mesh: Mesh, prev: np.ndarray):
     """The refined edges ``(v, V + e)`` from each source edge's new vertex
     to the edge's ends, in ``(v, e)`` order, and per slot the ids of those
-    along its out-edge and its in-edge.
+    along its out-edge and its in-edge, the out-edge of slot ``prev``.
 
     A stable argsort of ``edges.ravel()`` ranks end ``2e + j`` of edge
     ``e``; a slot's vertex is end ``j = 1`` of an edge exactly when it is
@@ -178,7 +180,7 @@ def _half_edges(mesh: Mesh):
         return rank[2 * e + (mesh.edges[e, 0] != flat)]
 
     e_out = mesh.face_edge_flat
-    return table, along(e_out), along(e_out[_inverse(mesh.slot_next)])
+    return table, along(e_out), along(e_out[prev])
 
 
 def _one_to_four_mesh(mesh: Mesh, positions: np.ndarray) -> Mesh:
@@ -194,7 +196,7 @@ def _one_to_four_mesh(mesh: Mesh, positions: np.ndarray) -> Mesh:
     m_ab, m_bc, m_ca = m.T
     flat = np.stack([a, m_ab, m_ca, b, m_bc, m_ab, c, m_ca, m_bc,
                      m_ab, m_bc, m_ca], axis=1).ravel()
-    half, out_h, in_h = _half_edges(mesh)
+    half, out_h, in_h = _half_edges(mesh, _inverse(mesh.slot_next))
     m_next = np.roll(m, -1, axis=1)
     core, rank = _ranked(np.minimum(m, m_next).ravel(),
                          np.maximum(m, m_next).ravel(), V + E)
@@ -255,7 +257,7 @@ def loop_step(mesh: Mesh) -> SchemeStepResult:
     old_pos = pos.copy()
     old_pos[v] = ((1.0 - d * beta)[:, None] * pos[v]
                   + beta[:, None] * _row_sums(pos, neighbors[v], d))
-    _boundary_rule(mesh, old_pos)
+    _boundary_rule(mesh, old_pos, boundary)
 
     refined = _one_to_four_mesh(mesh, np.vstack([old_pos, edge_pos]))
     return _step_result(mesh, refined, (mesh.vertex_count, mesh.edge_count, 0))
@@ -338,7 +340,8 @@ def sqrt3_step(mesh: Mesh) -> SchemeStepResult:
     f, g = mesh.edge_left, mesh.edge_right
     kept = np.flatnonzero(boundary)
     lower = np.concatenate((a[kept], mesh.face_vertex_flat))
-    upper = np.concatenate((b[kept], V + mesh.slot_face))
+    nxt, slot_face = _cycle_links(mesh.face_starts)
+    upper = np.concatenate((b[kept], V + slot_face))
     order = np.argsort(lower, kind="stable")
     rank = _inverse(order)
     flips, flip_rank = _ranked(V + np.minimum(f, g)[inner],
@@ -350,8 +353,7 @@ def sqrt3_step(mesh: Mesh) -> SchemeStepResult:
     e_id[kept] = rank[:len(kept)]
     e_id[inner] = len(order) + flip_rank
     spoke = rank[len(kept):]
-    left, right = _edge_slots(mesh)
-    nxt = mesh.slot_next
+    left, right = _edge_slots(mesh, nxt)
     a_f, b_f = spoke[left], spoke[nxt[left]]
     b_g, a_g = spoke[right], spoke[nxt[right]]
 
@@ -406,7 +408,8 @@ def midedge_step(mesh: Mesh) -> SchemeStepResult:
     flat = mesh.face_vertex_flat
     out_edge = mesh.face_edge_flat
     slot = np.arange(len(flat), dtype=np.int64)
-    left, right = _edge_slots(mesh)
+    nxt = mesh.slot_next
+    left, right = _edge_slots(mesh, nxt)
     # a boundary slot has no twin (-1), but no walk around an inner vertex
     # leaves through a boundary edge
     twin = np.where(left[out_edge] == slot, right[out_edge], left[out_edge])
@@ -420,7 +423,7 @@ def midedge_step(mesh: Mesh) -> SchemeStepResult:
             f"vertex {int(short[0])} has degree {int(valence[short[0]])}")
     walk = [slots[v, 0]]
     for _ in range(int(valence[v].max(initial=1))):
-        walk.append(mesh.slot_next[twin[walk[-1]]])
+        walk.append(nxt[twin[walk[-1]]])
     walk = np.column_stack(walk)
     length = np.argmax(walk[:, 1:] == walk[:, :1], axis=1) + 1
     row = np.repeat(np.arange(len(v)), length)
@@ -428,7 +431,7 @@ def midedge_step(mesh: Mesh) -> SchemeStepResult:
     back = np.repeat(ends, length) - 1 - np.arange(len(row))
     corner_of_cycle = walk[row, back]
 
-    in_edge = out_edge[_inverse(mesh.slot_next)]
+    in_edge = out_edge[_inverse(nxt)]
     edges, corner = _ranked(np.minimum(in_edge, out_edge),
                             np.maximum(in_edge, out_edge), mesh.edge_count)
     refined = _direct_mesh(
@@ -436,7 +439,7 @@ def midedge_step(mesh: Mesh) -> SchemeStepResult:
         np.concatenate([out_edge, out_edge[corner_of_cycle]]),
         np.concatenate([mesh.face_starts, len(out_edge) + ends]),
         edges,
-        np.concatenate([corner[mesh.slot_next], corner[corner_of_cycle]]),
+        np.concatenate([corner[nxt], corner[corner_of_cycle]]),
         pinch_check=False)
     return _step_result(mesh, refined, (0, mesh.edge_count, 0))
 
@@ -467,8 +470,8 @@ def catmull_clark_step(mesh: Mesh) -> SchemeStepResult:
                        + face_pts[mesh.edge_left[inner]]
                        + face_pts[mesh.edge_right[inner]]) / 4.0
 
-    vertex_faces, face_count = _incidence(mesh.face_vertex_flat,
-                                          mesh.slot_face, V)
+    nxt, slot_face = _cycle_links(mesh.face_starts)
+    vertex_faces, face_count = _incidence(mesh.face_vertex_flat, slot_face, V)
     vertex_edges, degree = _incidence(
         mesh.edges.ravel(), np.repeat(np.arange(E, dtype=np.int64), 2), V)
     v = np.flatnonzero(mesh.inner_vertex_mask)
@@ -477,17 +480,17 @@ def catmull_clark_step(mesh: Mesh) -> SchemeStepResult:
     r = _row_sums((pos[a] + pos[b]) / 2.0, vertex_edges[v], d) / d[:, None]
     old_pos = pos.copy()
     old_pos[v] = (q + 2.0 * r + (d - 3.0)[:, None] * pos[v]) / d[:, None]
-    _boundary_rule(mesh, old_pos)
+    _boundary_rule(mesh, old_pos, boundary)
 
     # one quad per face corner: vertex, next edge, face, previous edge
-    prev = _inverse(mesh.slot_next)
+    prev = _inverse(nxt)
     edge_of_slot = V + mesh.face_edge_flat
     quads = np.column_stack((mesh.face_vertex_flat, edge_of_slot,
-                             V + E + mesh.slot_face, edge_of_slot[prev]))
+                             V + E + slot_face, edge_of_slot[prev]))
 
     # edges: the half edges, then per source edge (V + e, V + E + f) to
     # each of its faces f, the lower face first
-    half, out_h, in_h = _half_edges(mesh)
+    half, out_h, in_h = _half_edges(mesh, prev)
     f, g = mesh.edge_left, mesh.edge_right
     both = (f >= 0) & (g >= 0)
     first = np.where(both, np.minimum(f, g), np.maximum(f, g))
@@ -499,7 +502,7 @@ def catmull_clark_step(mesh: Mesh) -> SchemeStepResult:
     links = np.column_stack((np.repeat(np.arange(V, V + E), n_faces),
                              V + E + face_of))
     e = mesh.face_edge_flat
-    link = 2 * E + at[e] + (mesh.slot_face != first[e])
+    link = 2 * E + at[e] + (slot_face != first[e])
     refined = _direct_mesh(
         np.vstack([old_pos, edge_pts, face_pts]), quads.ravel(),
         np.arange(0, quads.size + 1, 4), np.concatenate((half, links)),

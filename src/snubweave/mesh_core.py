@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import cached_property
 import itertools
 import numbers
 
@@ -74,7 +73,10 @@ class Provenance:
 
 
 class Mesh:
-    """Immutable planar polygon mesh with derived connectivity tables.
+    """Immutable planar polygon mesh: the seven read-only arrays the
+    constructor takes, and nothing else.  Every other table is derived from
+    them on each access and stored nowhere, so a caller that needs one more
+    than once reads it once and keeps it.
 
     Use :func:`build_mesh` (or a generator) instead of calling the
     constructor directly; the constructor trusts its arguments.  Meshes
@@ -125,7 +127,7 @@ class Mesh:
 
     # -- faces --------------------------------------------------------------
 
-    @cached_property
+    @property
     def face_sizes(self) -> np.ndarray:
         return np.diff(self.face_starts)
 
@@ -133,9 +135,9 @@ class Mesh:
         """Vertex indices of face ``f`` in counterclockwise order."""
         return self.face_vertex_flat[self.face_starts[f]:self.face_starts[f + 1]]
 
-    @cached_property
+    @property
     def faces(self) -> list[tuple[int, ...]]:
-        """All face cycles as tuples (materialized lazily)."""
+        """All face cycles as tuples (built on each access)."""
         flat = self.face_vertex_flat.tolist()
         starts = self.face_starts.tolist()
         return [tuple(flat[starts[f]:starts[f + 1]])
@@ -145,19 +147,15 @@ class Mesh:
         """Edge ids along face ``f``; entry ``k`` joins cycle slots k, k+1."""
         return self.face_edge_flat[self.face_starts[f]:self.face_starts[f + 1]]
 
-    @cached_property
+    @property
     def slot_next(self) -> np.ndarray:
         """For each flat face slot, the slot of the next vertex in its cycle."""
-        total = len(self.face_vertex_flat)
-        nxt = np.arange(1, total + 1, dtype=np.int64)
-        nxt[self.face_starts[1:] - 1] = self.face_starts[:-1]
-        return nxt
+        return _cycle_links(self.face_starts)[0]
 
-    @cached_property
+    @property
     def slot_face(self) -> np.ndarray:
         """For each flat face slot, the face it belongs to."""
-        return np.repeat(np.arange(self.face_count, dtype=np.int64),
-                         self.face_sizes)
+        return _cycle_links(self.face_starts)[1]
 
     def face_centroids(self) -> np.ndarray:
         """Vertex centroid of every face, shape (F, 2)."""
@@ -200,12 +198,12 @@ class Mesh:
                 f"{int(v.ravel()[bad])}")
         return int(e) if e.ndim == 0 else e
 
-    @cached_property
+    @property
     def boundary_edge_mask(self) -> np.ndarray:
         """Per edge, whether it has fewer than two incident faces (outer)."""
         return (self.edge_left < 0) | (self.edge_right < 0)
 
-    @cached_property
+    @property
     def inner_vertex_mask(self) -> np.ndarray:
         """Per vertex, whether it has an edge and no edge on the boundary."""
         inner = np.zeros(self.vertex_count, dtype=bool)
@@ -213,7 +211,7 @@ class Mesh:
         inner[self.edges[self.boundary_edge_mask].ravel()] = False
         return inner
 
-    @cached_property
+    @property
     def vertex_degrees(self) -> np.ndarray:
         return np.bincount(self.edges.ravel(), minlength=self.vertex_count)
 
@@ -256,6 +254,26 @@ def _centroids(positions: np.ndarray, flat: np.ndarray,
     sums = np.add.reduceat(np.take(positions, flat[starts[0]:starts[-1]],
                                    axis=0), starts[:-1] - starts[0], axis=0)
     return sums / np.diff(starts)[:, None]
+
+
+def _cycle_links(starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per slot of the faces that ``starts`` bounds, a run of whole faces
+    as for :func:`_centroids`: the slot of the next vertex in its cycle and
+    the slot's face, counted from the run's first slot and first face."""
+    nxt = np.arange(1, starts[-1] - starts[0] + 1, dtype=np.int64)
+    nxt[starts[1:] - 1 - starts[0]] = starts[:-1] - starts[0]
+    return nxt, np.repeat(np.arange(len(starts) - 1, dtype=np.int64),
+                          np.diff(starts))
+
+
+def _reject_repeats(flat: np.ndarray, slot_face: np.ndarray, V: int) -> None:
+    """Raise :class:`DegenerateFaceError` where a cycle repeats a vertex,
+    naming the lowest ``(face, vertex)`` pair; one sort of the pair keys."""
+    keys = np.sort(slot_face * V + flat)
+    dup = np.flatnonzero(keys[1:] == keys[:-1])
+    if len(dup):
+        f, v = divmod(int(keys[dup[0]]), V)
+        raise DegenerateFaceError(f"face {f} repeats vertex {v}")
 
 
 def _index_array(values, name: str) -> np.ndarray:
@@ -336,6 +354,7 @@ def build_mesh(points, faces, *, check_self_intersections: bool = False,
     integer in either form, raises :class:`InvalidParameterError`.
 
     Faces given clockwise are reversed to counterclockwise.  Raises
+    :class:`InvalidParameterError` for no faces, in either form,
     :class:`IndexRangeError` for out-of-range indices,
     :class:`DegenerateFaceError` for short/repeating/zero-area cycles or
     zero-length edges, and :class:`NonManifoldError` when an edge is walked
@@ -353,52 +372,43 @@ def build_mesh(points, faces, *, check_self_intersections: bool = False,
     positions = _check_point_array(points)
     flat, starts = _flatten_faces(faces)
     V = len(positions)
-    F = len(starts) - 1
+    if len(starts) == 1:
+        raise InvalidParameterError("a mesh needs at least one face")
 
     sizes = np.diff(starts)
-    if F and sizes.min() < 3:
+    if sizes.min() < 3:
         raise DegenerateFaceError(
             f"face {int(np.argmin(sizes))} has fewer than 3 vertices")
-    if len(flat) and (flat.min() < 0 or flat.max() >= V):
+    if flat.min() < 0 or flat.max() >= V:
         bad = int(np.flatnonzero((flat < 0) | (flat >= V))[0])
         raise IndexRangeError(
             f"face index {int(flat[bad])} out of range for {V} vertices")
 
-    slot_face = np.repeat(np.arange(F, dtype=np.int64), sizes)
-
-    # repeated vertex inside one cycle
-    pair_key = slot_face * V + flat
-    if len(np.unique(pair_key)) != len(pair_key):
-        order = np.argsort(pair_key, kind="stable")
-        dup = order[np.flatnonzero(np.diff(pair_key[order]) == 0)[0]]
-        raise DegenerateFaceError(
-            f"face {int(slot_face[dup])} repeats vertex {int(flat[dup])}")
+    nxt, slot_face = _cycle_links(starts)
+    _reject_repeats(flat, slot_face, V)
 
     # orient all faces counterclockwise
-    total = len(flat)
-    nxt = np.arange(1, total + 1, dtype=np.int64)
-    nxt[starts[1:] - 1] = starts[:-1]
     p = np.take(positions, flat, axis=0)
     q = np.take(p, nxt, axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
         doubled = np.add.reduceat(p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1],
-                                  starts[:-1]) if F else np.zeros(0)
+                                  starts[:-1])
     del p, q
     if not np.isfinite(doubled).all():
         raise InvalidParameterError(
             f"face {int(np.flatnonzero(~np.isfinite(doubled))[0])} has an "
             f"area that is not finite (coordinates too large)")
-    if F and (doubled == 0.0).any():
+    if (doubled == 0.0).any():
         raise DegenerateFaceError(
             f"face {int(np.flatnonzero(doubled == 0.0)[0])} has zero area")
     flip = doubled < 0.0
-    if F and flip.any():
-        within = np.arange(total, dtype=np.int64) - np.repeat(starts[:-1], sizes)
-        flip_slot = flip[slot_face]
-        new_within = np.where(flip_slot,
-                              np.repeat(sizes, sizes) - 1 - within, within)
+    if flip.any():
+        first = starts[slot_face]
+        within = np.arange(len(flat), dtype=np.int64) - first
+        new_within = np.where(flip[slot_face],
+                              sizes[slot_face] - 1 - within, within)
         flat_fixed = np.empty_like(flat)
-        flat_fixed[np.repeat(starts[:-1], sizes) + new_within] = flat
+        flat_fixed[first + new_within] = flat
         flat = flat_fixed
 
     # undirected edge table
@@ -473,42 +483,35 @@ def _direct_mesh(positions: np.ndarray, flat: np.ndarray, starts: np.ndarray,
 
     ``edges`` is the ``(lo, hi)``-sorted edge table of the face cycles
     ``(flat, starts)``, and ``face_edge_flat`` the edge from each slot to
-    the next; each edge's two faces are read off the slots.  Indices must
-    be in range and no edge walked twice in one direction, as every caller
-    (:func:`build_mesh`, the classic schemes, the glued tilings and the
-    face-split weaving) ensures.  The checks follow :func:`build_mesh`'s
-    order and raise its errors: finite coordinates, at least 3 vertices
-    per face, no vertex twice in a cycle (only ``merged_cycles``, where a
-    cycle joins two source faces that may share a third vertex), the face
-    checks of :func:`_reject_bad_faces` (a clockwise face is not reversed
-    but rejected as folded) and, with ``pinch_check``, no pinched boundary.
+    the next; each edge's two faces are read off the slots.  There must be
+    a face, indices in range and no edge walked twice in one direction, as
+    every caller (:func:`build_mesh`, the classic schemes, the glued tilings
+    and the face-split weaving) ensures.  The checks follow
+    :func:`build_mesh`'s order and raise its errors: finite coordinates, at
+    least 3 vertices per face, no vertex twice in a cycle (only
+    ``merged_cycles``, where a cycle joins two source faces that may share
+    a third vertex), the face checks of :func:`_reject_bad_faces` (a
+    clockwise face is not reversed but rejected as folded) and, with
+    ``pinch_check``, no pinched boundary.
     """
-    F = len(starts) - 1
     V = len(positions)
     sizes = np.diff(starts)
     if not np.isfinite(positions).all():
         raise InvalidParameterError("vertex coordinates must be finite")
-    if F and sizes.min() < 3:
+    if sizes.min() < 3:
         raise DegenerateFaceError(
             f"face {int(np.argmin(sizes))} has fewer than 3 vertices")
-    slot_face = np.repeat(np.arange(F, dtype=np.int64), sizes)
+    nxt, slot_face = _cycle_links(starts)
     if merged_cycles:
-        keys = np.sort(slot_face * V + flat)
-        dup = np.flatnonzero(keys[1:] == keys[:-1])
-        if len(dup):
-            f, v = divmod(int(keys[dup[0]]), V)
-            raise DegenerateFaceError(f"face {f} repeats vertex {v}")
-    nxt = np.arange(1, len(flat) + 1, dtype=np.int64)
-    nxt[starts[1:] - 1] = starts[:-1]
-    if F:
-        p = np.take(positions, flat, axis=0)
-        q = np.take(p, nxt, axis=0)
-        cross = p[:, 0] * q[:, 1]
-        cross -= q[:, 0] * p[:, 1]
-        areas = 0.5 * np.add.reduceat(cross, starts[:-1])
-        zero_len = (p[:, 0] == q[:, 0]) & (p[:, 1] == q[:, 1])
-        del p, q, cross
-        _reject_bad_faces(areas, zero_len, face_edge_flat, edges)
+        _reject_repeats(flat, slot_face, V)
+    p = np.take(positions, flat, axis=0)
+    q = np.take(p, nxt, axis=0)
+    cross = p[:, 0] * q[:, 1]
+    cross -= q[:, 0] * p[:, 1]
+    areas = 0.5 * np.add.reduceat(cross, starts[:-1])
+    zero_len = (p[:, 0] == q[:, 0]) & (p[:, 1] == q[:, 1])
+    del p, q, cross
+    _reject_bad_faces(areas, zero_len, face_edge_flat, edges)
     E = len(edges)
     sides = np.full(2 * E, -1, dtype=np.int64)
     sides[(flat > flat[nxt]) * E + face_edge_flat] = slot_face
@@ -518,10 +521,11 @@ def _direct_mesh(positions: np.ndarray, flat: np.ndarray, starts: np.ndarray,
                 face_edge_flat)
 
 
-def _edge_slots(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
-    """Per edge, its flat face slot in the left and the right face (-1)."""
+def _edge_slots(mesh: Mesh, nxt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per edge, its flat face slot in the left and the right face (-1);
+    ``nxt`` is the mesh's :attr:`Mesh.slot_next`."""
     flat = mesh.face_vertex_flat
-    forward = flat < flat[mesh.slot_next]
+    forward = flat < flat[nxt]
     left = np.full(mesh.edge_count, -1, dtype=np.int64)
     right = np.full(mesh.edge_count, -1, dtype=np.int64)
     fwd, back = np.flatnonzero(forward), np.flatnonzero(~forward)
@@ -653,20 +657,19 @@ def square_grid(w: int, h: int) -> Mesh:
     xs, ys = np.meshgrid(np.arange(w + 1), np.arange(h + 1))
     pts = np.column_stack((xs.ravel(), ys.ravel())).astype(np.float64)
 
-    def vid(x, y):
-        return y * (w + 1) + x
-
-    faces = [[vid(x, y), vid(x + 1, y), vid(x + 1, y + 1), vid(x, y + 1)]
-             for y in range(h) for x in range(w)]
-    return build_mesh(pts, faces)
+    # per square its lower left corner, then counterclockwise
+    low = (np.arange(h)[:, None] * (w + 1) + np.arange(w)).ravel()
+    flat = np.column_stack((low, low + 1, low + w + 2, low + w + 1)).ravel()
+    return build_mesh(pts, (flat, np.arange(0, len(flat) + 1, 4)))
 
 
 def fan_ngon(n: int) -> Mesh:
     """Regular n-gon triangulated by fanning from its centroid."""
-    ring = ngon(n).positions        # checks n
-    pts = np.vstack((ring, [[0.0, 0.0]]))
-    faces = [[k, (k + 1) % n, n] for k in range(n)]
-    return build_mesh(pts, faces)
+    n = _checked_int(n, "n", 3)
+    pts = np.vstack((ngon(n).positions, [[0.0, 0.0]]))
+    k = np.arange(n)
+    flat = np.column_stack((k, (k + 1) % n, np.full(n, n))).ravel()
+    return build_mesh(pts, (flat, np.arange(0, 3 * n + 1, 3)))
 
 
 def pentagon_flower() -> Mesh:

@@ -84,6 +84,7 @@ from .mesh_core import (
     Provenance,
     _centroids,
     _checked_int,
+    _cycle_links,
     _reject_bad_faces,
     _reject_pinched_boundary,
 )
@@ -141,12 +142,9 @@ def _blocks(starts: np.ndarray):
     cuts = np.searchsorted(starts, np.arange(0, starts[-1], _BLOCK))
     bounds = list(dict.fromkeys(cuts.tolist() + [len(starts) - 1]))
     for f0, f1 in zip(bounds, bounds[1:]):
-        first, end = starts[f0:f1], starts[f0 + 1:f1 + 1]
-        a, b = int(first[0]), int(end[-1])
-        nxt = np.arange(1, b - a + 1, dtype=np.int64)
-        nxt[end - 1 - a] = first - a
-        yield f0, f1, slice(a, b), np.repeat(
-            np.arange(f0, f1, dtype=np.int64), end - first), nxt
+        nxt, slot_face = _cycle_links(starts[f0:f1 + 1])
+        yield f0, f1, slice(int(starts[f0]), int(starts[f1])), \
+            slot_face + f0, nxt
 
 
 def _bend_points(mesh: Mesh, s: int):

@@ -46,7 +46,8 @@ from .errors import (
     NotBipartiteError,
     NotTriangleMeshError,
 )
-from .mesh_core import EdgeTag, Mesh, Provenance, _direct_mesh, _edge_slots
+from .mesh_core import (EdgeTag, Mesh, Provenance, _cycle_links,
+                        _direct_mesh, _edge_slots)
 
 __all__ = [
     "VertexColoring",
@@ -234,7 +235,8 @@ def _build_tiling(source: Mesh, partner: np.ndarray,
     other[glued] = source.edge_right[e]
     # segments start after the shared edge's slot (-1 for a singleton)
     # in the walker, and one slot later in the other face
-    left, right = _edge_slots(source)
+    nxt = source.slot_next
+    left, right = _edge_slots(source, nxt)
     seg_face = np.column_stack((walker, other))
     seg_rot = np.full(seg_face.shape, -1, dtype=np.int64)
     seg_rot[glued] = np.column_stack((left[e], right[e])) \
@@ -253,7 +255,7 @@ def _build_tiling(source: Mesh, partner: np.ndarray,
     kept[e] = False
     new_id = np.cumsum(kept) - 1
     edge_gather = gather.copy()
-    edge_gather[seg_starts[1::2][glued] - 1] = source.slot_next[right[e]]
+    edge_gather[seg_starts[1::2][glued] - 1] = nxt[right[e]]
     mesh = _direct_mesh(source.positions, source.face_vertex_flat[gather],
                         seg_starts[::2], source.edges[kept],
                         new_id[source.face_edge_flat[edge_gather]],
@@ -646,20 +648,21 @@ def quad_weaving(mesh: Mesh, coloring: VertexColoring) -> Weaving:
     if not is_quad.any():
         raise InvalidParameterError("mesh has no quad faces to weave")
 
-    flat, slot_face = mesh.face_vertex_flat, mesh.slot_face
+    flat = mesh.face_vertex_flat
+    slot_next, slot_face = _cycle_links(mesh.face_starts)
     on_quad = is_quad[slot_face]
-    same = on_quad & (is_c1[flat] == is_c1[flat[mesh.slot_next]])
+    same = on_quad & (is_c1[flat] == is_c1[flat[slot_next]])
     if same.any():
         s = int(np.flatnonzero(same)[0])
         raise NotBipartiteError(
-            f"edge ({int(flat[s])}, {int(flat[mesh.slot_next[s]])}) of quad "
+            f"edge ({int(flat[s])}, {int(flat[slot_next[s]])}) of quad "
             f"{int(slot_face[s])} joins two same-colored vertices")
 
     # a strand enters a quad at a slot (the edge from that slot's vertex),
     # leaves through the opposite slot and goes on at the twin slot across;
     # the opposite slot is the same step walked the other way, and a slot
     # off the quads is its own opposite, so the ranking drops it
-    left, right = _edge_slots(mesh)
+    left, right = _edge_slots(mesh, slot_next)
     edge = mesh.face_edge_flat
     slots = np.arange(len(flat), dtype=np.int64)
     local = slots - mesh.face_starts[slot_face]
@@ -742,9 +745,10 @@ def trace_snub_strands(tiling: GluedTiling,
     n_faces = 1 + paired.astype(np.int64)
     tile_of_first = np.full(source.face_count, -1, dtype=np.int64)
     tile_of_first[tiling.tile_faces[:, 0]] = np.arange(T)
-    t_slot = tile_of_first[source.slot_face]
+    slot_face = source.slot_face
+    t_slot = tile_of_first[slot_face]
     e = source.face_edge_flat
-    across = source.edge_left[e] + source.edge_right[e] - source.slot_face
+    across = source.edge_left[e] + source.edge_right[e] - slot_face
     own_hit = (t_slot >= 0) & np.where(paired[t_slot], across == mate[t_slot],
                                        is_middle[e])
     own_count = np.bincount(t_slot[own_hit], minlength=T)
@@ -759,9 +763,10 @@ def trace_snub_strands(tiling: GluedTiling,
 
     # designated vertices per tile (in cycle order); designator per vertex
     mv = middle_of_vertex[tmesh.face_vertex_flat]
-    des_slot = np.flatnonzero((mv >= 0) & (mv != own[tmesh.slot_face]))
+    tile_of_slot = tmesh.slot_face
+    des_slot = np.flatnonzero((mv >= 0) & (mv != own[tile_of_slot]))
     des_v = tmesh.face_vertex_flat[des_slot]
-    des_t = tmesh.slot_face[des_slot]
+    des_t = tile_of_slot[des_slot]
     count = np.bincount(des_t, minlength=T)
     bad = np.flatnonzero(count != n_faces)
     dup = _first_repeat(des_v)
@@ -872,8 +877,8 @@ def general_face_split_weaving(mesh: Mesh,
     quads = np.column_stack((mesh.edges[inner, 0], V + mesh.edge_right[inner],
                              mesh.edges[inner, 1], V + mesh.edge_left[inner]))
     # per quad slot, the source slot (v, f) of its edge (v, V + f)
-    left, right = _edge_slots(mesh)
-    nxt = mesh.slot_next
+    nxt, slot_face = _cycle_links(mesh.face_starts)
+    left, right = _edge_slots(mesh, nxt)
     corner = np.column_stack((nxt[right[inner]], right[inner],
                               nxt[left[inner]], left[inner]))
     used = np.zeros(len(nxt), dtype=bool)
@@ -886,7 +891,7 @@ def general_face_split_weaving(mesh: Mesh,
         np.vstack([mesh.positions, centers]), quads.ravel(),
         np.arange(0, quads.size + 1, 4),
         np.column_stack((mesh.face_vertex_flat[slots],
-                         V + mesh.slot_face[slots])),
+                         V + slot_face[slots])),
         edge_of[corner].ravel(), pinch_check=False)
     tiling = GluedTiling(
         source=mesh, mesh=quad_mesh,
@@ -973,8 +978,9 @@ def strand_ribbons(weaving: Weaving, mesh: Mesh,
             else mesh
         lengths = mesh.edge_lengths()
         tile_width = np.empty(mesh.face_count)
-        for n in np.unique(mesh.face_sizes).tolist():
-            faces = np.flatnonzero(mesh.face_sizes == n)
+        sizes = mesh.face_sizes
+        for n in np.unique(sizes).tolist():
+            faces = np.flatnonzero(sizes == n)
             ids = mesh.face_edge_flat[mesh.face_starts[faces][:, None]
                                       + np.arange(n)]
             tile_width[faces] = lengths[ids].mean(axis=1) \

@@ -6,6 +6,10 @@ import math
 
 import numpy as np
 
+#: The arrays a ``Mesh`` holds, in the order its constructor takes them.
+MESH_ARRAYS = ("positions", "face_vertex_flat", "face_starts", "edges",
+               "edge_left", "edge_right", "face_edge_flat")
+
 
 def canonical_cycle(cycle):
     """Rotation- and direction-independent form of a face cycle."""

@@ -16,6 +16,8 @@ import snubweave
 from snubweave import (classic_schemes, errors, fractal, mesh_core, snub,
                        weaving)
 
+from mesh_compare import MESH_ARRAYS
+
 sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
 import workloads  # noqa: E402
 
@@ -55,6 +57,13 @@ def test_weaves_full_size_item_passes_its_checks():
     assert found == {weaving.Weaving, weaving.GluedTiling}
     assert weaves.check(item, out)
     assert weaves.faces_out(out) > 0
+    # every mesh the op returns (histories, tilings, classic results and
+    # their intermediates, the face-split quads) holds its seven arrays
+    # and no table the op or the check derived from them
+    meshes = {id(m): m for m in records(out, mesh_core.Mesh)}
+    assert len(meshes) > 10
+    for m in meshes.values():
+        assert set(vars(m)) == set(MESH_ARRAYS), m
 
 
 def test_known_defects_pass_or_raise_a_typed_error():

@@ -17,11 +17,17 @@ from snubweave import (
 from snubweave.mesh_core import _check_self_intersections, _direct_mesh
 
 import classic_reference
+from mesh_compare import MESH_ARRAYS
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
 #: Values that are not an integer where one is expected.
 NOT_INTEGERS = [True, 2.5, math.inf, math.nan, None]
+
+
+def assert_same_arrays(got, want):
+    for name in MESH_ARRAYS:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +97,14 @@ class TestBuildMesh:
                                  f"{len(flat)}, "):
             sw.build_mesh(UNIT_SQUARE, (np.array(flat), np.array(starts,
                                                                   dtype=int)))
+
+    @pytest.mark.parametrize("points", [np.zeros((0, 2)), UNIT_SQUARE])
+    def test_no_faces_rejected_in_either_form(self, points):
+        csr = (np.zeros(0, dtype=np.int64), np.zeros(1, dtype=np.int64))
+        for faces in ([], csr):
+            with pytest.raises(InvalidParameterError,
+                               match="^a mesh needs at least one face$"):
+                sw.build_mesh(points, faces)
 
     def test_three_faces_on_one_edge_rejected(self):
         pts = UNIT_SQUARE + [(0.5, -1.0), (0.5, -2.0)]
@@ -179,11 +193,8 @@ def direct(points, flat, starts, edges, face_edge_flat, **options):
 
 class TestDirectMesh:
     def test_equals_build_mesh(self):
-        got = direct(*TWO_TRIANGLES)
-        want = sw.build_mesh(UNIT_SQUARE, [[0, 1, 2], [0, 2, 3]])
-        for name in ("positions", "face_vertex_flat", "face_starts", "edges",
-                     "edge_left", "edge_right", "face_edge_flat"):
-            assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert_same_arrays(direct(*TWO_TRIANGLES),
+                           sw.build_mesh(UNIT_SQUARE, [[0, 1, 2], [0, 2, 3]]))
 
     def test_nonfinite_coordinates_rejected_first(self):
         points = [(0.0, 0.0), (1.0, float("inf")), (0.0, 1.0)]
@@ -436,6 +447,22 @@ class TestGenerators:
         assert sw.ngon(np.int64(5)) == sw.pentagon()
         assert sw.fan_ngon(np.int32(6)) == sw.fan_ngon(6)
         assert sw.square_grid(np.int64(2), np.uint8(3)) == sw.square_grid(2, 3)
+
+    @pytest.mark.parametrize("w, h", [(1, 1), (1, 4), (3, 2), (7, 7)])
+    def test_square_grid_equals_build_mesh_of_list_faces(self, w, h):
+        def vid(x, y):
+            return y * (w + 1) + x
+
+        faces = [[vid(x, y), vid(x + 1, y), vid(x + 1, y + 1), vid(x, y + 1)]
+                 for y in range(h) for x in range(w)]
+        m = sw.square_grid(w, h)
+        assert_same_arrays(m, sw.build_mesh(m.positions, faces))
+
+    @pytest.mark.parametrize("n", [3, 5, 8, 24])
+    def test_fan_ngon_equals_build_mesh_of_list_faces(self, n):
+        m = sw.fan_ngon(n)
+        faces = [[k, (k + 1) % n, n] for k in range(n)]
+        assert_same_arrays(m, sw.build_mesh(m.positions, faces))
 
     def test_pentagon_flower_counts(self):
         m = sw.pentagon_flower()

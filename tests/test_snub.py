@@ -22,7 +22,7 @@ from snubweave.snub import _check_geometry, _row_sum
 
 import snub_reference
 import snub_step_reference
-from mesh_compare import assert_isomorphic
+from mesh_compare import MESH_ARRAYS, assert_isomorphic
 
 SQRT7 = math.sqrt(7.0)
 
@@ -575,10 +575,15 @@ class TestNumberingContract:
             source = refined
 
     def test_history_meshes_cache_no_per_slot_table(self):
+        """Every history mesh holds its seven arrays and nothing else, also
+        after the history was glued, traced and measured."""
         hist = sw.snub_subdivide(sw.pentagon(), 8)
+        provenance = hist.records[-1].provenance
+        sw.trace_snub_strands(sw.glue_snub_pairs(hist.final, provenance),
+                              provenance)
+        sw.boundary_lengths(hist)
         for m in hist.meshes:
-            assert not {"slot_next", "slot_face", "face_sizes"} & set(
-                vars(m)), m
+            assert set(vars(m)) == set(MESH_ARRAYS), m
 
 
 def reflected(mesh):
