@@ -23,8 +23,6 @@ from .errors import (
     InternalInvariantError,
     InvalidParameterError,
     InvalidTriangleColoringError,
-    MissingOriginRecordsError,
-    MissingProvenanceError,
     NoInteriorEdgesError,
     NonManifoldError,
     NotBipartiteError,
@@ -34,7 +32,6 @@ from .errors import (
     UnknownSeedError,
 )
 from .mesh_core import (
-    EdgeTag,
     Mesh,
     Provenance,
     build_mesh,
@@ -56,7 +53,6 @@ from .snub import (
     snub_subdivide,
 )
 from .classic_schemes import (
-    OriginKind,
     SchemeStepResult,
     butterfly_step,
     catmull_clark_step,

@@ -1,9 +1,12 @@
 """Comparison subdivision schemes: Loop, butterfly, sqrt-3, mid-edge,
 Catmull-Clark, and Doo-Sabin.
 
-Each step returns the refined mesh together with an origin record per new
-vertex (old vertex, edge vertex, or face center) — the weaving constructions
-consume these records to transport vertex colorings through refinement.
+Each step returns the refined mesh with the scheme's name and three block
+sizes: the refined vertices are the old vertices, then one per source edge,
+then one per source face (a scheme leaves out the blocks it does not make),
+each block in source order.  That numbering says where every refined
+vertex came from; the weaving constructions read it to transport vertex
+colorings through refinement.
 
 Every rule is an array gather on the source mesh's tables; Python loops run
 over the valence only.  The vertex rules read vertex-incidence tables built
@@ -33,7 +36,6 @@ their keys.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from enum import IntEnum
 import math
 
 import numpy as np
@@ -42,7 +44,6 @@ from .errors import DegenerateFaceError, NotTriangleMeshError
 from .mesh_core import Mesh, _cycle_links, _direct_mesh, _edge_slots
 
 __all__ = [
-    "OriginKind",
     "SchemeStepResult",
     "loop_step",
     "butterfly_step",
@@ -53,32 +54,34 @@ __all__ = [
 ]
 
 
-class OriginKind(IntEnum):
-    """What a refined-mesh vertex was created from."""
-
-    OLD_VERTEX = 0
-    EDGE_MIDPOINT = 1
-    FACE_CENTER = 2
-
-
 @dataclass(frozen=True)
 class SchemeStepResult:
-    """One scheme application: the refined mesh plus per-vertex origins.
+    """One scheme application: the refined mesh, the mesh it refined, the
+    scheme's name and the sizes of the refined mesh's three vertex blocks.
 
-    ``vertex_origin_kind`` is one block per :class:`OriginKind`, in order:
-    block ``k`` holds ``sizes[k]`` vertices (the count of kind ``k``), made
-    from the source's elements ``0, 1, ...`` of kind ``k``.  For
-    :func:`doo_sabin_step` (two mid-edge applications) these are edges of
-    the *intermediate* mesh, carried in ``intermediate``.  ``flipped_edges``
-    lists the source-mesh edges re-connected by :func:`sqrt3_step`; it is
-    empty for every other scheme.
+    The refined vertices come in blocks, in order: ``sizes[0]`` old
+    vertices, ``sizes[1]`` edge vertices and ``sizes[2]`` face centers,
+    each made from the source's vertices, edges or faces ``0, 1, ...``.
+    ``scheme`` is the step's name without ``_step`` (``"loop"``,
+    ``"butterfly"``, ``"sqrt3"``, ``"midedge"``, ``"catmull_clark"`` or
+    ``"doo_sabin"``); the weaving readers check it.  :func:`doo_sabin_step`
+    is two mid-edge applications, so its edge vertices are made from the
+    edges of the *intermediate* mesh, carried in ``intermediate``.
     """
 
     mesh: Mesh
-    vertex_origin_kind: np.ndarray
-    flipped_edges: np.ndarray
     source: Mesh
+    scheme: str
+    sizes: tuple[int, int, int]
     intermediate: "SchemeStepResult | None" = None
+
+    @property
+    def flipped_edges(self) -> np.ndarray:
+        """The source edges :func:`sqrt3_step` re-connected, its inner
+        edges in order (empty for every other scheme); built on each read."""
+        if self.scheme != "sqrt3":
+            return np.empty(0, dtype=np.int64)
+        return np.flatnonzero(~self.source.boundary_edge_mask)
 
 
 def _require_triangles(mesh: Mesh, scheme: str) -> None:
@@ -210,21 +213,6 @@ def _one_to_four_mesh(mesh: Mesh, positions: np.ndarray) -> Mesh:
                         np.concatenate((half, core)), face_edges)
 
 
-def _step_result(source: Mesh, refined: Mesh, sizes,
-                 flipped_edges=None) -> SchemeStepResult:
-    """The result of a step whose refined vertices come in one block per
-    :class:`OriginKind`, in order: ``sizes[k]`` vertices of kind ``k``,
-    made from source elements ``0, 1, ...``.  ``flipped_edges`` defaults to
-    none."""
-    if flipped_edges is None:
-        flipped_edges = np.empty(0, dtype=np.int64)
-    return SchemeStepResult(
-        mesh=refined,
-        vertex_origin_kind=np.repeat(
-            np.arange(len(OriginKind), dtype=np.int8), sizes),
-        flipped_edges=flipped_edges, source=source)
-
-
 def loop_step(mesh: Mesh) -> SchemeStepResult:
     """One approximating 1-to-4 triangle refinement.
 
@@ -260,7 +248,8 @@ def loop_step(mesh: Mesh) -> SchemeStepResult:
     _boundary_rule(mesh, old_pos, boundary)
 
     refined = _one_to_four_mesh(mesh, np.vstack([old_pos, edge_pos]))
-    return _step_result(mesh, refined, (mesh.vertex_count, mesh.edge_count, 0))
+    return SchemeStepResult(refined, mesh, "loop",
+                            (mesh.vertex_count, mesh.edge_count, 0))
 
 
 def butterfly_step(mesh: Mesh) -> SchemeStepResult:
@@ -302,7 +291,8 @@ def butterfly_step(mesh: Mesh) -> SchemeStepResult:
                    + 0.125 * (pos[c] + pos[d]) - wings / 16.0)
 
     refined = _one_to_four_mesh(mesh, np.vstack([pos, edge_pos]))
-    return _step_result(mesh, refined, (mesh.vertex_count, mesh.edge_count, 0))
+    return SchemeStepResult(refined, mesh, "butterfly",
+                            (mesh.vertex_count, mesh.edge_count, 0))
 
 
 def sqrt3_step(mesh: Mesh) -> SchemeStepResult:
@@ -374,8 +364,7 @@ def sqrt3_step(mesh: Mesh) -> SchemeStepResult:
                            rows[:, :3].ravel(),
                            np.arange(0, 3 * len(rows) + 1, 3), edges,
                            rows[:, 3:].ravel())
-    return _step_result(mesh, refined, (V, 0, mesh.face_count),
-                        flipped_edges=np.flatnonzero(inner))
+    return SchemeStepResult(refined, mesh, "sqrt3", (V, 0, mesh.face_count))
 
 
 def midedge_step(mesh: Mesh) -> SchemeStepResult:
@@ -441,7 +430,7 @@ def midedge_step(mesh: Mesh) -> SchemeStepResult:
         edges,
         np.concatenate([corner[nxt], corner[corner_of_cycle]]),
         pinch_check=False)
-    return _step_result(mesh, refined, (0, mesh.edge_count, 0))
+    return SchemeStepResult(refined, mesh, "midedge", (0, mesh.edge_count, 0))
 
 
 def catmull_clark_step(mesh: Mesh) -> SchemeStepResult:
@@ -507,15 +496,17 @@ def catmull_clark_step(mesh: Mesh) -> SchemeStepResult:
         np.vstack([old_pos, edge_pts, face_pts]), quads.ravel(),
         np.arange(0, quads.size + 1, 4), np.concatenate((half, links)),
         np.column_stack((out_h, link, link[prev], in_h)).ravel())
-    return _step_result(mesh, refined, (V, E, mesh.face_count))
+    return SchemeStepResult(refined, mesh, "catmull_clark",
+                            (V, E, mesh.face_count))
 
 
 def doo_sabin_step(mesh: Mesh) -> SchemeStepResult:
     """One Doo-Sabin-equivalent refinement, defined as two mid-edge steps.
 
-    The returned origin records reference the intermediate mesh (carried in
-    ``intermediate``), since each output vertex is the midpoint of an
-    intermediate edge.
+    Its vertices are the second step's: vertex ``e`` is the midpoint of
+    edge ``e`` of the intermediate mesh, the first step's result, carried
+    in ``intermediate``.
     """
     first = midedge_step(mesh)
-    return replace(midedge_step(first.mesh), source=mesh, intermediate=first)
+    return replace(midedge_step(first.mesh), source=mesh, scheme="doo_sabin",
+                   intermediate=first)

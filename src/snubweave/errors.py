@@ -46,10 +46,6 @@ class AmbiguousHalfPlaneError(SnubWeaveError):
     """A new vertex lies on the supporting line of its source edge."""
 
 
-class MissingProvenanceError(SnubWeaveError):
-    """The operation needs per-element role tags that are not available."""
-
-
 # ---------------------------------------------------------------------------
 # classic schemes
 # ---------------------------------------------------------------------------
@@ -68,10 +64,6 @@ class NotBipartiteError(SnubWeaveError):
 
 class InvalidTriangleColoringError(SnubWeaveError):
     """Some triangle does not have exactly one vertex of the first color."""
-
-
-class MissingOriginRecordsError(SnubWeaveError):
-    """The step result lacks the origin records this operation consumes."""
 
 
 class NoInteriorEdgesError(SnubWeaveError):

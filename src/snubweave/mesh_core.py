@@ -22,7 +22,6 @@ all derived tables are built with vectorized numpy passes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import IntEnum
 import itertools
 import numbers
 
@@ -38,7 +37,6 @@ from .errors import (
 
 __all__ = [
     "Mesh",
-    "EdgeTag",
     "Provenance",
     "build_mesh",
     "euler_characteristic",
@@ -52,24 +50,18 @@ __all__ = [
 ]
 
 
-class EdgeTag(IntEnum):
-    """Role of an edge in a refined mesh."""
-
-    ORIGINAL = 0      # edge of an unrefined mesh
-    Z_MIDDLE = 1      # middle segment of a bend triplet
-    Z_OUTER = 2       # first or last segment of a bend triplet
-    SPOKE = 3         # connection between a bend point and a barycenter
-
-
 @dataclass(frozen=True)
 class Provenance:
-    """The role of every edge of a snub-refined mesh (:class:`EdgeTag`).
+    """The element counts of the mesh a snub step refined.
 
-    Where each vertex and face came from is not stored: the numbering of
-    the step, stated in :mod:`~snubweave.snub`, says it.
+    With the step's numbering, stated in :mod:`~snubweave.snub`, they say
+    where each refined vertex, edge and face came from, and which role
+    each edge plays, so no per-element array is stored.
     """
 
-    edge_tags: np.ndarray
+    vertex_count: int
+    edge_count: int
+    face_count: int
 
 
 class Mesh:
@@ -150,12 +142,12 @@ class Mesh:
     @property
     def slot_next(self) -> np.ndarray:
         """For each flat face slot, the slot of the next vertex in its cycle."""
-        return _cycle_links(self.face_starts)[0]
+        return _next_slots(self.face_starts)
 
     @property
     def slot_face(self) -> np.ndarray:
         """For each flat face slot, the face it belongs to."""
-        return _cycle_links(self.face_starts)[1]
+        return _slot_faces(self.face_starts)
 
     def face_centroids(self) -> np.ndarray:
         """Vertex centroid of every face, shape (F, 2)."""
@@ -256,14 +248,24 @@ def _centroids(positions: np.ndarray, flat: np.ndarray,
     return sums / np.diff(starts)[:, None]
 
 
-def _cycle_links(starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _next_slots(starts: np.ndarray) -> np.ndarray:
     """Per slot of the faces that ``starts`` bounds, a run of whole faces
-    as for :func:`_centroids`: the slot of the next vertex in its cycle and
-    the slot's face, counted from the run's first slot and first face."""
+    as for :func:`_centroids`: the slot of the next vertex in its cycle,
+    counted from the run's first slot."""
     nxt = np.arange(1, starts[-1] - starts[0] + 1, dtype=np.int64)
     nxt[starts[1:] - 1 - starts[0]] = starts[:-1] - starts[0]
-    return nxt, np.repeat(np.arange(len(starts) - 1, dtype=np.int64),
-                          np.diff(starts))
+    return nxt
+
+
+def _slot_faces(starts: np.ndarray) -> np.ndarray:
+    """Per slot, as for :func:`_next_slots`: its face, counted likewise."""
+    return np.repeat(np.arange(len(starts) - 1, dtype=np.int64),
+                     np.diff(starts))
+
+
+def _cycle_links(starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_next_slots` and :func:`_slot_faces` of one run of faces."""
+    return _next_slots(starts), _slot_faces(starts)
 
 
 def _reject_repeats(flat: np.ndarray, slot_face: np.ndarray, V: int) -> None:

@@ -38,7 +38,12 @@ spoke).  The refined edge table is written directly in the sorted
 ``2E`` outer Z segments ``(source vertex, bend)``, then, per source edge,
 its middle segment followed by the spokes at its two bend points.  That
 order is load-bearing, because the next step numbers its bend points by
-edge id, and it is the only record of where each element came from.
+edge id, and it is the only record of where each element came from.  So
+the role of a refined edge ``(lo, hi)`` follows from ``V`` and ``E``
+alone: it is an outer Z segment if ``lo < V``, a middle segment if
+``hi < V + 2E``, and a spoke otherwise.  A step's record
+(:class:`~.mesh_core.Provenance`) keeps the source's three counts and
+nothing more.
 
 The rows of five and the checks run over blocks of whole source faces,
 about 16k slots each.  A block derives its slots' next slot and face from
@@ -79,7 +84,6 @@ from .errors import (
     InvalidParameterError,
 )
 from .mesh_core import (
-    EdgeTag,
     Mesh,
     Provenance,
     _centroids,
@@ -159,9 +163,9 @@ def _bend_points(mesh: Mesh, s: int):
     return near_a, near_b
 
 
-def _refine(source: Mesh, s: int) -> tuple[tuple, Provenance]:
+def _refine(source: Mesh, s: int) -> tuple:
     """Operations 1-3: the pentagon mesh's arrays, in the order the
-    :class:`~.mesh_core.Mesh` constructor takes them, and its edge roles.
+    :class:`~.mesh_core.Mesh` constructor takes them.
 
     Each source slot gives one pentagon, a fixed row of five chosen by the
     flag (see the module docstring).  The arrays stay writeable, so the
@@ -202,9 +206,6 @@ def _refine(source: Mesh, s: int) -> tuple[tuple, Provenance]:
     bends = np.flatnonzero(has_spoke)
     edges[spoke_id[bends], 0] = V + bends
     edges[spoke_id[bends], 1] = V + 2 * E + spoke_face[bends]
-    edge_tags = np.full(E_out, EdgeTag.Z_OUTER, dtype=np.int8)
-    edge_tags[mid_id] = EdgeTag.Z_MIDDLE
-    edge_tags[spoke_id[bends]] = EdgeTag.SPOKE
     del ends, order, spoke_face, has_spoke, per_edge, bends
 
     # one pentagon per source slot, block by block and column by column:
@@ -254,8 +255,7 @@ def _refine(source: Mesh, s: int) -> tuple[tuple, Provenance]:
             source.face_starts[f0:f1 + 1])
 
     return (positions, out_flat, np.arange(0, 5 * n + 1, 5, dtype=np.int64),
-            edges, edge_left, edge_right, out_edge), \
-        Provenance(edge_tags=edge_tags)
+            edges, edge_left, edge_right, out_edge)
 
 
 def _row_sum(columns) -> np.ndarray:
@@ -374,8 +374,9 @@ def _smooth(positions: np.ndarray, flat: np.ndarray, starts: np.ndarray,
 
 @dataclass(frozen=True)
 class StepRecord:
-    """The edge roles of one refinement step (producing mesh t); where each
-    vertex and face came from is the step's numbering (module docstring)."""
+    """One refinement step (producing mesh t): the counts of the mesh it
+    refined, from which the step's numbering (module docstring) gives each
+    refined element's origin and role."""
 
     provenance: Provenance
 
@@ -443,14 +444,15 @@ def snub_subdivide(mesh: Mesh, steps: int, smoothing: bool = True,
     current = mesh
     for _ in range(steps):
         s = assign_z_orientations(seed_flag)
-        arrays, prov = _refine(current, s)
+        arrays = _refine(current, s)
         # the checks read views, so the arrays stay writeable for smoothing
         refined = Mesh(*(a.view() for a in arrays))
         centroids = _check_geometry(current, refined, s)
         _check_count_recursion(current, refined)
         if smoothing:
             _smooth(*arrays[:3], centroids, refined.inner_vertex_mask)
-        records.append(StepRecord(provenance=prov))
+        records.append(StepRecord(provenance=Provenance(
+            current.vertex_count, current.edge_count, current.face_count)))
         current = Mesh(*arrays)
         meshes.append(current)
     return SubdivisionHistory(meshes=meshes, records=records,

@@ -35,19 +35,17 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .classic_schemes import OriginKind, SchemeStepResult
+from .classic_schemes import SchemeStepResult
 from .errors import (
     InternalInvariantError,
     InvalidParameterError,
     InvalidTriangleColoringError,
-    MissingOriginRecordsError,
-    MissingProvenanceError,
     NoInteriorEdgesError,
     NotBipartiteError,
     NotTriangleMeshError,
 )
-from .mesh_core import (EdgeTag, Mesh, Provenance, _cycle_links,
-                        _direct_mesh, _edge_slots)
+from .mesh_core import (Mesh, Provenance, _cycle_links, _direct_mesh,
+                        _edge_slots)
 
 __all__ = [
     "VertexColoring",
@@ -124,13 +122,28 @@ def two_color_vertices(mesh: Mesh) -> VertexColoring:
     return VertexColoring(color == 1)
 
 
-def catmull_clark_coloring(step: SchemeStepResult) -> VertexColoring:
-    """Color a Catmull-Clark result: edge-origin vertices ``c1``, rest ``c2``.
+def _require_scheme(step: SchemeStepResult, reader: str, *schemes) -> None:
+    """:class:`InvalidParameterError`, naming ``schemes``, unless one of
+    them made ``step``."""
+    if step.scheme not in schemes:
+        needed = " or ".join(f"{name}_step" for name in schemes)
+        raise InvalidParameterError(
+            f"{reader} needs a {needed} result, got a {step.scheme}_step "
+            f"result")
 
-    Every refined quad walks old-vertex, edge, face, edge origins in turn,
-    so the rule always yields a proper 2-coloring of the quad mesh.
+
+def catmull_clark_coloring(step: SchemeStepResult) -> VertexColoring:
+    """Color a Catmull-Clark result: edge vertices ``c1``, the rest ``c2``.
+
+    Every refined quad walks an old vertex, an edge vertex, a face point
+    and an edge vertex in turn, so the rule always yields a proper
+    2-coloring.  Another scheme's step raises :class:`InvalidParameterError`.
     """
-    return VertexColoring(step.vertex_origin_kind == OriginKind.EDGE_MIDPOINT)
+    _require_scheme(step, "catmull_clark_coloring", "catmull_clark")
+    V, E, _ = step.sizes
+    is_c1 = np.zeros(step.mesh.vertex_count, dtype=bool)
+    is_c1[V:V + E] = True
+    return VertexColoring(is_c1)
 
 
 def triangle_coloring_check(mesh: Mesh,
@@ -160,17 +173,13 @@ def loop_color_update(coloring: VertexColoring,
 
     Old vertices keep their colors; an edge vertex becomes ``c1`` when both
     parent endpoints are ``c2`` and ``c2`` otherwise.  The refined coloring
-    is validated before it is returned.
+    is validated before it is returned.  A step that is not a
+    ``loop_step`` or ``butterfly_step`` result raises
+    :class:`InvalidParameterError`.
     """
+    _require_scheme(step, "loop_color_update", "loop", "butterfly")
     source = step.source
-    V, E = source.vertex_count, source.edge_count
-    kinds = step.vertex_origin_kind
-    if (step.mesh.vertex_count != V + E
-            or (kinds[:V] != OriginKind.OLD_VERTEX).any()
-            or (kinds[V:] != OriginKind.EDGE_MIDPOINT).any()):
-        raise InvalidParameterError(
-            "loop_color_update needs a step with old-vertex + edge-vertex "
-            "layout (loop_step or butterfly_step)")
+    V = source.vertex_count
     if len(coloring.is_c1) != V:
         raise InvalidParameterError(
             f"coloring covers {len(coloring.is_c1)} vertices, source mesh "
@@ -300,34 +309,34 @@ def sqrt3_quadization(step: SchemeStepResult,
     Each quad holds two source-mesh vertices and two face centers on
     opposite diagonals.  Triangles along the boundary (whose edges were
     never re-connected) remain singletons.  The returned coloring marks
-    source vertices ``c1`` and face centers ``c2``.
+    source vertices ``c1`` and face centers ``c2``.  A step that is not a
+    ``sqrt3_step`` result raises :class:`InvalidParameterError`.
     """
-    kinds = step.vertex_origin_kind
+    _require_scheme(step, "sqrt3_quadization", "sqrt3")
     mesh = step.mesh
-    if (kinds == OriginKind.FACE_CENTER).sum() != step.source.face_count \
-            or mesh.vertex_count != step.source.vertex_count \
-            + step.source.face_count:
-        raise MissingOriginRecordsError(
-            "step does not look like a sqrt3_step result")
-    is_center = kinds == OriginKind.FACE_CENTER
-    tiling = _glue_across(mesh, np.flatnonzero(
-        is_center[mesh.edges[:, 0]] & is_center[mesh.edges[:, 1]]))
+    V = step.sizes[0]       # the centers follow: (lo, hi) joins two if lo does
+    tiling = _glue_across(mesh, np.flatnonzero(mesh.edges[:, 0] >= V))
     if len(tiling.pairs) != len(step.flipped_edges):
         raise InternalInvariantError(
             f"{len(tiling.pairs)} quads formed but {len(step.flipped_edges)} "
             f"edges were re-connected")
-    return tiling, VertexColoring(~is_center)
+    return tiling, VertexColoring(np.arange(mesh.vertex_count) < V)
 
 
-def _middle_edge_mask(provenance: Provenance, mesh: Mesh) -> np.ndarray:
-    """Per edge of ``mesh``, whether ``provenance`` tags it a bend middle;
-    :class:`InvalidParameterError` unless there is one tag per edge."""
-    tags = np.asarray(provenance.edge_tags)
-    if len(tags) != mesh.edge_count:
-        raise InvalidParameterError(
-            f"edge tags for {len(tags)} edges given for a mesh of "
-            f"{mesh.edge_count} edges (the record of another step?)")
-    return tags == EdgeTag.Z_MIDDLE
+def _middle_edge_mask(mesh: Mesh, provenance: Provenance) -> np.ndarray:
+    """Per edge ``(lo, hi)`` of ``mesh``, whether it is a bend middle by the
+    numbering (:mod:`~.snub`): ``V <= lo`` and ``hi < V + 2E``, for the
+    source counts ``provenance`` records.  :class:`InvalidParameterError`
+    unless ``mesh`` has that step's counts: ``V + 2E + F`` vertices and
+    ``3E + F'`` edges, ``F'`` its face count."""
+    if isinstance(provenance, Provenance):
+        V, E = provenance.vertex_count, provenance.edge_count
+        if (mesh.vertex_count, mesh.edge_count) == (
+                V + 2 * E + provenance.face_count, 3 * E + mesh.face_count):
+            return (mesh.edges[:, 0] >= V) & (mesh.edges[:, 1] < V + 2 * E)
+    raise InvalidParameterError(
+        f"{provenance!r} does not describe the snub step that made {mesh!r} "
+        f"(the record of another step?)")
 
 
 def glue_snub_pairs(mesh: Mesh, provenance: Provenance) -> GluedTiling:
@@ -336,21 +345,20 @@ def glue_snub_pairs(mesh: Mesh, provenance: Provenance) -> GluedTiling:
     Each face of a snub-refined mesh contains exactly one middle edge of a
     bend triplet; interior middles glue their two pentagons into an
     octagon, boundary middles leave singletons.  ``provenance`` is the
-    record of the step that made ``mesh``: tags that are not one per edge
-    raise :class:`InvalidParameterError`.
+    record of the step that made ``mesh``; the middle edges follow from
+    its counts.  A record of another step, and a mesh not numbered as the
+    step numbers (a face without exactly one middle edge), raise
+    :class:`InvalidParameterError`.
     """
-    if provenance is None or provenance.edge_tags is None:
-        raise MissingProvenanceError(
-            "glue_snub_pairs needs edge tags from a snub refinement step")
-    is_middle = _middle_edge_mask(provenance, mesh)
-    if not is_middle.any():
-        raise MissingProvenanceError(
-            "mesh carries no bend-middle edges (unrefined input?)")
+    is_middle = _middle_edge_mask(mesh, provenance)
     per_face = np.add.reduceat(is_middle[mesh.face_edge_flat].astype(np.int64),
                                mesh.face_starts[:-1])
-    if (per_face != 1).any():
-        raise InternalInvariantError(
-            "every refined face must contain exactly one middle edge")
+    bad = np.flatnonzero(per_face != 1)
+    if len(bad):
+        raise InvalidParameterError(
+            f"face {int(bad[0])} has {int(per_face[bad[0]])} bend-middle "
+            f"edges by the snub step's numbering, expected 1 (a mesh "
+            f"numbered otherwise?)")
     return _glue_across(mesh, np.flatnonzero(is_middle))
 
 
@@ -728,12 +736,9 @@ def trace_snub_strands(tiling: GluedTiling,
     record of the step that made ``tiling.source``, as for
     :func:`glue_snub_pairs`.
     """
-    if provenance is None or provenance.edge_tags is None:
-        raise MissingProvenanceError(
-            "trace_snub_strands needs the edge tags of the refined mesh")
     source, tmesh = tiling.source, tiling.mesh
+    is_middle = _middle_edge_mask(source, provenance)
     T = tmesh.face_count
-    is_middle = _middle_edge_mask(provenance, source)
     middles = np.flatnonzero(is_middle)
     middle_of_vertex = np.full(source.vertex_count, -1, dtype=np.int64)
     middle_of_vertex[source.edges[middles].ravel()] = np.repeat(middles, 2)

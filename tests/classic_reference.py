@@ -10,21 +10,29 @@ against them bit for bit.  They are slow; use small inputs.
 ``ElementClass`` and ``classify`` are verbatim copies of the inner/outer
 classification the library had then (it now reads inner vertices off
 ``Mesh.inner_vertex_mask``), and ``SchemeStepResult`` is a verbatim copy of
-the record type the library had then (it has since dropped
-``vertex_origin_id``, which restates the block order of
-``vertex_origin_kind``).
+the record type the library had then, and ``OriginKind`` a verbatim copy
+of the enum its ``vertex_origin_kind`` holds (the library has since dropped
+both arrays, which restate the block sizes of the step's numbering).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import IntEnum
 import math
 
 import numpy as np
 
-from snubweave.classic_schemes import OriginKind
 from snubweave.errors import NotTriangleMeshError
 from snubweave.mesh_core import Mesh, build_mesh
+
+
+class OriginKind(IntEnum):
+    """What a refined-mesh vertex was created from."""
+
+    OLD_VERTEX = 0
+    EDGE_MIDPOINT = 1
+    FACE_CENTER = 2
 
 
 @dataclass(frozen=True)

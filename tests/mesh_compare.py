@@ -1,4 +1,5 @@
-"""Helpers for comparing meshes up to renumbering (shared by several suites)."""
+"""Helpers shared by several suites: comparing meshes up to renumbering,
+and the edge roles of a snub-refined mesh in the frozen oracles' form."""
 
 from __future__ import annotations
 
@@ -6,9 +7,24 @@ import math
 
 import numpy as np
 
+from weaving_reference import EdgeTag
+
 #: The arrays a ``Mesh`` holds, in the order its constructor takes them.
 MESH_ARRAYS = ("positions", "face_vertex_flat", "face_starts", "edges",
                "edge_left", "edge_right", "face_edge_flat")
+
+
+def snub_edge_tags(mesh, provenance):
+    """The :class:`EdgeTag` of every edge of ``mesh``, made by the snub step
+    whose record is ``provenance``, read off the step's numbering for the
+    source's counts ``V`` and ``E``: an edge ``(lo, hi)`` is an outer Z
+    segment if ``lo < V``, a middle segment if ``hi < V + 2E``, and a spoke
+    otherwise."""
+    V, E = provenance.vertex_count, provenance.edge_count
+    lo, hi = mesh.edges.T
+    return np.select([lo < V, hi < V + 2 * E],
+                     [EdgeTag.Z_OUTER, EdgeTag.Z_MIDDLE],
+                     EdgeTag.SPOKE).astype(np.int8)
 
 
 def canonical_cycle(cycle):

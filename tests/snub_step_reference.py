@@ -10,11 +10,11 @@ apart from imports and the small loop ``subdivide`` (the one of
 for bit: meshes, provenance, errors and log records.  The log records go to
 this module's own logger.  ``_reject_zero_length_edges`` is a verbatim copy
 of the edge-table check ``mesh_core`` had then, and ``VertexTag``,
-``ParentKind``, ``Provenance`` and ``ZOrientation`` are verbatim copies of
-the record types the library had then (it has since dropped the orientation
-record, the parent-kind array, which equals ``vertex_tags``, and every
-per-vertex and per-face lineage array, which restate the step's
-numbering).  ``ElementClass`` and
+``EdgeTag``, ``ParentKind``, ``Provenance`` and ``ZOrientation`` are
+verbatim copies of the record types the library had then (it has since
+dropped the orientation record, the parent-kind array, which equals
+``vertex_tags``, and every per-vertex, per-edge and per-face array, which
+restate the step's numbering).  ``ElementClass`` and
 ``classify`` are verbatim copies of the inner/outer classification the
 library had then (it now reads inner vertices off
 ``Mesh.inner_vertex_mask``).
@@ -35,7 +35,6 @@ from snubweave.errors import (
     NonManifoldError,
 )
 from snubweave.mesh_core import (
-    EdgeTag,
     Mesh,
     _reject_pinched_boundary,
 )
@@ -49,6 +48,15 @@ class VertexTag(IntEnum):
     ORIGINAL = 0      # carried over from the previous mesh
     Z_VERTEX = 1      # one of the two bend points replacing an edge
     BARYCENTER = 2    # inserted at a face's vertex centroid
+
+
+class EdgeTag(IntEnum):
+    """Role of an edge in a refined mesh."""
+
+    ORIGINAL = 0      # edge of an unrefined mesh
+    Z_MIDDLE = 1      # middle segment of a bend triplet
+    Z_OUTER = 2       # first or last segment of a bend triplet
+    SPOKE = 3         # connection between a bend point and a barycenter
 
 
 class ParentKind(IntEnum):

@@ -13,7 +13,6 @@ from snubweave import (
     DegenerateFaceError,
     NonManifoldError,
     NotTriangleMeshError,
-    OriginKind,
     build_mesh,
     butterfly_step,
     catmull_clark_step,
@@ -25,8 +24,9 @@ from snubweave import (
     sqrt3_step,
     square_grid,
 )
-from mesh_compare import match_vertices
+from mesh_compare import match_vertices, snub_edge_tags
 import classic_reference as ref
+from classic_reference import OriginKind
 import weaving_reference as wref
 
 ROOT3 = math.sqrt(3.0)
@@ -128,11 +128,13 @@ class TestLoop:
         mesh = tri_grid(2, 1)
         result = loop_step(mesh)
         V, E = mesh.vertex_count, mesh.edge_count
-        assert (result.vertex_origin_kind[:V] == OriginKind.OLD_VERTEX).all()
-        assert (result.vertex_origin_kind[V:] == OriginKind.EDGE_MIDPOINT).all()
-        assert len(result.vertex_origin_kind) == V + E
-        # the numbering the kind blocks state, as the frozen step records it
-        ids = ref.loop_step(mesh).vertex_origin_id
+        assert (result.scheme, result.sizes) == ("loop", (V, E, 0))
+        # the numbering the blocks state, as the frozen step records it
+        want = ref.loop_step(mesh)
+        assert (want.vertex_origin_kind[:V] == OriginKind.OLD_VERTEX).all()
+        assert (want.vertex_origin_kind[V:] == OriginKind.EDGE_MIDPOINT).all()
+        assert len(want.vertex_origin_kind) == V + E
+        ids = want.vertex_origin_id
         assert np.array_equal(ids[:V], np.arange(V))
         assert np.array_equal(ids[V:], np.arange(E))
         assert result.flipped_edges.size == 0
@@ -240,7 +242,9 @@ class TestSqrt3:
     def test_face_center_origins(self):
         mesh = unit_triangle()
         result = sqrt3_step(mesh)
-        assert (result.vertex_origin_kind[-1] == OriginKind.FACE_CENTER)
+        assert result.sizes == (mesh.vertex_count, 0, 1)
+        assert (ref.sqrt3_step(mesh).vertex_origin_kind[-1]
+                == OriginKind.FACE_CENTER)
         # the last vertex is V + 0, the center of face 0
         assert result.mesh.vertex_count == mesh.vertex_count + 1
         assert ref.sqrt3_step(mesh).vertex_origin_id[-1] == 0
@@ -298,8 +302,10 @@ class TestMidedge:
     def test_all_origins_are_edge_midpoints(self):
         mesh = square_grid(2, 1)
         result = midedge_step(mesh)
-        assert (result.vertex_origin_kind == OriginKind.EDGE_MIDPOINT).all()
-        assert np.array_equal(ref.midedge_step(mesh).vertex_origin_id,
+        assert result.sizes == (0, mesh.edge_count, 0)
+        want = ref.midedge_step(mesh)
+        assert (want.vertex_origin_kind == OriginKind.EDGE_MIDPOINT).all()
+        assert np.array_equal(want.vertex_origin_id,
                               np.arange(mesh.edge_count))
         p = np.asarray(mesh.positions)
         midpoints = (p[mesh.edges[:, 0]] + p[mesh.edges[:, 1]]) / 2.0
@@ -390,7 +396,8 @@ class TestCatmullClark:
         mesh = square_grid(1, 2)
         result = catmull_clark_step(mesh)
         V, E, F = mesh.vertex_count, mesh.edge_count, mesh.face_count
-        kinds = result.vertex_origin_kind
+        assert result.sizes == (V, E, F)
+        kinds = ref.catmull_clark_step(mesh).vertex_origin_kind
         assert (kinds[:V] == OriginKind.OLD_VERTEX).all()
         assert (kinds[V:V + E] == OriginKind.EDGE_MIDPOINT).all()
         assert (kinds[V + E:] == OriginKind.FACE_CENTER).all()
@@ -465,8 +472,8 @@ class TestDooSabin:
         second = midedge_step(first.mesh)
         assert result.mesh == second.mesh
         assert result.intermediate.mesh == first.mesh
-        assert np.array_equal(result.vertex_origin_kind,
-                              second.vertex_origin_kind)
+        assert (result.scheme, result.sizes) == ("doo_sabin", second.sizes)
+        assert result.intermediate.scheme == "midedge"
         # the origins are the intermediate mesh's edges, in order
         assert np.array_equal(ref.doo_sabin_step(maker()).vertex_origin_id,
                               np.arange(first.mesh.edge_count))
@@ -516,12 +523,12 @@ def assert_same_step(got, want):
     for name in MESH_ARRAYS:
         assert_same_bits(getattr(got.mesh, name), getattr(want.mesh, name),
                          name)
-    for name in ("vertex_origin_kind", "flipped_edges"):
-        assert_same_bits(getattr(got, name), getattr(want, name), name)
-    # the frozen step's origin ids restate the kind blocks: block k holds
-    # the source elements 0, 1, ... of kind k
-    kinds = got.vertex_origin_kind
-    assert (np.diff(kinds) >= 0).all()
+    assert_same_bits(got.flipped_edges, want.flipped_edges, "flipped_edges")
+    # the frozen step's origin kinds restate the block sizes, and its ids
+    # the blocks' order: block k holds the source elements 0, 1, ...
+    assert all(type(n) is int for n in got.sizes)
+    kinds = np.repeat(np.arange(3, dtype=np.int8), got.sizes)
+    assert_same_bits(want.vertex_origin_kind, kinds, "vertex_origin_kind")
     assert_same_bits(want.vertex_origin_id,
                      np.arange(len(kinds)) - np.searchsorted(kinds, kinds),
                      "vertex_origin_id")
@@ -667,6 +674,7 @@ class TestOracleEquivalence:
             got = step_outcome(getattr(sw, name), mesh)
             want = assert_outcome_as_oracle(got, getattr(ref, name), mesh)
             if got[0] == "returned":
+                assert got[1].scheme == name.removesuffix("_step")
                 assert_same_step(got[1], want[1])
 
     @settings(max_examples=25, deadline=None)
@@ -747,9 +755,11 @@ class TestDirectBuild:
                                        mesh, pinch_check=False)
         sqrt3 = step_outcome(sqrt3_step, mesh)
         if sqrt3[0] == "returned":
-            assert_built_as_build_mesh(sw.sqrt3_quadization,
-                                       wref.sqrt3_quadization, sqrt3[1],
-                                       pinch_check=False)
+            # the oracle reads the frozen step's origin records
+            assert_built_as_build_mesh(
+                sw.sqrt3_quadization,
+                lambda step: wref.sqrt3_quadization(ref.sqrt3_step(mesh)),
+                sqrt3[1], pinch_check=False)
         assert_built_as_build_mesh(sw.general_face_split_weaving,
                                    wref.general_face_split_weaving, mesh,
                                    pinch_check=False)
@@ -790,6 +800,9 @@ class TestDirectBuild:
         moved = base.positions + rng.uniform(-0.04, 0.04, base.positions.shape)
         hist = sw.snub_subdivide(build_mesh(moved, base.faces), steps,
                                  seed_flag=flag)
-        assert_built_as_build_mesh(sw.glue_snub_pairs, wref.glue_snub_pairs,
-                                   hist.final, hist.records[-1].provenance,
-                                   pinch_check=False)
+        prov = hist.records[-1].provenance
+        assert_built_as_build_mesh(
+            sw.glue_snub_pairs,
+            lambda mesh, prov: wref.glue_snub_pairs(
+                mesh, wref.Provenance(snub_edge_tags(mesh, prov))),
+            hist.final, prov, pinch_check=False)

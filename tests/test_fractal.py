@@ -16,6 +16,8 @@ from snubweave import (
 )
 
 import fractal_reference as ref
+from mesh_compare import snub_edge_tags
+from weaving_reference import EdgeTag
 
 #: Values that are not an integer where one is expected.
 NOT_INTEGERS = [True, 2.5, math.inf, math.nan, None]
@@ -228,9 +230,8 @@ class TestTrackInnerCurves:
         # seed a spoke from the barycenter to an original corner at step 1
         hist = sw.snub_subdivide(sw.pentagon(), 4)
         m1 = hist.meshes[1]
-        prov = hist.records[0].provenance
-        spoke_ids = np.flatnonzero(
-            np.asarray(prov.edge_tags) == sw.EdgeTag.SPOKE)
+        tags = snub_edge_tags(m1, hist.records[0].provenance)
+        spoke_ids = np.flatnonzero(tags == EdgeTag.SPOKE)
         seed = int(spoke_ids[0])
         family = sw.track_inner_curves(hist, [seed], start_step=1)
         track = family.curves[0]

@@ -1,9 +1,16 @@
 """The package's public surface: what ``snubweave`` exports."""
 
+import ast
 import inspect
+from pathlib import Path
 
 import snubweave as sw
 from snubweave import classic_schemes, errors, fractal, mesh_core, snub, weaving
+
+#: The exception classes ``errors`` defines, by name.
+ERROR_CLASSES = {name: obj for name, obj in vars(errors).items()
+                 if inspect.isclass(obj) and issubclass(obj, Exception)
+                 and obj.__module__ == errors.__name__}
 
 
 def test_exports_are_the_modules_public_names():
@@ -11,9 +18,22 @@ def test_exports_are_the_modules_public_names():
     # every declared name is exported, so a removal leaves no dangling name
     declared = set().union(*(m.__all__ for m in (
         mesh_core, snub, classic_schemes, weaving, fractal)))
-    error_classes = {name for name, obj in vars(errors).items()
-                     if inspect.isclass(obj) and issubclass(obj, Exception)
-                     and obj.__module__ == errors.__name__}
     exported = {name for name, obj in vars(sw).items()
                 if not name.startswith("_") and not inspect.ismodule(obj)}
-    assert exported == declared | error_classes
+    assert exported == declared | set(ERROR_CLASSES)
+
+
+def test_every_error_type_is_raised_by_the_library():
+    # an error type no library code raises is dead public API; a base
+    # class counts as raised when one of its subclasses is
+    raised = set()
+    for path in Path(errors.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) \
+                    and isinstance(node.exc.func, ast.Name):
+                raised.add(node.exc.func.id)
+    raised_types = [ERROR_CLASSES[name]
+                    for name in raised & ERROR_CLASSES.keys()]
+    unraised = {name for name, obj in ERROR_CLASSES.items()
+                if not any(issubclass(t, obj) for t in raised_types)}
+    assert unraised == set()

@@ -11,7 +11,6 @@ import snubweave as sw
 from snubweave import (
     AmbiguousHalfPlaneError,
     DegenerateFaceError,
-    EdgeTag,
     InvalidParameterError,
     NonManifoldError,
     SelfIntersectionError,
@@ -22,7 +21,8 @@ from snubweave.snub import _check_geometry, _row_sum
 
 import snub_reference
 import snub_step_reference
-from mesh_compare import MESH_ARRAYS, assert_isomorphic
+from mesh_compare import MESH_ARRAYS, assert_isomorphic, snub_edge_tags
+from weaving_reference import EdgeTag
 
 SQRT7 = math.sqrt(7.0)
 
@@ -134,16 +134,16 @@ class TestReplaceEdges:
         refined, prov = refine_once(source)
         V, E = source.vertex_count, source.edge_count
         assert np.array_equal(refined.positions[:V], source.positions)
-        middles = refined.edges[prov.edge_tags == EdgeTag.Z_MIDDLE]
+        tags = snub_edge_tags(refined, prov)
+        middles = refined.edges[tags == EdgeTag.Z_MIDDLE]
         assert middles.tolist() == [[V + 2 * e, V + 2 * e + 1]
                                     for e in range(E)]
         assert V + 2 * E == 15
         boundary = refined.boundary_edge_mask
         assert int(boundary.sum()) == 15
         assert set(refined.edges[boundary].ravel().tolist()) == set(range(15))
-        tags = prov.edge_tags[boundary]
-        assert (tags == EdgeTag.Z_MIDDLE).sum() == 5
-        assert (tags == EdgeTag.Z_OUTER).sum() == 10
+        assert (tags[boundary] == EdgeTag.Z_MIDDLE).sum() == 5
+        assert (tags[boundary] == EdgeTag.Z_OUTER).sum() == 10
 
     def test_mirror_flag_reflects_bends(self):
         m = sw.square_grid(1, 1)
@@ -197,7 +197,7 @@ class TestConnectNewVertices:
     def test_edge_tag_partition(self):
         m = sw.square_grid(2, 2)
         refined, prov = refine_once(m)
-        tags = prov.edge_tags
+        tags = snub_edge_tags(refined, prov)
         total_slots = int(m.face_sizes.sum())
         assert (tags == EdgeTag.Z_MIDDLE).sum() == m.edge_count
         assert (tags == EdgeTag.Z_OUTER).sum() == 2 * m.edge_count
@@ -523,7 +523,7 @@ class TestRefinedMeshesValidate:
             for name in MESH_ARRAYS:
                 assert np.array_equal(getattr(m, name),
                                       getattr(rebuilt, name)), name
-            tags = hist.records[0].provenance.edge_tags
+            tags = snub_edge_tags(m, hist.records[0].provenance)
             sum_n = int(current.face_sizes.sum())
             assert np.bincount(tags, minlength=4).tolist() == [
                 0, current.edge_count, 2 * current.edge_count, sum_n]
@@ -550,8 +550,17 @@ class TestNumberingContract:
                 return
             refined = hist.final
             V, E = source.vertex_count, source.edge_count
+            # the record is the source's counts, and the edge roles they
+            # give by the rule are the frozen step's edge tags
+            record = hist.records[0].provenance
+            assert record == sw.Provenance(V, E, source.face_count)
+            assert all(type(n) is int for n in vars(record).values())
+            tags = snub_edge_tags(refined, record)
+            _, (want,) = snub_step_reference.subdivide(
+                source, 1, smoothing=smoothing, seed_flag=flag)
+            assert_same_bits(tags, want.edge_tags, "edge_tags")
             # the middle segment of source edge e joins its bend points
-            middle = hist.records[0].provenance.edge_tags == EdgeTag.Z_MIDDLE
+            middle = tags == EdgeTag.Z_MIDDLE
             bends = V + 2 * np.arange(E)
             assert np.array_equal(refined.edges[middle],
                                   np.column_stack((bends, bends + 1)))
@@ -565,8 +574,7 @@ class TestNumberingContract:
             # the spoke at bend V + b goes to the face on the bend's side:
             # walked from lower to higher id, edge e has its left face on
             # the side of bend V + 2e for flag +1, of V + 2e + 1 for -1
-            spokes = refined.edges[hist.records[0].provenance.edge_tags
-                                   == EdgeTag.SPOKE]
+            spokes = refined.edges[tags == EdgeTag.SPOKE]
             b = spokes[:, 0] - V
             sides = np.where((b % 2 == 0) == (flag == 1),
                              source.edge_left[b // 2],
@@ -681,12 +689,14 @@ def assert_same_bits(a, b, what):
 
 
 def assert_step_records(source, refined, prov, ref, ref_source):
-    """One step's record against the frozen step's: the edge tags bit for
-    bit, and the frozen step's lineage arrays, which the library no longer
-    stores, against the numbering computed from the source counts, as is
-    the refined mesh's."""
-    assert_same_bits(prov.edge_tags, ref.edge_tags, "edge_tags")
+    """One step's record against the frozen step's: the record holds the
+    source counts, and the frozen step's per-element arrays, which the
+    library no longer stores, equal the numbering computed from them, as
+    does the refined mesh's."""
     V, E, F = source.vertex_count, source.edge_count, source.face_count
+    assert prov == sw.Provenance(V, E, F)
+    assert_same_bits(snub_edge_tags(refined, prov), ref.edge_tags,
+                     "edge_tags")
     kind = np.repeat(np.arange(3, dtype=np.int8), (V, 2 * E, F))
     for name in ("vertex_tags", "vertex_parent_kind"):
         assert_same_bits(getattr(ref, name), kind, name)
@@ -774,15 +784,15 @@ def mixed_mesh():
 
 
 def history_outcome(mesh, steps, flag, smoothing):
-    """The logged outcome of a history, with its meshes and edge tags as
-    bytes, so two outcomes compare bit for bit."""
+    """The logged outcome of a history, with its meshes as bytes and its
+    records, so two outcomes compare bit for bit."""
     outcome, log = logged_outcome("snubweave.snub", lambda: sw.snub_subdivide(
         mesh, steps, smoothing=smoothing, seed_flag=flag))
     if outcome[0] == "returned":
         hist = outcome[1]
         outcome = ("returned", [getattr(m, name).tobytes()
                                 for m in hist.meshes for name in MESH_ARRAYS],
-                   [r.provenance.edge_tags.tobytes() for r in hist.records])
+                   [r.provenance for r in hist.records])
     return outcome, log
 
 

@@ -1,17 +1,16 @@
 """Weaving: oracle equivalence, invariants of the woven output, error paths."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import snubweave as sw
 from snubweave import (
-    EdgeTag,
     InternalInvariantError,
     InvalidParameterError,
     InvalidTriangleColoringError,
-    MissingOriginRecordsError,
-    MissingProvenanceError,
     NoInteriorEdgesError,
     NonManifoldError,
     NotBipartiteError,
@@ -19,8 +18,10 @@ from snubweave import (
     Provenance,
 )
 
+import classic_reference as cref
 import weaving_reference as ref
-from snubweave.weaving import _rank_walks
+from mesh_compare import snub_edge_tags
+from snubweave.weaving import _glue_across, _rank_walks
 
 MESH_ARRAYS = ("positions", "face_vertex_flat", "face_starts", "edges",
                "edge_left", "edge_right", "face_edge_flat")
@@ -50,13 +51,28 @@ def triangle_lattice(n, seed):
             sw.VertexColoring((xs.ravel() + ys.ravel()) % 3 == 0))
 
 
-def snub_weave(mesh, steps, flag=1, module=sw):
-    """Snub ``mesh`` and glue, trace and ribbon the last step with ``module``."""
+def snub_weave(mesh, steps, flag=1):
+    """Snub ``mesh``, then glue and trace the last step."""
     hist = sw.snub_subdivide(mesh, steps, seed_flag=flag)
     prov = hist.records[-1].provenance
-    tiling = module.glue_snub_pairs(hist.final, prov)
-    weaving = module.trace_snub_strands(tiling, prov)
+    tiling = sw.glue_snub_pairs(hist.final, prov)
+    weaving = sw.trace_snub_strands(tiling, prov)
     return hist, tiling, weaving
+
+
+def oracle_provenance(hist):
+    """The last step's record as the oracle takes it: a tag per edge."""
+    return ref.Provenance(snub_edge_tags(hist.final,
+                                         hist.records[-1].provenance))
+
+
+def relabelled(mesh, perm):
+    """``mesh`` with vertex ``v`` renamed ``perm[v]``: the same counts and
+    faces, in another numbering."""
+    positions = np.empty_like(mesh.positions)
+    positions[perm] = mesh.positions
+    return sw.build_mesh(positions, (perm[mesh.face_vertex_flat],
+                                     mesh.face_starts))
 
 
 def assert_same_array(a, b, what):
@@ -145,7 +161,7 @@ class TestOracleEquivalence:
             # a coarse fan folds at depth 4: a snub defect, pinned here
             assert (spec, steps) == ("fan:5", 4)
             return
-        prov = hist.records[-1].provenance
+        prov = oracle_provenance(hist)
         want_tiling = ref.glue_snub_pairs(hist.final, prov)
         assert_same_tiling(tiling, want_tiling)
         want = ref.trace_snub_strands(want_tiling, prov)
@@ -165,7 +181,8 @@ class TestOracleEquivalence:
         triangles, coloring = triangle_lattice(max(w, h), seed)
         s3 = sw.sqrt3_step(triangles)
         (tiling, s3_coloring), (want, want_coloring) = \
-            sw.sqrt3_quadization(s3), ref.sqrt3_quadization(s3)
+            sw.sqrt3_quadization(s3), \
+            ref.sqrt3_quadization(cref.sqrt3_step(triangles))
         assert_same_tiling(tiling, want)
         assert_same_array(s3_coloring.is_c1, want_coloring.is_c1, "is_c1")
         assert_same_quad_weave(tiling.mesh, s3_coloring, mirror, width)
@@ -462,60 +479,94 @@ class TestTwoColorVertices:
 
 class TestErrors:
     def test_missing_provenance(self):
+        # no record, or one of no snub step: the final mesh's own counts
         hist = sw.snub_subdivide(sw.pentagon(), 1)
         mesh, prov = hist.final, hist.records[0].provenance
-        with pytest.raises(MissingProvenanceError):
-            sw.glue_snub_pairs(mesh, None)
-        unrefined = Provenance(edge_tags=np.zeros_like(prov.edge_tags))
-        with pytest.raises(MissingProvenanceError):
-            sw.glue_snub_pairs(mesh, unrefined)
+        unrefined = Provenance(16, 20, 5)
+        for record in (None, unrefined):
+            with pytest.raises(InvalidParameterError,
+                               match=rf"^{re.escape(repr(record))} does not "
+                                     r"describe the snub step that made "
+                                     r"Mesh\(V=16, E=20, F=5\) \(the record "
+                                     r"of another step\?\)$"):
+                sw.glue_snub_pairs(mesh, record)
         tiling = sw.glue_snub_pairs(mesh, prov)
-        with pytest.raises(MissingProvenanceError):
+        with pytest.raises(InvalidParameterError,
+                           match="^None does not describe the snub step"):
             sw.trace_snub_strands(tiling, None)
 
     def test_tags_of_another_step_are_invalid(self):
         hist = sw.snub_subdivide(sw.pentagon(), 2)
         first, last = (r.provenance for r in hist.records)
-        # an earlier step's tags are too few for the final mesh
+        # an earlier step's counts do not give the final mesh's
         with pytest.raises(InvalidParameterError,
-                           match=r"^edge tags for 20 edges given for a mesh "
-                                 r"of 85 edges \(the record of another "
-                                 r"step\?\)$"):
+                           match=r"^Provenance\(vertex_count=5, edge_count=5, "
+                                 r"face_count=1\) does not describe the snub "
+                                 r"step that made Mesh\(V=61, E=85, F=25\) "
+                                 r"\(the record of another step\?\)$"):
             sw.glue_snub_pairs(hist.final, first)
         tiling = sw.glue_snub_pairs(hist.final, last)
         with pytest.raises(InvalidParameterError,
-                           match="^edge tags for 20 edges given for a mesh "
-                                 "of 85 edges"):
+                           match=r"^Provenance\(vertex_count=5, edge_count=5, "
+                                 r"face_count=1\) does not describe"):
             sw.trace_snub_strands(tiling, first)
-        # a later step's tags are too many for an earlier mesh
+        # nor a later step's an earlier mesh's
         with pytest.raises(InvalidParameterError,
-                           match="^edge tags for 85 edges given for a mesh "
-                                 "of 20 edges"):
+                           match=r"^Provenance\(vertex_count=16, "
+                                 r"edge_count=20, face_count=5\) does not "
+                                 r"describe the snub step that made "
+                                 r"Mesh\(V=16, E=20, F=5\)"):
             sw.glue_snub_pairs(hist.meshes[1], last)
 
     def test_face_with_two_middle_edges(self):
+        # swapping source vertex 1 and bend point 22 turns face 2 = (56,
+        # 21, 20, 1, 22) into (56, 21, 20, 22, 1): its outer segment
+        # (1, 20) becomes (20, 22), which joins two bend points, so the
+        # numbering reads it as a second middle edge
         hist = sw.snub_subdivide(sw.pentagon(), 2)
+        mesh = hist.final
+        assert mesh.face(2).tolist() == [56, 21, 20, 1, 22]
+        perm = np.arange(mesh.vertex_count)
+        perm[[1, 22]] = [22, 1]
+        with pytest.raises(InvalidParameterError,
+                           match=r"^face 2 has 2 bend-middle edges by the "
+                                 r"snub step's numbering, expected 1 \(a mesh "
+                                 r"numbered otherwise\?\)$"):
+            sw.glue_snub_pairs(relabelled(mesh, perm),
+                               hist.records[-1].provenance)
+
+    @pytest.mark.parametrize("spec", ["pentagon", "pentaflower", "grid:2x2",
+                                      "fan:6"])
+    def test_relabelled_mesh_with_its_record_is_invalid(self, spec):
+        # right counts, wrong numbering: an input error, not a broken
+        # internal invariant, whichever the permutation
+        hist = sw.snub_subdivide(sw.generate_demo_mesh(spec), 2)
         prov = hist.records[-1].provenance
-        tags = prov.edge_tags.copy()
-        tags[np.flatnonzero(tags == EdgeTag.SPOKE)[0]] = EdgeTag.Z_MIDDLE
-        with pytest.raises(InternalInvariantError, match="exactly one"):
-            sw.glue_snub_pairs(hist.final, Provenance(tags))
+        n = hist.final.vertex_count
+        for perm in (np.arange(n)[::-1].copy(),
+                     np.random.default_rng(0).permutation(n)):
+            with pytest.raises(InvalidParameterError,
+                               match="bend-middle edges by the snub step's "
+                                     "numbering"):
+                sw.glue_snub_pairs(relabelled(hist.final, perm), prov)
 
     def test_tile_repeating_a_vertex_fails_as_build_mesh_does(self):
         # faces 0 and 1 share the middle edge (0, 1) and also vertex 3, so
         # their glued cycle visits 3 twice; faces 2 and 3 fill the hole
-        # between them and share the middle edge (1, 3)
+        # between them and share the middle edge (1, 3).  No snub step
+        # numbers a mesh so, so the library glues through the helper that
+        # glue_snub_pairs hands its middle edges to
         mesh = sw.build_mesh(
             [(0, 0), (1, 0), (2, 0.5), (3, 0), (1.5, 2), (1.5, -2),
              (2, -0.5)],
             [[0, 1, 2, 3, 4], [1, 0, 5, 3, 6], [1, 6, 3], [1, 3, 2]])
-        tags = np.full(mesh.edge_count, EdgeTag.Z_OUTER, dtype=np.int8)
-        tags[mesh.edge_id([0, 1], [1, 3])] = EdgeTag.Z_MIDDLE
-        prov = Provenance(tags)
+        middles = mesh.edge_id([0, 1], [1, 3])
+        tags = np.full(mesh.edge_count, ref.EdgeTag.Z_OUTER, dtype=np.int8)
+        tags[middles] = ref.EdgeTag.Z_MIDDLE
         with pytest.raises(sw.DegenerateFaceError) as got:
-            sw.glue_snub_pairs(mesh, prov)
+            _glue_across(mesh, middles)
         with pytest.raises(sw.DegenerateFaceError) as want:
-            ref.glue_snub_pairs(mesh, prov)
+            ref.glue_snub_pairs(mesh, ref.Provenance(tags))
         assert str(got.value) == str(want.value) == "face 0 repeats vertex 3"
 
     def test_not_bipartite_names_the_lowest_edge(self):
@@ -547,8 +598,9 @@ class TestErrors:
         fan = sw.fan_ngon(6)
         center = sw.VertexColoring(np.arange(7) == 6)
         with pytest.raises(InvalidParameterError,
-                           match=r"^loop_color_update needs a step with "
-                                 r"old-vertex \+ edge-vertex layout"):
+                           match="^loop_color_update needs a loop_step or "
+                                 "butterfly_step result, got a sqrt3_step "
+                                 "result$"):
             sw.loop_color_update(center, sw.sqrt3_step(fan))
         with pytest.raises(InvalidParameterError,
                            match="^coloring covers 3 vertices, source mesh "
@@ -568,10 +620,36 @@ class TestErrors:
 
     def test_sqrt3_quadization_rejects_other_steps(self):
         # a Loop step's edge vertices are not face centres
-        with pytest.raises(MissingOriginRecordsError,
-                           match="^step does not look like a sqrt3_step "
-                                 "result$"):
+        with pytest.raises(InvalidParameterError,
+                           match="^sqrt3_quadization needs a sqrt3_step "
+                                 "result, got a loop_step result$"):
             sw.sqrt3_quadization(sw.loop_step(sw.fan_ngon(5)))
+
+    @pytest.mark.parametrize("scheme", ["loop", "butterfly", "sqrt3",
+                                        "midedge", "catmull_clark",
+                                        "doo_sabin"])
+    def test_classic_readers_reject_other_schemes(self, scheme):
+        # each reader names the step it needs; the one a catmull_clark
+        # coloring of a Loop step gave before had 10 c1 vertices of 16
+        step = getattr(sw, f"{scheme}_step")(sw.fan_ngon(5))
+        assert step.scheme == scheme
+        coloring = sw.VertexColoring(np.arange(6) == 5)
+        readers = (
+            ("catmull_clark_coloring", ("catmull_clark",),
+             lambda: sw.catmull_clark_coloring(step)),
+            ("loop_color_update", ("loop", "butterfly"),
+             lambda: sw.loop_color_update(coloring, step)),
+            ("sqrt3_quadization", ("sqrt3",),
+             lambda: sw.sqrt3_quadization(step)))
+        for reader, needed, call in readers:
+            if scheme in needed:
+                call()
+                continue
+            names = " or ".join(f"{name}_step" for name in needed)
+            with pytest.raises(InvalidParameterError,
+                               match=f"^{reader} needs a {names} result, "
+                                     f"got a {scheme}_step result$"):
+                call()
 
     @pytest.mark.parametrize("width", [0.0, 1.0, -0.2, 1.5])
     def test_width_fraction_outside_unit_interval(self, width):

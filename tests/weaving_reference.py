@@ -15,26 +15,31 @@ library stores the same data as arrays; the tests compare the two through
 the library's views.  :class:`BoundaryC2EdgeError` is a verbatim copy of
 the error ``glue_triangle_pairs(strict=True)`` raised then; the library has
 since dropped ``strict``, whose raise is the same as a non-empty
-``singletons``.
+``singletons``.  ``EdgeTag``, ``Provenance``, ``MissingProvenanceError``
+and ``MissingOriginRecordsError`` are verbatim copies of the record types
+and errors the library had then: the library has since dropped the
+per-edge tags, which restate the snub step's numbering, and reads the
+classic steps' vertex blocks off their sizes.  These loops take the
+frozen classic step of :mod:`classic_reference`, which still carries
+``vertex_origin_kind``, and a :class:`Provenance` of edge tags.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import IntEnum
 
 import numpy as np
 
-from snubweave.classic_schemes import OriginKind, SchemeStepResult
+from classic_reference import OriginKind, SchemeStepResult
 from snubweave.errors import (
     InternalInvariantError,
     InvalidParameterError,
-    MissingOriginRecordsError,
-    MissingProvenanceError,
     NoInteriorEdgesError,
     NotBipartiteError,
     SnubWeaveError,
 )
-from snubweave.mesh_core import EdgeTag, Mesh, Provenance, build_mesh
+from snubweave.mesh_core import Mesh, build_mesh
 from snubweave.weaving import (
     Ribbon,
     Strand,
@@ -45,6 +50,34 @@ from snubweave.weaving import (
 
 class BoundaryC2EdgeError(SnubWeaveError):
     """A second-color edge lies on the boundary, leaving an unglued triangle."""
+
+
+class MissingProvenanceError(SnubWeaveError):
+    """The operation needs per-element role tags that are not available."""
+
+
+class MissingOriginRecordsError(SnubWeaveError):
+    """The step result lacks the origin records this operation consumes."""
+
+
+class EdgeTag(IntEnum):
+    """Role of an edge in a refined mesh."""
+
+    ORIGINAL = 0      # edge of an unrefined mesh
+    Z_MIDDLE = 1      # middle segment of a bend triplet
+    Z_OUTER = 2       # first or last segment of a bend triplet
+    SPOKE = 3         # connection between a bend point and a barycenter
+
+
+@dataclass(frozen=True)
+class Provenance:
+    """The role of every edge of a snub-refined mesh (:class:`EdgeTag`).
+
+    Where each vertex and face came from is not stored: the numbering of
+    the step, stated in :mod:`~snubweave.snub`, says it.
+    """
+
+    edge_tags: np.ndarray
 
 
 @dataclass(frozen=True)
