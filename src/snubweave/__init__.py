@@ -33,7 +33,6 @@ from .errors import (
 )
 from .mesh_core import (
     Mesh,
-    Provenance,
     build_mesh,
     convexity_report,
     euler_characteristic,
@@ -46,6 +45,7 @@ from .mesh_core import (
 )
 from .snub import (
     ALPHA,
+    Provenance,
     StepRecord,
     SubdivisionHistory,
     assign_z_orientations,

@@ -24,7 +24,7 @@ from .errors import (
     UnknownSeedError,
 )
 from .mesh_core import _checked_int
-from .snub import ALPHA, SubdivisionHistory
+from .snub import ALPHA, SubdivisionHistory, _walked_bends
 
 __all__ = [
     "lsystem_expand",
@@ -260,13 +260,12 @@ def track_inner_curves(history: SubdivisionHistory, seed_edges,
 
 
 def _refine_path(source, path: np.ndarray) -> np.ndarray:
-    """Vertex paths (rows) in the refined mesh, each edge replaced by three."""
-    V = source.vertex_count
+    """Vertex paths (rows) in the refined mesh, each edge replaced by three:
+    its bend points, in the order the path walks them."""
     u, v = path[:, :-1], path[:, 1:]
-    e = source.edge_id(u, v)
-    first = np.where(u == source.edges[e, 0], V + 2 * e, V + 2 * e + 1)
-    second = (2 * V + 4 * e + 1) - first
-    out = np.empty((len(path), 3 * e.shape[1] + 1), dtype=np.int64)
+    first, second = _walked_bends(source.vertex_count, source.edge_id(u, v),
+                                  u > v)
+    out = np.empty((len(path), 3 * first.shape[1] + 1), dtype=np.int64)
     out[:, 0::3] = path
     out[:, 1::3] = first
     out[:, 2::3] = second

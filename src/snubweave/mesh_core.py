@@ -21,7 +21,6 @@ all derived tables are built with vectorized numpy passes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import itertools
 import numbers
 
@@ -37,7 +36,6 @@ from .errors import (
 
 __all__ = [
     "Mesh",
-    "Provenance",
     "build_mesh",
     "euler_characteristic",
     "convexity_report",
@@ -48,20 +46,6 @@ __all__ = [
     "pentagon_flower",
     "generate_demo_mesh",
 ]
-
-
-@dataclass(frozen=True)
-class Provenance:
-    """The element counts of the mesh a snub step refined.
-
-    With the step's numbering, stated in :mod:`~snubweave.snub`, they say
-    where each refined vertex, edge and face came from, and which role
-    each edge plays, so no per-element array is stored.
-    """
-
-    vertex_count: int
-    edge_count: int
-    face_count: int
 
 
 class Mesh:
@@ -478,7 +462,6 @@ def _reject_pinched_boundary(edges: np.ndarray, edge_left: np.ndarray,
 
 def _direct_mesh(positions: np.ndarray, flat: np.ndarray, starts: np.ndarray,
                  edges: np.ndarray, face_edge_flat: np.ndarray, *,
-                 merged_cycles: bool = False,
                  pinch_check: bool = True) -> Mesh:
     """A mesh from known connectivity, checked where that cannot rule a
     fault out.
@@ -490,11 +473,11 @@ def _direct_mesh(positions: np.ndarray, flat: np.ndarray, starts: np.ndarray,
     every caller (:func:`build_mesh`, the classic schemes, the glued tilings
     and the face-split weaving) ensures.  The checks follow
     :func:`build_mesh`'s order and raise its errors: finite coordinates, at
-    least 3 vertices per face, no vertex twice in a cycle (only
-    ``merged_cycles``, where a cycle joins two source faces that may share
-    a third vertex), the face checks of :func:`_reject_bad_faces` (a
-    clockwise face is not reversed but rejected as folded) and, with
-    ``pinch_check``, no pinched boundary.
+    least 3 vertices per face, the face checks of :func:`_reject_bad_faces`
+    (a clockwise face is not reversed but rejected as folded) and, with
+    ``pinch_check``, no pinched boundary.  A vertex twice in a cycle is not
+    looked for here: :func:`build_mesh` and the gluing, whose merged cycles
+    can hold one, check that first (:func:`_reject_repeats`).
     """
     V = len(positions)
     sizes = np.diff(starts)
@@ -504,8 +487,6 @@ def _direct_mesh(positions: np.ndarray, flat: np.ndarray, starts: np.ndarray,
         raise DegenerateFaceError(
             f"face {int(np.argmin(sizes))} has fewer than 3 vertices")
     nxt, slot_face = _cycle_links(starts)
-    if merged_cycles:
-        _reject_repeats(flat, slot_face, V)
     p = np.take(positions, flat, axis=0)
     q = np.take(p, nxt, axis=0)
     cross = p[:, 0] * q[:, 1]

@@ -28,22 +28,29 @@ edge direction rotated by ``s * atan(sqrt(3)/5)`` and scaled by
 Operations 1-3 are built in one pass from closed-form connectivity, with no
 edge hashing.  For a source mesh with ``V`` vertices, edges ``(lo, hi)`` and
 ``F`` faces, edge ``e`` gets the bend points ``V + 2e`` (near ``lo``) and
-``V + 2e + 1``, and face ``f`` the barycenter ``V + 2E + f``.  Source face
-slot ``i`` becomes refined face ``i``, a fixed row of five: the barycenter,
-then a window of four on the slot's walk ``(first bend, second bend, next
-corner, next edge's first bend, its second bend)`` that starts at the first
-bend for ``s = +1`` and at the second for ``s = -1`` (the bend that gets the
-spoke).  The refined edge table is written directly in the sorted
+``V + 2e + 1``, and face ``f`` the barycenter ``V + 2E + f``; a walk along
+``e`` meets ``V + 2e + 1`` first when it runs from ``hi`` to ``lo``.  Source
+face slot ``i`` becomes refined face ``i``, a fixed row of five: the
+barycenter, then a window of four on the slot's walk ``(first bend, second
+bend, next corner, next edge's first bend, its second bend)`` that starts at
+the first bend for ``s = +1`` and at the second for ``s = -1`` (the bend that
+gets the spoke).  The refined edge table is written directly in the sorted
 ``(lo, hi)`` order :func:`~.mesh_core.build_mesh` would produce: first the
 ``2E`` outer Z segments ``(source vertex, bend)``, then, per source edge,
-its middle segment followed by the spokes at its two bend points.  That
-order is load-bearing, because the next step numbers its bend points by
-edge id, and it is the only record of where each element came from.  So
-the role of a refined edge ``(lo, hi)`` follows from ``V`` and ``E``
-alone: it is an outer Z segment if ``lo < V``, a middle segment if
-``hi < V + 2E``, and a spoke otherwise.  A step's record
-(:class:`~.mesh_core.Provenance`) keeps the source's three counts and
-nothing more.
+its middle segment ``(V + 2e, V + 2e + 1)`` followed by the spokes at its
+two bend points.  That order is load-bearing, because the next step numbers
+its bend points by edge id, and it is the only record of where each element
+came from.  So the role of a refined edge ``(lo, hi)`` follows from ``V``
+and ``E`` alone: it is an outer Z segment if ``lo < V``, a middle segment if
+``hi < V + 2E``, and a spoke otherwise.  Each pentagon holds one middle
+segment, and touches one other middle at its *designated bend*: the vertex
+three slots after its middle's slot in the row (the next edge's first bend
+for ``s = +1``, the slot edge's second bend for ``s = -1``).  A step's record
+(:class:`Provenance`) keeps the source's three counts and nothing more.
+
+This module is the one place the numbering is stated.  The weaving reads
+each face's middle edge and designated bend off :func:`_face_table`, and
+curve tracking walks the bend points with :func:`_walked_bends`.
 
 The rows of five and the checks run over blocks of whole source faces,
 about 16k slots each.  A block derives its slots' next slot and face from
@@ -85,7 +92,6 @@ from .errors import (
 )
 from .mesh_core import (
     Mesh,
-    Provenance,
     _centroids,
     _checked_int,
     _cycle_links,
@@ -95,6 +101,7 @@ from .mesh_core import (
 
 __all__ = [
     "ALPHA",
+    "Provenance",
     "StepRecord",
     "SubdivisionHistory",
     "assign_z_orientations",
@@ -149,6 +156,14 @@ def _blocks(starts: np.ndarray):
         nxt, slot_face = _cycle_links(starts[f0:f1 + 1])
         yield f0, f1, slice(int(starts[f0]), int(starts[f1])), \
             slot_face + f0, nxt
+
+
+def _walked_bends(V: int, e, backwards):
+    """The bend points of source edges ``e`` in the order a walk along each
+    meets them: ``V + 2e + backwards`` first, where ``backwards`` says the
+    walk runs from the edge's higher vertex to its lower, then its pair."""
+    first = V + 2 * e + backwards
+    return first, (2 * V + 4 * e + 1) - first
 
 
 def _bend_points(mesh: Mesh, s: int):
@@ -227,8 +242,8 @@ def _refine(source: Mesh, s: int) -> tuple:
         corner = source.face_vertex_flat[slots]
         e_slot = source.face_edge_flat[slots]
         corner_next = corner[nxt]
-        walk_first = V + 2 * e_slot + (corner > corner_next)
-        walk_second = (2 * V + 4 * e_slot + 1) - walk_first
+        walk_first, walk_second = _walked_bends(V, e_slot,
+                                                corner > corner_next)
         first_next = walk_first[nxt]
         spoke_here = spoke_id[(walk_first, walk_second)[k] - V]
         verts = (V + 2 * E + slot_face,) + (
@@ -373,6 +388,20 @@ def _smooth(positions: np.ndarray, flat: np.ndarray, starts: np.ndarray,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class Provenance:
+    """The element counts of the mesh a snub step refined.
+
+    With the step's numbering (module docstring) they say where each
+    refined vertex, edge and face came from, and which role each edge
+    plays, so no per-element array is stored.
+    """
+
+    vertex_count: int
+    edge_count: int
+    face_count: int
+
+
+@dataclass(frozen=True)
 class StepRecord:
     """One refinement step (producing mesh t): the counts of the mesh it
     refined, from which the step's numbering (module docstring) gives each
@@ -408,15 +437,85 @@ class SubdivisionHistory:
         return len(self.meshes)
 
 
-def _check_count_recursion(source: Mesh, refined: Mesh) -> None:
-    sum_n = len(source.face_vertex_flat)
-    expect = (source.vertex_count + 2 * source.edge_count + source.face_count,
-              3 * source.edge_count + sum_n,
-              sum_n)
-    got = (refined.vertex_count, refined.edge_count, refined.face_count)
+def _counts(mesh: Mesh) -> tuple:
+    return mesh.vertex_count, mesh.edge_count, mesh.face_count
+
+
+def _step_counts(record: Provenance, slots: int) -> tuple:
+    """The count recursion: the vertex, edge and face counts the step gives
+    a mesh of ``record``'s counts and ``slots`` face slots.  A vertex per
+    source vertex, bend point and face, three segments per source edge and
+    a spoke per slot, and a pentagon per slot."""
+    V, E, F = record.vertex_count, record.edge_count, record.face_count
+    return V + 2 * E + F, 3 * E + slots, slots
+
+
+def _check_count_recursion(record: Provenance, slots: int,
+                           refined: Mesh) -> None:
+    expect, got = _step_counts(record, slots), _counts(refined)
     if got != expect:
         raise InternalInvariantError(
             f"element counts {got} do not match the recursion {expect}")
+
+
+def _middle_mask(edges: np.ndarray, V: int, E: int) -> np.ndarray:
+    """The role rule, per refined edge ``(lo, hi)`` of a source with ``V``
+    vertices and ``E`` edges: a middle segment, not an outer segment
+    (``lo < V``) or a spoke (``hi >= V + 2E``)."""
+    return (edges[:, 0] >= V) & (edges[:, 1] < V + 2 * E)
+
+
+def _face_table(mesh: Mesh, provenance: Provenance) -> tuple:
+    """Per face of ``mesh``, which the step with record ``provenance`` made:
+    its middle edge, its designated bend and the middle edge at that bend.
+
+    :class:`InvalidParameterError` for a record of another step (``mesh``
+    without the counts and pentagons it gives) and for a mesh numbered
+    otherwise: a face without exactly one middle edge, middle edges that
+    are not the bend pairs, a designated vertex that is no bend point of
+    another middle edge, or one designated twice.
+    """
+    if not isinstance(provenance, Provenance) \
+            or _step_counts(provenance, mesh.face_count) != _counts(mesh) \
+            or (np.diff(mesh.face_starts) != 5).any():
+        raise InvalidParameterError(
+            f"{provenance!r} does not describe the snub step that made "
+            f"{mesh!r} (the record of another step?)")
+    V, E = provenance.vertex_count, provenance.edge_count
+    is_middle = _middle_mask(mesh.edges, V, E)
+    hit = is_middle[mesh.face_edge_flat]
+    per_face = hit.reshape(-1, 5).sum(axis=1)
+    bad = np.flatnonzero(per_face != 1)
+    if len(bad):
+        raise InvalidParameterError(
+            f"face {int(bad[0])} has {int(per_face[bad[0]])} bend-middle "
+            f"edges by the snub step's numbering, expected 1 (a mesh "
+            f"numbered otherwise?)")
+    middles = np.flatnonzero(is_middle)
+    ends = mesh.edges[middles].ravel()
+    if len(ends) != 2 * E or (ends != np.arange(V, V + 2 * E)).any():
+        raise InvalidParameterError(
+            f"the middle edges are not the {E} bend pairs (V + 2e, V + 2e + "
+            f"1) for V = {V} (a mesh numbered otherwise?)")
+
+    slot = np.flatnonzero(hit)
+    middle = mesh.face_edge_flat[slot]
+    bend = mesh.face_vertex_flat[slot - slot % 5 + (slot + 3) % 5]
+    bend_edge = (bend - V) // 2
+    off = (bend < V) | (bend >= V + 2 * E) \
+        | (bend_edge == (mesh.edges[middle, 0] - V) // 2)
+    if off.any():
+        f = int(np.flatnonzero(off)[0])
+        raise InvalidParameterError(
+            f"face {f} designates vertex {int(bend[f])}, not a bend point of "
+            f"another middle edge (a mesh numbered otherwise?)")
+    count = np.bincount(bend - V, minlength=2 * E)
+    if count.max() > 1:
+        v = V + int(np.argmax(count > 1))
+        raise InvalidParameterError(
+            f"bend point {v} is designated by {int(count[v - V])} faces, "
+            f"expected 1 (a mesh numbered otherwise?)")
+    return middle, bend, middles[bend_edge]
 
 
 def snub_subdivide(mesh: Mesh, steps: int, smoothing: bool = True,
@@ -444,15 +543,15 @@ def snub_subdivide(mesh: Mesh, steps: int, smoothing: bool = True,
     current = mesh
     for _ in range(steps):
         s = assign_z_orientations(seed_flag)
+        record = Provenance(*_counts(current))
         arrays = _refine(current, s)
         # the checks read views, so the arrays stay writeable for smoothing
         refined = Mesh(*(a.view() for a in arrays))
         centroids = _check_geometry(current, refined, s)
-        _check_count_recursion(current, refined)
+        _check_count_recursion(record, len(current.face_vertex_flat), refined)
         if smoothing:
             _smooth(*arrays[:3], centroids, refined.inner_vertex_mask)
-        records.append(StepRecord(provenance=Provenance(
-            current.vertex_count, current.edge_count, current.face_count)))
+        records.append(StepRecord(provenance=record))
         current = Mesh(*arrays)
         meshes.append(current)
     return SubdivisionHistory(meshes=meshes, records=records,

@@ -4,7 +4,9 @@ Three constructions are provided:
 
 * pentagon-pair gluing on snub-refined meshes, with strand tracing through
   the glued tiles (tiles hop across the bend-middle edges touched by their
-  designated bend vertices);
+  designated bend vertices).  Each face's middle edge and designated bend
+  are read off the snub step's numbering, which only :mod:`~.snub` states
+  (:func:`~.snub._face_table`), and not searched for in the tile mesh;
 * two-colored quad weavings, where every quad is a crossing of two strands
   and the entering strand whose first-walked edge endpoint carries color
   ``c1`` passes over;
@@ -44,8 +46,9 @@ from .errors import (
     NotBipartiteError,
     NotTriangleMeshError,
 )
-from .mesh_core import (Mesh, Provenance, _cycle_links, _direct_mesh,
-                        _edge_slots)
+from .mesh_core import (Mesh, _cycle_links, _direct_mesh, _edge_slots,
+                        _reject_repeats, _slot_faces)
+from .snub import Provenance, _face_table
 
 __all__ = [
     "VertexColoring",
@@ -220,7 +223,7 @@ def _build_tiling(source: Mesh, partner: np.ndarray,
     """Assemble a tiling from per-face partner faces and shared edges.
 
     ``partner[f]`` is the face glued to ``f`` across edge ``shared_edge[f]``
-    (both -1 for a singleton).  Each tile is named by its lowest face id
+    (-1 for a singleton, whose shared edge is not read).  Each tile is named by its lowest face id
     and tiles come out in that order.  A glued pair's cycle is walked by
     the face on the shared edge's left: its own cycle from the slot after
     the shared edge, then the other face's cycle without the two shared
@@ -231,10 +234,10 @@ def _build_tiling(source: Mesh, partner: np.ndarray,
     tile slot's edge is its source slot's, except at the walker's last
     vertex, whose edge leads into the other face's cycle.
     """
-    F = source.face_count
     sizes = source.face_sizes
-    lead = np.flatnonzero((partner < 0) | (partner > np.arange(F)))
-    glued = partner[lead] >= 0
+    tile_faces = _tile_faces(partner)
+    lead = tile_faces[:, 0]
+    glued = tile_faces[:, 1] >= 0
     # each tile is two cycle segments: the walker's (all of a singleton)
     # and the other face's (empty for a singleton)
     walker = lead.copy()
@@ -265,15 +268,21 @@ def _build_tiling(source: Mesh, partner: np.ndarray,
     new_id = np.cumsum(kept) - 1
     edge_gather = gather.copy()
     edge_gather[seg_starts[1::2][glued] - 1] = nxt[right[e]]
-    mesh = _direct_mesh(source.positions, source.face_vertex_flat[gather],
-                        seg_starts[::2], source.edges[kept],
+    flat, starts = source.face_vertex_flat[gather], seg_starts[::2]
+    # two faces may share a vertex besides the glued edge's
+    _reject_repeats(flat, _slot_faces(starts), source.vertex_count)
+    mesh = _direct_mesh(source.positions, flat, starts, source.edges[kept],
                         new_id[source.face_edge_flat[edge_gather]],
-                        merged_cycles=True, pinch_check=False)
-    return GluedTiling(
-        source=source, mesh=mesh,
-        pairs=np.column_stack((lead[glued], partner[lead[glued]])),
-        singletons=lead[~glued],
-        tile_faces=np.column_stack((lead, partner[lead])))
+                        pinch_check=False)
+    return GluedTiling(source=source, mesh=mesh, pairs=tile_faces[glued],
+                       singletons=lead[~glued], tile_faces=tile_faces)
+
+
+def _tile_faces(partner: np.ndarray) -> np.ndarray:
+    """The tiles of per-face ``partner`` faces (-1: none), as
+    :attr:`GluedTiling.tile_faces`: in order of their lowest face."""
+    lead = np.flatnonzero((partner < 0) | (partner > np.arange(len(partner))))
+    return np.column_stack((lead, partner[lead]))
 
 
 def _glue_across(mesh: Mesh, edges: np.ndarray) -> GluedTiling:
@@ -323,20 +332,11 @@ def sqrt3_quadization(step: SchemeStepResult,
     return tiling, VertexColoring(np.arange(mesh.vertex_count) < V)
 
 
-def _middle_edge_mask(mesh: Mesh, provenance: Provenance) -> np.ndarray:
-    """Per edge ``(lo, hi)`` of ``mesh``, whether it is a bend middle by the
-    numbering (:mod:`~.snub`): ``V <= lo`` and ``hi < V + 2E``, for the
-    source counts ``provenance`` records.  :class:`InvalidParameterError`
-    unless ``mesh`` has that step's counts: ``V + 2E + F`` vertices and
-    ``3E + F'`` edges, ``F'`` its face count."""
-    if isinstance(provenance, Provenance):
-        V, E = provenance.vertex_count, provenance.edge_count
-        if (mesh.vertex_count, mesh.edge_count) == (
-                V + 2 * E + provenance.face_count, 3 * E + mesh.face_count):
-            return (mesh.edges[:, 0] >= V) & (mesh.edges[:, 1] < V + 2 * E)
-    raise InvalidParameterError(
-        f"{provenance!r} does not describe the snub step that made {mesh!r} "
-        f"(the record of another step?)")
+def _snub_partners(mesh: Mesh, middle: np.ndarray) -> np.ndarray:
+    """Per face, the face across its ``middle`` edge (-1: a boundary one)."""
+    left, right = mesh.edge_left[middle], mesh.edge_right[middle]
+    return np.where((left >= 0) & (right >= 0),
+                    left + right - np.arange(len(middle)), -1)
 
 
 def glue_snub_pairs(mesh: Mesh, provenance: Provenance) -> GluedTiling:
@@ -345,21 +345,14 @@ def glue_snub_pairs(mesh: Mesh, provenance: Provenance) -> GluedTiling:
     Each face of a snub-refined mesh contains exactly one middle edge of a
     bend triplet; interior middles glue their two pentagons into an
     octagon, boundary middles leave singletons.  ``provenance`` is the
-    record of the step that made ``mesh``; the middle edges follow from
-    its counts.  A record of another step, and a mesh not numbered as the
-    step numbers (a face without exactly one middle edge), raise
+    record of the step that made ``mesh``; each face's middle edge follows
+    from its counts by the numbering (:func:`~.snub._face_table`).  A record
+    of another step, and a mesh not numbered as the step numbers (a face
+    without exactly one middle edge, for one), raise
     :class:`InvalidParameterError`.
     """
-    is_middle = _middle_edge_mask(mesh, provenance)
-    per_face = np.add.reduceat(is_middle[mesh.face_edge_flat].astype(np.int64),
-                               mesh.face_starts[:-1])
-    bad = np.flatnonzero(per_face != 1)
-    if len(bad):
-        raise InvalidParameterError(
-            f"face {int(bad[0])} has {int(per_face[bad[0]])} bend-middle "
-            f"edges by the snub step's numbering, expected 1 (a mesh "
-            f"numbered otherwise?)")
-    return _glue_across(mesh, np.flatnonzero(is_middle))
+    middle = _face_table(mesh, provenance)[0]
+    return _build_tiling(mesh, _snub_partners(mesh, middle), middle)
 
 
 # ---------------------------------------------------------------------------
@@ -730,83 +723,67 @@ def trace_snub_strands(tiling: GluedTiling,
     a node of its own strand; the over/under of the two strands meeting
     there alternates along the crossing strand.
 
+    Each face's middle edge and designated bend are read off the numbering
+    (:func:`~.snub._face_table`), for ``provenance``, the record of the
+    step that made ``tiling.source``, as for :func:`glue_snub_pairs`.  So a
+    tile's own middle is its first face's, and a glued tile designates its
+    walking face's bend first (the face left of the middle), then the
+    other's.  A tiling whose tiles are not those :func:`glue_snub_pairs`
+    makes of ``tiling.source`` raises :class:`InvalidParameterError`.
+
     Open strands come first, by their lower end tile, each walked from
     that end; closed strands follow, by their lowest tile, each walked
-    from that tile's first designated vertex.  ``provenance`` is the
-    record of the step that made ``tiling.source``, as for
-    :func:`glue_snub_pairs`.
+    from that tile's first designated vertex.
     """
-    source, tmesh = tiling.source, tiling.mesh
-    is_middle = _middle_edge_mask(source, provenance)
-    T = tmesh.face_count
-    middles = np.flatnonzero(is_middle)
-    middle_of_vertex = np.full(source.vertex_count, -1, dtype=np.int64)
-    middle_of_vertex[source.edges[middles].ravel()] = np.repeat(middles, 2)
-
-    # each tile's own middle edge: the edge its two faces share, or the
-    # singleton's middle edge
-    mate = tiling.tile_faces[:, 1]
+    source = tiling.source
+    middle, bend, crossed = _face_table(source, provenance)
+    got, want = tiling.tile_faces, _tile_faces(_snub_partners(source, middle))
+    if not np.array_equal(got, want):
+        n = min(len(got), len(want))
+        t = int(np.argmin(np.append((got[:n] == want[:n]).all(axis=1),
+                                    False)))
+        raise InvalidParameterError(
+            f"tile {t} is not the one glue_snub_pairs makes there, of the "
+            f"faces on a middle edge (a tiling glue_snub_pairs did not "
+            f"make?)")
+    low, mate = got.T
+    T = len(got)
     paired = mate >= 0
-    n_faces = 1 + paired.astype(np.int64)
-    tile_of_first = np.full(source.face_count, -1, dtype=np.int64)
-    tile_of_first[tiling.tile_faces[:, 0]] = np.arange(T)
-    slot_face = source.slot_face
-    t_slot = tile_of_first[slot_face]
-    e = source.face_edge_flat
-    across = source.edge_left[e] + source.edge_right[e] - slot_face
-    own_hit = (t_slot >= 0) & np.where(paired[t_slot], across == mate[t_slot],
-                                       is_middle[e])
-    own_count = np.bincount(t_slot[own_hit], minlength=T)
-    if (own_count != 1).any():
-        t = int(np.flatnonzero(own_count != 1)[0])
-        raise InternalInvariantError(
-            f"tile {t} has {int(own_count[t])} own middle edges, expected 1")
-    own = np.empty(T, dtype=np.int64)
-    own[t_slot[own_hit]] = e[own_hit]
+    own = middle[low]
     tile_of_middle = np.full(source.edge_count, -1, dtype=np.int64)
     tile_of_middle[own] = np.arange(T)
 
-    # designated vertices per tile (in cycle order); designator per vertex
-    mv = middle_of_vertex[tmesh.face_vertex_flat]
-    tile_of_slot = tmesh.slot_face
-    des_slot = np.flatnonzero((mv >= 0) & (mv != own[tile_of_slot]))
-    des_v = tmesh.face_vertex_flat[des_slot]
-    des_t = tile_of_slot[des_slot]
-    count = np.bincount(des_t, minlength=T)
-    bad = np.flatnonzero(count != n_faces)
-    dup = _first_repeat(des_v)
-    if len(bad) and (dup < 0 or bad[0] <= des_t[dup]):
-        t = int(bad[0])
-        raise InternalInvariantError(
-            f"tile {t} has {int(count[t])} designated bend vertices, "
-            f"expected {int(n_faces[t])}")
-    if dup >= 0:
-        raise InternalInvariantError(
-            f"bend vertex {int(des_v[dup])} designated by two tiles")
+    # designated indices, tile by tile: the walking face's, then the
+    # other face's; designator per vertex
+    n_faces = 1 + paired.astype(np.int64)
+    des_off = np.zeros(T + 1, dtype=np.int64)
+    np.cumsum(n_faces, out=des_off[1:])
+    des_face = np.empty(des_off[-1], dtype=np.int64)
+    des_face[des_off[:-1]] = np.where(paired, source.edge_left[own], low)
+    des_face[des_off[:-1][paired] + 1] = source.edge_right[own[paired]]
+    des_t = np.repeat(np.arange(T), n_faces)
+    des_v = bend[des_face]
     D = len(des_v)
     index_of = np.full(source.vertex_count, -1, dtype=np.int64)
     index_of[des_v] = np.arange(D)
 
     # hopping from designated index d crosses middle hop_m[d] and arrives
-    # at the far endpoint's designated index arrive[d] in tile hop_t[d]; a
-    # strand arriving at a goes on from the other designated index of its
-    # tile, other[a] (-1: none), as a tile designates one or two vertices
-    hop_m = middle_of_vertex[des_v]
+    # at the far endpoint's designated index arrive[d] in tile hop_t[d]
+    # (the hop back from there is d's); a strand arriving at a goes on from
+    # the other designated index of its tile, other[a] (-1: none), as a
+    # tile designates one or two vertices
+    hop_m = crossed[des_face]
     far = source.edges[hop_m].sum(axis=1) - des_v
     arrive = index_of[far]
     live = arrive >= 0
     hop_t = np.where(live, des_t[arrive], -1)
-    des_off = np.zeros(T + 1, dtype=np.int64)
-    np.cumsum(count, out=des_off[1:])
-    other = np.where(count[des_t] == 2,
+    other = np.where(n_faces[des_t] == 2,
                      2 * des_off[des_t] + 1 - np.arange(D), -1)
-    # every hop must lead into another tile, and the hop from where it
-    # arrives must lead back; then each tile lies on one strand, entered
-    # once, and other[a] is on another middle edge than a
-    back = live & ((hop_t == des_t) | (arrive[arrive] != np.arange(D)))
-    if back.any():
-        raise InternalInvariantError(
-            f"strand re-entered tile {int(hop_t[back].min())}")
+    back = np.flatnonzero(live & (hop_t == des_t))
+    if len(back):
+        raise InvalidParameterError(
+            f"tile {int(des_t[back[0]])} designates both bend points of "
+            f"middle edge {int(hop_m[back[0]])} (a mesh numbered otherwise?)")
     # walks over designated indices, d -> other[arrive[d]]; an open walk's
     # reverse starts at the far end of its last hop, or (a dead last hop)
     # at the other index of its last tile; indices are in tile order, so
@@ -839,16 +816,12 @@ def trace_snub_strands(tiling: GluedTiling,
     if dup >= 0:
         raise InternalInvariantError(
             f"middle edge {int(crossings[dup])} crossed twice")
-    host = tile_of_middle[crossings]
-    if (host < 0).any():
-        raise InternalInvariantError(
-            f"middle edge {int(crossings[host < 0][0])} belongs to no tile")
     n_c = np.diff(c_off)
     strand_of_tile = np.empty(T, dtype=np.int64)
     strand_of_tile[tiles] = np.repeat(np.arange(S), np.diff(t_off))
     c_sid = np.repeat(np.arange(S), n_c)
     over = (np.arange(len(crossings)) - np.repeat(c_off[:-1], n_c)) % 2 == 0
-    node = strand_of_tile[host]
+    node = strand_of_tile[tile_of_middle[crossings]]
     return Weaving(kind="snub", tile_offsets=t_off, tiles=tiles,
                    crossing_offsets=c_off, crossings=crossings, over=over,
                    closed=closed, color_index=_color_ranks(tiles, t_off),

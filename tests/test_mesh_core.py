@@ -208,18 +208,6 @@ class TestDirectMesh:
             direct(UNIT_SQUARE, [0, 1, 2, 0, 2], [0, 3, 5],
                    [(0, 1), (0, 2), (1, 2)], [0, 2, 1, 1, 1])
 
-    def test_repeated_vertex_rejected_in_merged_cycles_only(self):
-        # a zero-area cycle (0, 1, 2, 1): a merged cycle stops at the
-        # repeat, any other at the area
-        table = ([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)], [0, 1, 2, 1], [0, 4],
-                 [(0, 1), (1, 2)], [0, 1, 1, 0])
-        with pytest.raises(DegenerateFaceError,
-                           match="^face 0 repeats vertex 1$"):
-            direct(*table, merged_cycles=True)
-        with pytest.raises(DegenerateFaceError,
-                           match="^face 0 has zero area$"):
-            direct(*table)
-
     def test_zero_area_face_rejected(self):
         with pytest.raises(DegenerateFaceError,
                            match="^face 0 has zero area$"):

@@ -23,6 +23,16 @@ def test_exports_are_the_modules_public_names():
     assert exported == declared | set(ERROR_CLASSES)
 
 
+def test_public_names_are_defined_where_declared():
+    # a module declares only the classes and functions it defines, so a
+    # name moved to another module leaves no stale re-export behind
+    for module in (mesh_core, snub, classic_schemes, weaving, fractal):
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if inspect.isclass(obj) or inspect.isfunction(obj):
+                assert obj.__module__ == module.__name__, (module, name)
+
+
 def test_every_error_type_is_raised_by_the_library():
     # an error type no library code raises is dead public API; a base
     # class counts as raised when one of its subclasses is

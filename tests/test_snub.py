@@ -17,7 +17,7 @@ from snubweave import (
 )
 from snubweave.mesh_core import _check_self_intersections
 from snubweave import snub
-from snubweave.snub import _check_geometry, _row_sum
+from snubweave.snub import _check_geometry, _face_table, _row_sum
 
 import snub_reference
 import snub_step_reference
@@ -581,6 +581,36 @@ class TestNumberingContract:
                              source.edge_right[b // 2])
             assert np.array_equal(spokes[:, 1] - (V + 2 * E), sides)
             source = refined
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=demo_specs, steps=st.integers(1, 3),
+           flag=st.sampled_from([1, -1]), smoothing=st.booleans())
+    def test_face_table_is_the_weaving_oracles_designation(
+            self, spec, steps, flag, smoothing):
+        try:
+            hist = sw.snub_subdivide(sw.generate_demo_mesh(spec), steps,
+                                     smoothing=smoothing, seed_flag=flag)
+        except NonManifoldError:
+            assert spec in ("fan:3", "fan:4")
+            return
+        mesh, record = hist.final, hist.records[-1].provenance
+        middle, bend, crossed = _face_table(mesh, record)
+        # the frozen weaving oracle's rule, by membership: a face's middle
+        # is its one edge tagged middle, and it designates every vertex of
+        # it that lies on another middle edge
+        tags = snub_edge_tags(mesh, record)
+        middles = np.flatnonzero(tags == EdgeTag.Z_MIDDLE)
+        middle_of_vertex = np.full(mesh.vertex_count, -1)
+        middle_of_vertex[mesh.edges[middles]] = middles[:, None]
+        for f in range(mesh.face_count):
+            (own,) = [e for e in mesh.face_edges(f).tolist()
+                      if tags[e] == EdgeTag.Z_MIDDLE]
+            designated = [v for v in mesh.face(f).tolist()
+                          if middle_of_vertex[v] not in (-1, own)]
+            assert (middle[f], [bend[f]], crossed[f]) \
+                == (own, designated, middle_of_vertex[bend[f]])
+        # and no bend point is designated twice
+        assert len(np.unique(bend)) == mesh.face_count
 
     def test_history_meshes_cache_no_per_slot_table(self):
         """Every history mesh holds its seven arrays and nothing else, also

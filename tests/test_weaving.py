@@ -1,5 +1,6 @@
 """Weaving: oracle equivalence, invariants of the woven output, error paths."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -21,6 +22,7 @@ from snubweave import (
 import classic_reference as cref
 import weaving_reference as ref
 from mesh_compare import snub_edge_tags
+from snubweave.mesh_core import _direct_mesh
 from snubweave.weaving import _glue_across, _rank_walks
 
 MESH_ARRAYS = ("positions", "face_vertex_flat", "face_starts", "edges",
@@ -550,6 +552,42 @@ class TestErrors:
                                      "numbering"):
                 sw.glue_snub_pairs(relabelled(hist.final, perm), prov)
 
+    def test_middles_that_are_not_bend_pairs_are_invalid(self):
+        # swapping the first bend points of source edges 0 and 1 keeps one
+        # middle edge per face, but the middle (16, 17) becomes (18, 17)
+        hist = sw.snub_subdivide(sw.pentagon(), 2)
+        perm = np.arange(hist.final.vertex_count)
+        perm[[16, 18]] = [18, 16]
+        with pytest.raises(InvalidParameterError,
+                           match=r"^the middle edges are not the 20 bend "
+                                 r"pairs \(V \+ 2e, V \+ 2e \+ 1\) for "
+                                 r"V = 16 \(a mesh numbered otherwise\?\)$"):
+            sw.glue_snub_pairs(relabelled(hist.final, perm),
+                               hist.records[-1].provenance)
+
+    @pytest.mark.parametrize("vertex, message", [
+        (0, "face 0 designates vertex 0, not a bend point of another middle "
+            "edge"),
+        (38, "face 0 designates vertex 38, not a bend point of another "
+             "middle edge"),
+        (21, "bend point 21 is designated by 2 faces, expected 1")])
+    def test_designated_bends_follow_the_numbering(self, vertex, message):
+        # face 0 = (56, 39, 38, 5, 36) designates 36, three slots after its
+        # middle (38, 39); face 1 designates 21.  The table reads only the
+        # cycles and the edge table, so a mesh whose cycles say otherwise
+        # is built here by the constructor, which trusts its arguments
+        hist = sw.snub_subdivide(sw.pentagon(), 2)
+        mesh = hist.final
+        assert mesh.face(0).tolist() == [56, 39, 38, 5, 36]
+        flat = mesh.face_vertex_flat.copy()
+        flat[4] = vertex
+        odd = sw.Mesh(mesh.positions, flat, mesh.face_starts, mesh.edges,
+                      mesh.edge_left, mesh.edge_right, mesh.face_edge_flat)
+        with pytest.raises(InvalidParameterError,
+                           match=rf"^{re.escape(message)} \(a mesh numbered "
+                                 r"otherwise\?\)$"):
+            sw.glue_snub_pairs(odd, hist.records[-1].provenance)
+
     def test_tile_repeating_a_vertex_fails_as_build_mesh_does(self):
         # faces 0 and 1 share the middle edge (0, 1) and also vertex 3, so
         # their glued cycle visits 3 twice; faces 2 and 3 fill the hole
@@ -568,6 +606,51 @@ class TestErrors:
         with pytest.raises(sw.DegenerateFaceError) as want:
             ref.glue_snub_pairs(mesh, ref.Provenance(tags))
         assert str(got.value) == str(want.value) == "face 0 repeats vertex 3"
+
+    def test_repeated_vertex_rejected_on_the_gluing_path_only(self):
+        # the tile of faces 0 and 1, glued across (0, 3), visits vertex 1,
+        # which both faces hold, twice; the gluing rejects that cycle, where
+        # _direct_mesh, given known cycles, stops a zero-area cycle
+        # (0, 1, 2, 1) at its area
+        mesh = sw.build_mesh(
+            [(0, 0), (3, 0), (2, 0.5), (1, 0), (1.5, 2), (1.5, -2),
+             (2, -0.5)],
+            [[0, 3, 2, 1, 4], [3, 0, 5, 1, 6], [3, 6, 1], [3, 1, 2]])
+        with pytest.raises(sw.DegenerateFaceError,
+                           match="^face 0 repeats vertex 1$"):
+            _glue_across(mesh, mesh.edge_id([0, 1], [3, 3]))
+        with pytest.raises(sw.DegenerateFaceError,
+                           match="^face 0 has zero area$"):
+            _direct_mesh(np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)]),
+                         np.array([0, 1, 2, 1]), np.array([0, 4]),
+                         np.array([(0, 1), (1, 2)]), np.array([0, 1, 1, 0]))
+
+    @pytest.mark.parametrize("case", ["glued across a spoke",
+                                      "a middle left unglued",
+                                      "a face in two tiles"])
+    def test_tiling_glue_snub_pairs_did_not_make(self, case):
+        # tilings of the right mesh and record, but other tiles: input
+        # errors, not broken internal invariants
+        hist = sw.snub_subdivide(sw.pentagon(), 2)
+        mesh, prov = hist.final, hist.records[-1].provenance
+        tiling = sw.glue_snub_pairs(mesh, prov)
+        tags = snub_edge_tags(mesh, prov)
+        middles = np.flatnonzero(tags == ref.EdgeTag.Z_MIDDLE)
+        inner = np.flatnonzero(~mesh.boundary_edge_mask)
+        if case == "glued across a spoke":
+            spokes = np.flatnonzero(tags == ref.EdgeTag.SPOKE)
+            tiling = _glue_across(mesh, np.intersect1d(spokes, inner)[:1])
+        elif case == "a middle left unglued":
+            tiling = _glue_across(mesh, np.setdiff1d(
+                middles, np.intersect1d(middles, inner)[:1]))
+        else:
+            faces = tiling.tile_faces.copy()
+            faces[1] = faces[0]
+            tiling = dataclasses.replace(tiling, tile_faces=faces)
+        with pytest.raises(InvalidParameterError,
+                           match=r"\(a tiling glue_snub_pairs did not "
+                                 r"make\?\)$"):
+            sw.trace_snub_strands(tiling, prov)
 
     def test_not_bipartite_names_the_lowest_edge(self):
         mesh = sw.square_grid(3, 3)
