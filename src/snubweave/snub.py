@@ -52,28 +52,31 @@ This module is the one place the numbering is stated.  The weaving reads
 each face's middle edge and designated bend off :func:`_face_table`, and
 curve tracking walks the bend points with :func:`_walked_bends`.
 
-The rows of five and the checks run over blocks of whole source faces,
-about 16k slots each.  A block derives its slots' next slot and face from
-``face_starts``, so no per-slot array is built at full size but the refined
-mesh's own, and none is cached on the meshes a history keeps; small blocks
-keep the step's temporaries small and short-lived, which lowers the memory
-peak of a run.  A pinched source boundary is rejected before the build.
-The other checks run before the refined mesh is smoothed or recorded, and
-gather the positions of each of the five columns of a block's rows once:
-the source side reads each slot's corner and next corner from the source
-and its barycenter and spoke bend point from columns 0 and 1; the refined
-side pairs each column with the next for the face areas and zero-length
-edges, which go to the raiser every mesh construction shares
-(:func:`~.mesh_core._reject_bad_faces`) after the pass, and sums the face
-centroids the smoothing reuses.  Smoothing writes the positions in place.
+A step writes every refined position first (:func:`_positions`), all
+barycenters in one call: a slot's nearest-barycenter comparison reads the
+barycenter across its edge, which can lie in a later block.  Then one walk
+over blocks of whole source faces, about 16k slots each, writes the rows of
+five and checks them (:func:`_refine`).  A block derives its slots' next
+slot and face from ``face_starts``, so no per-slot array is built at full
+size but the refined mesh's own, and none is cached on the meshes a history
+keeps; small blocks keep the step's temporaries small and short-lived,
+which lowers the memory peak of a run.  A block gathers the positions of
+each of its five columns once: the source side reads each slot's corner
+and next corner from the source and its barycenter and spoke bend point
+from columns 0 and 1; the refined side pairs each column with the next for
+the face areas and zero-length edges, which go to the raiser every mesh
+construction shares (:func:`~.mesh_core._reject_bad_faces`) after the
+walk, and sums the face centroids the smoothing reuses.  Smoothing runs
+after every check and writes the positions in place.
 The errors fire in this order, whatever block they are in: a pinched
-source boundary raises :class:`~.errors.NonManifoldError`; a spoke's bend
-point on its source edge's line raises
-:class:`~.errors.AmbiguousHalfPlaneError`; then a zero-area refined face
-raises :class:`~.errors.DegenerateFaceError`, a clockwise (folded) one
-:class:`~.errors.NonManifoldError`, and a zero-length refined edge
-:class:`~.errors.DegenerateFaceError`; last, a count that breaks the
-recursion raises :class:`~.errors.InternalInvariantError`.
+source boundary (rejected before the walk) raises
+:class:`~.errors.NonManifoldError`; a spoke's bend point on its source
+edge's line raises :class:`~.errors.AmbiguousHalfPlaneError`; then a
+zero-area refined face raises :class:`~.errors.DegenerateFaceError`, a
+clockwise (folded) one :class:`~.errors.NonManifoldError`, and a
+zero-length refined edge :class:`~.errors.DegenerateFaceError`; last, a
+count that breaks the recursion raises
+:class:`~.errors.InternalInvariantError`.
 """
 
 from __future__ import annotations
@@ -142,20 +145,20 @@ def _checked_flag(seed_flag) -> int:
 # operations 1-3: bend points, barycenters and spokes in one pass
 # ---------------------------------------------------------------------------
 
-#: Slots per block of the step's rows and checks (lowest measured peak RSS).
+#: Slots per block of the step's one walk, which writes the rows and checks
+#: them (lowest measured peak RSS).
 _BLOCK = 1 << 14
 
 
 def _blocks(starts: np.ndarray):
     """Runs of whole faces of about :data:`_BLOCK` slots, in slot order: per
-    run its faces ``f0:f1``, its slots ``a:b`` (a slice), each slot's face
-    and the slot of the next vertex in its cycle, counted from ``a``."""
+    run its slots ``a:b`` (a slice), each slot's face and the slot of the
+    next vertex in its cycle, counted from ``a``."""
     cuts = np.searchsorted(starts, np.arange(0, starts[-1], _BLOCK))
     bounds = list(dict.fromkeys(cuts.tolist() + [len(starts) - 1]))
     for f0, f1 in zip(bounds, bounds[1:]):
         nxt, slot_face = _cycle_links(starts[f0:f1 + 1])
-        yield f0, f1, slice(int(starts[f0]), int(starts[f1])), \
-            slot_face + f0, nxt
+        yield slice(int(starts[f0]), int(starts[f1])), slot_face + f0, nxt
 
 
 def _walked_bends(V: int, e, backwards):
@@ -166,34 +169,53 @@ def _walked_bends(V: int, e, backwards):
     return first, (2 * V + 4 * e + 1) - first
 
 
-def _bend_points(mesh: Mesh, s: int):
-    """Positions of the two bend points of every edge for flag ``s``."""
-    pa = np.take(mesh.positions, mesh.edges[:, 0], axis=0)
-    pb = np.take(mesh.positions, mesh.edges[:, 1], axis=0)
+def _positions(source: Mesh, s: int) -> np.ndarray:
+    """The refined vertices' positions before smoothing, numbered as the
+    module docstring states: the source's vertices, the two bend points of
+    every edge for flag ``s`` (the closed form there), then every face's
+    barycenter."""
+    V, E = source.vertex_count, source.edge_count
+    positions = np.empty((V + 2 * E + source.face_count, 2))
+    positions[:V] = source.positions
+    pa = np.take(source.positions, source.edges[:, 0], axis=0)
+    pb = np.take(source.positions, source.edges[:, 1], axis=0)
     d = pb - pa
-    near_a = np.empty_like(pa)
+    near_a = positions[V:V + 2 * E:2]
     near_a[:, 0] = pa[:, 0] + (5.0 * d[:, 0] - s * _SQRT3 * d[:, 1]) / 14.0
     near_a[:, 1] = pa[:, 1] + (s * _SQRT3 * d[:, 0] + 5.0 * d[:, 1]) / 14.0
-    near_b = pa + pb - near_a
-    return near_a, near_b
+    positions[V + 1:V + 2 * E:2] = pa + pb - near_a
+    positions[V + 2 * E:] = _centroids(source.positions,
+                                       source.face_vertex_flat,
+                                       source.face_starts)
+    return positions
 
 
-def _refine(source: Mesh, s: int) -> tuple:
-    """Operations 1-3: the pentagon mesh's arrays, in the order the
-    :class:`~.mesh_core.Mesh` constructor takes them.
+def _row_sum(columns) -> np.ndarray:
+    """``c0 + (((c1 + c2) + c3) + c4)`` over five columns (or a generator of
+    them): the order ``np.add.reduceat`` adds a row of five in, so the sums
+    equal its sums bit for bit."""
+    columns = iter(columns)
+    return next(columns) + functools.reduce(np.add, columns)
+
+
+def _refine(source: Mesh, s: int, positions: np.ndarray) -> tuple:
+    """Operations 1-3 and the step's checks in one blocked pass: the
+    pentagon mesh's arrays, in the order the :class:`~.mesh_core.Mesh`
+    constructor takes them, and its face centroids.
 
     Each source slot gives one pentagon, a fixed row of five chosen by the
-    flag (see the module docstring).  The arrays stay writeable, so the
-    positions can be smoothed in place once :func:`_check_geometry` passed.
+    flag (see the module docstring).  ``positions`` are the refined
+    vertices' (:func:`_positions`); they are returned as given and stay
+    writeable, so they can be smoothed in place.  A spoke whose bend point
+    is on its source edge's line raises :class:`AmbiguousHalfPlaneError`;
+    the spokes that disagree with the half-plane rule, or with plain
+    nearest-barycenter distance, are counted and logged once (never
+    asserted).
     """
     _reject_pinched_boundary(source.edges, source.edge_left,
                              source.edge_right, source.vertex_count)
-    V, E, F = source.vertex_count, source.edge_count, source.face_count
+    V, E = source.vertex_count, source.edge_count
     k = (1 - s) // 2
-    positions = np.empty((V + 2 * E + F, 2))
-    positions[:V] = source.positions
-    positions[V:V + 2 * E:2], positions[V + 1:V + 2 * E:2] = \
-        _bend_points(source, s)
 
     # edge ids: block 1 holds the outer segment (edges.ravel()[k], V + k) of
     # bend k at rank k of a stable sort by source vertex; block 2 holds, per
@@ -238,12 +260,16 @@ def _refine(source: Mesh, s: int) -> tuple:
     row_edges = out_edge.reshape(n, 5)
     edge_left = np.full(E_out, -1, dtype=np.int64)
     edge_right = np.full(E_out, -1, dtype=np.int64)
-    for f0, f1, slots, slot_face, nxt in _blocks(source.face_starts):
+    areas = np.empty(n)
+    zero_len = np.empty((n, 5), dtype=bool)
+    centroids = np.empty((n, 2))
+    mismatches = disagreements = 0
+    for slots, slot_face, nxt in _blocks(source.face_starts):
         corner = source.face_vertex_flat[slots]
         e_slot = source.face_edge_flat[slots]
         corner_next = corner[nxt]
-        walk_first, walk_second = _walked_bends(V, e_slot,
-                                                corner > corner_next)
+        backwards = corner > corner_next
+        walk_first, walk_second = _walked_bends(V, e_slot, backwards)
         first_next = walk_first[nxt]
         spoke_here = spoke_id[(walk_first, walk_second)[k] - V]
         verts = (V + 2 * E + slot_face,) + (
@@ -254,9 +280,16 @@ def _refine(source: Mesh, s: int) -> tuple:
             outer_id[first_next - V], mid_id[e_slot[nxt]])[k:k + 3] \
             + (spoke_here[nxt],)
         face = np.arange(slots.start, slots.stop, dtype=np.int64)
+        # the x and y of every column (``np.take`` of whole rows moves each
+        # position in one piece), where column j + 1 holds each slot's next
+        # vertex
+        columns = [np.take(positions, v, axis=0) for v in verts]
+        x, y = [p[:, 0] for p in columns], [p[:, 1] for p in columns]
         for j, e in enumerate(vert_edges):
             rows[slots, j] = verts[j]
             row_edges[slots, j] = e
+            zero_len[slots, j] = (x[j] == x[(j + 1) % 5]) \
+                & (y[j] == y[(j + 1) % 5])
             right = verts[j] > verts[(j + 1) % 5]
             if right.all():
                 edge_right[e] = face
@@ -265,48 +298,16 @@ def _refine(source: Mesh, s: int) -> tuple:
             else:
                 edge_right[e[right]] = face[right]
                 edge_left[e[~right]] = face[~right]
-        positions[V + 2 * E + f0:V + 2 * E + f1] = _centroids(
-            source.positions, source.face_vertex_flat,
-            source.face_starts[f0:f1 + 1])
+        areas[slots] = 0.5 * _row_sum(
+            x[j] * y[(j + 1) % 5] - x[(j + 1) % 5] * y[j] for j in range(5))
+        centroids[slots, 0] = _row_sum(x) / 5
+        centroids[slots, 1] = _row_sum(y) / 5
 
-    return (positions, out_flat, np.arange(0, 5 * n + 1, 5, dtype=np.int64),
-            edges, edge_left, edge_right, out_edge)
-
-
-def _row_sum(columns) -> np.ndarray:
-    """``c0 + (((c1 + c2) + c3) + c4)`` over five columns (or a generator of
-    them): the order ``np.add.reduceat`` adds a row of five in, so the sums
-    equal its sums bit for bit."""
-    columns = iter(columns)
-    return next(columns) + functools.reduce(np.add, columns)
-
-
-def _check_geometry(source: Mesh, refined: Mesh, s: int) -> np.ndarray:
-    """The step's checks in one blocked pass; returns the face centroids.
-
-    Each block of rows of five works on its five columns (see the module
-    docstring).  A spoke whose bend point is on its source edge's line
-    raises :class:`AmbiguousHalfPlaneError`; the spokes that disagree with
-    the half-plane rule, or with plain nearest-barycenter distance, are
-    counted and logged once (never asserted).
-    """
-    positions = refined.positions
-    rows = refined.face_vertex_flat.reshape(-1, 5)
-    bary0 = source.vertex_count + 2 * source.edge_count
-    areas = np.empty(len(rows))
-    zero_len = np.empty(rows.shape, dtype=bool)
-    centroids = np.empty((len(rows), 2))
-    mismatches = disagreements = 0
-    for _, _, slots, slot_face, _ in _blocks(source.face_starts):
-        # the x and y of every column, where column j + 1 holds each slot's
-        # next vertex (``np.take`` of whole rows moves each position in one
-        # piece); source side: per slot its corner and the next corner, read
-        # from the source, and the barycenter and spoke bend point columns
-        block = rows[slots]
-        columns = [np.take(positions, block[:, j], axis=0) for j in range(5)]
+        # source side: per slot its corner and the next corner, read from
+        # the source, against the barycenter and the spoke's bend point
         pb, pz = columns[:2]
-        pu = np.take(source.positions, source.face_vertex_flat[slots], axis=0)
-        d = np.take(source.positions, block[:, 3 - (1 - s) // 2], axis=0) - pu
+        pu = np.take(source.positions, corner, axis=0)
+        d = np.take(source.positions, corner_next, axis=0) - pu
         z = pz - pu
         bc = pb - pu
         cross_z = d[:, 0] * z[:, 1] - d[:, 1] * z[:, 0]
@@ -316,27 +317,19 @@ def _check_geometry(source: Mesh, refined: Mesh, s: int) -> np.ndarray:
         if len(ambiguous):
             # the first fault in the documented order, at its lowest row
             raise AmbiguousHalfPlaneError(
-                f"bend point {int(block[ambiguous[0], 1])} lies on its "
+                f"bend point {int(verts[1][ambiguous[0]])} lies on its "
                 f"source edge's supporting line")
         mismatches += int(np.count_nonzero(np.sign(cross_z)
                                            != np.sign(cross_b)))
-        # nearest-barycenter comparison on interior edges
-        e_slot = source.face_edge_flat[slots]
-        left, right = source.edge_left[e_slot], source.edge_right[e_slot]
-        other = np.take(positions, bary0 + np.where(left == slot_face,
-                                                    right, left), axis=0)
+        # nearest-barycenter comparison with the face across the slot's
+        # edge (right of it walked forwards, left backwards; -1 on the
+        # boundary)
+        other = np.where(backwards, source.edge_left[e_slot],
+                         source.edge_right[e_slot])
         disagreements += int(np.count_nonzero(
-            (left >= 0) & (right >= 0)
-            & (np.hypot(*(other - pz).T) < np.hypot(*(pb - pz).T))))
-
-        x, y = [p[:, 0] for p in columns], [p[:, 1] for p in columns]
-        pairs = list(zip(x, x[1:] + x[:1], y, y[1:] + y[:1]))
-        areas[slots] = 0.5 * _row_sum(x0 * y1 - x1 * y0
-                                      for x0, x1, y0, y1 in pairs)
-        for j, (x0, x1, y0, y1) in enumerate(pairs):
-            zero_len[slots, j] = (x0 == x1) & (y0 == y1)
-        centroids[slots, 0] = _row_sum(x) / 5
-        centroids[slots, 1] = _row_sum(y) / 5
+            (other >= 0)
+            & (np.hypot(*(np.take(positions, V + 2 * E + other, axis=0)
+                          - pz).T) < np.hypot(*(pb - pz).T))))
 
     if mismatches:
         logger.warning(
@@ -346,9 +339,9 @@ def _check_geometry(source: Mesh, refined: Mesh, s: int) -> np.ndarray:
         logger.debug(
             "nearest-barycenter distance disagreed with the half-plane "
             "rule for %d spokes", disagreements)
-    _reject_bad_faces(areas, zero_len.ravel(), refined.face_edge_flat,
-                      refined.edges)
-    return centroids
+    _reject_bad_faces(areas, zero_len.ravel(), out_edge, edges)
+    return (positions, out_flat, np.arange(0, 5 * n + 1, 5, dtype=np.int64),
+            edges, edge_left, edge_right, out_edge), centroids
 
 
 # ---------------------------------------------------------------------------
@@ -544,10 +537,9 @@ def snub_subdivide(mesh: Mesh, steps: int, smoothing: bool = True,
     for _ in range(steps):
         s = assign_z_orientations(seed_flag)
         record = Provenance(*_counts(current))
-        arrays = _refine(current, s)
-        # the checks read views, so the arrays stay writeable for smoothing
+        arrays, centroids = _refine(current, s, _positions(current, s))
+        # a mesh of views, so the arrays stay writeable for smoothing
         refined = Mesh(*(a.view() for a in arrays))
-        centroids = _check_geometry(current, refined, s)
         _check_count_recursion(record, len(current.face_vertex_flat), refined)
         if smoothing:
             _smooth(*arrays[:3], centroids, refined.inner_vertex_mask)

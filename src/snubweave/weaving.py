@@ -908,12 +908,18 @@ def strand_ribbons(weaving: Weaving, mesh: Mesh,
 
     ``mesh`` is the mesh the weaving was traced on (the quad mesh for quad
     weavings, the tiling mesh for snub weavings).  The ribbon width is
-    ``width_fraction`` times the local edge length.
+    ``width_fraction`` times the local edge length.  A snub weaving without
+    its tiling raises :class:`InvalidParameterError`: its crossing ids name
+    edges of the refined mesh under the tiling, not of ``mesh``.
     """
     if not (0.0 < width_fraction < 1.0):
         raise InvalidParameterError(
             f"width_fraction must lie strictly between 0 and 1, got "
             f"{width_fraction}")
+    if weaving.kind == "snub" and weaving.tiling is None:
+        raise InvalidParameterError(
+            "a snub weaving needs the glued tiling it was traced on: its "
+            "crossing ids name edges of the refined mesh under the tiling")
     S = len(weaving.closed)
     centers = mesh.face_centroids()
     tiles = weaving.tiles
@@ -952,8 +958,7 @@ def strand_ribbons(weaving: Weaving, mesh: Mesh,
         # after a leading terminal crossing if any; crossing ids name
         # edges of the refined mesh under the tiling, not of the tiling
         # mesh itself
-        src = weaving.tiling.source if weaving.tiling is not None \
-            else mesh
+        src = weaving.tiling.source
         lengths = mesh.edge_lengths()
         tile_width = np.empty(mesh.face_count)
         sizes = mesh.face_sizes

@@ -1,4 +1,5 @@
-"""The benchmark's ``weaves`` workload and known-defect probe, run once.
+"""The benchmark's two workloads at full size and its known-defect probe,
+run once.
 
 A change that breaks one of the benchmark's output checks fails here, in
 the test suite, and not only in a full benchmark run.  ``bench/workloads.py``
@@ -64,6 +65,17 @@ def test_weaves_full_size_item_passes_its_checks():
     assert len(meshes) > 10
     for m in meshes.values():
         assert set(vars(m)) == set(MESH_ARRAYS), m
+
+
+def test_deep_refine_full_size_item_passes_its_checks():
+    # the history, boundary-growth, dimension, raster and curve-tripling
+    # checks on the t=8 snub history (about a second); the warm-up item's
+    # L-system curve is too short for the box-counting check
+    deep = workloads.WORKLOADS["deep_refine"]
+    (item,) = deep.items(LIB, np.random.default_rng(3), warm=False)
+    out = deep.run(LIB, item)
+    assert deep.check(item, out)
+    assert deep.faces_out(out) > 0
 
 
 def test_known_defects_pass_or_raise_a_typed_error():

@@ -17,7 +17,7 @@ from snubweave import (
 )
 from snubweave.mesh_core import _check_self_intersections
 from snubweave import snub
-from snubweave.snub import _check_geometry, _face_table, _row_sum
+from snubweave.snub import _face_table, _positions, _refine, _row_sum
 
 import snub_reference
 import snub_step_reference
@@ -226,7 +226,7 @@ class TestConnectNewVertices:
         with pytest.raises(AmbiguousHalfPlaneError,
                            match=f"^bend point {4 + 2 * e} lies on its source "
                                  f"edge's supporting line$"):
-            _check_geometry(m, refined.with_positions(pos), 1)
+            _refine(m, 1, pos)
         # a collapsed source edge puts its bend points on its ends; that is
         # caught before the zero-length refined edges it would make
         collapsed = np.asarray(m.positions).copy()
@@ -267,7 +267,7 @@ class TestRefinedGeometryChecks:
         with pytest.raises(NonManifoldError,
                            match=r"^face 0 is folded over its neighbors "
                                  r"\(clockwise after refinement\)$"):
-            _check_geometry(m, refined.with_positions(pos), 1)
+            _refine(m, 1, pos)
 
     def test_collapsed_face_is_degenerate(self):
         m = sw.pentagon()
@@ -275,7 +275,7 @@ class TestRefinedGeometryChecks:
         pos = np.asarray(refined.positions).copy()
         pos[refined.face(0)] = pos[15]
         with pytest.raises(DegenerateFaceError, match="^face 0 has zero area$"):
-            _check_geometry(m, refined.with_positions(pos), 1)
+            _refine(m, 1, pos)
 
     def test_zero_length_edge_is_degenerate(self):
         # with flag -1 the bend V + 2e gets no spoke, so moving it onto its
@@ -290,12 +290,14 @@ class TestRefinedGeometryChecks:
         assert refined.edge_id(0, 5) < refined.edge_id(1, 9)
         with pytest.raises(DegenerateFaceError,
                            match=r"^edge \(0, 5\) has zero length$"):
-            _check_geometry(m, refined.with_positions(pos), -1)
+            _refine(m, -1, pos)
 
     def test_returns_the_face_centroids_bitwise(self):
         m = jittered(sw.pentagon_flower(), 5)
         refined, _ = refine_once(m, flag=-1)
-        centroids = _check_geometry(m, refined, -1)
+        positions = _positions(m, -1)
+        assert positions.tobytes() == refined.positions.tobytes()
+        _, centroids = _refine(m, -1, positions)
         assert centroids.tobytes() == refined.face_centroids().tobytes()
 
     # signed zeros and magnitudes over 2**-20 .. 2**20, so that any other
@@ -468,7 +470,7 @@ class TestSnubSubdivide:
         pos = np.asarray(refined.positions).copy()
         pos[4 + 2 * source.edge_id(0, 1), 1] = -0.05  # spoke bend below y = 0
         with caplog.at_level(logging.DEBUG, logger="snubweave.snub"):
-            _check_geometry(source, refined.with_positions(pos), 1)
+            _refine(source, 1, pos)
         assert [r.levelno for r in caplog.records] == [logging.WARNING]
         assert caplog.messages == [
             "half-plane rule disagreed with the bend-side construction for "
@@ -844,17 +846,28 @@ class TestBlockBoundaries:
             monkeypatch.setattr(snub, "_BLOCK", block)
             assert history_outcome(mesh, 3, flag, smoothing) == want, block
 
+    def test_each_step_walks_the_blocks_once(self, monkeypatch):
+        walked, blocks = [], snub._blocks
+
+        def counted(starts):
+            walked.append(len(starts) - 1)
+            return blocks(starts)
+
+        monkeypatch.setattr(snub, "_blocks", counted)
+        hist = sw.snub_subdivide(sw.pentagon_flower(), 3)
+        assert walked == [m.face_count for m in hist.meshes[:-1]]
+
     def faulty_check(self, monkeypatch, source, refined, pos, flag):
-        """The logged outcome of checking ``refined`` moved to ``pos``, the
-        same with one quad per block as in one block."""
-        moved = refined.with_positions(pos.copy())
+        """The logged outcome of refining ``source`` with its refined
+        vertices at ``pos``, the same with one quad per block as in one
+        block, and ``refined`` moved to ``pos``."""
         outcomes = []
         for block in (4, 1 << 14):
             monkeypatch.setattr(snub, "_BLOCK", block)
             outcomes.append(logged_outcome("snubweave.snub", lambda: (
-                _check_geometry(source, moved, flag))))
+                _refine(source, flag, pos))))
         assert outcomes[0] == outcomes[1]
-        return outcomes[0][0], moved
+        return outcomes[0][0], refined.with_positions(pos.copy())
 
     def test_first_fault_in_the_documented_order_wins(self, monkeypatch):
         # three unit quads in a row: each is one block of four slots, and

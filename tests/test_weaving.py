@@ -734,6 +734,15 @@ class TestErrors:
                                      f"got a {scheme}_step result$"):
                 call()
 
+    def test_snub_ribbons_need_the_tiling(self):
+        # the crossing ids name middle edges of the refined mesh under the
+        # tiling, so the tiling mesh cannot stand in for it
+        _, tiling, weaving = snub_weave(sw.pentagon(), 3)
+        with pytest.raises(InvalidParameterError,
+                           match="^a snub weaving needs the glued tiling"):
+            sw.strand_ribbons(dataclasses.replace(weaving, tiling=None),
+                              tiling.mesh, 0.3)
+
     @pytest.mark.parametrize("width", [0.0, 1.0, -0.2, 1.5])
     def test_width_fraction_outside_unit_interval(self, width):
         _, tiling, weaving = snub_weave(sw.pentagon(), 1)
