@@ -63,7 +63,7 @@ from .classic_schemes import (
 )
 from .weaving import (
     GluedTiling,
-    Ribbon,
+    Ribbons,
     Strand,
     VertexColoring,
     Weaving,

@@ -116,6 +116,15 @@ def _loglog_fit(log_x: np.ndarray, log_y: np.ndarray) -> tuple[float, float]:
     return slope, float(np.sqrt(np.mean((fit - log_y) ** 2)))
 
 
+def _float_array(values, name: str) -> np.ndarray:
+    """``values`` as a float64 array; :class:`InvalidParameterError` where
+    numpy cannot read them as numbers."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError(f"{name} must be numbers: {exc}") from exc
+
+
 def estimate_fractal_dimension(lengths) -> DimensionEstimate:
     """Dimension of a curve family from its per-step lengths.
 
@@ -124,7 +133,7 @@ def estimate_fractal_dimension(lengths) -> DimensionEstimate:
     geometric sequence ``L_t = L_0 (3/sqrt(7))^t`` gives
     ``D = log 3 / log sqrt(7) ≈ 1.12915`` and constant lengths give 1.
     """
-    lengths = np.asarray(lengths, dtype=np.float64)
+    lengths = _float_array(lengths, "lengths")
     if len(lengths) < 3:
         raise InsufficientDataError(
             f"need at least 3 length samples, got {len(lengths)}")
@@ -148,7 +157,7 @@ def box_counting_dimension(polyline: np.ndarray,
     split into ``n x n`` boxes and the occupied count ``N(n)`` recorded;
     the dimension is the slope of ``log N`` against ``log n``.
     """
-    pts = np.asarray(polyline, dtype=np.float64)
+    pts = _float_array(polyline, "polyline")
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 2:
         raise InvalidParameterError("polyline must be an (n, 2) array, n >= 2")
     if not np.isfinite(pts).all():
@@ -327,7 +336,7 @@ def first_hit_raster(history: SubdivisionHistory, resolution: int,
         pad = 0.25 * float(max(hi - lo))
         window = (float(lo[0] - pad), float(lo[1] - pad),
                   float(hi[0] + pad), float(hi[1] + pad))
-    bounds = np.asarray(window, dtype=np.float64)
+    bounds = _float_array(window, "window")
     if (bounds.shape != (4,) or not np.isfinite(bounds).all()
             or (bounds[2:] <= bounds[:2]).any()):
         raise InvalidParameterError("window must be four finite numbers "

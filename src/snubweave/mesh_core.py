@@ -22,6 +22,7 @@ all derived tables are built with vectorized numpy passes.
 from __future__ import annotations
 
 import itertools
+import math
 import numbers
 
 import numpy as np
@@ -597,8 +598,13 @@ def convexity_report(mesh: Mesh, tolerance: float = 1e-9) -> list[int]:
 
     A corner counts as reflex when its normalized turn cross product is
     below ``-tolerance``; near-straight corners produced by smoothing are
-    therefore not reported.
+    therefore not reported.  A ``tolerance`` that is not a finite number
+    raises :class:`InvalidParameterError`.
     """
+    if isinstance(tolerance, bool) or not isinstance(tolerance, numbers.Real) \
+            or not math.isfinite(tolerance):
+        raise InvalidParameterError(
+            f"tolerance must be a finite number, got {tolerance!r}")
     flat = mesh.face_vertex_flat
     if not len(flat):
         return []

@@ -28,12 +28,16 @@ Every table (tile cycles, per-slot successors, designated bend vertices,
 ribbon points) is built with array operations in time linear in the mesh
 size.  The strands are walks of a successor table; :func:`_rank_walks`
 orders them by pointer jumping, in O(n log L) array work for walks of at
-most L steps, and a :class:`Weaving` keeps them as flat arrays.
+most L steps, and a :class:`Weaving` keeps them as flat arrays.  The
+ribbons are one :class:`Ribbons` record of the same kind: every strand's
+points, half widths and under flags in flat arrays, cut by one offsets
+array of strand count + 1 entries, so its ``len`` is the strand count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+import numbers
 
 import numpy as np
 
@@ -66,7 +70,7 @@ __all__ = [
     "quad_weaving",
     "general_face_split_weaving",
     "strand_ribbons",
-    "Ribbon",
+    "Ribbons",
 ]
 
 
@@ -213,9 +217,17 @@ class GluedTiling:
 
     source: Mesh
     mesh: Mesh
-    pairs: np.ndarray
-    singletons: np.ndarray
     tile_faces: np.ndarray
+
+    @property
+    def pairs(self) -> np.ndarray:
+        """Rows of ``tile_faces`` that glue two faces (built on each access)."""
+        return self.tile_faces[self.tile_faces[:, 1] >= 0]
+
+    @property
+    def singletons(self) -> np.ndarray:
+        """The faces that are tiles on their own (built on each access)."""
+        return self.tile_faces[self.tile_faces[:, 1] < 0, 0]
 
 
 def _build_tiling(source: Mesh, partner: np.ndarray,
@@ -274,8 +286,7 @@ def _build_tiling(source: Mesh, partner: np.ndarray,
     mesh = _direct_mesh(source.positions, flat, starts, source.edges[kept],
                         new_id[source.face_edge_flat[edge_gather]],
                         pinch_check=False)
-    return GluedTiling(source=source, mesh=mesh, pairs=tile_faces[glued],
-                       singletons=lead[~glued], tile_faces=tile_faces)
+    return GluedTiling(source=source, mesh=mesh, tile_faces=tile_faces)
 
 
 def _tile_faces(partner: np.ndarray) -> np.ndarray:
@@ -430,10 +441,7 @@ class Weaving:
     tiling: "GluedTiling | None" = None
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
+        _lock_arrays(self)
 
     @property
     def strands(self) -> tuple[Strand, ...]:
@@ -479,6 +487,14 @@ class Weaving:
 
     def crossing_count(self) -> int:
         return len(self.crossing_ids)
+
+
+def _lock_arrays(record) -> None:
+    """Make every array field of the dataclass ``record`` read-only."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
 
 
 def _split(flat: list, offsets: list) -> list[tuple]:
@@ -871,11 +887,8 @@ def general_face_split_weaving(mesh: Mesh,
         np.column_stack((mesh.face_vertex_flat[slots],
                          V + slot_face[slots])),
         edge_of[corner].ravel(), pinch_check=False)
-    tiling = GluedTiling(
-        source=mesh, mesh=quad_mesh,
-        pairs=np.zeros((0, 2), dtype=np.int64),
-        singletons=np.zeros(0, dtype=np.int64),
-        tile_faces=np.zeros((0, 2), dtype=np.int64))
+    tiling = GluedTiling(source=mesh, mesh=quad_mesh,
+                         tile_faces=np.zeros((0, 2), dtype=np.int64))
     coloring = VertexColoring(np.concatenate([
         np.ones(V, dtype=bool), np.zeros(mesh.face_count, dtype=bool)]))
     return tiling, coloring, quad_weaving(quad_mesh, coloring)
@@ -886,80 +899,87 @@ def general_face_split_weaving(mesh: Mesh,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Ribbon:
-    """Render geometry for one strand.
+class Ribbons:
+    """Render geometry for every strand of a weaving, in flat arrays.
 
-    ``centerline`` runs through tile centers and crossing midpoints;
-    ``half_widths`` give the ribbon's half width at each centerline point;
-    ``under_spans`` lists the centerline point indices at which this
-    strand passes under (rendered with a gap).
+    Strand ``i``'s ribbon is the ``point_offsets[i]:point_offsets[i + 1]``
+    slice of ``points`` (through tile centers and crossing midpoints),
+    ``half_widths`` and ``under`` (true where the strand passes under,
+    rendered with a gap).  ``len`` is the strand count.  The arrays are
+    read-only.
     """
 
-    strand_index: int
-    centerline: np.ndarray
+    point_offsets: np.ndarray
+    points: np.ndarray
     half_widths: np.ndarray
-    under_spans: tuple[int, ...]
-    closed: bool
+    under: np.ndarray
+
+    def __post_init__(self):
+        _lock_arrays(self)
+
+    def __len__(self) -> int:
+        return len(self.point_offsets) - 1
 
 
 def strand_ribbons(weaving: Weaving, mesh: Mesh,
-                   width_fraction: float) -> list[Ribbon]:
-    """Ribbon polylines for every strand of a weaving.
+                   width_fraction: float) -> Ribbons:
+    """Ribbon polylines for every strand of a weaving, in one
+    :class:`Ribbons` record: ``(S + 1,)`` offsets cut its ``(P, 2)`` points
+    and ``(P,)`` half widths and under flags by strand, so ``len`` is S.
 
-    ``mesh`` is the mesh the weaving was traced on (the quad mesh for quad
-    weavings, the tiling mesh for snub weavings).  The ribbon width is
-    ``width_fraction`` times the local edge length.  A snub weaving without
-    its tiling raises :class:`InvalidParameterError`: its crossing ids name
-    edges of the refined mesh under the tiling, not of ``mesh``.
+    ``mesh`` is the mesh the weaving was traced on: the quad mesh for quad
+    weavings, the tiling mesh (or one equal to it) for snub weavings, which
+    also need their tiling.  Another mesh, and a ``width_fraction`` that is
+    not a number strictly between 0 and 1, raise
+    :class:`InvalidParameterError`.  The ribbon width is ``width_fraction``
+    times the local edge length.
     """
-    if not (0.0 < width_fraction < 1.0):
+    if not isinstance(width_fraction, numbers.Real) \
+            or not 0.0 < width_fraction < 1.0:
         raise InvalidParameterError(
-            f"width_fraction must lie strictly between 0 and 1, got "
-            f"{width_fraction}")
-    if weaving.kind == "snub" and weaving.tiling is None:
+            f"width_fraction must be a number strictly between 0 and 1, got "
+            f"{width_fraction!r}")
+    tiles = weaving.tiles
+    if weaving.kind == "quad":
+        e = np.concatenate((weaving.enter_edges, weaving.exit_edges))
+        e = np.where((e >= 0) & (e < mesh.edge_count), e, -1)
+        t = np.concatenate((tiles, tiles))
+        bad = np.flatnonzero((np.append(mesh.edge_left, -1)[e] != t)
+                             & (np.append(mesh.edge_right, -1)[e] != t))
+        if len(bad):
+            raise InvalidParameterError(
+                f"tile visit {int(bad[0]) % len(tiles)} passes through an "
+                f"edge that does not border tile {int(t[bad[0]])} in this "
+                f"mesh (not the mesh the weaving was traced on?)")
+    elif weaving.tiling is None:
         raise InvalidParameterError(
             "a snub weaving needs the glued tiling it was traced on: its "
             "crossing ids name edges of the refined mesh under the tiling")
+    elif mesh is not weaving.tiling.mesh and mesh != weaving.tiling.mesh:
+        raise InvalidParameterError(
+            "a snub weaving's ribbons are drawn on the mesh of the tiling "
+            "it was traced on, and this mesh is another")
+    # tile centers with the midpoints of the crossed edges between, after a
+    # leading edge if any, and the first point again if the strand closes:
+    # a quad strand leads with its entry edge and crosses each exit edge, a
+    # snub strand crosses middle edges of the refined mesh under the tiling
     S = len(weaving.closed)
-    centers = mesh.face_centroids()
-    tiles = weaving.tiles
     n_t = np.diff(weaving.tile_offsets)
     t_sid = np.repeat(np.arange(S), n_t)
     k = np.arange(len(tiles)) - weaving.tile_offsets[t_sid]  # tile's place
-
-    def midpoints(m: Mesh, ids: np.ndarray) -> np.ndarray:
-        return (m.positions[m.edges[ids, 0]] + m.positions[m.edges[ids, 1]]) \
-            / 2.0
-
-    def layout(n_pts: np.ndarray):
-        """Point offsets per strand and the empty point/width arrays."""
-        p_off = np.zeros(S + 1, dtype=np.int64)
-        np.cumsum(n_pts, out=p_off[1:])
-        return p_off, np.empty((p_off[-1], 2)), np.empty(p_off[-1])
-
+    lengths = mesh.edge_lengths()
     if weaving.kind == "quad":
-        # edge midpoint in, then per tile its center and exit midpoint
-        lengths = mesh.edge_lengths()
         e_in, e_out = weaving.enter_edges, weaving.exit_edges
-        first_in = e_in[weaving.tile_offsets[:-1]]
-        p_off, points, widths = layout(2 * n_t + 1)
-        points[p_off[:-1]] = midpoints(mesh, first_in)
-        widths[p_off[:-1]] = lengths[first_in] * width_fraction / 2.0
-        at_tile = p_off[t_sid] + 1 + 2 * k
-        points[at_tile] = centers[tiles]
-        widths[at_tile] = (lengths[e_in] + lengths[e_out]) \
-            * width_fraction / 4.0
-        points[at_tile + 1] = midpoints(mesh, e_out)
-        widths[at_tile + 1] = lengths[e_out] * width_fraction / 2.0
-        under = ~weaving.over
-        under_sid, under_at = t_sid[under], (1 + 2 * k)[under]
+        first = weaving.tile_offsets[:-1]
+        src, mids = mesh, np.insert(e_out, first, e_in[first])
+        m_off = weaving.tile_offsets + np.arange(S + 1)
+        lead, loops = np.ones(S, dtype=np.int64), np.zeros(S, dtype=bool)
+        tile_width = (lengths[e_in] + lengths[e_out]) * width_fraction / 4.0
+        mid_len = lengths[mids]             # every quad crossing is drawn
     else:
-        # snub: tile centers with crossed middle-edge midpoints between,
-        # after a leading terminal crossing if any; crossing ids name
-        # edges of the refined mesh under the tiling, not of the tiling
-        # mesh itself
-        src = weaving.tiling.source
-        lengths = mesh.edge_lengths()
+        src, mids = weaving.tiling.source, weaving.crossings
+        m_off = weaving.crossing_offsets
+        lead, loops = weaving.lead_terminal.astype(np.int64), weaving.closed
         tile_width = np.empty(mesh.face_count)
         sizes = mesh.face_sizes
         for n in np.unique(sizes).tolist():
@@ -968,36 +988,32 @@ def strand_ribbons(weaving: Weaving, mesh: Mesh,
                                       + np.arange(n)]
             tile_width[faces] = lengths[ids].mean(axis=1) \
                 * width_fraction / 2.0
-        cross = weaving.crossings
-        n_c = np.diff(weaving.crossing_offsets)
-        lead = weaving.lead_terminal.astype(np.int64)
-        closed = weaving.closed
-        drawn = np.minimum(n_c - lead, n_t)
-        p_off, points, widths = layout(lead + n_t + drawn + closed)
-        at_tile = p_off[t_sid] + lead[t_sid] + k + np.minimum(k, drawn[t_sid])
-        points[at_tile] = centers[tiles]
-        widths[at_tile] = tile_width[tiles]
-        c_sid = np.repeat(np.arange(S), n_c)
-        # j: position after the lead crossing (-1 for the lead itself)
-        j = np.arange(len(cross)) - weaving.crossing_offsets[c_sid] \
-            - lead[c_sid]
-        on = j < drawn[c_sid]
-        rel = np.where(j < 0, 0, lead[c_sid] + 2 * j + 1)
-        at = p_off[c_sid][on] + rel[on]
-        points[at] = midpoints(src, cross[on])
-        widths[at] = src.edge_lengths()[cross[on]] * width_fraction / 2.0
-        ends = np.flatnonzero(closed)
-        points[p_off[ends + 1] - 1] = points[p_off[ends]]
-        widths[p_off[ends + 1] - 1] = widths[p_off[ends]]
-        under = on & ~weaving.over
-        under_sid, under_at = c_sid[under], rel[under]
-
-    u_off = np.zeros(S + 1, dtype=np.int64)
-    np.cumsum(np.bincount(under_sid, minlength=S), out=u_off[1:])
-    bounds = p_off[1:-1]
-    return [Ribbon(strand_index=i, centerline=c, half_widths=w,
-                   under_spans=u, closed=z)
-            for i, (c, w, u, z) in enumerate(zip(
-                np.split(points, bounds), np.split(widths, bounds),
-                _split(under_at.tolist(), u_off.tolist()),
-                weaving.closed.tolist()))]
+        tile_width = tile_width[tiles]
+    n_m = np.diff(m_off)
+    drawn = np.minimum(n_m - lead, n_t)
+    p_off = np.zeros(S + 1, dtype=np.int64)
+    np.cumsum(lead + n_t + drawn + loops, out=p_off[1:])
+    points, widths = np.empty((p_off[-1], 2)), np.empty(p_off[-1])
+    at_tile = p_off[t_sid] + lead[t_sid] + k + np.minimum(k, drawn[t_sid])
+    points[at_tile] = mesh.face_centroids()[tiles]
+    widths[at_tile] = tile_width
+    m_sid = np.repeat(np.arange(S), n_m)
+    # j: place after the leading edge (-1 for the leading edge itself)
+    j = np.arange(len(mids)) - m_off[m_sid] - lead[m_sid]
+    on = j < drawn[m_sid]
+    at = (p_off[m_sid] + np.where(j < 0, 0, lead[m_sid] + 2 * j + 1))[on]
+    ends = np.take(src.positions, src.edges[mids[on]], axis=0)
+    points[at] = (ends[:, 0] + ends[:, 1]) / 2.0
+    if weaving.kind == "snub":      # a crossing's length, from its two ends
+        d = ends[:, 1] - ends[:, 0]
+        mid_len = np.hypot(d[:, 0], d[:, 1])
+    widths[at] = mid_len * width_fraction / 2.0
+    loops = np.flatnonzero(loops)
+    points[p_off[loops + 1] - 1] = points[p_off[loops]]
+    widths[p_off[loops + 1] - 1] = widths[p_off[loops]]
+    # a quad strand passes under at a tile, a snub strand at a crossing
+    under = np.zeros(len(widths), dtype=bool)
+    under[at_tile[~weaving.over] if weaving.kind == "quad"
+          else at[~weaving.over[on]]] = True
+    return Ribbons(point_offsets=p_off, points=points, half_widths=widths,
+                   under=under)

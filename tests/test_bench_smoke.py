@@ -47,15 +47,18 @@ def test_weaves_full_size_item_passes_its_checks():
     (item,) = weaves.items(LIB, np.random.default_rng(3), warm=False)
     out = weaves.run(LIB, item)
     # the op builds no per-strand Python objects: weaves and tilings hold
-    # arrays (and meshes, which hold arrays), never tuples or dicts
+    # arrays (and meshes, which hold arrays), never tuples or dicts, and
+    # the ribbons are one record of arrays with one entry per strand
+    kinds = (weaving.Weaving, weaving.GluedTiling, weaving.Ribbons)
     found = set()
-    for record in records(out, (weaving.Weaving, weaving.GluedTiling)):
+    for record in records(out, kinds):
         found.add(type(record))
+        allowed = np.ndarray if isinstance(record, weaving.Ribbons) else (
+            np.ndarray, str, type(None), mesh_core.Mesh, weaving.GluedTiling)
         for f in dataclasses.fields(record):
-            assert isinstance(getattr(record, f.name),
-                              (np.ndarray, str, type(None), mesh_core.Mesh,
-                               weaving.GluedTiling)), f.name
-    assert found == {weaving.Weaving, weaving.GluedTiling}
+            assert isinstance(getattr(record, f.name), allowed), f.name
+    assert found == set(kinds)
+    assert len(out[0]["ribbons"]) == len(out[0]["weaving"].closed)
     assert weaves.check(item, out)
     assert weaves.faces_out(out) > 0
     # every mesh the op returns (histories, tilings, classic results and

@@ -166,6 +166,15 @@ class TestDimensionEstimate:
         with pytest.raises(InvalidParameterError):
             sw.estimate_fractal_dimension([1.0, float("nan"), 2.0])
 
+    def test_rejects_values_that_are_not_numbers(self):
+        # numpy's ValueError used to escape from the float conversion
+        with pytest.raises(InvalidParameterError,
+                           match="^lengths must be numbers"):
+            sw.estimate_fractal_dimension(["a", "b", "c"])
+        with pytest.raises(InvalidParameterError,
+                           match="^polyline must be numbers"):
+            sw.box_counting_dimension([["a", "b"], ["c", "d"]])
+
     def test_box_counting_rejects_repeated_grid_sizes(self):
         _, polyline = sw.lsystem_expand(4)
         with pytest.raises(InvalidParameterError):
@@ -334,7 +343,8 @@ class TestFirstHitRaster:
     @pytest.mark.parametrize("window", [
         (0.0, 0.0, np.inf, 1.0), (0.0, np.nan, 1.0, 1.0),
         (-np.inf, 0.0, 1.0, 1.0), (0.0, 0.0, 1.0), (0.0, 0.0, 1.0, 1.0, 2.0),
-        (1.0, 0.0, 1.0, 1.0), (0.0, 1.0, 1.0, 0.5)])
+        (1.0, 0.0, 1.0, 1.0), (0.0, 1.0, 1.0, 0.5), "abcd",
+        ("a", 0.0, 1.0, 1.0)])
     def test_window_must_be_finite_with_positive_extent(self, history,
                                                           window):
         with pytest.raises(InvalidParameterError, match="window must be"):

@@ -500,6 +500,12 @@ class TestDerivedQuantities:
                           [[0, 1, 2, 3]])
         assert sw.convexity_report(m) == []
 
+    @pytest.mark.parametrize("tolerance", ["x", None, True, np.nan, np.inf])
+    def test_convexity_tolerance_must_be_a_finite_number(self, tolerance):
+        with pytest.raises(InvalidParameterError,
+                           match="^tolerance must be a finite number"):
+            sw.convexity_report(sw.pentagon(), tolerance)
+
 
 # ---------------------------------------------------------------------------
 # Mesh object behavior

@@ -110,7 +110,33 @@ def assert_same_weaving(got, want):
     assert got.crossing_count() == want.crossing_count()
 
 
-def assert_same_ribbons(got, want):
+def ribbon_list(ribbons, closed):
+    """A :class:`~snubweave.weaving.Ribbons` record as the reference's list
+    of per-strand :class:`weaving_reference.Ribbon` objects; ``closed`` is
+    the weaving's, which the record does not restate."""
+    if isinstance(ribbons, list):
+        return ribbons
+    off = ribbons.point_offsets
+    assert off.dtype == np.int64 and off.shape == (len(closed) + 1,)
+    assert off[0] == 0 and (np.diff(off) > 0).all()
+    P = int(off[-1])
+    assert ribbons.points.shape == (P, 2)
+    assert ribbons.half_widths.shape == (P,)
+    assert ribbons.under.dtype == bool and ribbons.under.shape == (P,)
+    assert len(ribbons) == len(closed)
+    return [ref.Ribbon(strand_index=i, centerline=ribbons.points[a:b],
+                       half_widths=ribbons.half_widths[a:b],
+                       under_spans=tuple(
+                           np.flatnonzero(ribbons.under[a:b]).tolist()),
+                       closed=z)
+            for i, (a, b, z) in enumerate(zip(off[:-1].tolist(),
+                                              off[1:].tolist(),
+                                              closed.tolist()))]
+
+
+def assert_same_ribbons(got, want, closed):
+    """Compare through :func:`ribbon_list`; ``closed`` is the weaving's."""
+    got, want = ribbon_list(got, closed), ribbon_list(want, closed)
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert (a.strand_index, a.under_spans, a.closed) \
@@ -125,7 +151,7 @@ def assert_same_quad_weave(mesh, coloring, mirror, width):
     want = ref.quad_weaving(mesh, coloring, mirror=mirror)
     assert_same_weaving(got, want)
     assert_same_ribbons(sw.strand_ribbons(got, mesh, width),
-                        ref.strand_ribbons(want, mesh, width))
+                        ref.strand_ribbons(want, mesh, width), got.closed)
 
 
 def check_crossings(weaving):
@@ -169,7 +195,8 @@ class TestOracleEquivalence:
         want = ref.trace_snub_strands(want_tiling, prov)
         assert_same_weaving(weaving, want)
         assert_same_ribbons(sw.strand_ribbons(weaving, tiling.mesh, width),
-                            ref.strand_ribbons(want, want_tiling.mesh, width))
+                            ref.strand_ribbons(want, want_tiling.mesh, width),
+                            weaving.closed)
 
     @settings(max_examples=25, deadline=None)
     @given(w=st.integers(1, 5), h=st.integers(1, 5),
@@ -208,7 +235,8 @@ class TestOracleEquivalence:
                           triangles.edges[inner], "tile_source_edges")
         assert_same_weaving(got[2], want[2])
         assert_same_ribbons(sw.strand_ribbons(got[2], got[0].mesh, width),
-                            ref.strand_ribbons(want[2], want[0].mesh, width))
+                            ref.strand_ribbons(want[2], want[0].mesh, width),
+                            got[2].closed)
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_catmull_clark_fans_have_closed_strands(self, n):
@@ -372,7 +400,7 @@ class TestInvariants:
         (t0, w0, r0), (t1, w1, r1) = runs
         assert_same_tiling(t0, t1)
         assert_same_weaving(w0, w1)
-        assert_same_ribbons(r0, r1)
+        assert_same_ribbons(r0, r1, w0.closed)
 
     @pytest.mark.parametrize("maker", [
         lambda: sw.square_grid(3, 2),
@@ -743,7 +771,34 @@ class TestErrors:
             sw.strand_ribbons(dataclasses.replace(weaving, tiling=None),
                               tiling.mesh, 0.3)
 
-    @pytest.mark.parametrize("width", [0.0, 1.0, -0.2, 1.5])
+    def test_ribbons_need_the_mesh_the_weave_was_traced_on(self):
+        # a snub weave's tiling mesh, or a mesh equal to it, draws the same
+        # ribbons; the refined mesh under the tiling and the one before it
+        # drew wrong centerlines or raised numpy's IndexError
+        hist, tiling, weaving = snub_weave(sw.pentagon(), 3)
+        want = sw.strand_ribbons(weaving, tiling.mesh, 0.3)
+        copy = sw.Mesh(*(getattr(tiling.mesh, n).copy() for n in MESH_ARRAYS))
+        assert_same_ribbons(sw.strand_ribbons(weaving, copy, 0.3), want,
+                            weaving.closed)
+        for mesh in (hist.final, hist.meshes[-2]):
+            with pytest.raises(InvalidParameterError,
+                               match="^a snub weaving's ribbons are drawn "
+                                     "on the mesh of the tiling"):
+                sw.strand_ribbons(weaving, mesh, 0.3)
+        # a quad weave on its source grid (IndexError before) and on a
+        # larger quad mesh (wrong centerlines before)
+        cc = sw.catmull_clark_step(sw.square_grid(3, 3))
+        weaving = sw.quad_weaving(cc.mesh, sw.catmull_clark_coloring(cc))
+        sw.strand_ribbons(weaving, cc.mesh, 0.3)
+        for mesh in (cc.source, sw.catmull_clark_step(sw.square_grid(5, 5))
+                     .mesh):
+            with pytest.raises(InvalidParameterError,
+                               match=r"^tile visit \d+ passes through an "
+                                     r"edge that does not border tile \d+ "
+                                     r"in this mesh"):
+                sw.strand_ribbons(weaving, mesh, 0.3)
+
+    @pytest.mark.parametrize("width", [0.0, 1.0, -0.2, 1.5, "0.3", None])
     def test_width_fraction_outside_unit_interval(self, width):
         _, tiling, weaving = snub_weave(sw.pentagon(), 1)
         with pytest.raises(InvalidParameterError):

@@ -22,6 +22,10 @@ per-edge tags, which restate the snub step's numbering, and reads the
 classic steps' vertex blocks off their sizes.  These loops take the
 frozen classic step of :mod:`classic_reference`, which still carries
 ``vertex_origin_kind``, and a :class:`Provenance` of edge tags.
+:class:`Ribbon` is a verbatim copy of the per-strand ribbon record the
+library had then; the library now returns every strand's ribbon in one
+:class:`~snubweave.weaving.Ribbons` record of flat arrays, and the tests
+cut it into these.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ from snubweave.errors import (
 )
 from snubweave.mesh_core import Mesh, build_mesh
 from snubweave.weaving import (
-    Ribbon,
     Strand,
     VertexColoring,
     triangle_coloring_check,
@@ -67,6 +70,23 @@ class EdgeTag(IntEnum):
     Z_MIDDLE = 1      # middle segment of a bend triplet
     Z_OUTER = 2       # first or last segment of a bend triplet
     SPOKE = 3         # connection between a bend point and a barycenter
+
+
+@dataclass(frozen=True)
+class Ribbon:
+    """Render geometry for one strand.
+
+    ``centerline`` runs through tile centers and crossing midpoints;
+    ``half_widths`` give the ribbon's half width at each centerline point;
+    ``under_spans`` lists the centerline point indices at which this
+    strand passes under (rendered with a gap).
+    """
+
+    strand_index: int
+    centerline: np.ndarray
+    half_widths: np.ndarray
+    under_spans: tuple[int, ...]
+    closed: bool
 
 
 @dataclass(frozen=True)
