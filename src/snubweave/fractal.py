@@ -134,6 +134,9 @@ def estimate_fractal_dimension(lengths) -> DimensionEstimate:
     ``D = log 3 / log sqrt(7) ≈ 1.12915`` and constant lengths give 1.
     """
     lengths = _float_array(lengths, "lengths")
+    if lengths.ndim != 1:
+        raise InvalidParameterError(
+            f"lengths must be a flat sequence, got shape {lengths.shape}")
     if len(lengths) < 3:
         raise InsufficientDataError(
             f"need at least 3 length samples, got {len(lengths)}")
@@ -162,7 +165,13 @@ def box_counting_dimension(polyline: np.ndarray,
         raise InvalidParameterError("polyline must be an (n, 2) array, n >= 2")
     if not np.isfinite(pts).all():
         raise InvalidParameterError("polyline coordinates must be finite")
-    if len(grid_sizes) < 3:
+    try:
+        n_sizes = len(grid_sizes)
+    except TypeError as exc:
+        raise InvalidParameterError(
+            f"grid_sizes must be a sequence of integers, got {grid_sizes!r}"
+        ) from exc
+    if n_sizes < 3:
         raise InsufficientDataError("need at least 3 grid sizes")
     grid_sizes = [_checked_int(n, "a grid size", 2) for n in grid_sizes]
     if len(set(grid_sizes)) != len(grid_sizes):
@@ -288,7 +297,7 @@ def _refine_path(source, path: np.ndarray) -> np.ndarray:
 def default_palette(steps: int) -> np.ndarray:
     """RGB ramp per step: dark-to-bright blues for the first ten steps,
     then a dark-to-bright green ramp for later ones."""
-    t = np.arange(max(steps, 1))
+    t = np.arange(max(_checked_int(steps, "steps", None), 1))
     blue = (t < 10)[:, None]
     f = np.where(blue, t[:, None] / 9.0,
                  np.minimum((t[:, None] - 10) / 9.0, 1.0))

@@ -303,21 +303,26 @@ def _flatten_faces(faces) -> tuple[np.ndarray, np.ndarray]:
     return _index_array(indices, "face indices"), starts
 
 
-def _checked_int(value, name: str, low: int) -> int:
+def _checked_int(value, name: str, low: int | None) -> int:
     """``value`` as an int; :class:`InvalidParameterError` unless it is an
-    integer of at least ``low`` (numpy integers pass, bools do not)."""
+    integer of at least ``low`` (None: any integer; numpy integers pass,
+    bools do not)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
-            or value < low:
+            or low is not None and value < low:
+        bound = "" if low is None else f" >= {low}"
         raise InvalidParameterError(
-            f"{name} must be an integer >= {low}, got {value!r}")
+            f"{name} must be an integer{bound}, got {value!r}")
     return int(value)
 
 
 def _check_point_array(points) -> np.ndarray:
-    if isinstance(points, np.ndarray):
-        positions = np.ascontiguousarray(points, dtype=np.float64)
-    else:
-        positions = np.array([tuple(p) for p in points], dtype=np.float64)
+    try:
+        positions = np.ascontiguousarray(
+            points if isinstance(points, np.ndarray)
+            else [tuple(p) for p in points], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError(
+            f"points must be pairs of numbers: {exc}") from exc
     if positions.size == 0:
         positions = positions.reshape(0, 2)
     if positions.ndim != 2 or positions.shape[1] != 2:
@@ -691,6 +696,9 @@ def generate_demo_mesh(kind: str) -> Mesh:
     Accepted forms: ``pentagon``, ``ngon:N``, ``grid:WxH``, ``fan:N``,
     ``pentaflower``.
     """
+    if not isinstance(kind, str):
+        raise InvalidParameterError(
+            f"generator spec must be a string, got {kind!r}")
     name, _, arg = kind.partition(":")
     try:
         if name == "pentagon" and not arg:

@@ -24,14 +24,16 @@ order of the underlying mesh elements.
   after the shared edge and runs once around that face; the other face's
   cycle follows, without the two shared vertices.
 
-Every table (tile cycles, per-slot successors, designated bend vertices,
-ribbon points) is built with array operations in time linear in the mesh
-size.  The strands are walks of a successor table; :func:`_rank_walks`
-orders them by pointer jumping, in O(n log L) array work for walks of at
-most L steps, and a :class:`Weaving` keeps them as flat arrays.  The
-ribbons are one :class:`Ribbons` record of the same kind: every strand's
-points, half widths and under flags in flat arrays, cut by one offsets
-array of strand count + 1 entries, so its ``len`` is the strand count.
+Every table (tile cycles, ports and their twins, ribbon points) is built
+with array operations in time linear in the mesh size.  Both weaves walk
+one model: a strand enters a tile visit at a port, leaves it at the
+opposite port and enters the next visit at that port's twin, across the
+edge it crosses.  :func:`_rank_walks` orders the walks by pointer
+jumping, in O(n log L) array work for walks of at most L steps, and a
+:class:`Weaving` keeps them as flat arrays.  The ribbons are one
+:class:`Ribbons` record of the same kind: every strand's points, half
+widths and under flags in flat arrays, cut by one offsets array of strand
+count + 1 entries, so its ``len`` is the strand count.
 """
 
 from __future__ import annotations
@@ -132,11 +134,29 @@ def two_color_vertices(mesh: Mesh) -> VertexColoring:
 def _require_scheme(step: SchemeStepResult, reader: str, *schemes) -> None:
     """:class:`InvalidParameterError`, naming ``schemes``, unless one of
     them made ``step``."""
+    needed = " or ".join(f"{name}_step" for name in schemes)
+    if not isinstance(step, SchemeStepResult):
+        raise InvalidParameterError(
+            f"{reader} needs a {needed} result, got {type(step).__name__}")
     if step.scheme not in schemes:
-        needed = " or ".join(f"{name}_step" for name in schemes)
         raise InvalidParameterError(
             f"{reader} needs a {needed} result, got a {step.scheme}_step "
             f"result")
+
+
+def _is_c1(coloring: VertexColoring, mesh: Mesh,
+           which: str = "mesh") -> np.ndarray:
+    """``coloring.is_c1``; :class:`InvalidParameterError` unless
+    ``coloring`` is a :class:`VertexColoring` of ``mesh``'s vertices
+    (``which`` names the mesh in the message)."""
+    if not isinstance(coloring, VertexColoring):
+        raise InvalidParameterError(
+            f"expected a VertexColoring, got {type(coloring).__name__}")
+    if len(coloring.is_c1) != mesh.vertex_count:
+        raise InvalidParameterError(
+            f"coloring covers {len(coloring.is_c1)} vertices, {which} has "
+            f"{mesh.vertex_count}")
+    return coloring.is_c1
 
 
 def catmull_clark_coloring(step: SchemeStepResult) -> VertexColoring:
@@ -159,12 +179,8 @@ def triangle_coloring_check(mesh: Mesh,
     if (mesh.face_sizes != 3).any():
         raise NotTriangleMeshError(
             "triangle_coloring_check expects a triangle mesh")
-    if len(coloring.is_c1) != mesh.vertex_count:
-        raise InvalidParameterError(
-            f"coloring covers {len(coloring.is_c1)} vertices, mesh has "
-            f"{mesh.vertex_count}")
     counts = np.add.reduceat(
-        coloring.is_c1[mesh.face_vertex_flat].astype(np.int64),
+        _is_c1(coloring, mesh)[mesh.face_vertex_flat].astype(np.int64),
         mesh.face_starts[:-1])
     bad = np.flatnonzero(counts != 1)
     if len(bad):
@@ -186,12 +202,7 @@ def loop_color_update(coloring: VertexColoring,
     """
     _require_scheme(step, "loop_color_update", "loop", "butterfly")
     source = step.source
-    V = source.vertex_count
-    if len(coloring.is_c1) != V:
-        raise InvalidParameterError(
-            f"coloring covers {len(coloring.is_c1)} vertices, source mesh "
-            f"has {V}")
-    old = coloring.is_c1
+    old = _is_c1(coloring, source, "source mesh")
     a = source.edges[:, 0]
     b = source.edges[:, 1]
     new = ~(old[a] | old[b])
@@ -316,8 +327,7 @@ def glue_triangle_pairs(mesh: Mesh, coloring: VertexColoring) -> GluedTiling:
     triangles pairwise.  The triangles whose ``c2``–``c2`` edge lies on the
     boundary stay behind, and are exactly the tiling's ``singletons``.
     """
-    triangle_coloring_check(mesh, coloring)
-    is_c1 = coloring.is_c1
+    is_c1 = triangle_coloring_check(mesh, coloring).is_c1
     c2c2 = np.flatnonzero(~is_c1[mesh.edges[:, 0]] & ~is_c1[mesh.edges[:, 1]])
     return _glue_across(mesh, c2c2)
 
@@ -569,72 +579,60 @@ def _pointer_jump(succ: np.ndarray, order: np.ndarray):
     return ptr, dist, low, on_cycle
 
 
-def _rank_walks(succ: np.ndarray, rev: np.ndarray, order: np.ndarray):
-    """Strand walks of the partial injection ``succ``, each walked once.
+def _rank_walks(twin: np.ndarray, opposite: np.ndarray, order: np.ndarray):
+    """The strands through tile visits, each walked once.
 
-    Every node lies on one walk of ``succ``: a chain (open, ending where
-    ``succ`` is -1) or a cycle.  ``rev`` maps a node to the same step
-    taken the other way, so a walk and its reverse make one strand:
-    ``rev`` of a chain's last node is the first node of the reverse chain,
-    and ``rev`` of a cycle node lies on the reverse cycle (-1: the walk has
-    no reverse).  ``order`` ranks the nodes, all distinct.
+    A node is a port of a tile visit.  A strand enters a visit at a port
+    ``p``, leaves it at ``opposite[p]`` and enters the next visit at
+    ``twin[opposite[p]]`` (-1: the strand ends).  Both tables are
+    involutions; no port is its own twin, and a port that is its own
+    opposite has none.  So a walk's reverse enters the same visits at
+    their opposite ports, in reverse order, and the two make one strand.
+    ``order`` ranks the nodes, all distinct.
 
-    A chain is kept when its first node comes before (in ``order``) the
-    first node of its reverse; a chain that is its own reverse is dropped.
-    A cycle is kept when its lowest node comes before its reverse's lowest
-    node, and is cut before that node to become a chain.
+    A walk is kept when its first node comes before (in ``order``) its
+    reverse's first node, so a lone self-opposite port is dropped.  A
+    cycle whose lowest node comes before its reverse's is first cut before
+    that node, and its reverse after that node's opposite.
 
     Returns ``(path, offsets, closed)``: the nodes of the kept walks, walk
-    by walk and each in ``succ`` order from its first node, with walk
+    by walk and each in walking order from its first node, with walk
     ``i`` at ``path[offsets[i]:offsets[i + 1]]``.  Kept chains come first,
     by the order of their first node, then kept cycles by the order of
     their lowest node; ``closed`` marks the cycles.
     """
-    n = len(succ)
+    n = len(twin)
+    succ = twin[opposite]
     ptr, dist, low, on_cycle = _pointer_jump(succ, order)
 
-    # chains: a node's first node is found through the chain's last node
-    has_pred = np.zeros(n, dtype=bool)
-    has_pred[succ[succ >= 0]] = True
-    heads = np.flatnonzero(~has_pred & ~on_cycle)
-    back = rev[ptr[heads]]
-    heads = heads[(back < 0) | (order[heads] < order[back])]
-    heads = heads[np.argsort(order[heads])]
-    head_of_last = np.full(n, -1, dtype=np.int64)
-    head_of_last[ptr[heads]] = heads
-    nodes = np.flatnonzero(~on_cycle)
-    head = head_of_last[ptr[nodes]]
-    nodes, head = nodes[head >= 0], head[head >= 0]
-    rank = dist[head] - dist[nodes]
-
-    # cycles: each kept one is cut before its lowest node and ranked as a
-    # chain on its own
+    # cut each cycle whose lowest node beats its reverse's before that
+    # node, and the reverse after that node's opposite; one more jump over
+    # the cycle nodes ranks them as chains
     cycle = np.flatnonzero(on_cycle)
-    mate = rev[cycle]
-    cycle = cycle[(mate < 0) | (low[cycle] < low[mate])]
+    lowest = cycle[(order[cycle] == low[cycle])
+                   & (low[cycle] < low[opposite[cycle]])]
     local = np.full(n, -1, dtype=np.int64)
     local[cycle] = np.arange(len(cycle))
-    nxt = succ[cycle]
-    cut = np.where(order[nxt] == low[cycle], -1, local[nxt])
+    cut = local[succ[cycle]]
+    cut[local[opposite[twin[lowest]]]] = -1
+    cut[local[opposite[lowest]]] = -1
     c_ptr, c_dist, _, _ = _pointer_jump(cut, order[cycle])
-    firsts = np.flatnonzero(order[cycle] == low[cycle])
-    firsts = firsts[np.argsort(order[cycle[firsts]])]
-    head_of_last = np.empty(len(cycle), dtype=np.int64)
-    head_of_last[c_ptr[firsts]] = firsts
-    c_head = head_of_last[c_ptr]
-    nodes = np.concatenate((nodes, cycle))
-    head = np.concatenate((head, cycle[c_head]))
-    rank = np.concatenate((rank, c_dist[c_head] - c_dist))
-    heads = np.concatenate((heads, cycle[firsts]))
+    ptr[cycle], dist[cycle] = cycle[c_ptr], c_dist
 
-    S = len(heads)
+    # a node's rank and first node read off its reverse walk, whose end
+    # is the opposite of its first node
+    first = opposite[ptr[opposite]]
+    kept = order[first] < order[opposite[ptr[first]]]
+    heads = np.flatnonzero(kept & (first == np.arange(n)))
+    heads = heads[np.lexsort((order[heads], on_cycle[heads]))]
     walk = np.empty(n, dtype=np.int64)
-    walk[heads] = np.arange(S)
-    offsets = np.zeros(S + 1, dtype=np.int64)
-    np.cumsum(np.bincount(walk[head], minlength=S), out=offsets[1:])
-    path = np.empty(len(nodes), dtype=np.int64)
-    path[offsets[walk[head]] + rank] = nodes
-    return path, offsets, np.arange(S) >= S - len(firsts)
+    walk[heads] = np.arange(len(heads))
+    offsets = np.zeros(len(heads) + 1, dtype=np.int64)
+    np.cumsum(dist[heads] + 1, out=offsets[1:])
+    nodes = np.flatnonzero(kept)
+    path = np.empty(offsets[-1], dtype=np.int64)
+    path[offsets[walk[first[nodes]]] + dist[opposite[nodes]]] = nodes
+    return path, offsets, on_cycle[heads]
 
 
 def quad_weaving(mesh: Mesh, coloring: VertexColoring) -> Weaving:
@@ -645,8 +643,11 @@ def quad_weaving(mesh: Mesh, coloring: VertexColoring) -> Weaving:
     endpoint lies to the left of the entry direction passes over — with
     counterclockwise faces that endpoint is the one the face walks first.
     Weaving :meth:`VertexColoring.swapped` instead flips the chirality.
-    Faces that are not quads (boundary leftovers of a gluing) terminate
-    strands.
+
+    A quad has a visit per axis, whose two ports are the slots at the
+    axis' ends, each the other's opposite; a port's twin is the slot
+    across its edge.  A slot on the boundary or facing a non-quad (a
+    boundary leftover of a gluing) has no twin, so strands end there.
 
     Open strands come first, each walked from the end whose entry edge
     comes first in edge order (left face before right face); closed
@@ -656,11 +657,7 @@ def quad_weaving(mesh: Mesh, coloring: VertexColoring) -> Weaving:
     Raises :class:`NotBipartiteError` if any quad edge joins two vertices
     of the same color.
     """
-    if len(coloring.is_c1) != mesh.vertex_count:
-        raise InvalidParameterError(
-            f"coloring covers {len(coloring.is_c1)} vertices, mesh has "
-            f"{mesh.vertex_count}")
-    is_c1 = coloring.is_c1
+    is_c1 = _is_c1(coloring, mesh)
     is_quad = mesh.face_sizes == 4
     if not is_quad.any():
         raise InvalidParameterError("mesh has no quad faces to weave")
@@ -675,10 +672,8 @@ def quad_weaving(mesh: Mesh, coloring: VertexColoring) -> Weaving:
             f"edge ({int(flat[s])}, {int(flat[slot_next[s]])}) of quad "
             f"{int(slot_face[s])} joins two same-colored vertices")
 
-    # a strand enters a quad at a slot (the edge from that slot's vertex),
-    # leaves through the opposite slot and goes on at the twin slot across;
-    # the opposite slot is the same step walked the other way, and a slot
-    # off the quads is its own opposite, so the ranking drops it
+    # a slot off the quads is its own opposite and has no twin, so the
+    # ranking drops it
     left, right = _edge_slots(mesh, slot_next)
     edge = mesh.face_edge_flat
     slots = np.arange(len(flat), dtype=np.int64)
@@ -686,8 +681,7 @@ def quad_weaving(mesh: Mesh, coloring: VertexColoring) -> Weaving:
     opposite = np.where(on_quad,
                         mesh.face_starts[slot_face] + (local + 2) % 4, slots)
     twin = np.where(left[edge] == slots, right[edge], left[edge])
-    ahead = np.where(on_quad, twin[opposite], -1)
-    nxt = np.where((ahead >= 0) & on_quad[ahead], ahead, -1)
+    twin = np.where(on_quad & on_quad[twin], twin, -1)
 
     # open strands start wherever a quad is entered from outside the quad
     # set (mesh boundary or a non-quad face), in edge order; closed ones at
@@ -699,7 +693,7 @@ def quad_weaving(mesh: Mesh, coloring: VertexColoring) -> Weaving:
     entries = entries[entries >= 0]
     order = len(entries) + 4 * slot_face + 2 * (local % 2) + local // 2
     order[entries] = np.arange(len(entries))
-    path, offsets, closed = _rank_walks(nxt, opposite, order)
+    path, offsets, closed = _rank_walks(twin, opposite, order)
 
     tiles = slot_face[path]
     over = is_c1[flat[path]]
@@ -732,24 +726,25 @@ def trace_snub_strands(tiling: GluedTiling,
 
     Besides the two bend vertices of its own middle edge, every pentagon
     touches exactly one other middle edge, at its designated bend vertex.
-    A strand hops from tile to tile across such a middle edge — leaving by
-    one endpoint's designating tile and arriving at the other's.  Crossing
-    a boundary middle edge (or reaching a tile with no further designated
-    vertex) ends the strand.  The tile glued over a crossed middle edge is
-    a node of its own strand; the over/under of the two strands meeting
+    A tile ``t`` is one visit with two ports: ``2t``, the designated bend
+    of its walking face (the face left of its middle; a singleton's face),
+    and ``2t + 1``, the other face's (none on a singleton).  A strand
+    enters at one port, leaves at the other, and hops across that port's
+    middle edge to its twin, the port designating the edge's far end.
+    Crossing a boundary middle edge (no twin) or leaving by a singleton's
+    empty port ends the strand.  The tile glued over a crossed middle edge
+    is a node of its own strand; the over/under of the two strands meeting
     there alternates along the crossing strand.
 
     Each face's middle edge and designated bend are read off the numbering
     (:func:`~.snub._face_table`), for ``provenance``, the record of the
-    step that made ``tiling.source``, as for :func:`glue_snub_pairs`.  So a
-    tile's own middle is its first face's, and a glued tile designates its
-    walking face's bend first (the face left of the middle), then the
-    other's.  A tiling whose tiles are not those :func:`glue_snub_pairs`
-    makes of ``tiling.source`` raises :class:`InvalidParameterError`.
+    step that made ``tiling.source``, as for :func:`glue_snub_pairs`.  A
+    tiling whose tiles are not those :func:`glue_snub_pairs` makes of
+    ``tiling.source`` raises :class:`InvalidParameterError`.
 
     Open strands come first, by their lower end tile, each walked from
     that end; closed strands follow, by their lowest tile, each walked
-    from that tile's first designated vertex.
+    from that tile out through its port ``2t``.
     """
     source = tiling.source
     middle, bend, crossed = _face_table(source, provenance)
@@ -769,64 +764,38 @@ def trace_snub_strands(tiling: GluedTiling,
     tile_of_middle = np.full(source.edge_count, -1, dtype=np.int64)
     tile_of_middle[own] = np.arange(T)
 
-    # designated indices, tile by tile: the walking face's, then the
-    # other face's; designator per vertex
-    n_faces = 1 + paired.astype(np.int64)
-    des_off = np.zeros(T + 1, dtype=np.int64)
-    np.cumsum(n_faces, out=des_off[1:])
-    des_face = np.empty(des_off[-1], dtype=np.int64)
-    des_face[des_off[:-1]] = np.where(paired, source.edge_left[own], low)
-    des_face[des_off[:-1][paired] + 1] = source.edge_right[own[paired]]
-    des_t = np.repeat(np.arange(T), n_faces)
-    des_v = bend[des_face]
-    D = len(des_v)
-    index_of = np.full(source.vertex_count, -1, dtype=np.int64)
-    index_of[des_v] = np.arange(D)
-
-    # hopping from designated index d crosses middle hop_m[d] and arrives
-    # at the far endpoint's designated index arrive[d] in tile hop_t[d]
-    # (the hop back from there is d's); a strand arriving at a goes on from
-    # the other designated index of its tile, other[a] (-1: none), as a
-    # tile designates one or two vertices
-    hop_m = crossed[des_face]
-    far = source.edges[hop_m].sum(axis=1) - des_v
-    arrive = index_of[far]
-    live = arrive >= 0
-    hop_t = np.where(live, des_t[arrive], -1)
-    other = np.where(n_faces[des_t] == 2,
-                     2 * des_off[des_t] + 1 - np.arange(D), -1)
-    back = np.flatnonzero(live & (hop_t == des_t))
+    # each port's face (-1: none), the middle its hop crosses, its twin
+    face = np.column_stack((np.where(paired, source.edge_left[own], low),
+                            np.where(paired, source.edge_right[own],
+                                     -1))).ravel()
+    has_face = face >= 0
+    hop = crossed[face]
+    port_of = np.full(source.vertex_count, -1, dtype=np.int64)
+    port_of[bend[face[has_face]]] = np.flatnonzero(has_face)
+    twin = np.where(has_face,
+                    port_of[source.edges[hop].sum(axis=1) - bend[face]], -1)
+    opposite = np.arange(2 * T) ^ 1
+    back = np.flatnonzero(twin == opposite)
     if len(back):
         raise InvalidParameterError(
-            f"tile {int(des_t[back[0]])} designates both bend points of "
-            f"middle edge {int(hop_m[back[0]])} (a mesh numbered otherwise?)")
-    # walks over designated indices, d -> other[arrive[d]]; an open walk's
-    # reverse starts at the far end of its last hop, or (a dead last hop)
-    # at the other index of its last tile; indices are in tile order, so
-    # the lower end tile starts a strand
-    path, offsets, closed = _rank_walks(
-        np.where(live, other[arrive], -1), np.where(live, arrive, other),
-        np.arange(D))
+            f"tile {int(back[0]) // 2} designates both bend points of "
+            f"middle edge {int(hop[back[0]])} (a mesh numbered otherwise?)")
+    # a port ranks by the place of its opposite, the one a strand entering
+    # there leaves by, among the ports with a face: tile order
+    order = np.where(has_face[opposite], np.cumsum(has_face)[opposite] - 1,
+                     2 * T + np.arange(2 * T))
+    path, t_off, closed = _rank_walks(twin, opposite, order)
+    tiles = path // 2
 
-    # an open strand also visits the tile its last hop arrives at and,
-    # when its first tile holds a dead hop, starts with that crossing
+    # crossings: an open strand's first hop when it enters a tile across a
+    # (boundary) middle, then the hop of each port it leaves by
     S = len(closed)
-    n_d = np.diff(offsets)
-    first, last = path[offsets[:-1]], path[offsets[1:] - 1]
-    lead = ~closed & (other[first] >= 0)
-    end_tile = np.where(closed, -1, hop_t[last])
-    t_off = np.zeros(S + 1, dtype=np.int64)
-    np.cumsum(n_d + (end_tile >= 0), out=t_off[1:])
-    c_off = np.zeros(S + 1, dtype=np.int64)
-    np.cumsum(n_d + lead, out=c_off[1:])
-    sid = np.repeat(np.arange(S), n_d)
-    k = np.arange(len(path)) - offsets[sid]
-    tiles = np.empty(t_off[-1], dtype=np.int64)
-    tiles[t_off[sid] + k] = des_t[path]
-    tiles[t_off[1:][end_tile >= 0] - 1] = end_tile[end_tile >= 0]
-    crossings = np.empty(c_off[-1], dtype=np.int64)
-    crossings[c_off[sid] + lead[sid] + k] = hop_m[path]
-    crossings[c_off[:-1][lead]] = hop_m[other[first[lead]]]
+    cross = np.insert(opposite[path], t_off[:-1], path[t_off[:-1]])
+    crossed_at = has_face[cross]
+    crossed_at[t_off[:-1] + np.arange(S)] &= ~closed
+    crossings = hop[cross[crossed_at]]
+    c_off = np.append(0, np.cumsum(crossed_at))[t_off + np.arange(S + 1)]
+    lead = crossed_at[t_off[:-1] + np.arange(S)]
 
     dup = _first_repeat(crossings)
     if dup >= 0:

@@ -70,11 +70,15 @@ class TestLSystemExpand:
         with pytest.raises(InvalidParameterError):
             sw.lsystem_expand(-1)
 
-    # True would otherwise expand once
+    # True would otherwise expand once; the palette's step count is read
+    # by the same rule ("2" leaked a TypeError there)
     @pytest.mark.parametrize("depth", [2.0, "2"] + NOT_INTEGERS)
     def test_depth_must_be_an_integer(self, depth):
         with pytest.raises(InvalidParameterError, match="must be an integer"):
             sw.lsystem_expand(depth)
+        with pytest.raises(InvalidParameterError,
+                           match="^steps must be an integer, got "):
+            sw.default_palette(depth)
 
     def test_alpha_identity(self):
         # |2 e^{i a} + e^{i(a - 60deg)}| = sqrt(7) with real-positive sum
@@ -171,6 +175,11 @@ class TestDimensionEstimate:
         with pytest.raises(InvalidParameterError,
                            match="^lengths must be numbers"):
             sw.estimate_fractal_dimension(["a", "b", "c"])
+        # a 2-D array leaked numpy's ValueError from the log-log fit
+        with pytest.raises(InvalidParameterError,
+                           match=r"^lengths must be a flat sequence, got "
+                                 r"shape \(3, 2\)$"):
+            sw.estimate_fractal_dimension([[1, 2], [3, 4], [5, 6]])
         with pytest.raises(InvalidParameterError,
                            match="^polyline must be numbers"):
             sw.box_counting_dimension([["a", "b"], ["c", "d"]])
@@ -210,6 +219,12 @@ class TestDimensionEstimate:
         with pytest.raises(InvalidParameterError,
                            match="^a grid size must be an integer >= 2"):
             sw.box_counting_dimension(polyline, grid_sizes=(value, 8, 16))
+        # a single count where the sizes go leaked len()'s TypeError
+        for sizes in (value, 5, np.array(5)):
+            with pytest.raises(InvalidParameterError,
+                               match="^grid_sizes must be a sequence of "
+                                     "integers, got "):
+                sw.box_counting_dimension(polyline, grid_sizes=sizes)
         # numpy integers are integers, with the same estimate
         got = sw.box_counting_dimension(polyline, np.array([4, 8, 16]),
                                         np.int64(4))

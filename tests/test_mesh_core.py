@@ -157,6 +157,10 @@ class TestBuildMesh:
         with pytest.raises(InvalidParameterError):
             sw.build_mesh([(0.0, 0.0), (1.0, float("nan")), (0.0, 1.0)],
                           [[0, 1, 2]])
+        # coordinates that are not numbers leaked numpy's ValueError
+        with pytest.raises(InvalidParameterError,
+                           match="^points must be pairs of numbers: "):
+            sw.build_mesh([("a", "b"), (1, 2), (3, 4)], [[0, 1, 2]])
 
     def test_self_intersection_check_is_opt_in(self):
         # two overlapping triangles have crossing edges but are manifold
@@ -466,6 +470,10 @@ class TestGenerators:
             sw.generate_demo_mesh("cube")
         with pytest.raises(InvalidParameterError):
             sw.generate_demo_mesh("grid:0x2")
+        # an int leaked AttributeError from str.partition
+        with pytest.raises(InvalidParameterError,
+                           match="^generator spec must be a string, got 5$"):
+            sw.generate_demo_mesh(5)
 
     def test_all_generators_are_valid_and_counterclockwise(self):
         for m in (sw.pentagon(), sw.ngon(3), sw.ngon(24), sw.square_grid(1, 1),
