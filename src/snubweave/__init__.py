@@ -32,6 +32,7 @@ from .errors import (
     UnknownSeedError,
 )
 from .mesh_core import (
+    INDEX_DTYPE,
     Mesh,
     build_mesh,
     convexity_report,

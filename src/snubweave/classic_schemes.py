@@ -41,7 +41,8 @@ import math
 import numpy as np
 
 from .errors import DegenerateFaceError, NotTriangleMeshError
-from .mesh_core import Mesh, _cycle_links, _direct_mesh, _edge_slots
+from .mesh_core import (Mesh, _cycle_links, _direct_mesh, _edge_slots,
+                        _require_record)
 
 __all__ = [
     "SchemeStepResult",
@@ -85,6 +86,7 @@ class SchemeStepResult:
 
 
 def _require_triangles(mesh: Mesh, scheme: str) -> None:
+    _require_record(mesh, Mesh, "mesh")
     if (mesh.face_sizes != 3).any():
         raise NotTriangleMeshError(f"{scheme} requires a pure triangle mesh")
 
@@ -159,8 +161,8 @@ def _inverse(order: np.ndarray) -> np.ndarray:
 
 def _ranked(lo: np.ndarray, hi: np.ndarray, n: int):
     """The distinct pairs ``(lo, hi)``, entries below ``n``, in sorted order,
-    and the place of each pair in that order."""
-    order = np.argsort(lo * np.int64(n) + hi)
+    and the place of each pair in that order (by an int64 key)."""
+    order = np.argsort(lo.astype(np.int64) * n + hi)
     return np.column_stack((lo[order], hi[order])), _inverse(order)
 
 
@@ -390,6 +392,7 @@ def midedge_step(mesh: Mesh) -> SchemeStepResult:
     cycle of the corner's vertex, when inner, walks it back.  So the edges
     are one per source slot, ranked by one sort.
     """
+    _require_record(mesh, Mesh, "mesh")
     pos = mesh.positions
     midpoints = (np.take(pos, mesh.edges[:, 0], axis=0)
                  + np.take(pos, mesh.edges[:, 1], axis=0)) / 2.0
@@ -445,6 +448,7 @@ def catmull_clark_step(mesh: Mesh) -> SchemeStepResult:
     vertex-to-face and vertex-to-edge incidence tables; the quads are one
     per face corner, written straight into CSR arrays.
     """
+    _require_record(mesh, Mesh, "mesh")
     pos = mesh.positions
     V, E = mesh.vertex_count, mesh.edge_count
     face_pts = mesh.face_centroids()

@@ -75,7 +75,9 @@ class NoInteriorEdgesError(SnubWeaveError):
 # ---------------------------------------------------------------------------
 
 class DepthTooLargeError(SnubWeaveError):
-    """The requested rewriting depth exceeds the configured guard."""
+    """The requested depth exceeds its guard: a rewriting deeper than
+    ``lsystem_expand`` runs, or snub steps whose meshes would not fit the
+    mesh index dtype."""
 
 
 class InsufficientDataError(SnubWeaveError):

@@ -23,7 +23,7 @@ from .errors import (
     InvalidParameterError,
     UnknownSeedError,
 )
-from .mesh_core import _checked_int
+from .mesh_core import _checked_int, _require_record
 from .snub import ALPHA, SubdivisionHistory, _walked_bends
 
 __all__ = [
@@ -90,6 +90,7 @@ def lsystem_expand(depth: int) -> tuple[str, np.ndarray]:
 
 def boundary_lengths(history: SubdivisionHistory) -> list[float]:
     """Total boundary length of every mesh in the history."""
+    _require_record(history, SubdivisionHistory, "history")
     out = []
     for mesh in history.meshes:
         ends = mesh.edges[mesh.boundary_edge_mask]
@@ -241,6 +242,7 @@ def track_inner_curves(history: SubdivisionHistory, seed_edges,
     start-step values across all tracked steps — true for boundary vertices
     and for vertices pinned by symmetry.
     """
+    _require_record(history, SubdivisionHistory, "history")
     if _checked_int(start_step, "start_step", 0) >= len(history.meshes):
         raise InvalidParameterError(
             f"start step {start_step} outside history of {len(history.meshes)}")
@@ -256,8 +258,9 @@ def track_inner_curves(history: SubdivisionHistory, seed_edges,
             f"edge {seeds[outside][0]} does not exist at step {start_step} "
             f"({base.edge_count} edges)")
 
-    # one row per seed: every step refines and measures all paths at once
-    ends = base.edges[seeds.astype(np.int64)]
+    # one row per seed: every step refines and measures all paths at once,
+    # int64 vertex ids like the refined paths
+    ends = base.edges[seeds.astype(np.int64)].astype(np.int64)
     home = base.positions[ends]
     fixed = np.ones(ends.shape, dtype=bool)
     path, paths, lengths = ends, [], []
@@ -335,6 +338,7 @@ def first_hit_raster(history: SubdivisionHistory, resolution: int,
     pixels (until saturation, after which nothing changes).  A raster of
     more than ``2**24`` pixels raises :class:`InvalidParameterError`.
     """
+    _require_record(history, SubdivisionHistory, "history")
     W = _checked_int(resolution, "resolution", 16)
     if len(history.meshes) == 0:
         raise InvalidParameterError("history is empty")

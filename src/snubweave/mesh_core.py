@@ -36,6 +36,7 @@ from .errors import (
 )
 
 __all__ = [
+    "INDEX_DTYPE",
     "Mesh",
     "build_mesh",
     "euler_characteristic",
@@ -49,11 +50,34 @@ __all__ = [
 ]
 
 
+#: The dtype of a mesh's six index arrays, whatever made the mesh: every
+#: vertex, edge and face id and every face-slot offset.  The positions are
+#: float64.  A mesh of more vertices, edges or face slots than it can number
+#: is refused before it is built (:func:`_fits_index`).
+INDEX_DTYPE = np.dtype(np.int32)
+
+_INDEX_MAX = int(np.iinfo(INDEX_DTYPE).max)
+
+
+def _fits_index(vertices: int, edges: int, slots: int) -> bool:
+    """Whether :data:`INDEX_DTYPE` numbers a mesh of these counts: its
+    vertices, its edges and its face slots (the offset past the last face,
+    and never fewer than its faces)."""
+    return max(vertices, edges, slots) <= _INDEX_MAX
+
+
 class Mesh:
     """Immutable planar polygon mesh: the seven read-only arrays the
     constructor takes, and nothing else.  Every other table is derived from
     them on each access and stored nowhere, so a caller that needs one more
     than once reads it once and keeps it.
+
+    The positions are float64 and the six index arrays :data:`INDEX_DTYPE`
+    (int32), so a mesh has at most ``2**31 - 1`` vertices, edges and face
+    slots; :func:`_direct_mesh` raises :class:`InvalidParameterError` for
+    more, and :func:`~.snub.snub_subdivide` refuses a depth that would reach
+    them.  A product of two id ranges, such as an edge's ``(lo, hi)`` key,
+    is computed in int64.
 
     Use :func:`build_mesh` (or a generator) instead of calling the
     constructor directly; the constructor trusts its arguments.  Meshes
@@ -74,12 +98,12 @@ class Mesh:
     def __init__(self, positions, face_vertex_flat, face_starts,
                  edges, edge_left, edge_right, face_edge_flat):
         self.positions = positions                  # (V, 2) float64
-        self.face_vertex_flat = face_vertex_flat    # (sum n_f,) int64
-        self.face_starts = face_starts              # (F + 1,) int64
-        self.edges = edges                          # (E, 2) int64, a < b
-        self.edge_left = edge_left                  # (E,) face walking a->b
-        self.edge_right = edge_right                # (E,) face walking b->a
-        self.face_edge_flat = face_edge_flat        # edge id per face slot
+        self.face_vertex_flat = face_vertex_flat    # (sum n_f,) int32
+        self.face_starts = face_starts              # (F + 1,) int32
+        self.edges = edges                          # (E, 2) int32, a < b
+        self.edge_left = edge_left                  # (E,) int32, face a->b
+        self.edge_right = edge_right                # (E,) int32, face b->a
+        self.face_edge_flat = face_edge_flat        # (sum n_f,) int32 edges
         for a in (positions, face_vertex_flat, face_starts,
                   edges, edge_left, edge_right, face_edge_flat):
             a.flags.writeable = False
@@ -161,9 +185,10 @@ class Mesh:
             raise InvalidParameterError(
                 f"vertex ids must be integers, got {u!r} and {v!r}")
         u, v = (a.astype(np.int64, copy=False) for a in ids)
-        V = np.int64(self.vertex_count)
-        # one key per edge, then a sentinel for searches past the last one
-        keys = np.append(self.edges[:, 0] * V + self.edges[:, 1], -1)
+        V = self.vertex_count
+        # one int64 key per edge, then a sentinel for searches past the last
+        keys = np.append(
+            self.edges[:, 0].astype(np.int64) * V + self.edges[:, 1], -1)
         lo, hi = np.minimum(u, v), np.maximum(u, v)
         want = lo * V + hi
         e = np.searchsorted(keys[:-1], want)
@@ -313,6 +338,15 @@ def _checked_int(value, name: str, low: int | None) -> int:
         raise InvalidParameterError(
             f"{name} must be an integer{bound}, got {value!r}")
     return int(value)
+
+
+def _require_record(value, kind: type, name: str) -> None:
+    """:class:`InvalidParameterError` naming the argument ``name`` unless
+    ``value`` is a ``kind``: a :class:`Mesh`, a history, a tiling or a
+    weaving."""
+    if not isinstance(value, kind):
+        raise InvalidParameterError(
+            f"{name} must be a {kind.__name__}, got {type(value).__name__}")
 
 
 def _check_point_array(points) -> np.ndarray:
@@ -474,10 +508,13 @@ def _direct_mesh(positions: np.ndarray, flat: np.ndarray, starts: np.ndarray,
 
     ``edges`` is the ``(lo, hi)``-sorted edge table of the face cycles
     ``(flat, starts)``, and ``face_edge_flat`` the edge from each slot to
-    the next; each edge's two faces are read off the slots.  There must be
-    a face, indices in range and no edge walked twice in one direction, as
-    every caller (:func:`build_mesh`, the classic schemes, the glued tilings
-    and the face-split weaving) ensures.  The checks follow
+    the next; each edge's two faces are read off the slots.  The index
+    arrays may come in any integer dtype, and the mesh holds them in
+    :data:`INDEX_DTYPE`; more vertices, edges or face slots than that
+    numbers raise :class:`InvalidParameterError` before anything else.
+    There must be a face, indices in range and no edge walked twice in one
+    direction, as every caller (:func:`build_mesh`, the classic schemes,
+    the glued tilings and the face-split weaving) ensures.  The checks follow
     :func:`build_mesh`'s order and raise its errors: finite coordinates, at
     least 3 vertices per face, the face checks of :func:`_reject_bad_faces`
     (a clockwise face is not reversed but rejected as folded) and, with
@@ -485,7 +522,12 @@ def _direct_mesh(positions: np.ndarray, flat: np.ndarray, starts: np.ndarray,
     looked for here: :func:`build_mesh` and the gluing, whose merged cycles
     can hold one, check that first (:func:`_reject_repeats`).
     """
-    V = len(positions)
+    V, E = len(positions), len(edges)
+    if not _fits_index(V, E, len(flat)):
+        raise InvalidParameterError(
+            f"a mesh of {V} vertices, {E} edges and {len(flat)} face slots "
+            f"is too many for {INDEX_DTYPE} indices (at most {_INDEX_MAX} "
+            f"of each)")
     sizes = np.diff(starts)
     if not np.isfinite(positions).all():
         raise InvalidParameterError("vertex coordinates must be finite")
@@ -501,11 +543,13 @@ def _direct_mesh(positions: np.ndarray, flat: np.ndarray, starts: np.ndarray,
     zero_len = (p[:, 0] == q[:, 0]) & (p[:, 1] == q[:, 1])
     del p, q, cross
     _reject_bad_faces(areas, zero_len, face_edge_flat, edges)
-    E = len(edges)
-    sides = np.full(2 * E, -1, dtype=np.int64)
+    sides = np.full(2 * E, -1, dtype=INDEX_DTYPE)
     sides[(flat > flat[nxt]) * E + face_edge_flat] = slot_face
     if pinch_check:
         _reject_pinched_boundary(edges, sides[:E], sides[E:], V)
+    flat, starts, edges, face_edge_flat = (
+        np.ascontiguousarray(a, dtype=INDEX_DTYPE)
+        for a in (flat, starts, edges, face_edge_flat))
     return Mesh(positions, flat, starts, edges, sides[:E], sides[E:],
                 face_edge_flat)
 
@@ -595,6 +639,7 @@ def _check_self_intersections(mesh: Mesh) -> None:
 
 def euler_characteristic(mesh: Mesh) -> int:
     """V - E + F (1 for a disc, 2 for a sphere-like mesh without boundary)."""
+    _require_record(mesh, Mesh, "mesh")
     return mesh.vertex_count - mesh.edge_count + mesh.face_count
 
 
@@ -606,6 +651,7 @@ def convexity_report(mesh: Mesh, tolerance: float = 1e-9) -> list[int]:
     therefore not reported.  A ``tolerance`` that is not a finite number
     raises :class:`InvalidParameterError`.
     """
+    _require_record(mesh, Mesh, "mesh")
     if isinstance(tolerance, bool) or not isinstance(tolerance, numbers.Real) \
             or not math.isfinite(tolerance):
         raise InvalidParameterError(

@@ -59,15 +59,19 @@ over blocks of whole source faces, about 16k slots each, writes the rows of
 five and checks them (:func:`_refine`).  A block derives its slots' next
 slot and face from ``face_starts``, so no per-slot array is built at full
 size but the refined mesh's own, and none is cached on the meshes a history
-keeps; small blocks keep the step's temporaries small and short-lived,
-which lowers the memory peak of a run.  A block gathers the positions of
-each of its five columns once: the source side reads each slot's corner
-and next corner from the source and its barycenter and spoke bend point
-from columns 0 and 1; the refined side pairs each column with the next for
-the face areas and zero-length edges, which go to the raiser every mesh
-construction shares (:func:`~.mesh_core._reject_bad_faces`) after the
-walk, and sums the face centroids the smoothing reuses.  Smoothing runs
-after every check and writes the positions in place.
+keeps.  The refined mesh's index arrays are allocated in the mesh index
+dtype (:data:`~.mesh_core.INDEX_DTYPE`) and written in place, never
+copied.  Small blocks keep the step's temporaries small enough to stay in
+cache, which is what they pay for: in one block the step runs slower
+(:data:`_BLOCK`), and the run's memory peak is a little higher.  A block
+gathers the positions of each of its five columns once: the source side
+reads each slot's corner and next corner from the source and its
+barycenter and spoke bend point from columns 0 and 1; the refined side
+pairs each column with the next for the face areas and zero-length edges,
+which go to the raiser every mesh construction shares
+(:func:`~.mesh_core._reject_bad_faces`) after the walk, and sums the face
+centroids the smoothing reuses.  Smoothing runs after every check and
+writes the positions in place.
 The errors fire in this order, whatever block they are in: a pinched
 source boundary (rejected before the walk) raises
 :class:`~.errors.NonManifoldError`; a spoke's bend point on its source
@@ -90,16 +94,20 @@ import numpy as np
 
 from .errors import (
     AmbiguousHalfPlaneError,
+    DepthTooLargeError,
     InternalInvariantError,
     InvalidParameterError,
 )
 from .mesh_core import (
+    INDEX_DTYPE,
     Mesh,
     _centroids,
     _checked_int,
     _cycle_links,
+    _fits_index,
     _reject_bad_faces,
     _reject_pinched_boundary,
+    _require_record,
 )
 
 __all__ = [
@@ -146,7 +154,10 @@ def _checked_flag(seed_flag) -> int:
 # ---------------------------------------------------------------------------
 
 #: Slots per block of the step's one walk, which writes the rows and checks
-#: them (lowest measured peak RSS).
+#: them.  Blocks this small keep each block's temporaries in cache: one
+#: block of the whole step ran the t=8 ``deep_refine`` op about 13% slower
+#: (median paired ratio 1.13 on a shared 2-vCPU host) and peaked 2.7%
+#: higher in RSS.
 _BLOCK = 1 << 14
 
 
@@ -164,7 +175,9 @@ def _blocks(starts: np.ndarray):
 def _walked_bends(V: int, e, backwards):
     """The bend points of source edges ``e`` in the order a walk along each
     meets them: ``V + 2e + backwards`` first, where ``backwards`` says the
-    walk runs from the edge's higher vertex to its lower, then its pair."""
+    walk runs from the edge's higher vertex to its lower, then its pair.
+    In int64, as ``2V + 4e + 1`` can pass the index dtype's range."""
+    e = e.astype(np.int64)
     first = V + 2 * e + backwards
     return first, (2 * V + 4 * e + 1) - first
 
@@ -224,8 +237,8 @@ def _refine(source: Mesh, s: int, positions: np.ndarray) -> tuple:
     # side of the bend V + 2e + k, which gets that face's spoke (-1: none)
     ends = source.edges.ravel()
     order = np.argsort(ends, kind="stable")
-    outer_id = np.empty(2 * E, dtype=np.int64)
-    outer_id[order] = np.arange(2 * E, dtype=np.int64)
+    outer_id = np.empty(2 * E, dtype=INDEX_DTYPE)
+    outer_id[order] = np.arange(2 * E, dtype=INDEX_DTYPE)
     sides = (source.edge_left, source.edge_right)
     spoke_face = np.column_stack((sides[k], sides[1 - k])).ravel()
     has_spoke = spoke_face >= 0
@@ -235,7 +248,7 @@ def _refine(source: Mesh, s: int, positions: np.ndarray) -> tuple:
     spoke_id[1::2] += has_spoke[0::2]
     E_out = 2 * E + int(per_edge.sum())
 
-    edges = np.empty((E_out, 2), dtype=np.int64)
+    edges = np.empty((E_out, 2), dtype=INDEX_DTYPE)
     edges[:2 * E, 0] = ends[order]
     edges[:2 * E, 1] = V + order
     edges[mid_id, 0] = V + 2 * np.arange(E, dtype=np.int64)
@@ -254,12 +267,12 @@ def _refine(source: Mesh, s: int, positions: np.ndarray) -> tuple:
     # vertex id, right otherwise; ids rise from source vertex to bend point
     # to barycenter, so only the middle segment's column has both sides
     n = len(source.face_vertex_flat)
-    out_flat = np.empty(5 * n, dtype=np.int64)
-    out_edge = np.empty(5 * n, dtype=np.int64)
+    out_flat = np.empty(5 * n, dtype=INDEX_DTYPE)
+    out_edge = np.empty(5 * n, dtype=INDEX_DTYPE)
     rows = out_flat.reshape(n, 5)
     row_edges = out_edge.reshape(n, 5)
-    edge_left = np.full(E_out, -1, dtype=np.int64)
-    edge_right = np.full(E_out, -1, dtype=np.int64)
+    edge_left = np.full(E_out, -1, dtype=INDEX_DTYPE)
+    edge_right = np.full(E_out, -1, dtype=INDEX_DTYPE)
     areas = np.empty(n)
     zero_len = np.empty((n, 5), dtype=bool)
     centroids = np.empty((n, 2))
@@ -340,8 +353,9 @@ def _refine(source: Mesh, s: int, positions: np.ndarray) -> tuple:
             "nearest-barycenter distance disagreed with the half-plane "
             "rule for %d spokes", disagreements)
     _reject_bad_faces(areas, zero_len.ravel(), out_edge, edges)
-    return (positions, out_flat, np.arange(0, 5 * n + 1, 5, dtype=np.int64),
-            edges, edge_left, edge_right, out_edge), centroids
+    starts = np.arange(0, 5 * n + 1, 5, dtype=INDEX_DTYPE)
+    return (positions, out_flat, starts, edges, edge_left, edge_right,
+            out_edge), centroids
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +370,7 @@ def smooth_inner_vertices(mesh: Mesh) -> Mesh:
     pre-move positions (simultaneous update); outer vertices are returned
     bitwise unchanged.
     """
+    _require_record(mesh, Mesh, "mesh")
     positions = mesh.positions.copy()
     _smooth(positions, mesh.face_vertex_flat, mesh.face_starts,
             mesh.face_centroids(), mesh.inner_vertex_mask)
@@ -443,6 +458,22 @@ def _step_counts(record: Provenance, slots: int) -> tuple:
     return V + 2 * E + F, 3 * E + slots, slots
 
 
+def _check_depth(mesh: Mesh, steps: int) -> None:
+    """Raise :class:`DepthTooLargeError`, naming the first step that does,
+    when ``steps`` steps of ``mesh`` make a mesh of more vertices, edges or
+    face slots than :data:`~.mesh_core.INDEX_DTYPE` numbers; read off the
+    count recursion, before anything is allocated.  Every refined face is a
+    pentagon, so each step multiplies the slots by five."""
+    counts, slots = _counts(mesh), len(mesh.face_vertex_flat)
+    for t in range(1, steps + 1):
+        counts, slots = _step_counts(Provenance(*counts), slots), 5 * slots
+        if not _fits_index(counts[0], counts[1], slots):
+            raise DepthTooLargeError(
+                f"step {t} of {steps} would make a mesh of {counts[0]} "
+                f"vertices, {counts[1]} edges and {slots} face slots, too "
+                f"many for {INDEX_DTYPE} indices")
+
+
 def _check_count_recursion(record: Provenance, slots: int,
                            refined: Mesh) -> None:
     expect, got = _step_counts(record, slots), _counts(refined)
@@ -524,13 +555,21 @@ def snub_subdivide(mesh: Mesh, steps: int, smoothing: bool = True,
     overlap, so edges can cross (without smoothing this happens at modest
     depth, e.g. on ``ngon(3)`` at t=4).  ``_check_self_intersections`` in
     :mod:`~.mesh_core` finds such crossings; the step does not run it.
+
+    A mesh's index arrays are :data:`~.mesh_core.INDEX_DTYPE` (int32), so
+    a depth whose meshes would have more than ``2**31 - 1`` vertices, edges
+    or face slots raises :class:`~.errors.DepthTooLargeError`, naming the
+    first step that would, before any step runs: the counts follow from
+    the count recursion alone.  A pentagon reaches that at step 13.
     """
+    _require_record(mesh, Mesh, "mesh")
     steps = _checked_int(steps, "steps", 0)
     if not isinstance(smoothing, (bool, np.bool_)):
         raise InvalidParameterError(
             f"smoothing must be a bool, got {smoothing!r}")
     # checked before the loop too, for a history of no steps
     seed_flag = _checked_flag(seed_flag)
+    _check_depth(mesh, steps)
     meshes = [mesh]
     records: list[StepRecord] = []
     current = mesh

@@ -53,7 +53,7 @@ from .errors import (
     NotTriangleMeshError,
 )
 from .mesh_core import (Mesh, _cycle_links, _direct_mesh, _edge_slots,
-                        _reject_repeats, _slot_faces)
+                        _reject_repeats, _require_record, _slot_faces)
 from .snub import Provenance, _face_table
 
 __all__ = [
@@ -102,6 +102,7 @@ def two_color_vertices(mesh: Mesh) -> VertexColoring:
     Raises :class:`NotBipartiteError` when an odd cycle makes a proper
     coloring impossible.
     """
+    _require_record(mesh, Mesh, "mesh")
     if (mesh.face_sizes != 4).any():
         raise InvalidParameterError(
             "two_color_vertices expects a pure quad mesh")
@@ -176,6 +177,7 @@ def catmull_clark_coloring(step: SchemeStepResult) -> VertexColoring:
 def triangle_coloring_check(mesh: Mesh,
                             coloring: VertexColoring) -> VertexColoring:
     """Validate that every triangle has exactly one ``c1`` vertex."""
+    _require_record(mesh, Mesh, "mesh")
     if (mesh.face_sizes != 3).any():
         raise NotTriangleMeshError(
             "triangle_coloring_check expects a triangle mesh")
@@ -372,6 +374,7 @@ def glue_snub_pairs(mesh: Mesh, provenance: Provenance) -> GluedTiling:
     without exactly one middle edge, for one), raise
     :class:`InvalidParameterError`.
     """
+    _require_record(mesh, Mesh, "mesh")
     middle = _face_table(mesh, provenance)[0]
     return _build_tiling(mesh, _snub_partners(mesh, middle), middle)
 
@@ -657,6 +660,7 @@ def quad_weaving(mesh: Mesh, coloring: VertexColoring) -> Weaving:
     Raises :class:`NotBipartiteError` if any quad edge joins two vertices
     of the same color.
     """
+    _require_record(mesh, Mesh, "mesh")
     is_c1 = _is_c1(coloring, mesh)
     is_quad = mesh.face_sizes == 4
     if not is_quad.any():
@@ -675,7 +679,7 @@ def quad_weaving(mesh: Mesh, coloring: VertexColoring) -> Weaving:
     # a slot off the quads is its own opposite and has no twin, so the
     # ranking drops it
     left, right = _edge_slots(mesh, slot_next)
-    edge = mesh.face_edge_flat
+    edge = mesh.face_edge_flat.astype(np.int64)     # a Weaving's are int64
     slots = np.arange(len(flat), dtype=np.int64)
     local = slots - mesh.face_starts[slot_face]
     opposite = np.where(on_quad,
@@ -746,6 +750,7 @@ def trace_snub_strands(tiling: GluedTiling,
     that end; closed strands follow, by their lowest tile, each walked
     from that tile out through its port ``2t``.
     """
+    _require_record(tiling, GluedTiling, "tiling")
     source = tiling.source
     middle, bend, crossed = _face_table(source, provenance)
     got, want = tiling.tile_faces, _tile_faces(_snub_partners(source, middle))
@@ -831,6 +836,7 @@ def general_face_split_weaving(mesh: Mesh,
     a face at it, so the edges are the source slots next to an interior
     edge, in ``(v, f)`` order: a stable argsort of their vertices.
     """
+    _require_record(mesh, Mesh, "mesh")
     inner = np.flatnonzero(~mesh.boundary_edge_mask)
     if len(inner) == 0:
         raise NoInteriorEdgesError(
@@ -903,6 +909,8 @@ def strand_ribbons(weaving: Weaving, mesh: Mesh,
     :class:`InvalidParameterError`.  The ribbon width is ``width_fraction``
     times the local edge length.
     """
+    _require_record(weaving, Weaving, "weaving")
+    _require_record(mesh, Mesh, "mesh")
     if not isinstance(width_fraction, numbers.Real) \
             or not 0.0 < width_fraction < 1.0:
         raise InvalidParameterError(

@@ -244,6 +244,18 @@ class TestDirectMesh:
             direct(*BOWTIE)
         assert direct(*BOWTIE, pinch_check=False).face_count == 2
 
+    def test_counts_past_the_index_dtype_rejected_before_any_check(self):
+        # 2**31 vertices as a broadcast view: nothing that size is
+        # allocated, and the guard fires before the coordinates are read
+        points = np.broadcast_to(np.zeros(2), (2 ** 31, 2))
+        _, flat, starts, edges, face_edge_flat = (
+            np.array(a) for a in TWO_TRIANGLES)
+        with pytest.raises(InvalidParameterError,
+                           match=r"^a mesh of 2147483648 vertices, 5 edges "
+                                 r"and 6 face slots is too many for int32 "
+                                 r"indices \(at most 2147483647 of each\)$"):
+            _direct_mesh(points, flat, starts, edges, face_edge_flat)
+
 
 def first_crossing(mesh, block=64):
     """The lowest ``(e, other)`` pair of crossing edges, by testing every

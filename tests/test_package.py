@@ -4,6 +4,9 @@ import ast
 import inspect
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import snubweave as sw
 from snubweave import classic_schemes, errors, fractal, mesh_core, snub, weaving
 
@@ -47,3 +50,100 @@ def test_every_error_type_is_raised_by_the_library():
     unraised = {name for name, obj in ERROR_CLASSES.items()
                 if not any(issubclass(t, obj) for t in raised_types)}
     assert unraised == set()
+
+
+# ---------------------------------------------------------------------------
+# records checked by type
+# ---------------------------------------------------------------------------
+
+def _records():
+    """A pentagon history of two steps, its last record, a mesh, a
+    coloring and a quad weaving, for the calls below."""
+    hist = sw.snub_subdivide(sw.pentagon(), 2)
+    quads = sw.square_grid(2, 2)
+    coloring = sw.two_color_vertices(quads)
+    return dict(p=hist.records[-1].provenance, m=quads, c=coloring,
+                w=sw.quad_weaving(quads, coloring))
+
+
+#: (call, the argument it must name, the record type it expects): each one
+#: leaked AttributeError on a None record instead of a typed error
+NONE_RECORDS = [
+    ("quad_weaving(None, c)", "mesh", "Mesh"),
+    ("glue_snub_pairs(None, p)", "mesh", "Mesh"),
+    ("general_face_split_weaving(None)", "mesh", "Mesh"),
+    ("two_color_vertices(None)", "mesh", "Mesh"),
+    ("snub_subdivide(None, 1)", "mesh", "Mesh"),
+    ("catmull_clark_step(None)", "mesh", "Mesh"),
+    ("loop_step(None)", "mesh", "Mesh"),
+    ("trace_snub_strands(None, p)", "tiling", "GluedTiling"),
+    ("strand_ribbons(None, m, 0.3)", "weaving", "Weaving"),
+    ("boundary_lengths(None)", "history", "SubdivisionHistory"),
+    ("first_hit_raster(None, 32)", "history", "SubdivisionHistory"),
+    ("track_inner_curves(None, [0])", "history", "SubdivisionHistory"),
+    ("butterfly_step(None)", "mesh", "Mesh"),
+    ("sqrt3_step(None)", "mesh", "Mesh"),
+    ("midedge_step(None)", "mesh", "Mesh"),
+    ("doo_sabin_step(None)", "mesh", "Mesh"),
+    ("smooth_inner_vertices(None)", "mesh", "Mesh"),
+    ("euler_characteristic(None)", "mesh", "Mesh"),
+    ("convexity_report(None)", "mesh", "Mesh"),
+    ("triangle_coloring_check(None, c)", "mesh", "Mesh"),
+    ("glue_triangle_pairs(None, c)", "mesh", "Mesh"),
+    ("strand_ribbons(w, None, 0.3)", "mesh", "Mesh"),
+]
+
+
+@pytest.mark.parametrize("call, name, kind", NONE_RECORDS)
+def test_a_none_record_raises_a_typed_error_naming_the_argument(call, name,
+                                                                 kind):
+    with pytest.raises(sw.InvalidParameterError,
+                       match=f"^{name} must be a {kind}, got NoneType$"):
+        eval(call, vars(sw), _records())
+
+
+# ---------------------------------------------------------------------------
+# one index dtype for every mesh
+# ---------------------------------------------------------------------------
+
+def _made_meshes():
+    """Per maker of meshes, a mesh it made."""
+    points = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+    fan = sw.fan_ngon(6)
+    loop = sw.loop_step(fan)
+    hub = sw.VertexColoring(np.arange(fan.vertex_count) == 6)
+    hist = sw.snub_subdivide(sw.pentagon(), 2)
+    prov = hist.records[-1].provenance
+    made = {
+        "build_mesh (lists)": sw.build_mesh(points, [[0, 1, 2], [0, 2, 3]]),
+        "build_mesh (CSR)": sw.build_mesh(points, (np.array([0, 1, 2, 3]),
+                                                   np.array([0, 4]))),
+        "catmull_clark_step": sw.catmull_clark_step(sw.square_grid(2, 2)).mesh,
+        "snub step": hist.final,
+        "glue_triangle_pairs": sw.glue_triangle_pairs(
+            loop.mesh, sw.loop_color_update(hub, loop)).mesh,
+        "sqrt3_quadization": sw.sqrt3_quadization(sw.sqrt3_step(fan))[0].mesh,
+        "glue_snub_pairs": sw.glue_snub_pairs(hist.final, prov).mesh,
+        "face-split weave": sw.general_face_split_weaving(fan)[0].mesh,
+        "with_positions": fan.with_positions(fan.positions + 1.0),
+    }
+    for name in ("loop_step", "butterfly_step", "sqrt3_step", "midedge_step",
+                 "doo_sabin_step"):
+        made[name] = getattr(sw, name)(fan).mesh
+    return made
+
+
+MAKERS = sorted(_made_meshes())
+
+
+def test_the_index_dtype_is_int32():
+    assert sw.INDEX_DTYPE == np.int32
+
+
+@pytest.mark.parametrize("maker", MAKERS)
+def test_every_maker_holds_its_indices_in_the_index_dtype(maker):
+    mesh = _made_meshes()[maker]
+    assert mesh.positions.dtype == np.float64
+    for name in ("face_vertex_flat", "face_starts", "edges", "edge_left",
+                 "edge_right", "face_edge_flat"):
+        assert getattr(mesh, name).dtype == sw.INDEX_DTYPE, name

@@ -2,6 +2,7 @@
 
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -387,6 +388,25 @@ class TestSnubSubdivide:
                                  f"{steps!r}$"):
             sw.snub_subdivide(sw.pentagon(), steps)
 
+    def test_depth_past_the_index_dtype_raises_before_any_step(self):
+        # a pentagon's step 13 has 6,103,515,625 face slots; the guard
+        # reads the count recursion, so nothing large is allocated
+        tracemalloc.start()
+        try:
+            with pytest.raises(sw.DepthTooLargeError,
+                               match=r"^step 13 of 14 would make a mesh of "
+                                     r"1835040496 vertices, 3055743620 "
+                                     r"edges and 6103515625 face slots, too "
+                                     r"many for int32 indices$"):
+                sw.snub_subdivide(sw.pentagon(), 14)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        # step 12, the deepest a pentagon's indices can number, passes the
+        # guard (only the guard runs here)
+        snub._check_depth(sw.pentagon(), 12)
+
     def test_pentagon_count_recursion_six_steps(self):
         hist = sw.snub_subdivide(sw.pentagon(), 6)
         v, e, f = 5, 5, 1
@@ -716,8 +736,14 @@ def logged_outcome(logger_name, run):
 
 
 def assert_same_bits(a, b, what):
-    assert a.dtype == b.dtype and a.shape == b.shape, what
-    assert a.tobytes() == b.tobytes(), what
+    """``a`` equals ``b`` bit for bit; but a mesh's index array ``what``
+    equals by value and is in the library's index dtype, as the frozen
+    oracles hold int64 indices."""
+    assert a.shape == b.shape, what
+    if what in MESH_ARRAYS[1:]:
+        assert a.dtype == sw.INDEX_DTYPE and np.array_equal(a, b), what
+    else:
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), what
 
 
 def assert_step_records(source, refined, prov, ref, ref_source):
@@ -736,8 +762,9 @@ def assert_step_records(source, refined, prov, ref, ref_source):
         np.arange(V), np.arange(2 * E) // 2, np.arange(F)]),
         "vertex_parent_id")
     assert_same_bits(ref.face_parent, source.slot_face, "face_parent")
-    assert_same_bits(refined.face_vertex_flat[refined.face_starts[:-1]]
-                     - (V + 2 * E), source.slot_face, "face_parent")
+    assert_same_bits((refined.face_vertex_flat[refined.face_starts[:-1]]
+                      - (V + 2 * E)).astype(np.int64), source.slot_face,
+                     "face_parent")
     assert ref.source is ref_source
 
 
