@@ -16,7 +16,8 @@ vertex's edges and neighbours in edge order, and one of
 largest valence.  A per-vertex sum adds the table's columns one by one,
 left to right from zero, the order in which ``values[ids].sum(axis=0)``
 adds one vertex's ``(d, 2)`` block, so the result does not depend on how
-the vertices are batched.
+the vertices are batched.  The loop states that order, and it is kept
+over :mod:`~.mesh_core`'s face-sum order, which would move the vertex bits.
 
 Every refined mesh is written with its sorted edge table, derived in closed
 form from the source's tables rather than by hashing the refined faces, and
@@ -119,7 +120,7 @@ def _row_sums(values: np.ndarray, table: np.ndarray, count: np.ndarray):
     """Per row ``v``, the sum of ``values[table[v, :count[v]]]``.
 
     The terms are added left to right, starting from zero, as
-    ``values[ids].sum(axis=0)`` adds them; ``np.add.reduceat`` does not.
+    ``values[ids].sum(axis=0)`` adds them (see the module docstring).
     """
     total = np.zeros((len(table),) + values.shape[1:])
     for k in range(table.shape[1]):

@@ -13,7 +13,9 @@ Conventions used throughout the package:
 * a vertex is *inner* when it has at least one incident edge and all of its
   incident edges are inner (:attr:`Mesh.inner_vertex_mask`);
 * the face "barycenter" is the arithmetic mean of the face's vertex
-  positions (the vertex centroid), not the area centroid.
+  positions (the vertex centroid), not the area centroid;
+* a sum over a face's slots is ``c0 + (((c1 + c2) + c3) + ...)`` from its
+  first slot, the order :func:`_face_sums` states (not a numpy loop's).
 
 Large meshes are handled with flat index arrays (CSR-style face storage), so
 all derived tables are built with vectorized numpy passes.
@@ -160,15 +162,14 @@ class Mesh:
 
     def face_centroids(self) -> np.ndarray:
         """Vertex centroid of every face, shape (F, 2)."""
-        return _centroids(self.positions, self.face_vertex_flat,
-                          self.face_starts)
+        p = np.take(self.positions, self.face_vertex_flat, axis=0)
+        return _face_sums(p, self.face_starts) / self.face_sizes[:, None]
 
     def face_signed_areas(self) -> np.ndarray:
         """Shoelace signed area of every face (positive = counterclockwise)."""
         p = np.take(self.positions, self.face_vertex_flat, axis=0)
-        q = np.take(p, self.slot_next, axis=0)
-        cross = p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1]
-        return 0.5 * np.add.reduceat(cross, self.face_starts[:-1])
+        return 0.5 * _shoelace(p, np.take(p, self.slot_next, axis=0),
+                               self.face_starts)
 
     # -- edges --------------------------------------------------------------
 
@@ -249,19 +250,43 @@ class Mesh:
 # construction
 # ---------------------------------------------------------------------------
 
-def _centroids(positions: np.ndarray, flat: np.ndarray,
-               starts: np.ndarray) -> np.ndarray:
-    """Vertex centroids of the face cycles that ``starts`` bounds in
-    ``flat``, a run of whole faces that need not begin at slot 0."""
-    sums = np.add.reduceat(np.take(positions, flat[starts[0]:starts[-1]],
-                                   axis=0), starts[:-1] - starts[0], axis=0)
-    return sums / np.diff(starts)[:, None]
+def _row_sum(columns) -> np.ndarray:
+    """The face-sum order ``c0 + (((c1 + c2) + c3) + ...)`` over three or
+    more columns (or a generator of them), added in place after ``c1 + c2``."""
+    columns = iter(columns)
+    first, total = next(columns), next(columns) + next(columns)
+    for column in columns:
+        total += column
+    return first + total
+
+
+def _face_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Per face of ``starts``, its slots' ``values`` (a value or a row each)
+    summed in the face-sum order: faces grouped by size with one stable
+    sort, and each group's columns (views when all sizes agree) added by
+    :func:`_row_sum`."""
+    sizes = np.diff(starts)
+    if (sizes == sizes[0]).all():       # one size: columns are slot views
+        rows = values.reshape((len(sizes), -1) + values.shape[1:])
+        return _row_sum(rows[:, j] for j in range(rows.shape[1]))
+    order = np.argsort(sizes, kind="stable")
+    sums = np.empty((len(sizes),) + values.shape[1:], dtype=values.dtype)
+    for group in np.split(order, np.flatnonzero(np.diff(sizes[order])) + 1):
+        first = starts[group].astype(np.intp)    # numpy's own index type
+        sums[group] = _row_sum(values[first + j]
+                               for j in range(sizes[group[0]]))
+    return sums
+
+
+def _shoelace(p: np.ndarray, q: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Twice each face's signed area, from slots ``p`` and next slots ``q``."""
+    return _face_sums(p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1], starts)
 
 
 def _next_slots(starts: np.ndarray) -> np.ndarray:
     """Per slot of the faces that ``starts`` bounds, a run of whole faces
-    as for :func:`_centroids`: the slot of the next vertex in its cycle,
-    counted from the run's first slot."""
+    that need not begin at slot 0: the slot of the next vertex in its
+    cycle, counted from the run's first slot."""
     nxt = np.arange(1, starts[-1] - starts[0] + 1, dtype=np.int64)
     nxt[starts[1:] - 1 - starts[0]] = starts[:-1] - starts[0]
     return nxt
@@ -382,10 +407,11 @@ def build_mesh(points, faces, *, check_self_intersections: bool = False,
     Faces given clockwise are reversed to counterclockwise.  Raises
     :class:`InvalidParameterError` for no faces, in either form,
     :class:`IndexRangeError` for out-of-range indices,
-    :class:`DegenerateFaceError` for short/repeating/zero-area cycles or
-    zero-length edges, and :class:`NonManifoldError` when an edge is walked
-    twice in the same direction (so also when it has more than two incident
-    faces) or the boundary is pinched at a vertex.
+    :class:`DegenerateFaceError` for short/repeating/zero-area cycles, an
+    area within its shoelace sum's rounding error or zero-length edges, and
+    :class:`NonManifoldError` when an edge is walked twice in the same
+    direction (so also when it has more than two incident faces) or the
+    boundary is pinched at a vertex.
 
     The edge table is found by hashing the cycles; the rest is
     :func:`_direct_mesh`, which runs the face and pinch checks.
@@ -413,12 +439,15 @@ def build_mesh(points, faces, *, check_self_intersections: bool = False,
     nxt, slot_face = _cycle_links(starts)
     _reject_repeats(flat, slot_face, V)
 
-    # orient all faces counterclockwise
+    # orient all faces counterclockwise; an n-gon's shoelace sum may be off
+    # by (n + 1) eps times the sum of its products' magnitudes, so a sum no
+    # larger than that has not even a sign to trust
     p = np.take(positions, flat, axis=0)
     q = np.take(p, nxt, axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
-        doubled = np.add.reduceat(p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1],
-                                  starts[:-1])
+        doubled = _shoelace(p, q, starts)
+        rounding = (sizes + 1) * np.finfo(np.float64).eps * _face_sums(
+            np.abs(p[:, 0] * q[:, 1]) + np.abs(q[:, 0] * p[:, 1]), starts)
     del p, q
     if not np.isfinite(doubled).all():
         raise InvalidParameterError(
@@ -427,15 +456,16 @@ def build_mesh(points, faces, *, check_self_intersections: bool = False,
     if (doubled == 0.0).any():
         raise DegenerateFaceError(
             f"face {int(np.flatnonzero(doubled == 0.0)[0])} has zero area")
+    lost = np.abs(doubled) <= rounding
+    if lost.any():
+        raise DegenerateFaceError(
+            f"face {int(np.flatnonzero(lost)[0])} has an area below the "
+            f"rounding error of its shoelace sum (too small for where it is)")
     flip = doubled < 0.0
-    if flip.any():
-        first = starts[slot_face]
-        within = np.arange(len(flat), dtype=np.int64) - first
-        new_within = np.where(flip[slot_face],
-                              sizes[slot_face] - 1 - within, within)
-        flat_fixed = np.empty_like(flat)
-        flat_fixed[first + new_within] = flat
-        flat = flat_fixed
+    if flip.any():      # a clockwise cycle is read from its last slot back
+        slot = np.arange(len(flat), dtype=np.int64)
+        flat = flat[np.where(flip[slot_face], 2 * starts[slot_face]
+                             + sizes[slot_face] - 1 - slot, slot)]
 
     # undirected edge table
     u = flat
@@ -537,11 +567,9 @@ def _direct_mesh(positions: np.ndarray, flat: np.ndarray, starts: np.ndarray,
     nxt, slot_face = _cycle_links(starts)
     p = np.take(positions, flat, axis=0)
     q = np.take(p, nxt, axis=0)
-    cross = p[:, 0] * q[:, 1]
-    cross -= q[:, 0] * p[:, 1]
-    areas = 0.5 * np.add.reduceat(cross, starts[:-1])
+    areas = 0.5 * _shoelace(p, q, starts)
     zero_len = (p[:, 0] == q[:, 0]) & (p[:, 1] == q[:, 1])
-    del p, q, cross
+    del p, q
     _reject_bad_faces(areas, zero_len, face_edge_flat, edges)
     sides = np.full(2 * E, -1, dtype=INDEX_DTYPE)
     sides[(flat > flat[nxt]) * E + face_edge_flat] = slot_face
@@ -557,14 +585,10 @@ def _direct_mesh(positions: np.ndarray, flat: np.ndarray, starts: np.ndarray,
 def _edge_slots(mesh: Mesh, nxt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per edge, its flat face slot in the left and the right face (-1);
     ``nxt`` is the mesh's :attr:`Mesh.slot_next`."""
-    flat = mesh.face_vertex_flat
-    forward = flat < flat[nxt]
-    left = np.full(mesh.edge_count, -1, dtype=np.int64)
-    right = np.full(mesh.edge_count, -1, dtype=np.int64)
-    fwd, back = np.flatnonzero(forward), np.flatnonzero(~forward)
-    left[mesh.face_edge_flat[fwd]] = fwd
-    right[mesh.face_edge_flat[back]] = back
-    return left, right
+    flat, E = mesh.face_vertex_flat, mesh.edge_count
+    sides = np.full(2 * E, -1, dtype=np.int64)
+    sides[(flat > flat[nxt]) * E + mesh.face_edge_flat] = np.arange(len(flat))
+    return sides[:E], sides[E:]
 
 
 def _check_self_intersections(mesh: Mesh) -> None:

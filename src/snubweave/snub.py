@@ -68,10 +68,10 @@ gathers the positions of each of its five columns once: the source side
 reads each slot's corner and next corner from the source and its
 barycenter and spoke bend point from columns 0 and 1; the refined side
 pairs each column with the next for the face areas and zero-length edges,
-which go to the raiser every mesh construction shares
-(:func:`~.mesh_core._reject_bad_faces`) after the walk, and sums the face
-centroids the smoothing reuses.  Smoothing runs after every check and
-writes the positions in place.
+which go to the shared raiser (:func:`~.mesh_core._reject_bad_faces`) after
+the walk, and sums the face centroids the smoothing reuses, both in the
+face-sum order (:func:`~.mesh_core._row_sum`).  Smoothing runs after every
+check and writes the positions in place.
 The errors fire in this order, whatever block they are in: a pinched
 source boundary (rejected before the walk) raises
 :class:`~.errors.NonManifoldError`; a spoke's bend point on its source
@@ -86,7 +86,6 @@ count that breaks the recursion raises
 from __future__ import annotations
 
 from dataclasses import dataclass
-import functools
 import logging
 import math
 
@@ -101,13 +100,13 @@ from .errors import (
 from .mesh_core import (
     INDEX_DTYPE,
     Mesh,
-    _centroids,
     _checked_int,
     _cycle_links,
     _fits_index,
     _reject_bad_faces,
     _reject_pinched_boundary,
     _require_record,
+    _row_sum,
 )
 
 __all__ = [
@@ -197,18 +196,8 @@ def _positions(source: Mesh, s: int) -> np.ndarray:
     near_a[:, 0] = pa[:, 0] + (5.0 * d[:, 0] - s * _SQRT3 * d[:, 1]) / 14.0
     near_a[:, 1] = pa[:, 1] + (s * _SQRT3 * d[:, 0] + 5.0 * d[:, 1]) / 14.0
     positions[V + 1:V + 2 * E:2] = pa + pb - near_a
-    positions[V + 2 * E:] = _centroids(source.positions,
-                                       source.face_vertex_flat,
-                                       source.face_starts)
+    positions[V + 2 * E:] = source.face_centroids()
     return positions
-
-
-def _row_sum(columns) -> np.ndarray:
-    """``c0 + (((c1 + c2) + c3) + c4)`` over five columns (or a generator of
-    them): the order ``np.add.reduceat`` adds a row of five in, so the sums
-    equal its sums bit for bit."""
-    columns = iter(columns)
-    return next(columns) + functools.reduce(np.add, columns)
 
 
 def _refine(source: Mesh, s: int, positions: np.ndarray) -> tuple:
@@ -219,11 +208,11 @@ def _refine(source: Mesh, s: int, positions: np.ndarray) -> tuple:
     Each source slot gives one pentagon, a fixed row of five chosen by the
     flag (see the module docstring).  ``positions`` are the refined
     vertices' (:func:`_positions`); they are returned as given and stay
-    writeable, so they can be smoothed in place.  A spoke whose bend point
-    is on its source edge's line raises :class:`AmbiguousHalfPlaneError`;
-    the spokes that disagree with the half-plane rule, or with plain
-    nearest-barycenter distance, are counted and logged once (never
-    asserted).
+    writeable, so they can be smoothed in place; areas and centroids are
+    summed in the face-sum order of :mod:`~.mesh_core`.  A spoke's bend point
+    on its source edge's line raises :class:`AmbiguousHalfPlaneError`; the
+    spokes that disagree with the half-plane rule, or with nearest-barycenter
+    distance, are counted and logged once (never asserted).
     """
     _reject_pinched_boundary(source.edges, source.edge_left,
                              source.edge_right, source.vertex_count)

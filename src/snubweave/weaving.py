@@ -53,7 +53,8 @@ from .errors import (
     NotTriangleMeshError,
 )
 from .mesh_core import (Mesh, _cycle_links, _direct_mesh, _edge_slots,
-                        _reject_repeats, _require_record, _slot_faces)
+                        _face_sums, _reject_repeats, _require_record,
+                        _slot_faces)
 from .snub import Provenance, _face_table
 
 __all__ = [
@@ -957,15 +958,9 @@ def strand_ribbons(weaving: Weaving, mesh: Mesh,
         src, mids = weaving.tiling.source, weaving.crossings
         m_off = weaving.crossing_offsets
         lead, loops = weaving.lead_terminal.astype(np.int64), weaving.closed
-        tile_width = np.empty(mesh.face_count)
-        sizes = mesh.face_sizes
-        for n in np.unique(sizes).tolist():
-            faces = np.flatnonzero(sizes == n)
-            ids = mesh.face_edge_flat[mesh.face_starts[faces][:, None]
-                                      + np.arange(n)]
-            tile_width[faces] = lengths[ids].mean(axis=1) \
-                * width_fraction / 2.0
-        tile_width = tile_width[tiles]
+        tile_width = (_face_sums(lengths[mesh.face_edge_flat],
+                                 mesh.face_starts) / mesh.face_sizes
+                      * width_fraction / 2.0)[tiles]
     n_m = np.diff(m_off)
     drawn = np.minimum(n_m - lead, n_t)
     p_off = np.zeros(S + 1, dtype=np.int64)

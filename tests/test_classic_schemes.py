@@ -567,9 +567,7 @@ def clockwise_faces(points, faces):
     p = np.asarray(points, dtype=np.float64)[flat]
     nxt = np.arange(1, len(flat) + 1)
     nxt[starts[1:] - 1] = starts[:-1]
-    q = p[nxt]
-    doubled = np.add.reduceat(p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1],
-                              starts[:-1])
+    doubled = mesh_core._shoelace(p, p[nxt], np.asarray(starts))
     return np.flatnonzero(doubled < 0.0)
 
 

@@ -1,6 +1,8 @@
 """Mesh construction, validation, inner/outer masks, and demo generators."""
 
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -14,7 +16,8 @@ from snubweave import (
     NonManifoldError,
     SelfIntersectionError,
 )
-from snubweave.mesh_core import _check_self_intersections, _direct_mesh
+from snubweave.mesh_core import (_check_self_intersections, _direct_mesh,
+                                 _face_sums, _row_sum)
 
 import classic_reference
 from mesh_compare import MESH_ARRAYS
@@ -162,6 +165,31 @@ class TestBuildMesh:
                            match="^points must be pairs of numbers: "):
             sw.build_mesh([("a", "b"), (1, 2), (3, 4)], [[0, 1, 2]])
 
+    def test_area_lost_to_rounding_rejected(self):
+        # a triangle of side 64 offset by 1e17: its shoelace sum reads
+        # 1.15e18 where twice its area is about 3,546, and the snub step
+        # raised AmbiguousHalfPlaneError on it
+        triangle = np.array([[0.0, 0.0], [64.0, 0.0], [32.0, 55.4]])
+        with pytest.raises(DegenerateFaceError, match=(
+                r"^face 0 has an area below the rounding error of its "
+                r"shoelace sum \(too small for where it is\)$")):
+            sw.build_mesh(triangle + 1e17, [[0, 1, 2]])
+        # named by its face, beside a face that keeps its area
+        large = np.array([[0.0, 0.0], [1e17, 0.0], [0.0, 1e17]])
+        with pytest.raises(DegenerateFaceError, match="^face 1 has an area "):
+            sw.build_mesh(np.vstack((large, triangle)) + 1e17,
+                          [[0, 1, 2], [3, 4, 5]])
+        m = sw.build_mesh(triangle + 1e6, [[0, 1, 2]])
+        assert m.face_signed_areas()[0] == pytest.approx(64 * 55.4 / 2)
+
+    @pytest.mark.parametrize("spec", [
+        "pentagon", "pentaflower", "ngon:3", "ngon:9", "ngon:24", "fan:3",
+        "fan:9", "fan:24", "grid:1x1", "grid:7x5"])
+    def test_every_demo_spec_keeps_its_area_over_the_rounding(self, spec):
+        m = sw.generate_demo_mesh(spec)
+        for moved in (m.positions, m.positions * 1e6, m.positions + 1e3):
+            assert sw.build_mesh(moved, m.faces).face_count == m.face_count
+
     def test_self_intersection_check_is_opt_in(self):
         # two overlapping triangles have crossing edges but are manifold
         pts = [(0.0, 0.0), (2.0, 0.0), (1.0, 2.0),
@@ -170,6 +198,78 @@ class TestBuildMesh:
         sw.build_mesh(pts, faces)  # accepted silently by default
         with pytest.raises(SelfIntersectionError):
             sw.build_mesh(pts, faces, check_self_intersections=True)
+
+
+# ---------------------------------------------------------------------------
+# face sums: one stated order
+# ---------------------------------------------------------------------------
+
+def fold(terms):
+    """``c0 + (((c1 + c2) + c3) + ...)`` in Python floats."""
+    return terms[0] + functools.reduce(operator.add, terms[1:])
+
+
+#: Signed zeros and magnitudes over 2**-20 .. 2**20, so that any other order
+#: of the additions rounds differently somewhere.
+TERMS = st.one_of(st.sampled_from([0.0, -0.0]),
+                  st.builds(math.ldexp, st.floats(-1.0, 1.0),
+                            st.integers(-20, 20)))
+
+
+def star_faces(sizes, seed, offset):
+    """Disjoint faces of ``sizes`` vertices in a row, each star-shaped about
+    its center (jittered angles, so no gap reaches pi), counterclockwise:
+    the points and the cycles."""
+    rng = np.random.default_rng(seed)
+    points, cycles = [], []
+    for k, n in enumerate(sizes):
+        angles = 2 * np.pi * (np.arange(n) + rng.uniform(0.0, 0.4, n)) / n
+        radii = rng.uniform(0.5, 1.0, n)
+        cycles.append(list(range(len(points), len(points) + n)))
+        points += zip(offset + 3.0 * k + radii * np.cos(angles),
+                      offset + radii * np.sin(angles))
+    return np.array(points), cycles
+
+
+class TestFaceSums:
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(3, 17), data=st.data())
+    def test_row_sum_is_a_fold_after_the_first_column_bitwise(self, n, data):
+        rows = data.draw(st.lists(st.lists(TERMS, min_size=n, max_size=n),
+                                  min_size=1, max_size=20))
+        values = np.array(rows)
+        want = np.array([fold(row) for row in rows])
+        assert _row_sum(values[:, j] for j in range(n)).tobytes() \
+            == want.tobytes()
+        starts = np.arange(0, values.size + 1, n)
+        assert _face_sums(values.ravel(), starts).tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(sizes=st.lists(st.integers(3, 12), min_size=1, max_size=12),
+           seed=st.integers(0, 2**32 - 1),
+           offset=st.sampled_from([0.0, 1.0, 2.0**10, 2.0**16]),
+           data=st.data())
+    def test_centroids_and_areas_are_per_face_folds_in_any_face_order(
+            self, sizes, seed, offset, data):
+        points, cycles = star_faces(sizes, seed, offset)
+        m = sw.build_mesh(points, cycles)
+        centroids, areas = m.face_centroids(), m.face_signed_areas()
+        x, y = points[:, 0].tolist(), points[:, 1].tolist()
+        want_centroids, want_areas = [], []
+        for cycle in cycles:
+            n = len(cycle)
+            xs, ys = [x[v] for v in cycle], [y[v] for v in cycle]
+            want_centroids.append((fold(xs) / n, fold(ys) / n))
+            want_areas.append(0.5 * fold([
+                xs[i] * ys[(i + 1) % n] - xs[(i + 1) % n] * ys[i]
+                for i in range(n)]))
+        assert centroids.tobytes() == np.array(want_centroids).tobytes()
+        assert areas.tobytes() == np.array(want_areas).tobytes()
+        perm = data.draw(st.permutations(range(len(cycles))))
+        shuffled = sw.build_mesh(points, [cycles[f] for f in perm])
+        assert shuffled.face_centroids().tobytes() \
+            == centroids[perm].tobytes()
+        assert shuffled.face_signed_areas().tobytes() == areas[perm].tobytes()
 
 
 # ---------------------------------------------------------------------------

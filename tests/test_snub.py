@@ -18,7 +18,7 @@ from snubweave import (
 )
 from snubweave.mesh_core import _check_self_intersections
 from snubweave import snub
-from snubweave.snub import _face_table, _positions, _refine, _row_sum
+from snubweave.snub import _face_table, _positions, _refine
 
 import snub_reference
 import snub_step_reference
@@ -300,24 +300,6 @@ class TestRefinedGeometryChecks:
         assert positions.tobytes() == refined.positions.tobytes()
         _, centroids = _refine(m, -1, positions)
         assert centroids.tobytes() == refined.face_centroids().tobytes()
-
-    # signed zeros and magnitudes over 2**-20 .. 2**20, so that any other
-    # order of the five additions rounds differently somewhere
-    @settings(max_examples=200, deadline=None)
-    @given(values=st.lists(
-        st.one_of(st.sampled_from([0.0, -0.0]),
-                  st.builds(math.ldexp, st.floats(-1.0, 1.0),
-                            st.integers(-20, 20))),
-        min_size=10, max_size=200).map(
-            lambda v: np.array(v[:len(v) // 10 * 10]).reshape(-1, 5, 2)))
-    def test_row_sum_is_reduceat_over_rows_of_five_bitwise(self, values):
-        starts = np.arange(0, 5 * len(values), 5)
-        by_rows = np.add.reduceat(values.reshape(-1, 2), starts, axis=0)
-        for axis in (0, 1):
-            got = _row_sum(values[:, j, axis] for j in range(5))
-            flat = np.add.reduceat(values[:, :, axis].ravel(), starts)
-            assert got.tobytes() == flat.tobytes()
-            assert got.tobytes() == by_rows[:, axis].copy().tobytes()
 
 
 # ---------------------------------------------------------------------------

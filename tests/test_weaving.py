@@ -134,15 +134,22 @@ def ribbon_list(ribbons, closed):
                                               closed.tolist()))]
 
 
-def assert_same_ribbons(got, want, closed):
-    """Compare through :func:`ribbon_list`; ``closed`` is the weaving's."""
+def assert_same_ribbons(got, want, closed, width_ulp=0):
+    """Compare through :func:`ribbon_list`; ``closed`` is the weaving's.
+    Every field is compared bitwise but the half widths with a
+    ``width_ulp``, which may differ by that many units in the last place."""
     got, want = ribbon_list(got, closed), ribbon_list(want, closed)
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert (a.strand_index, a.under_spans, a.closed) \
             == (b.strand_index, b.under_spans, b.closed)
         assert_same_array(a.centerline, b.centerline, "centerline")
-        assert_same_array(a.half_widths, b.half_widths, "half_widths")
+        if width_ulp:
+            assert a.half_widths.dtype == b.half_widths.dtype
+            np.testing.assert_array_max_ulp(a.half_widths, b.half_widths,
+                                            maxulp=width_ulp)
+        else:
+            assert_same_array(a.half_widths, b.half_widths, "half_widths")
 
 
 def assert_same_quad_weave(mesh, coloring, mirror, width):
@@ -194,9 +201,12 @@ class TestOracleEquivalence:
         assert_same_tiling(tiling, want_tiling)
         want = ref.trace_snub_strands(want_tiling, prov)
         assert_same_weaving(weaving, want)
+        # a tile's width is the mean of its edge lengths: the library adds
+        # them in the face-sum order of ``mesh_core``, the oracle by
+        # ``np.mean``, so the two may round apart in the last bits
         assert_same_ribbons(sw.strand_ribbons(weaving, tiling.mesh, width),
                             ref.strand_ribbons(want, want_tiling.mesh, width),
-                            weaving.closed)
+                            weaving.closed, width_ulp=4)
 
     @settings(max_examples=25, deadline=None)
     @given(w=st.integers(1, 5), h=st.integers(1, 5),
