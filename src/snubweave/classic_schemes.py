@@ -42,8 +42,8 @@ import math
 import numpy as np
 
 from .errors import DegenerateFaceError, NotTriangleMeshError
-from .mesh_core import (Mesh, _cycle_links, _direct_mesh, _edge_slots,
-                        _require_record)
+from .mesh_core import (INDEX_DTYPE, Mesh, _cycle_links, _direct_mesh,
+                        _edge_slots, _require_record)
 
 __all__ = [
     "SchemeStepResult",
@@ -212,8 +212,10 @@ def _one_to_four_mesh(mesh: Mesh, positions: np.ndarray) -> Mesh:
     face_edges = np.column_stack([
         np.column_stack((out_h[:, k], core_id[:, (k + 2) % 3], in_h[:, k]))
         for k in range(3)] + [core_id]).ravel()
+    edges = np.concatenate((half, core))
+    del m, m_ab, m_bc, m_ca, half, out_h, in_h, m_next, core, rank, core_id
     return _direct_mesh(positions, flat, np.arange(0, len(flat) + 1, 3),
-                        np.concatenate((half, core)), face_edges)
+                        edges, face_edges)
 
 
 def loop_step(mesh: Mesh) -> SchemeStepResult:
@@ -323,6 +325,8 @@ def sqrt3_step(mesh: Mesh) -> SchemeStepResult:
     old_pos = pos.copy()
     old_pos[v] = ((1.0 - alpha)[:, None] * pos[v]
                   + (alpha / n)[:, None] * _row_sums(pos, neighbors[v], n))
+    positions = np.vstack([old_pos, centers])
+    del centers, neighbors, degree, v, n, which, alpha, old_pos
 
     # edges: the boundary edges and the spokes (v, V + f), one per source
     # slot, merged by lower end, boundary edges first (their upper ends
@@ -358,13 +362,15 @@ def sqrt3_step(mesh: Mesh) -> SchemeStepResult:
                      np.column_stack((a, V + g, V + f, a_g, e_id, a_f)))
     count = np.where(boundary, 1, 2)
     at = np.cumsum(count) - count
-    rows = np.empty((count.sum(), 6), dtype=np.int64)
+    rows = np.empty((count.sum(), 6), dtype=INDEX_DTYPE)
     rows[at] = first
     rows[at[inner] + 1] = np.column_stack((b, V + f, V + g,
                                            b_f, e_id, b_g))[inner]
+    del (boundary, inner, kept, lower, nxt, slot_face, upper, order, rank,
+         flips, flip_rank, e_id, spoke, left, right, a_f, b_f, b_g, a_g,
+         first, count, at)
 
-    refined = _direct_mesh(np.vstack([old_pos, centers]),
-                           rows[:, :3].ravel(),
+    refined = _direct_mesh(positions, rows[:, :3].ravel(),
                            np.arange(0, 3 * len(rows) + 1, 3), edges,
                            rows[:, 3:].ravel())
     return SchemeStepResult(refined, mesh, "sqrt3", (V, 0, mesh.face_count))
@@ -424,16 +430,16 @@ def midedge_step(mesh: Mesh) -> SchemeStepResult:
     back = np.repeat(ends, length) - 1 - np.arange(len(row))
     corner_of_cycle = walk[row, back]
 
+    del slot, left, right, twin, v, slots, valence, walk, length, row, back
     in_edge = out_edge[_inverse(nxt)]
     edges, corner = _ranked(np.minimum(in_edge, out_edge),
                             np.maximum(in_edge, out_edge), mesh.edge_count)
-    refined = _direct_mesh(
-        midpoints,
-        np.concatenate([out_edge, out_edge[corner_of_cycle]]),
-        np.concatenate([mesh.face_starts, len(out_edge) + ends]),
-        edges,
-        np.concatenate([corner[nxt], corner[corner_of_cycle]]),
-        pinch_check=False)
+    flat = np.concatenate([out_edge, out_edge[corner_of_cycle]])
+    starts = np.concatenate([mesh.face_starts, len(out_edge) + ends])
+    face_edges = np.concatenate([corner[nxt], corner[corner_of_cycle]])
+    del nxt, corner_of_cycle, ends, in_edge, corner
+    refined = _direct_mesh(midpoints, flat, starts, edges, face_edges,
+                           pinch_check=False)
     return SchemeStepResult(refined, mesh, "midedge", (0, mesh.edge_count, 0))
 
 
@@ -475,6 +481,9 @@ def catmull_clark_step(mesh: Mesh) -> SchemeStepResult:
     old_pos = pos.copy()
     old_pos[v] = (q + 2.0 * r + (d - 3.0)[:, None] * pos[v]) / d[:, None]
     _boundary_rule(mesh, old_pos, boundary)
+    positions = np.vstack([old_pos, edge_pts, face_pts])
+    del (face_pts, edge_pts, boundary, inner, vertex_faces, face_count,
+         vertex_edges, degree, v, k, d, q, r, old_pos)
 
     # one quad per face corner: vertex, next edge, face, previous edge
     prev = _inverse(nxt)
@@ -497,10 +506,12 @@ def catmull_clark_step(mesh: Mesh) -> SchemeStepResult:
                              V + E + face_of))
     e = mesh.face_edge_flat
     link = 2 * E + at[e] + (slot_face != first[e])
-    refined = _direct_mesh(
-        np.vstack([old_pos, edge_pts, face_pts]), quads.ravel(),
-        np.arange(0, quads.size + 1, 4), np.concatenate((half, links)),
-        np.column_stack((out_h, link, link[prev], in_h)).ravel())
+    edges = np.concatenate((half, links))
+    face_edges = np.column_stack((out_h, link, link[prev], in_h)).ravel()
+    del (nxt, slot_face, prev, edge_of_slot, half, out_h, in_h, both, first,
+         n_faces, at, face_of, links, link)
+    refined = _direct_mesh(positions, quads.ravel(),
+                           np.arange(0, quads.size + 1, 4), edges, face_edges)
     return SchemeStepResult(refined, mesh, "catmull_clark",
                             (V, E, mesh.face_count))
 

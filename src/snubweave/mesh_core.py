@@ -55,7 +55,10 @@ __all__ = [
 #: The dtype of a mesh's six index arrays, whatever made the mesh: every
 #: vertex, edge and face id and every face-slot offset.  The positions are
 #: float64.  A mesh of more vertices, edges or face slots than it can number
-#: is refused before it is built (:func:`_fits_index`).
+#: is refused before it is built (:func:`_fits_index`).  Every index array
+#: of a :class:`~.weaving.Weaving` (quad, snub and face-split weaves) is in
+#: it too; a glued tiling's ``tile_faces`` and a ribbon record's offsets
+#: are int64.
 INDEX_DTYPE = np.dtype(np.int32)
 
 _INDEX_MAX = int(np.iinfo(INDEX_DTYPE).max)
@@ -292,10 +295,10 @@ def _next_slots(starts: np.ndarray) -> np.ndarray:
     return nxt
 
 
-def _slot_faces(starts: np.ndarray) -> np.ndarray:
-    """Per slot, as for :func:`_next_slots`: its face, counted likewise."""
-    return np.repeat(np.arange(len(starts) - 1, dtype=np.int64),
-                     np.diff(starts))
+def _slot_faces(starts: np.ndarray, dtype=np.int64) -> np.ndarray:
+    """Per slot, as for :func:`_next_slots`: its face, counted likewise, in
+    ``dtype``."""
+    return np.repeat(np.arange(len(starts) - 1, dtype=dtype), np.diff(starts))
 
 
 def _cycle_links(starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -564,7 +567,7 @@ def _direct_mesh(positions: np.ndarray, flat: np.ndarray, starts: np.ndarray,
     if sizes.min() < 3:
         raise DegenerateFaceError(
             f"face {int(np.argmin(sizes))} has fewer than 3 vertices")
-    nxt, slot_face = _cycle_links(starts)
+    nxt = _next_slots(starts)
     p = np.take(positions, flat, axis=0)
     q = np.take(p, nxt, axis=0)
     areas = 0.5 * _shoelace(p, q, starts)
@@ -572,7 +575,7 @@ def _direct_mesh(positions: np.ndarray, flat: np.ndarray, starts: np.ndarray,
     del p, q
     _reject_bad_faces(areas, zero_len, face_edge_flat, edges)
     sides = np.full(2 * E, -1, dtype=INDEX_DTYPE)
-    sides[(flat > flat[nxt]) * E + face_edge_flat] = slot_face
+    sides[(flat > flat[nxt]) * E + face_edge_flat] = _slot_faces(starts)
     if pinch_check:
         _reject_pinched_boundary(edges, sides[:E], sides[E:], V)
     flat, starts, edges, face_edge_flat = (
@@ -583,11 +586,12 @@ def _direct_mesh(positions: np.ndarray, flat: np.ndarray, starts: np.ndarray,
 
 
 def _edge_slots(mesh: Mesh, nxt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per edge, its flat face slot in the left and the right face (-1);
-    ``nxt`` is the mesh's :attr:`Mesh.slot_next`."""
+    """Per edge, its flat face slot in the left and the right face (-1), in
+    :data:`INDEX_DTYPE`; ``nxt`` is the mesh's :attr:`Mesh.slot_next`."""
     flat, E = mesh.face_vertex_flat, mesh.edge_count
-    sides = np.full(2 * E, -1, dtype=np.int64)
-    sides[(flat > flat[nxt]) * E + mesh.face_edge_flat] = np.arange(len(flat))
+    sides = np.full(2 * E, -1, dtype=INDEX_DTYPE)
+    sides[(flat > flat[nxt]) * E + mesh.face_edge_flat] = np.arange(
+        len(flat), dtype=INDEX_DTYPE)
     return sides[:E], sides[E:]
 
 

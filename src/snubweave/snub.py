@@ -71,7 +71,9 @@ pairs each column with the next for the face areas and zero-length edges,
 which go to the shared raiser (:func:`~.mesh_core._reject_bad_faces`) after
 the walk, and sums the face centroids the smoothing reuses, both in the
 face-sum order (:func:`~.mesh_core._row_sum`).  Smoothing runs after every
-check and writes the positions in place.
+check and writes the positions in place; its inner-vertex mask is read off
+the numbering from the source's (:func:`_refined_inner`), not off the
+refined edge table.
 The errors fire in this order, whatever block they are in: a pinched
 source boundary (rejected before the walk) raises
 :class:`~.errors.NonManifoldError`; a spoke's bend point on its source
@@ -231,7 +233,7 @@ def _refine(source: Mesh, s: int, positions: np.ndarray) -> tuple:
     sides = (source.edge_left, source.edge_right)
     spoke_face = np.column_stack((sides[k], sides[1 - k])).ravel()
     has_spoke = spoke_face >= 0
-    per_edge = 1 + has_spoke.reshape(E, 2).sum(axis=1)
+    per_edge = 1 + has_spoke[0::2] + has_spoke[1::2]
     mid_id = 2 * E + np.cumsum(per_edge) - per_edge
     spoke_id = np.repeat(mid_id + 1, 2)
     spoke_id[1::2] += has_spoke[0::2]
@@ -371,11 +373,15 @@ def _smooth(positions: np.ndarray, flat: np.ndarray, starts: np.ndarray,
     """:func:`smooth_inner_vertices` in place, on the face cycles ``(flat,
     starts)`` with their centroids and inner-vertex mask given."""
     V = len(positions)
+    flat = flat.astype(np.intp, copy=False)     # once, not per bincount
     cnt = np.bincount(flat, minlength=V)
     inner = inner & (cnt > 0)
+    repeats = np.diff(starts)
+    if (repeats == repeats[0]).all():       # a snub step's: all pentagons
+        repeats = int(repeats[0])
     for axis in (0, 1):
         acc = np.bincount(flat, minlength=V, weights=np.repeat(
-            centroids[:, axis], np.diff(starts)))
+            centroids[:, axis], repeats))
         np.divide(acc, cnt, out=positions[:, axis], where=inner)
         del acc
 
@@ -463,6 +469,16 @@ def _check_depth(mesh: Mesh, steps: int) -> None:
                 f"many for {INDEX_DTYPE} indices")
 
 
+def _refined_inner(source: Mesh, inner: np.ndarray) -> np.ndarray:
+    """The refined mesh's :attr:`~.mesh_core.Mesh.inner_vertex_mask`, read
+    off the numbering from ``inner``, the source's: a source vertex keeps
+    its mask (its outer segments border what its edges did), both bend
+    points of a source edge are inner when the edge is, and every
+    barycenter is inner (its spokes each lie between two pentagons)."""
+    return np.concatenate((inner, np.repeat(~source.boundary_edge_mask, 2),
+                           np.ones(source.face_count, dtype=bool)))
+
+
 def _check_count_recursion(record: Provenance, slots: int,
                            refined: Mesh) -> None:
     expect, got = _step_counts(record, slots), _counts(refined)
@@ -480,7 +496,8 @@ def _middle_mask(edges: np.ndarray, V: int, E: int) -> np.ndarray:
 
 def _face_table(mesh: Mesh, provenance: Provenance) -> tuple:
     """Per face of ``mesh``, which the step with record ``provenance`` made:
-    its middle edge, its designated bend and the middle edge at that bend.
+    its middle edge, its designated bend and the middle edge at that bend,
+    each in :data:`~.mesh_core.INDEX_DTYPE`.
 
     :class:`InvalidParameterError` for a record of another step (``mesh``
     without the counts and pentagons it gives) and for a mesh numbered
@@ -504,7 +521,7 @@ def _face_table(mesh: Mesh, provenance: Provenance) -> tuple:
             f"face {int(bad[0])} has {int(per_face[bad[0]])} bend-middle "
             f"edges by the snub step's numbering, expected 1 (a mesh "
             f"numbered otherwise?)")
-    middles = np.flatnonzero(is_middle)
+    middles = np.flatnonzero(is_middle).astype(INDEX_DTYPE)
     ends = mesh.edges[middles].ravel()
     if len(ends) != 2 * E or (ends != np.arange(V, V + 2 * E)).any():
         raise InvalidParameterError(
@@ -562,6 +579,7 @@ def snub_subdivide(mesh: Mesh, steps: int, smoothing: bool = True,
     meshes = [mesh]
     records: list[StepRecord] = []
     current = mesh
+    inner = mesh.inner_vertex_mask if smoothing else None
     for _ in range(steps):
         s = assign_z_orientations(seed_flag)
         record = Provenance(*_counts(current))
@@ -570,7 +588,8 @@ def snub_subdivide(mesh: Mesh, steps: int, smoothing: bool = True,
         refined = Mesh(*(a.view() for a in arrays))
         _check_count_recursion(record, len(current.face_vertex_flat), refined)
         if smoothing:
-            _smooth(*arrays[:3], centroids, refined.inner_vertex_mask)
+            inner = _refined_inner(current, inner)
+            _smooth(*arrays[:3], centroids, inner)
         records.append(StepRecord(provenance=record))
         current = Mesh(*arrays)
         meshes.append(current)

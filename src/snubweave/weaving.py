@@ -52,9 +52,9 @@ from .errors import (
     NotBipartiteError,
     NotTriangleMeshError,
 )
-from .mesh_core import (Mesh, _cycle_links, _direct_mesh, _edge_slots,
-                        _face_sums, _reject_repeats, _require_record,
-                        _slot_faces)
+from .mesh_core import (INDEX_DTYPE, Mesh, _cycle_links, _direct_mesh,
+                        _edge_slots, _face_sums, _reject_repeats,
+                        _require_record, _slot_faces)
 from .snub import Provenance, _face_table
 
 __all__ = [
@@ -291,14 +291,17 @@ def _build_tiling(source: Mesh, partner: np.ndarray,
         % np.repeat(sizes[seg_face], seg_len)
     kept = np.ones(source.edge_count, dtype=bool)
     kept[e] = False
-    new_id = np.cumsum(kept) - 1
+    new_id = np.cumsum(kept, dtype=INDEX_DTYPE) - 1
     edge_gather = gather.copy()
     edge_gather[seg_starts[1::2][glued] - 1] = nxt[right[e]]
-    flat, starts = source.face_vertex_flat[gather], seg_starts[::2]
+    flat, starts = source.face_vertex_flat[gather], seg_starts[::2].copy()
+    edges = source.edges[kept]
+    face_edges = new_id[source.face_edge_flat[edge_gather]]
+    del (nxt, left, right, seg_face, seg_rot, seg_len, seg_starts, within,
+         gather, edge_gather, kept, new_id)
     # two faces may share a vertex besides the glued edge's
     _reject_repeats(flat, _slot_faces(starts), source.vertex_count)
-    mesh = _direct_mesh(source.positions, flat, starts, source.edges[kept],
-                        new_id[source.face_edge_flat[edge_gather]],
+    mesh = _direct_mesh(source.positions, flat, starts, edges, face_edges,
                         pinch_check=False)
     return GluedTiling(source=source, mesh=mesh, tile_faces=tile_faces)
 
@@ -431,6 +434,11 @@ class Weaving:
     ``under_strands``: in strand order of the over visits for quad
     weavings, of the crossing visits for snub weavings.
 
+    Every index array (offsets, tile, crossing, strand, color and edge
+    ids) is in the mesh index dtype :data:`~.mesh_core.INDEX_DTYPE`, for
+    quad, snub and face-split weavings alike; ``over``, ``closed`` and
+    ``lead_terminal`` are bool.
+
     :attr:`strands`, :attr:`over_strand` and :attr:`under_strand` are
     read-only views built from the arrays on each access.  Snub weavings
     keep a reference to the glued tiling they were traced on, because
@@ -531,7 +539,7 @@ def _first_repeat(values: np.ndarray) -> int:
 def _color_ranks(tiles: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Deterministic color indices: rank strands by their lowest tile id."""
     lowest = np.minimum.reduceat(tiles, offsets[:-1])
-    ranks = np.empty(len(lowest), dtype=np.int64)
+    ranks = np.empty(len(lowest), dtype=INDEX_DTYPE)
     ranks[np.argsort(lowest, kind="stable")] = np.arange(len(lowest))
     return ranks
 
@@ -622,19 +630,21 @@ def _rank_walks(twin: np.ndarray, opposite: np.ndarray, order: np.ndarray):
     cut[local[opposite[lowest]]] = -1
     c_ptr, c_dist, _, _ = _pointer_jump(cut, order[cycle])
     ptr[cycle], dist[cycle] = cycle[c_ptr], c_dist
+    del succ, low, cycle, lowest, local, cut, c_ptr, c_dist
 
     # a node's rank and first node read off its reverse walk, whose end
     # is the opposite of its first node
     first = opposite[ptr[opposite]]
     kept = order[first] < order[opposite[ptr[first]]]
+    del ptr
     heads = np.flatnonzero(kept & (first == np.arange(n)))
     heads = heads[np.lexsort((order[heads], on_cycle[heads]))]
-    walk = np.empty(n, dtype=np.int64)
+    walk = np.empty(n, dtype=INDEX_DTYPE)
     walk[heads] = np.arange(len(heads))
-    offsets = np.zeros(len(heads) + 1, dtype=np.int64)
+    offsets = np.zeros(len(heads) + 1, dtype=INDEX_DTYPE)
     np.cumsum(dist[heads] + 1, out=offsets[1:])
     nodes = np.flatnonzero(kept)
-    path = np.empty(offsets[-1], dtype=np.int64)
+    path = np.empty(offsets[-1], dtype=INDEX_DTYPE)
     path[offsets[walk[first[nodes]]] + dist[opposite[nodes]]] = nodes
     return path, offsets, on_cycle[heads]
 
@@ -668,7 +678,8 @@ def quad_weaving(mesh: Mesh, coloring: VertexColoring) -> Weaving:
         raise InvalidParameterError("mesh has no quad faces to weave")
 
     flat = mesh.face_vertex_flat
-    slot_next, slot_face = _cycle_links(mesh.face_starts)
+    slot_next = mesh.slot_next
+    slot_face = _slot_faces(mesh.face_starts, INDEX_DTYPE)
     on_quad = is_quad[slot_face]
     same = on_quad & (is_c1[flat] == is_c1[flat[slot_next]])
     if same.any():
@@ -680,8 +691,8 @@ def quad_weaving(mesh: Mesh, coloring: VertexColoring) -> Weaving:
     # a slot off the quads is its own opposite and has no twin, so the
     # ranking drops it
     left, right = _edge_slots(mesh, slot_next)
-    edge = mesh.face_edge_flat.astype(np.int64)     # a Weaving's are int64
-    slots = np.arange(len(flat), dtype=np.int64)
+    edge = mesh.face_edge_flat
+    slots = np.arange(len(flat), dtype=INDEX_DTYPE)
     local = slots - mesh.face_starts[slot_face]
     opposite = np.where(on_quad,
                         mesh.face_starts[slot_face] + (local + 2) % 4, slots)
@@ -696,9 +707,14 @@ def quad_weaving(mesh: Mesh, coloring: VertexColoring) -> Weaving:
     entries = np.column_stack((np.where(lq & ~rq, left, -1),
                                np.where(rq & ~lq, right, -1))).ravel()
     entries = entries[entries >= 0]
-    order = len(entries) + 4 * slot_face + 2 * (local % 2) + local // 2
+    # in int64, as four ranks per face can pass the index dtype's range
+    order = len(entries) + 4 * slot_face.astype(np.int64) \
+        + 2 * (local % 2) + local // 2
     order[entries] = np.arange(len(entries))
+    del (slot_next, on_quad, same, left, right, slots, local, quad_of, lq, rq,
+         entries)
     path, offsets, closed = _rank_walks(twin, opposite, order)
+    del twin, order
 
     tiles = slot_face[path]
     over = is_c1[flat[path]]
@@ -712,9 +728,10 @@ def quad_weaving(mesh: Mesh, coloring: VertexColoring) -> Weaving:
         raise InternalInvariantError(
             "every quad must carry exactly one over and one under strand")
 
-    strand = np.repeat(np.arange(len(closed)), np.diff(offsets))
+    strand = np.repeat(np.arange(len(closed), dtype=INDEX_DTYPE),
+                       np.diff(offsets))
     crossing_ids = tiles[over]
-    under_of = np.empty(mesh.face_count, dtype=np.int64)
+    under_of = np.empty(mesh.face_count, dtype=INDEX_DTYPE)
     under_of[tiles[~over]] = strand[~over]
     return Weaving(kind="quad", tile_offsets=offsets, tiles=tiles,
                    crossing_offsets=offsets, crossings=tiles, over=over,
@@ -790,7 +807,9 @@ def trace_snub_strands(tiling: GluedTiling,
     # there leaves by, among the ports with a face: tile order
     order = np.where(has_face[opposite], np.cumsum(has_face)[opposite] - 1,
                      2 * T + np.arange(2 * T))
+    del middle, bend, crossed, want, paired, own, face, port_of
     path, t_off, closed = _rank_walks(twin, opposite, order)
+    del twin, order
     tiles = path // 2
 
     # crossings: an open strand's first hop when it enters a tile across a
@@ -800,17 +819,20 @@ def trace_snub_strands(tiling: GluedTiling,
     crossed_at = has_face[cross]
     crossed_at[t_off[:-1] + np.arange(S)] &= ~closed
     crossings = hop[cross[crossed_at]]
-    c_off = np.append(0, np.cumsum(crossed_at))[t_off + np.arange(S + 1)]
+    c_off = np.zeros(len(cross) + 1, dtype=INDEX_DTYPE)
+    np.cumsum(crossed_at, out=c_off[1:])
+    c_off = c_off[t_off + np.arange(S + 1)]
     lead = crossed_at[t_off[:-1] + np.arange(S)]
+    del path, has_face, hop, opposite, cross, crossed_at
 
     dup = _first_repeat(crossings)
     if dup >= 0:
         raise InternalInvariantError(
             f"middle edge {int(crossings[dup])} crossed twice")
     n_c = np.diff(c_off)
-    strand_of_tile = np.empty(T, dtype=np.int64)
+    strand_of_tile = np.empty(T, dtype=INDEX_DTYPE)
     strand_of_tile[tiles] = np.repeat(np.arange(S), np.diff(t_off))
-    c_sid = np.repeat(np.arange(S), n_c)
+    c_sid = np.repeat(np.arange(S, dtype=INDEX_DTYPE), n_c)
     over = (np.arange(len(crossings)) - np.repeat(c_off[:-1], n_c)) % 2 == 0
     node = strand_of_tile[tile_of_middle[crossings]]
     return Weaving(kind="snub", tile_offsets=t_off, tiles=tiles,
@@ -843,7 +865,6 @@ def general_face_split_weaving(mesh: Mesh,
         raise NoInteriorEdgesError(
             "face-split weaving needs at least one interior edge")
     V = mesh.vertex_count
-    centers = mesh.face_centroids()
     quads = np.column_stack((mesh.edges[inner, 0], V + mesh.edge_right[inner],
                              mesh.edges[inner, 1], V + mesh.edge_left[inner]))
     # per quad slot, the source slot (v, f) of its edge (v, V + f)
@@ -855,14 +876,16 @@ def general_face_split_weaving(mesh: Mesh,
     used[corner.ravel()] = True
     slots = np.flatnonzero(used)
     slots = slots[np.argsort(mesh.face_vertex_flat[slots], kind="stable")]
-    edge_of = np.empty(len(nxt), dtype=np.int64)
-    edge_of[slots] = np.arange(len(slots), dtype=np.int64)
+    edge_of = np.empty(len(nxt), dtype=INDEX_DTYPE)
+    edge_of[slots] = np.arange(len(slots))
+    edges = np.column_stack((mesh.face_vertex_flat[slots],
+                             V + slot_face[slots]))
+    face_edges = edge_of[corner].ravel()
+    del inner, nxt, slot_face, left, right, corner, used, slots, edge_of
     quad_mesh = _direct_mesh(
-        np.vstack([mesh.positions, centers]), quads.ravel(),
-        np.arange(0, quads.size + 1, 4),
-        np.column_stack((mesh.face_vertex_flat[slots],
-                         V + slot_face[slots])),
-        edge_of[corner].ravel(), pinch_check=False)
+        np.vstack([mesh.positions, mesh.face_centroids()]), quads.ravel(),
+        np.arange(0, quads.size + 1, 4), edges, face_edges, pinch_check=False)
+    del quads, edges, face_edges
     tiling = GluedTiling(source=mesh, mesh=quad_mesh,
                          tile_faces=np.zeros((0, 2), dtype=np.int64))
     coloring = VertexColoring(np.concatenate([
@@ -929,6 +952,7 @@ def strand_ribbons(weaving: Weaving, mesh: Mesh,
                 f"tile visit {int(bad[0]) % len(tiles)} passes through an "
                 f"edge that does not border tile {int(t[bad[0]])} in this "
                 f"mesh (not the mesh the weaving was traced on?)")
+        del e, t, bad
     elif weaving.tiling is None:
         raise InvalidParameterError(
             "a snub weaving needs the glued tiling it was traced on: its "
@@ -961,13 +985,17 @@ def strand_ribbons(weaving: Weaving, mesh: Mesh,
         tile_width = (_face_sums(lengths[mesh.face_edge_flat],
                                  mesh.face_starts) / mesh.face_sizes
                       * width_fraction / 2.0)[tiles]
+    del lengths
     n_m = np.diff(m_off)
     drawn = np.minimum(n_m - lead, n_t)
     p_off = np.zeros(S + 1, dtype=np.int64)
     np.cumsum(lead + n_t + drawn + loops, out=p_off[1:])
+    # the tile centers first, so that their scratch is freed before the
+    # point arrays are allocated
+    centers = mesh.face_centroids()[tiles]
     points, widths = np.empty((p_off[-1], 2)), np.empty(p_off[-1])
     at_tile = p_off[t_sid] + lead[t_sid] + k + np.minimum(k, drawn[t_sid])
-    points[at_tile] = mesh.face_centroids()[tiles]
+    points[at_tile] = centers
     widths[at_tile] = tile_width
     m_sid = np.repeat(np.arange(S), n_m)
     # j: place after the leading edge (-1 for the leading edge itself)

@@ -616,6 +616,24 @@ class TestNumberingContract:
         # and no bend point is designated twice
         assert len(np.unique(bend)) == mesh.face_count
 
+    @settings(max_examples=40, deadline=None)
+    @given(spec=demo_specs, steps=st.integers(1, 3),
+           flag=st.sampled_from([1, -1]), smoothing=st.booleans())
+    def test_inner_mask_read_off_the_numbering(self, spec, steps, flag,
+                                               smoothing):
+        """The mask the smoothing reads, carried from the input's through
+        every step, is each refined mesh's own."""
+        try:
+            hist = sw.snub_subdivide(sw.generate_demo_mesh(spec), steps,
+                                     smoothing=smoothing, seed_flag=flag)
+        except NonManifoldError:
+            assert spec in ("fan:3", "fan:4")
+            return
+        inner = hist.meshes[0].inner_vertex_mask
+        for source, refined in zip(hist.meshes, hist.meshes[1:]):
+            inner = snub._refined_inner(source, inner)
+            assert np.array_equal(inner, refined.inner_vertex_mask)
+
     def test_history_meshes_cache_no_per_slot_table(self):
         """Every history mesh holds its seven arrays and nothing else, also
         after the history was glued, traced and measured."""
