@@ -9,15 +9,12 @@ vertex came from; the weaving constructions read it to transport vertex
 colorings through refinement.
 
 Every rule is an array gather on the source mesh's tables; Python loops run
-over the valence only.  The vertex rules read vertex-incidence tables built
-by :func:`_incidence`: a stable argsort of ``edges.ravel()`` lists each
-vertex's edges and neighbours in edge order, and one of
-``face_vertex_flat`` lists its face slots in face order, each padded to the
-largest valence.  A per-vertex sum adds the table's columns one by one,
-left to right from zero, the order in which ``values[ids].sum(axis=0)``
-adds one vertex's ``(d, 2)`` block, so the result does not depend on how
-the vertices are batched.  The loop states that order, and it is kept
-over :mod:`~.mesh_core`'s face-sum order, which would move the vertex bits.
+over the valence only.  A vertex rule's sum runs over the vertex's edges
+(keyed by ``edges.ravel()``, so in edge order) or its face slots (keyed by
+``face_vertex_flat``, so in face order), in :mod:`~.mesh_core`'s vertex-sum
+order (:func:`~.mesh_core._vertex_sums`).  Wings and opposite corners are
+read off the slot twins (:func:`~.mesh_core._slot_twins`) and each slot's
+previous slot.
 
 Every refined mesh is written with its sorted edge table, derived in closed
 form from the source's tables rather than by hashing the refined faces, and
@@ -43,7 +40,8 @@ import numpy as np
 
 from .errors import DegenerateFaceError, NotTriangleMeshError
 from .mesh_core import (INDEX_DTYPE, Mesh, _cycle_links, _direct_mesh,
-                        _edge_slots, _require_record)
+                        _edge_slots, _grouped, _inverse, _require_record,
+                        _slot_twins, _vertex_sums)
 
 __all__ = [
     "SchemeStepResult",
@@ -92,72 +90,26 @@ def _require_triangles(mesh: Mesh, scheme: str) -> None:
         raise NotTriangleMeshError(f"{scheme} requires a pure triangle mesh")
 
 
-def _incidence(keys: np.ndarray, values: np.ndarray, n: int):
-    """Group ``values`` by their ``keys`` (ints in ``[0, n)``), keeping order.
-
-    Returns an ``(n, width)`` table whose row ``k`` starts with the values
-    keyed ``k`` in input order and is padded with 0, and the count per row.
-    ``width`` is the largest count, and at least 2, so the first two
-    entries of a row can always be read.
-    """
-    order = np.argsort(keys, kind="stable")
-    count = np.bincount(keys, minlength=n)
-    first = np.cumsum(count) - count
-    row = keys[order]
-    table = np.zeros((n, max(int(count.max(initial=0)), 2)), dtype=np.int64)
-    table[row, np.arange(len(keys)) - first[row]] = values[order]
-    return table, count
-
-
-def _vertex_neighbors(mesh: Mesh, edges: np.ndarray):
-    """Per vertex, the other ends of its ``edges`` in edge order, and their
-    count (see :func:`_incidence`)."""
-    return _incidence(edges.ravel(), edges[:, ::-1].ravel(),
-                      mesh.vertex_count)
-
-
-def _row_sums(values: np.ndarray, table: np.ndarray, count: np.ndarray):
-    """Per row ``v``, the sum of ``values[table[v, :count[v]]]``.
-
-    The terms are added left to right, starting from zero, as
-    ``values[ids].sum(axis=0)`` adds them (see the module docstring).
-    """
-    total = np.zeros((len(table),) + values.shape[1:])
-    for k in range(table.shape[1]):
-        rows = np.flatnonzero(count > k)
-        total[rows] += values[table[rows, k]]
-    return total
+def _neighbor_sums(mesh: Mesh) -> np.ndarray:
+    """Per vertex, its neighbours' positions summed in edge order."""
+    return _vertex_sums(mesh.edges.ravel(),
+                        mesh.positions[mesh.edges[:, ::-1].ravel()],
+                        mesh.vertex_count)
 
 
 def _boundary_rule(mesh: Mesh, old_pos: np.ndarray,
                    boundary: np.ndarray) -> None:
     """Move each boundary vertex ``v``, in place, to ``(b1 + 6 v + b2) / 8``,
     with ``b1``, ``b2`` its first two neighbours in edge order across the
-    ``boundary`` edges (:attr:`~.mesh_core.Mesh.boundary_edge_mask`)."""
+    ``boundary`` edges (:attr:`~.mesh_core.Mesh.boundary_edge_mask`); a
+    boundary vertex has an even number of them."""
     pos = mesh.positions
-    table, count = _vertex_neighbors(mesh, mesh.edges[boundary])
-    v = np.flatnonzero(count)
-    old_pos[v] = (pos[table[v, 0]] + 6.0 * pos[v] + pos[table[v, 1]]) / 8.0
-
-
-def _triangle_opposites(mesh: Mesh):
-    """Per edge: the opposite vertex in the left / right face (or -1)."""
-    face_sum = mesh.face_vertex_flat.reshape(-1, 3).sum(1)
-    a = mesh.edges[:, 0]
-    b = mesh.edges[:, 1]
-    left = np.where(mesh.edge_left >= 0,
-                    face_sum[mesh.edge_left] - a - b, -1)
-    right = np.where(mesh.edge_right >= 0,
-                     face_sum[mesh.edge_right] - a - b, -1)
-    return left, right
-
-
-def _inverse(order: np.ndarray) -> np.ndarray:
-    """The inverse of the permutation ``order``: the rank of each entry.
-    Of ``slot_next``, it gives each slot's previous slot."""
-    rank = np.empty(len(order), dtype=np.int64)
-    rank[order] = np.arange(len(order), dtype=np.int64)
-    return rank
+    ends = mesh.edges[boundary]
+    order, offsets = _grouped(ends.ravel(), mesh.vertex_count)
+    other = ends[:, ::-1].ravel()[order]
+    v = np.flatnonzero(np.diff(offsets))
+    b1 = offsets[v]
+    old_pos[v] = (pos[other[b1]] + 6.0 * pos[v] + pos[other[b1 + 1]]) / 8.0
 
 
 def _ranked(lo: np.ndarray, hi: np.ndarray, n: int):
@@ -189,9 +141,11 @@ def _half_edges(mesh: Mesh, prev: np.ndarray):
     return table, along(e_out), along(e_out[prev])
 
 
-def _one_to_four_mesh(mesh: Mesh, positions: np.ndarray) -> Mesh:
+def _one_to_four_mesh(mesh: Mesh, positions: np.ndarray,
+                      prev: np.ndarray) -> Mesh:
     """The standard triangle split at the edge vertices ``V + e``: per
-    source face, its three corner triangles, then the core.
+    source face, its three corner triangles, then the core; ``prev`` is
+    each slot's previous slot.
 
     The edges are the ``2E`` half edges, then the ``3F`` core edges, which
     each corner triangle shares with the core.
@@ -202,7 +156,7 @@ def _one_to_four_mesh(mesh: Mesh, positions: np.ndarray) -> Mesh:
     m_ab, m_bc, m_ca = m.T
     flat = np.stack([a, m_ab, m_ca, b, m_bc, m_ab, c, m_ca, m_bc,
                      m_ab, m_bc, m_ca], axis=1).ravel()
-    half, out_h, in_h = _half_edges(mesh, _inverse(mesh.slot_next))
+    half, out_h, in_h = _half_edges(mesh, prev)
     m_next = np.roll(m, -1, axis=1)
     core, rank = _ranked(np.minimum(m, m_next).ravel(),
                          np.maximum(m, m_next).ravel(), V + E)
@@ -226,33 +180,36 @@ def loop_step(mesh: Mesh) -> SchemeStepResult:
     move to ``(1 - d*beta) v + beta * (neighbor sum)`` with ``beta = 3/16``
     for degree 3 and ``3/(8d)`` otherwise; old boundary vertices use the
     1/8, 3/4, 1/8 rule along the boundary, with their first two boundary
-    neighbours in edge order.  Edge vertices are gathered through the
-    opposite-vertex table; the neighbour sum runs over the edge-ordered
-    incidence table.
+    neighbours in edge order.  An inner edge's opposite corners are the
+    previous slots of its two edge slots; the neighbour sum is in edge
+    order.
     """
     _require_triangles(mesh, "loop_step")
     pos = mesh.positions
-    opp_l, opp_r = _triangle_opposites(mesh)
+    flat = mesh.face_vertex_flat
+    nxt = mesh.slot_next
+    prev = _inverse(nxt)
+    left, right = _edge_slots(mesh, nxt)
     boundary = mesh.boundary_edge_mask
 
     edge_pos = np.empty((mesh.edge_count, 2))
     a = mesh.edges[:, 0]
     b = mesh.edges[:, 1]
     inner = ~boundary
+    opp_l, opp_r = flat[prev[left[inner]]], flat[prev[right[inner]]]
     edge_pos[boundary] = (pos[a[boundary]] + pos[b[boundary]]) / 2.0
     edge_pos[inner] = (3.0 / 8.0 * (pos[a[inner]] + pos[b[inner]])
-                       + 1.0 / 8.0 * (pos[opp_l[inner]] + pos[opp_r[inner]]))
+                       + 1.0 / 8.0 * (pos[opp_l] + pos[opp_r]))
 
-    neighbors, degree = _vertex_neighbors(mesh, mesh.edges)
     v = np.flatnonzero(mesh.inner_vertex_mask)
-    d = degree[v]
+    d = mesh.vertex_degrees[v]
     beta = np.where(d == 3, 3.0 / 16.0, 3.0 / (8.0 * d))
     old_pos = pos.copy()
     old_pos[v] = ((1.0 - d * beta)[:, None] * pos[v]
-                  + beta[:, None] * _row_sums(pos, neighbors[v], d))
+                  + beta[:, None] * _neighbor_sums(mesh)[v])
     _boundary_rule(mesh, old_pos, boundary)
 
-    refined = _one_to_four_mesh(mesh, np.vstack([old_pos, edge_pos]))
+    refined = _one_to_four_mesh(mesh, np.vstack([old_pos, edge_pos]), prev)
     return SchemeStepResult(refined, mesh, "loop",
                             (mesh.vertex_count, mesh.edge_count, 0))
 
@@ -264,38 +221,37 @@ def butterfly_step(mesh: Mesh) -> SchemeStepResult:
     the eight-point stencil (1/2 endpoints, 1/8 the two opposite vertices,
     -1/16 the four wing vertices, i.e. tension 1/16); a wing across a
     boundary edge is synthesized by parallelogram reflection.  Boundary
-    edge vertices are midpoints.  Each wing edge is read from its
-    triangle's ``face_edge_flat`` slots, and the wing vertex across it from
-    the opposite-vertex table, for all edges at once.
+    edge vertices are midpoints.  An inner edge's two slots give its
+    opposite corners (their previous slots) and its four wing edges (the
+    out-edges of their next and previous slots); each wing vertex is the
+    opposite corner of that slot's twin, for all edges at once.
     """
     _require_triangles(mesh, "butterfly_step")
     pos = mesh.positions
-    opp_l, opp_r = _triangle_opposites(mesh)
-    corners = mesh.face_vertex_flat.reshape(-1, 3)
-    sides = mesh.face_edge_flat.reshape(-1, 3)
+    flat = mesh.face_vertex_flat
+    nxt = mesh.slot_next
+    prev = _inverse(nxt)
+    left, right = _edge_slots(mesh, nxt)
+    twin = _slot_twins(mesh, left, right)
 
-    def wing(u, v, behind, f):
-        """Vertex across edge (u, v) of triangle ``f``, whose third corner
-        is ``behind``."""
-        k = np.argmax(corners[f] == behind[:, None], axis=1)
-        e = sides[f, (k + 1) % 3]
-        use_left = (mesh.edge_left[e] >= 0) & (opp_l[e] != behind)
-        use_right = (mesh.edge_right[e] >= 0) & (opp_r[e] != behind)
-        across = np.where(use_left, opp_l[e], opp_r[e])
-        return np.where((use_left | use_right)[:, None], pos[across],
+    def wing(slot, u, v, behind):
+        """Vertex across the out-edge ``(u, v)`` of ``slot``'s triangle,
+        whose third corner is ``behind``."""
+        across = twin[slot]
+        return np.where((across >= 0)[:, None], pos[flat[prev[across]]],
                         pos[u] + pos[v] - pos[behind])   # boundary: reflect
 
     edge_pos = (pos[mesh.edges[:, 0]] + pos[mesh.edges[:, 1]]) / 2.0
     e = np.flatnonzero(~mesh.boundary_edge_mask)
     u, v = mesh.edges[e].T
-    f, g = mesh.edge_left[e], mesh.edge_right[e]
-    c, d = opp_l[e], opp_r[e]
-    wings = (wing(u, c, v, f) + wing(v, c, u, f)
-             + wing(u, d, v, g) + wing(v, d, u, g))
+    s, t = left[e], right[e]        # at u in the left face, v in the right
+    c, d = flat[prev[s]], flat[prev[t]]
+    wings = (wing(prev[s], u, c, v) + wing(nxt[s], v, c, u)
+             + wing(nxt[t], u, d, v) + wing(prev[t], v, d, u))
     edge_pos[e] = (0.5 * (pos[u] + pos[v])
                    + 0.125 * (pos[c] + pos[d]) - wings / 16.0)
 
-    refined = _one_to_four_mesh(mesh, np.vstack([pos, edge_pos]))
+    refined = _one_to_four_mesh(mesh, np.vstack([pos, edge_pos]), prev)
     return SchemeStepResult(refined, mesh, "butterfly",
                             (mesh.vertex_count, mesh.edge_count, 0))
 
@@ -316,17 +272,16 @@ def sqrt3_step(mesh: Mesh) -> SchemeStepResult:
     centers = mesh.face_centroids()
     V = mesh.vertex_count
 
-    neighbors, degree = _vertex_neighbors(mesh, mesh.edges)
     v = np.flatnonzero(mesh.inner_vertex_mask)
-    n = degree[v]
+    n = mesh.vertex_degrees[v]
     valences, which = np.unique(n, return_inverse=True)
     alpha = np.array([(4.0 - 2.0 * math.cos(2.0 * math.pi / int(k))) / 9.0
                       for k in valences])[which]
     old_pos = pos.copy()
     old_pos[v] = ((1.0 - alpha)[:, None] * pos[v]
-                  + (alpha / n)[:, None] * _row_sums(pos, neighbors[v], n))
+                  + (alpha / n)[:, None] * _neighbor_sums(mesh)[v])
     positions = np.vstack([old_pos, centers])
-    del centers, neighbors, degree, v, n, which, alpha, old_pos
+    del centers, v, n, which, alpha, old_pos
 
     # edges: the boundary edges and the spokes (v, V + f), one per source
     # slot, merged by lower end, boundary edges first (their upper ends
@@ -406,22 +361,21 @@ def midedge_step(mesh: Mesh) -> SchemeStepResult:
 
     flat = mesh.face_vertex_flat
     out_edge = mesh.face_edge_flat
-    slot = np.arange(len(flat), dtype=np.int64)
     nxt = mesh.slot_next
-    left, right = _edge_slots(mesh, nxt)
     # a boundary slot has no twin (-1), but no walk around an inner vertex
     # leaves through a boundary edge
-    twin = np.where(left[out_edge] == slot, right[out_edge], left[out_edge])
+    twin = _slot_twins(mesh, *_edge_slots(mesh, nxt))
 
     v = np.flatnonzero(mesh.inner_vertex_mask)
-    slots, valence = _incidence(flat, slot, mesh.vertex_count)
-    short = v[valence[v] < 3]
+    valence = mesh.vertex_degrees[v]
+    short = np.flatnonzero(valence < 3)
     if len(short):
         raise DegenerateFaceError(
             f"mid-edge refinement needs inner vertices of degree 3 or more; "
-            f"vertex {int(short[0])} has degree {int(valence[short[0]])}")
-    walk = [slots[v, 0]]
-    for _ in range(int(valence[v].max(initial=1))):
+            f"vertex {int(v[short[0]])} has degree {int(valence[short[0]])}")
+    order, offsets = _grouped(flat, mesh.vertex_count)
+    walk = [order[offsets[v]]]
+    for _ in range(int(valence.max(initial=1))):
         walk.append(nxt[twin[walk[-1]]])
     walk = np.column_stack(walk)
     length = np.argmax(walk[:, 1:] == walk[:, :1], axis=1) + 1
@@ -430,7 +384,7 @@ def midedge_step(mesh: Mesh) -> SchemeStepResult:
     back = np.repeat(ends, length) - 1 - np.arange(len(row))
     corner_of_cycle = walk[row, back]
 
-    del slot, left, right, twin, v, slots, valence, walk, length, row, back
+    del twin, v, valence, order, offsets, walk, length, row, back
     in_edge = out_edge[_inverse(nxt)]
     edges, corner = _ranked(np.minimum(in_edge, out_edge),
                             np.maximum(in_edge, out_edge), mesh.edge_count)
@@ -450,10 +404,10 @@ def catmull_clark_step(mesh: Mesh) -> SchemeStepResult:
     edge's endpoints and the two adjacent face points; boundary edge points
     at midpoints.  Old interior vertices of degree ``d`` move to
     ``(Q + 2R + (d - 3) v) / d`` (``Q``: mean incident face point in face
-    order, ``R``: mean incident edge midpoint in edge order); old boundary
-    vertices use the 1/8, 3/4, 1/8 boundary rule.  The means run over the
-    vertex-to-face and vertex-to-edge incidence tables; the quads are one
-    per face corner, written straight into CSR arrays.
+    order, ``R``: mean incident edge midpoint in edge order; an inner
+    vertex has as many faces as edges); old boundary vertices use the 1/8,
+    3/4, 1/8 boundary rule.  The quads are one per face corner, written
+    straight into CSR arrays.
     """
     _require_record(mesh, Mesh, "mesh")
     pos = mesh.positions
@@ -471,19 +425,16 @@ def catmull_clark_step(mesh: Mesh) -> SchemeStepResult:
                        + face_pts[mesh.edge_right[inner]]) / 4.0
 
     nxt, slot_face = _cycle_links(mesh.face_starts)
-    vertex_faces, face_count = _incidence(mesh.face_vertex_flat, slot_face, V)
-    vertex_edges, degree = _incidence(
-        mesh.edges.ravel(), np.repeat(np.arange(E, dtype=np.int64), 2), V)
     v = np.flatnonzero(mesh.inner_vertex_mask)
-    k, d = face_count[v], degree[v]
-    q = _row_sums(face_pts, vertex_faces[v], k) / k[:, None]
-    r = _row_sums((pos[a] + pos[b]) / 2.0, vertex_edges[v], d) / d[:, None]
+    d = mesh.vertex_degrees[v][:, None]
+    q = _vertex_sums(mesh.face_vertex_flat, face_pts[slot_face], V)[v] / d
+    r = _vertex_sums(mesh.edges.ravel(),
+                     np.repeat((pos[a] + pos[b]) / 2.0, 2, axis=0), V)[v] / d
     old_pos = pos.copy()
-    old_pos[v] = (q + 2.0 * r + (d - 3.0)[:, None] * pos[v]) / d[:, None]
+    old_pos[v] = (q + 2.0 * r + (d - 3.0) * pos[v]) / d
     _boundary_rule(mesh, old_pos, boundary)
     positions = np.vstack([old_pos, edge_pts, face_pts])
-    del (face_pts, edge_pts, boundary, inner, vertex_faces, face_count,
-         vertex_edges, degree, v, k, d, q, r, old_pos)
+    del face_pts, edge_pts, boundary, inner, v, d, q, r, old_pos
 
     # one quad per face corner: vertex, next edge, face, previous edge
     prev = _inverse(nxt)

@@ -15,7 +15,10 @@ Conventions used throughout the package:
 * the face "barycenter" is the arithmetic mean of the face's vertex
   positions (the vertex centroid), not the area centroid;
 * a sum over a face's slots is ``c0 + (((c1 + c2) + c3) + ...)`` from its
-  first slot, the order :func:`_face_sums` states (not a numpy loop's).
+  first slot, the order :func:`_face_sums` states (not a numpy loop's);
+* a sum over a vertex's entries (its edges' other ends, its face slots) is
+  ``((0 + t0) + t1) + ...`` from zero in the order they are listed, the
+  scatter order of ``np.bincount`` that :func:`_vertex_sums` states.
 
 Large meshes are handled with flat index arrays (CSR-style face storage), so
 all derived tables are built with vectorized numpy passes.
@@ -281,6 +284,28 @@ def _face_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return sums
 
 
+def _vertex_sums(keys: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """Per key in ``[0, n)``, the ``values`` (a value or a row each) keyed
+    to it, added in the vertex-sum order: from zero, in input order, with
+    one ``np.bincount`` per column."""
+    if values.ndim == 1:
+        return np.bincount(keys, weights=values, minlength=n)
+    return np.column_stack([np.bincount(keys, weights=values[:, j],
+                                        minlength=n)
+                            for j in range(values.shape[1])])
+
+
+def _grouped(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``keys`` (ints in ``[0, n)``) grouped by one stable argsort: the
+    order, which lists each key's entries in input order, and the ``n + 1``
+    offsets of the groups in it, so key ``k``'s entries are
+    ``order[offsets[k]:offsets[k + 1]]``."""
+    order = np.argsort(keys, kind="stable")
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=n), out=offsets[1:])
+    return order, offsets
+
+
 def _shoelace(p: np.ndarray, q: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Twice each face's signed area, from slots ``p`` and next slots ``q``."""
     return _face_sums(p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1], starts)
@@ -293,6 +318,14 @@ def _next_slots(starts: np.ndarray) -> np.ndarray:
     nxt = np.arange(1, starts[-1] - starts[0] + 1, dtype=np.int64)
     nxt[starts[1:] - 1 - starts[0]] = starts[:-1] - starts[0]
     return nxt
+
+
+def _inverse(order: np.ndarray) -> np.ndarray:
+    """The inverse of the permutation ``order``: the rank of each entry.
+    Of :func:`_next_slots`, it gives each slot's previous slot."""
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order), dtype=np.int64)
+    return rank
 
 
 def _slot_faces(starts: np.ndarray, dtype=np.int64) -> np.ndarray:
@@ -595,6 +628,15 @@ def _edge_slots(mesh: Mesh, nxt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sides[:E], sides[E:]
 
 
+def _slot_twins(mesh: Mesh, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Per flat face slot, the slot across its out-edge in the other face,
+    or -1 on the boundary, in :data:`INDEX_DTYPE`; ``left`` and ``right``
+    are the mesh's :func:`_edge_slots` tables."""
+    edge = mesh.face_edge_flat
+    slots = np.arange(len(edge), dtype=INDEX_DTYPE)
+    return np.where(left[edge] == slots, right[edge], left[edge])
+
+
 def _check_self_intersections(mesh: Mesh) -> None:
     """Raise :class:`SelfIntersectionError` when two edges cross.
 
@@ -688,8 +730,7 @@ def convexity_report(mesh: Mesh, tolerance: float = 1e-9) -> list[int]:
     if not len(flat):
         return []
     nxt = mesh.slot_next
-    prv = np.empty_like(nxt)
-    prv[nxt] = np.arange(len(nxt), dtype=np.int64)
+    prv = _inverse(nxt)
     p1 = np.take(mesh.positions, flat, axis=0)
     p0 = np.take(p1, prv, axis=0)
     p2 = np.take(p1, nxt, axis=0)

@@ -109,6 +109,7 @@ from .mesh_core import (
     _reject_pinched_boundary,
     _require_record,
     _row_sum,
+    _vertex_sums,
 )
 
 __all__ = [
@@ -359,7 +360,8 @@ def smooth_inner_vertices(mesh: Mesh) -> Mesh:
     The inner vertices are read off the mesh
     (:attr:`~.mesh_core.Mesh.inner_vertex_mask`).  All moves use the
     pre-move positions (simultaneous update); outer vertices are returned
-    bitwise unchanged.
+    bitwise unchanged.  Each vertex's barycenters are summed in face order,
+    in :mod:`~.mesh_core`'s vertex-sum order.
     """
     _require_record(mesh, Mesh, "mesh")
     positions = mesh.positions.copy()
@@ -371,7 +373,8 @@ def smooth_inner_vertices(mesh: Mesh) -> Mesh:
 def _smooth(positions: np.ndarray, flat: np.ndarray, starts: np.ndarray,
             centroids: np.ndarray, inner: np.ndarray) -> None:
     """:func:`smooth_inner_vertices` in place, on the face cycles ``(flat,
-    starts)`` with their centroids and inner-vertex mask given."""
+    starts)`` with their centroids and inner-vertex mask given; one
+    :func:`~.mesh_core._vertex_sums` per axis, in the vertex-sum order."""
     V = len(positions)
     flat = flat.astype(np.intp, copy=False)     # once, not per bincount
     cnt = np.bincount(flat, minlength=V)
@@ -380,8 +383,7 @@ def _smooth(positions: np.ndarray, flat: np.ndarray, starts: np.ndarray,
     if (repeats == repeats[0]).all():       # a snub step's: all pentagons
         repeats = int(repeats[0])
     for axis in (0, 1):
-        acc = np.bincount(flat, minlength=V, weights=np.repeat(
-            centroids[:, axis], repeats))
+        acc = _vertex_sums(flat, np.repeat(centroids[:, axis], repeats), V)
         np.divide(acc, cnt, out=positions[:, axis], where=inner)
         del acc
 

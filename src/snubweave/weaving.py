@@ -53,8 +53,8 @@ from .errors import (
     NotTriangleMeshError,
 )
 from .mesh_core import (INDEX_DTYPE, Mesh, _cycle_links, _direct_mesh,
-                        _edge_slots, _face_sums, _reject_repeats,
-                        _require_record, _slot_faces)
+                        _edge_slots, _face_sums, _grouped, _reject_repeats,
+                        _require_record, _slot_faces, _slot_twins)
 from .snub import Provenance, _face_table
 
 __all__ = [
@@ -107,10 +107,10 @@ def two_color_vertices(mesh: Mesh) -> VertexColoring:
     if (mesh.face_sizes != 4).any():
         raise InvalidParameterError(
             "two_color_vertices expects a pure quad mesh")
-    neighbors = [[] for _ in range(mesh.vertex_count)]
-    for a, b in np.asarray(mesh.edges):
-        neighbors[a].append(int(b))
-        neighbors[b].append(int(a))
+    # each vertex's neighbours in edge order
+    order, offsets = _grouped(mesh.edges.ravel(), mesh.vertex_count)
+    neighbors = mesh.edges[:, ::-1].ravel()[order].tolist()
+    offsets = offsets.tolist()
 
     color = np.full(mesh.vertex_count, -1, dtype=np.int8)
     for start in range(mesh.vertex_count):
@@ -121,7 +121,7 @@ def two_color_vertices(mesh: Mesh) -> VertexColoring:
         while queue:
             nxt = []
             for v in queue:
-                for w in neighbors[v]:
+                for w in neighbors[offsets[v]:offsets[v + 1]]:
                     if color[w] < 0:
                         color[w] = 1 - color[v]
                         nxt.append(w)
@@ -696,7 +696,7 @@ def quad_weaving(mesh: Mesh, coloring: VertexColoring) -> Weaving:
     local = slots - mesh.face_starts[slot_face]
     opposite = np.where(on_quad,
                         mesh.face_starts[slot_face] + (local + 2) % 4, slots)
-    twin = np.where(left[edge] == slots, right[edge], left[edge])
+    twin = _slot_twins(mesh, left, right)
     twin = np.where(on_quad & on_quad[twin], twin, -1)
 
     # open strands start wherever a quad is entered from outside the quad

@@ -17,7 +17,8 @@ from snubweave import (
     SelfIntersectionError,
 )
 from snubweave.mesh_core import (_check_self_intersections, _direct_mesh,
-                                 _face_sums, _row_sum)
+                                 _edge_slots, _face_sums, _grouped, _row_sum,
+                                 _slot_twins, _vertex_sums)
 
 import classic_reference
 from mesh_compare import MESH_ARRAYS
@@ -495,6 +496,72 @@ class TestClassify:
         assert np.array_equal(mesh.boundary_edge_mask, ~ref.edge_is_inner)
         # a point no face uses has no edge, so it is outer
         assert not mesh.inner_vertex_mask[unused].any()
+
+
+# ---------------------------------------------------------------------------
+# vertex sums and incidence: one stated order
+# ---------------------------------------------------------------------------
+
+#: Signed zeros and magnitudes over 2**-40 .. 2**40, so that any other order
+#: of the additions rounds differently somewhere.
+WIDE_TERMS = st.one_of(st.sampled_from([0.0, -0.0]),
+                       st.builds(math.ldexp, st.floats(-1.0, 1.0),
+                                 st.integers(-40, 40)))
+
+
+def vertex_fold(keys, values, n):
+    """Per key in ``range(n)``, its ``values`` added to ``0.0`` in input
+    order, in Python floats."""
+    sums = [0.0] * n
+    for k, x in zip(keys, values):
+        sums[k] += x
+    return sums
+
+
+class TestVertexSums:
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 6), width=st.sampled_from([0, 2]),
+           dtype=st.sampled_from([np.int32, np.int64]), data=st.data())
+    def test_sums_and_groups_follow_input_order(self, n, width, dtype, data):
+        keys = data.draw(st.lists(st.integers(0, n - 1), max_size=60))
+        keys = np.array(data.draw(st.permutations(keys)), dtype=dtype)
+        size = len(keys) * max(width, 1)
+        values = np.array(data.draw(st.lists(WIDE_TERMS, min_size=size,
+                                             max_size=size)), dtype=np.float64)
+        if width:
+            values = values.reshape(-1, width)
+            want = np.column_stack([vertex_fold(keys.tolist(),
+                                                values[:, j].tolist(), n)
+                                    for j in range(width)])
+        else:
+            want = np.array(vertex_fold(keys.tolist(), values.tolist(), n))
+        got = _vertex_sums(keys, values, n)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+        order, offsets = _grouped(keys, n)
+        assert offsets[0] == 0 and offsets[-1] == len(keys)
+        for k in range(n):
+            assert order[offsets[k]:offsets[k + 1]].tolist() \
+                == np.flatnonzero(keys == k).tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(classified_meshes())
+    def test_slot_twins_pair_the_slots_of_each_inner_edge(self, case):
+        mesh, _ = case
+        flat, edge, nxt = (mesh.face_vertex_flat, mesh.face_edge_flat,
+                           mesh.slot_next)
+        twin = _slot_twins(mesh, *_edge_slots(mesh, nxt))
+        assert twin.dtype == sw.INDEX_DTYPE
+        on_boundary = mesh.boundary_edge_mask[edge]
+        assert np.array_equal(twin == -1, on_boundary)
+        assert (twin >= -1).all()
+        s = np.flatnonzero(~on_boundary)
+        t = twin[s]
+        assert (twin[t] == s).all() and (t != s).all()
+        # the twin walks the same edge the other way
+        assert (edge[t] == edge[s]).all()
+        assert (flat[t] == flat[nxt[s]]).all() \
+            and (flat[nxt[t]] == flat[s]).all()
 
 
 # ---------------------------------------------------------------------------

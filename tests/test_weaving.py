@@ -470,7 +470,62 @@ class TestTriangleGluing:
 # breadth-first two-coloring of quad meshes
 # ---------------------------------------------------------------------------
 
+def quad_ring(n):
+    """``n`` quads around an ``n``-gon hole: two-colorable exactly when
+    ``n`` is even."""
+    angle = 2 * np.pi * np.arange(n) / n
+    rim = np.column_stack((np.cos(angle), np.sin(angle)))
+    return sw.build_mesh(np.vstack((rim, 3 * rim)),
+                         [[k, n + k, n + (k + 1) % n, (k + 1) % n]
+                          for k in range(n)])
+
+
+@st.composite
+def quad_meshes(draw):
+    """Grids, two grids side by side, Catmull-Clark steps of demo meshes and
+    rings of quads (the odd ones not two-colorable), each renumbered by a
+    drawn permutation."""
+    kind = draw(st.sampled_from(["grid", "two grids", "catmull_clark",
+                                 "ring"]))
+    if kind == "ring":
+        mesh = quad_ring(draw(st.integers(3, 9)))
+    elif kind == "catmull_clark":
+        spec = draw(st.sampled_from(["pentagon", "pentaflower", "ngon:7",
+                                     "fan:5", "grid:3x2"]))
+        mesh = sw.catmull_clark_step(sw.generate_demo_mesh(spec)).mesh
+    else:
+        mesh = sw.square_grid(draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+        if kind == "two grids":
+            other = sw.square_grid(draw(st.integers(1, 4)),
+                                   draw(st.integers(1, 4)))
+            moved = other.positions + [mesh.positions[:, 0].max() + 2.0, 0.0]
+            mesh = sw.build_mesh(
+                np.vstack((mesh.positions, moved)),
+                mesh.faces + [tuple(v + mesh.vertex_count for v in face)
+                              for face in other.faces])
+    perm = np.array(draw(st.permutations(range(mesh.vertex_count))))
+    return relabelled(mesh, perm)
+
+
 class TestTwoColorVertices:
+    @settings(max_examples=60, deadline=None)
+    @given(mesh=quad_meshes())
+    def test_matches_the_breadth_first_oracle(self, mesh):
+        # the same coloring, or the same odd cycle named
+        def outcome(color):
+            try:
+                return "returned", color(mesh).is_c1
+            except NotBipartiteError as exc:
+                return "raised", str(exc)
+
+        got, want = outcome(sw.two_color_vertices), outcome(
+            ref.two_color_vertices)
+        assert got[0] == want[0]
+        if got[0] == "returned":
+            assert_same_array(got[1], want[1], "is_c1")
+        else:
+            assert got == want
+
     def test_grid_coloring_is_proper_and_starts_each_component_at_c1(self):
         grid = sw.square_grid(3, 2)
         # a second component: a lone quad on vertices 12..15
@@ -500,7 +555,9 @@ class TestTwoColorVertices:
             [(0, 1), (-0.87, -0.5), (0.87, -0.5),
              (0, 3), (-2.6, -1.5), (2.6, -1.5)],
             [[0, 3, 4, 1], [1, 4, 5, 2], [2, 5, 3, 0]])
-        with pytest.raises(NotBipartiteError):
+        with pytest.raises(NotBipartiteError,
+                           match="^odd cycle: vertices 1 and 2 are adjacent "
+                                 "but were assigned the same color$"):
             sw.two_color_vertices(ring)
 
 

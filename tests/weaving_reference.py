@@ -2,7 +2,8 @@
 
 These are the per-element Python loops the weaving layer was first written
 with: dictionary partner maps, per-face ``np.isin`` and ``mesh.face()``
-calls, cycle merging by search, and per-strand edge-length tables.  They
+calls, cycle merging by search, per-strand edge-length tables, and a
+breadth-first two-coloring over neighbour lists appended edge by edge.  They
 are kept verbatim, apart from imports and the local record types below, so
 the vectorized implementations in :mod:`snubweave.weaving` can be checked
 against them bit for bit.  They are slow (quadratic in places); use small
@@ -43,7 +44,7 @@ from snubweave.errors import (
     NotBipartiteError,
     SnubWeaveError,
 )
-from snubweave.mesh_core import Mesh, build_mesh
+from snubweave.mesh_core import Mesh, _require_record, build_mesh
 from snubweave.weaving import (
     Strand,
     VertexColoring,
@@ -136,6 +137,43 @@ class Weaving:
 
     def crossing_count(self) -> int:
         return len(self.over_strand)
+
+
+def two_color_vertices(mesh: Mesh) -> VertexColoring:
+    """Breadth-first 2-coloring of a quad mesh's vertex graph.
+
+    Starts each connected component at its lowest-index vertex with ``c1``.
+    Raises :class:`NotBipartiteError` when an odd cycle makes a proper
+    coloring impossible.
+    """
+    _require_record(mesh, Mesh, "mesh")
+    if (mesh.face_sizes != 4).any():
+        raise InvalidParameterError(
+            "two_color_vertices expects a pure quad mesh")
+    neighbors = [[] for _ in range(mesh.vertex_count)]
+    for a, b in np.asarray(mesh.edges):
+        neighbors[a].append(int(b))
+        neighbors[b].append(int(a))
+
+    color = np.full(mesh.vertex_count, -1, dtype=np.int8)
+    for start in range(mesh.vertex_count):
+        if color[start] >= 0:
+            continue
+        color[start] = 1
+        queue = [start]
+        while queue:
+            nxt = []
+            for v in queue:
+                for w in neighbors[v]:
+                    if color[w] < 0:
+                        color[w] = 1 - color[v]
+                        nxt.append(w)
+                    elif color[w] == color[v]:
+                        raise NotBipartiteError(
+                            f"odd cycle: vertices {v} and {w} are adjacent "
+                            f"but were assigned the same color")
+            queue = nxt
+    return VertexColoring(color == 1)
 
 
 def _merge_cycles(cycle_f, cycle_g, a: int, b: int) -> list[int]:
