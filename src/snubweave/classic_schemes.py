@@ -39,9 +39,9 @@ import math
 import numpy as np
 
 from .errors import DegenerateFaceError, NotTriangleMeshError
-from .mesh_core import (INDEX_DTYPE, Mesh, _cycle_links, _direct_mesh,
-                        _edge_slots, _grouped, _inverse, _require_record,
-                        _slot_twins, _vertex_sums)
+from .mesh_core import (INDEX_DTYPE, Mesh, _direct_mesh, _edge_slots,
+                        _grouped, _inverse, _next_slots, _require_record,
+                        _slot_faces, _slot_twins, _vertex_sums)
 
 __all__ = [
     "SchemeStepResult",
@@ -292,7 +292,8 @@ def sqrt3_step(mesh: Mesh) -> SchemeStepResult:
     f, g = mesh.edge_left, mesh.edge_right
     kept = np.flatnonzero(boundary)
     lower = np.concatenate((a[kept], mesh.face_vertex_flat))
-    nxt, slot_face = _cycle_links(mesh.face_starts)
+    nxt = _next_slots(mesh.face_starts)
+    slot_face = _slot_faces(mesh.face_starts)
     upper = np.concatenate((b[kept], V + slot_face))
     order = np.argsort(lower, kind="stable")
     rank = _inverse(order)
@@ -424,7 +425,8 @@ def catmull_clark_step(mesh: Mesh) -> SchemeStepResult:
                        + face_pts[mesh.edge_left[inner]]
                        + face_pts[mesh.edge_right[inner]]) / 4.0
 
-    nxt, slot_face = _cycle_links(mesh.face_starts)
+    nxt = _next_slots(mesh.face_starts)
+    slot_face = _slot_faces(mesh.face_starts)
     v = np.flatnonzero(mesh.inner_vertex_mask)
     d = mesh.vertex_degrees[v][:, None]
     q = _vertex_sums(mesh.face_vertex_flat, face_pts[slot_face], V)[v] / d

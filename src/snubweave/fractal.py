@@ -1,10 +1,12 @@
 """Boundary-curve rewriting, length growth, dimension estimates, rasters.
 
-The snub scheme replaces every boundary edge by three segments of
+The snub scheme replaces every boundary edge by a Z of three segments of
 ``1/sqrt(7)`` times its length, so the boundary is exactly the curve of the
 rewriting system ``F -> ∇F-F+F△`` (turtle alphabet: ``F`` forward, ``∇``
 turn left by ``alpha = atan(sqrt(3)/5)``, ``△`` turn right by ``alpha``,
-``+`` turn left by 60 degrees, ``-`` turn right by 60 degrees).  Its length
+``+`` turn left by 60 degrees, ``-`` turn right by 60 degrees).
+:func:`lsystem_expand` draws that curve with the step's own Z
+(:func:`~.snub._bend_points`) applied to a unit segment.  Its length
 grows by ``3/sqrt(7)`` per step, giving a limit curve of dimension
 ``log 3 / log sqrt(7) ≈ 1.12915``.  Interior curves also grow, but not at a
 fixed rate; they are tracked and reported, never asserted.
@@ -24,7 +26,7 @@ from .errors import (
     UnknownSeedError,
 )
 from .mesh_core import _checked_int, _require_record
-from .snub import ALPHA, SubdivisionHistory, _walked_bends
+from .snub import SubdivisionHistory, _bend_points, _walked_bends
 
 __all__ = [
     "lsystem_expand",
@@ -56,15 +58,13 @@ _MAX_PIXELS = 2 ** 24
 
 
 def lsystem_expand(depth: int) -> tuple[str, np.ndarray]:
-    """Expand ``F -> ∇F-F+F△`` ``depth`` times and run its turtle.
+    """Expand ``F -> ∇F-F+F△`` ``depth`` times, and draw its curve.
 
-    Returns the symbol string after ``depth`` rewrites and the turtle
-    polyline as an ``(n+1, 2)`` array, starting at the origin with one unit
-    axiom segment, step length ``(1/sqrt(7)) ** depth``.
-
-    The turtle heading is kept as an exact integer pair (multiples of
-    ``alpha`` and of 60 degrees), so long expansions accumulate no heading
-    drift.
+    Returns the symbol string after ``depth`` rewrites and the curve as an
+    ``(n+1, 2)`` polyline from ``(0, 0)`` to ``(1, 0)``: the unit segment
+    with the snub step's Z (:func:`~.snub._bend_points`, flag +1) applied
+    ``depth`` times, so that every segment becomes three, ``(1/sqrt(7))``
+    times as long.  The end points of every rewrite stay where they were.
     """
     depth = _checked_int(depth, "depth", 0)
     if depth > _MAX_DEPTH:
@@ -74,17 +74,14 @@ def lsystem_expand(depth: int) -> tuple[str, np.ndarray]:
     for _ in range(depth):
         symbols = symbols.replace("F", "∇F-F+F△")
 
-    # each F's heading is the sum of the turns before it: one running sum
-    # per (left, right) turn pair over the code points, read at the Fs
-    codes = np.frombuffer(symbols.encode("utf-32-le"), dtype="<u4")
-    forward = codes == ord("F")
-    a, b = (np.cumsum((codes == ord(left)).astype(np.int64)
-                      - (codes == ord(right)))[forward]
-            for left, right in ("∇△", "+-"))
-    angle = a * ALPHA + b * (math.pi / 3.0)
-    step = SEGMENT_SCALE ** depth
-    moves = np.stack([np.cos(angle), np.sin(angle)], axis=1) * step
-    polyline = np.vstack([[0.0, 0.0], np.cumsum(moves, axis=0)])
+    polyline = np.array([[0.0, 0.0], [1.0, 0.0]])
+    for _ in range(depth):
+        n = len(polyline) - 1
+        refined = np.empty((3 * n + 1, 2))
+        refined[::3] = polyline
+        _bend_points(polyline[:-1], polyline[1:], 1,
+                     refined[:-1].reshape(n, 3, 2)[:, 1:])
+        polyline = refined
     return symbols, polyline
 
 

@@ -334,11 +334,6 @@ def _slot_faces(starts: np.ndarray, dtype=np.int64) -> np.ndarray:
     return np.repeat(np.arange(len(starts) - 1, dtype=dtype), np.diff(starts))
 
 
-def _cycle_links(starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_next_slots` and :func:`_slot_faces` of one run of faces."""
-    return _next_slots(starts), _slot_faces(starts)
-
-
 def _reject_repeats(flat: np.ndarray, slot_face: np.ndarray, V: int) -> None:
     """Raise :class:`DegenerateFaceError` where a cycle repeats a vertex,
     naming the lowest ``(face, vertex)`` pair; one sort of the pair keys."""
@@ -472,7 +467,7 @@ def build_mesh(points, faces, *, check_self_intersections: bool = False,
         raise IndexRangeError(
             f"face index {int(flat[bad])} out of range for {V} vertices")
 
-    nxt, slot_face = _cycle_links(starts)
+    nxt, slot_face = _next_slots(starts), _slot_faces(starts)
     _reject_repeats(flat, slot_face, V)
 
     # orient all faces counterclockwise; an n-gon's shoelace sum may be off

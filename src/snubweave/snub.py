@@ -24,6 +24,9 @@ Positions use an exact closed form: on an edge from ``a`` to ``b`` with
 ``a + ((5*dx - s*sqrt(3)*dy) / 14, (s*sqrt(3)*dx + 5*dy) / 14)``, i.e. the
 edge direction rotated by ``s * atan(sqrt(3)/5)`` and scaled by
 ``1/sqrt(7)``; the bend point near ``b`` mirrors it through the midpoint.
+:func:`_bend_points` is the one statement of that Z: :func:`_positions`
+writes every edge's bend points with it, and
+:func:`~.fractal.lsystem_expand` draws the boundary curve with it.
 
 Operations 1-3 are built in one pass from closed-form connectivity, with no
 edge hashing.  For a source mesh with ``V`` vertices, edges ``(lo, hi)`` and
@@ -87,7 +90,7 @@ count that breaks the recursion raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 import logging
 import math
 
@@ -103,12 +106,13 @@ from .mesh_core import (
     INDEX_DTYPE,
     Mesh,
     _checked_int,
-    _cycle_links,
     _fits_index,
+    _next_slots,
     _reject_bad_faces,
     _reject_pinched_boundary,
     _require_record,
     _row_sum,
+    _slot_faces,
     _vertex_sums,
 )
 
@@ -170,7 +174,8 @@ def _blocks(starts: np.ndarray):
     cuts = np.searchsorted(starts, np.arange(0, starts[-1], _BLOCK))
     bounds = list(dict.fromkeys(cuts.tolist() + [len(starts) - 1]))
     for f0, f1 in zip(bounds, bounds[1:]):
-        nxt, slot_face = _cycle_links(starts[f0:f1 + 1])
+        run = starts[f0:f1 + 1]
+        nxt, slot_face = _next_slots(run), _slot_faces(run)
         yield slice(int(starts[f0]), int(starts[f1])), slot_face + f0, nxt
 
 
@@ -184,21 +189,30 @@ def _walked_bends(V: int, e, backwards):
     return first, (2 * V + 4 * e + 1) - first
 
 
+def _bend_points(pa: np.ndarray, pb: np.ndarray, s: int,
+                 out: np.ndarray) -> None:
+    """The Z of every segment ``pa[i] -> pb[i]`` for flag ``s``, written
+    into ``out`` (``(n, 2, 2)``): ``out[i, 0]`` the bend point near
+    ``pa[i]`` by the closed form of the module docstring, ``out[i, 1]`` its
+    mirror through the segment's midpoint."""
+    d = pb - pa
+    near_a = out[:, 0]
+    near_a[:, 0] = pa[:, 0] + (5.0 * d[:, 0] - s * _SQRT3 * d[:, 1]) / 14.0
+    near_a[:, 1] = pa[:, 1] + (s * _SQRT3 * d[:, 0] + 5.0 * d[:, 1]) / 14.0
+    out[:, 1] = pa + pb - near_a
+
+
 def _positions(source: Mesh, s: int) -> np.ndarray:
     """The refined vertices' positions before smoothing, numbered as the
     module docstring states: the source's vertices, the two bend points of
-    every edge for flag ``s`` (the closed form there), then every face's
+    every edge for flag ``s`` (:func:`_bend_points`), then every face's
     barycenter."""
     V, E = source.vertex_count, source.edge_count
     positions = np.empty((V + 2 * E + source.face_count, 2))
     positions[:V] = source.positions
     pa = np.take(source.positions, source.edges[:, 0], axis=0)
     pb = np.take(source.positions, source.edges[:, 1], axis=0)
-    d = pb - pa
-    near_a = positions[V:V + 2 * E:2]
-    near_a[:, 0] = pa[:, 0] + (5.0 * d[:, 0] - s * _SQRT3 * d[:, 1]) / 14.0
-    near_a[:, 1] = pa[:, 1] + (s * _SQRT3 * d[:, 0] + 5.0 * d[:, 1]) / 14.0
-    positions[V + 1:V + 2 * E:2] = pa + pb - near_a
+    _bend_points(pa, pb, s, positions[V:V + 2 * E].reshape(E, 2, 2))
     positions[V + 2 * E:] = source.face_centroids()
     return positions
 
@@ -446,12 +460,12 @@ def _counts(mesh: Mesh) -> tuple:
     return mesh.vertex_count, mesh.edge_count, mesh.face_count
 
 
-def _step_counts(record: Provenance, slots: int) -> tuple:
+def _step_counts(counts: tuple, slots: int) -> tuple:
     """The count recursion: the vertex, edge and face counts the step gives
-    a mesh of ``record``'s counts and ``slots`` face slots.  A vertex per
-    source vertex, bend point and face, three segments per source edge and
-    a spoke per slot, and a pentagon per slot."""
-    V, E, F = record.vertex_count, record.edge_count, record.face_count
+    a mesh of ``counts`` ``(V, E, F)`` and ``slots`` face slots.  A vertex
+    per source vertex, bend point and face, three segments per source edge
+    and a spoke per slot, and a pentagon per slot."""
+    V, E, F = counts
     return V + 2 * E + F, 3 * E + slots, slots
 
 
@@ -463,7 +477,7 @@ def _check_depth(mesh: Mesh, steps: int) -> None:
     pentagon, so each step multiplies the slots by five."""
     counts, slots = _counts(mesh), len(mesh.face_vertex_flat)
     for t in range(1, steps + 1):
-        counts, slots = _step_counts(Provenance(*counts), slots), 5 * slots
+        counts, slots = _step_counts(counts, slots), 5 * slots
         if not _fits_index(counts[0], counts[1], slots):
             raise DepthTooLargeError(
                 f"step {t} of {steps} would make a mesh of {counts[0]} "
@@ -481,9 +495,8 @@ def _refined_inner(source: Mesh, inner: np.ndarray) -> np.ndarray:
                            np.ones(source.face_count, dtype=bool)))
 
 
-def _check_count_recursion(record: Provenance, slots: int,
-                           refined: Mesh) -> None:
-    expect, got = _step_counts(record, slots), _counts(refined)
+def _check_count_recursion(counts: tuple, slots: int, refined: Mesh) -> None:
+    expect, got = _step_counts(counts, slots), _counts(refined)
     if got != expect:
         raise InternalInvariantError(
             f"element counts {got} do not match the recursion {expect}")
@@ -507,13 +520,14 @@ def _face_table(mesh: Mesh, provenance: Provenance) -> tuple:
     are not the bend pairs, a designated vertex that is no bend point of
     another middle edge, or one designated twice.
     """
-    if not isinstance(provenance, Provenance) \
-            or _step_counts(provenance, mesh.face_count) != _counts(mesh) \
-            or (np.diff(mesh.face_starts) != 5).any():
+    counts = astuple(provenance) if isinstance(provenance, Provenance) \
+        else None
+    if counts is None or (np.diff(mesh.face_starts) != 5).any() \
+            or _step_counts(counts, mesh.face_count) != _counts(mesh):
         raise InvalidParameterError(
             f"{provenance!r} does not describe the snub step that made "
             f"{mesh!r} (the record of another step?)")
-    V, E = provenance.vertex_count, provenance.edge_count
+    V, E, _ = counts
     is_middle = _middle_mask(mesh.edges, V, E)
     hit = is_middle[mesh.face_edge_flat]
     per_face = hit.reshape(-1, 5).sum(axis=1)
@@ -584,15 +598,15 @@ def snub_subdivide(mesh: Mesh, steps: int, smoothing: bool = True,
     inner = mesh.inner_vertex_mask if smoothing else None
     for _ in range(steps):
         s = assign_z_orientations(seed_flag)
-        record = Provenance(*_counts(current))
+        counts = _counts(current)
         arrays, centroids = _refine(current, s, _positions(current, s))
         # a mesh of views, so the arrays stay writeable for smoothing
         refined = Mesh(*(a.view() for a in arrays))
-        _check_count_recursion(record, len(current.face_vertex_flat), refined)
+        _check_count_recursion(counts, len(current.face_vertex_flat), refined)
         if smoothing:
             inner = _refined_inner(current, inner)
             _smooth(*arrays[:3], centroids, inner)
-        records.append(StepRecord(provenance=record))
+        records.append(StepRecord(provenance=Provenance(*counts)))
         current = Mesh(*arrays)
         meshes.append(current)
     return SubdivisionHistory(meshes=meshes, records=records,

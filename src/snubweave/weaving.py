@@ -52,8 +52,8 @@ from .errors import (
     NotBipartiteError,
     NotTriangleMeshError,
 )
-from .mesh_core import (INDEX_DTYPE, Mesh, _cycle_links, _direct_mesh,
-                        _edge_slots, _face_sums, _grouped, _reject_repeats,
+from .mesh_core import (INDEX_DTYPE, Mesh, _direct_mesh, _edge_slots,
+                        _face_sums, _grouped, _next_slots, _reject_repeats,
                         _require_record, _slot_faces, _slot_twins)
 from .snub import Provenance, _face_table
 
@@ -868,7 +868,8 @@ def general_face_split_weaving(mesh: Mesh,
     quads = np.column_stack((mesh.edges[inner, 0], V + mesh.edge_right[inner],
                              mesh.edges[inner, 1], V + mesh.edge_left[inner]))
     # per quad slot, the source slot (v, f) of its edge (v, V + f)
-    nxt, slot_face = _cycle_links(mesh.face_starts)
+    nxt = _next_slots(mesh.face_starts)
+    slot_face = _slot_faces(mesh.face_starts)
     left, right = _edge_slots(mesh, nxt)
     corner = np.column_stack((nxt[right[inner]], right[inner],
                               nxt[left[inner]], left[inner]))

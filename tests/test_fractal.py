@@ -449,11 +449,31 @@ fractal_specs = st.one_of(
 class TestOracleEquivalence:
     @pytest.mark.parametrize("depth", range(11))
     def test_lsystem_expand_matches_oracle(self, depth):
+        # the oracle's float64 turtle errs by up to 2.0e-13 at depth 10
+        # (against long double), the curve drawn by the step's Z by 6e-16
         symbols, polyline = sw.lsystem_expand(depth)
         want_symbols, want_polyline = ref.lsystem_expand(depth)
         assert symbols == want_symbols
         assert polyline.shape == want_polyline.shape
-        assert bits(polyline) == bits(want_polyline)
+        assert np.abs(polyline - want_polyline).max() <= 4e-13
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="long double is no wider than float64 here")
+    def test_lsystem_expand_is_near_the_long_double_curve(self):
+        # the same Z in long double, as a complex rotation: the bend point
+        # near a is a + d w and the one near b is b - d w, w = (5 + i√3)/14
+        _, polyline = sw.lsystem_expand(12)
+        w = (5 + 1j * np.sqrt(np.longdouble(3))) / np.longdouble(14)
+        z = np.array([0, 1], dtype=np.clongdouble)
+        for _ in range(12):
+            d = np.diff(z)
+            out = np.empty(3 * len(d) + 1, dtype=np.clongdouble)
+            out[::3], out[1::3], out[2::3] = z, z[:-1] + d * w, z[1:] - d * w
+            z = out
+        assert len(z) == len(polyline)
+        err = max(np.abs(polyline[:, 0] - z.real).max(),
+                  np.abs(polyline[:, 1] - z.imag).max())
+        assert err <= 2e-15
 
     @settings(max_examples=100, deadline=None)
     @given(spec=fractal_specs, seed=st.integers(0, 2**32 - 1),
