@@ -53,7 +53,8 @@ LENGTH_FACTOR = 3.0 / _SQRT7
 #: Deepest expansion ``lsystem_expand`` runs (``3**12`` segments).
 _MAX_DEPTH = 12
 
-#: Most pixels ``first_hit_raster`` allocates (1024 x 1024 is ``2**20``).
+#: Most pixels ``first_hit_raster`` allocates (1024 x 1024 is ``2**20``),
+#: and most boxes ``box_counting_dimension`` marks on a bitmap.
 _MAX_PIXELS = 2 ** 24
 
 
@@ -148,6 +149,17 @@ def estimate_fractal_dimension(lengths) -> DimensionEstimate:
                              log_sizes=log_s, log_values=log_l)
 
 
+def _occupied(boxes: np.ndarray, cells: int) -> int:
+    """How many distinct box ids ``boxes`` holds, each in ``0..cells-1``:
+    marked on a bitmap of ``cells`` flags while that is within the
+    raster's limit (:data:`_MAX_PIXELS`), else by sorting."""
+    if cells > _MAX_PIXELS:
+        return len(np.unique(boxes))
+    seen = np.zeros(cells, dtype=bool)
+    seen[boxes] = True
+    return int(np.count_nonzero(seen))
+
+
 def box_counting_dimension(polyline: np.ndarray,
                            grid_sizes=tuple(2 ** k for k in range(4, 11)),
                            samples_per_segment: int = 4) -> DimensionEstimate:
@@ -194,7 +206,7 @@ def box_counting_dimension(polyline: np.ndarray,
     for n in grid_sizes:
         ij = np.floor((pts - lo) / span * n).astype(np.int64)
         np.clip(ij, 0, n - 1, out=ij)
-        counts.append(len(np.unique(ij[:, 0] * n + ij[:, 1])))
+        counts.append(_occupied(ij[:, 0] * n + ij[:, 1], n * n))
     log_n = np.log(np.asarray(grid_sizes, dtype=np.float64))
     log_c = np.log(np.asarray(counts, dtype=np.float64))
     slope, residual = _loglog_fit(log_n, log_c)

@@ -73,10 +73,19 @@ barycenter and spoke bend point from columns 0 and 1; the refined side
 pairs each column with the next for the face areas and zero-length edges,
 which go to the shared raiser (:func:`~.mesh_core._reject_bad_faces`) after
 the walk, and sums the face centroids the smoothing reuses, both in the
-face-sum order (:func:`~.mesh_core._row_sum`).  Smoothing runs after every
-check and writes the positions in place; its inner-vertex mask is read off
-the numbering from the source's (:func:`_refined_inner`), not off the
-refined edge table.
+face-sum order (:func:`~.mesh_core._row_sum`).  The numbering also gives
+each row's edge sides: ids rise from source vertex to bend point to
+barycenter, so every column's edge has a fixed side of its pentagon but the
+middle segment's, whose side is the walk's direction along its source edge.
+The two checks on the spokes, the half-plane test and the nearest-barycenter
+count, decide each slot as their ``np.hypot`` expressions do, but first by a
+bound without a square root (:func:`_on_line`, :func:`_closer`); only the
+slots the bound leaves, near ties and under- or overflowing ones, go
+through the expression itself.  Smoothing runs after every check and writes
+the positions in place; its inner-vertex mask and those vertices' face
+counts are read off the numbering from the source's (:func:`_refined_inner`,
+:func:`_refined_faces_at`), not off the refined edge table or a count of
+the refined faces.
 The errors fire in this order, whatever block they are in: a pinched
 source boundary (rejected before the walk) raises
 :class:`~.errors.NonManifoldError`; a spoke's bend point on its source
@@ -161,9 +170,11 @@ def _checked_flag(seed_flag) -> int:
 
 #: Slots per block of the step's one walk, which writes the rows and checks
 #: them.  Blocks this small keep each block's temporaries in cache: one
-#: block of the whole step ran the t=8 ``deep_refine`` op about 13% slower
-#: (median paired ratio 1.13 on a shared 2-vCPU host) and peaked 2.7%
-#: higher in RSS.
+#: block of the whole step ran the t=8 ``deep_refine`` op about 25% slower
+#: (median paired ratio 1.247, slower in 20 of 20 pairs, in one process on
+#: a shared 2-vCPU host) and peaked 2.7% higher in RSS; blocks of
+#: ``1 << 13``, ``1 << 15`` and ``1 << 16`` slots read 1.020, 1.048 and
+#: 1.057 against this size in the same runs.
 _BLOCK = 1 << 14
 
 
@@ -217,6 +228,56 @@ def _positions(source: Mesh, s: int) -> np.ndarray:
     return positions
 
 
+def _on_line(d: np.ndarray, z: np.ndarray, cross: np.ndarray) -> np.ndarray:
+    """Per row of the ``(n, 2)`` vectors ``d`` and ``z`` and their cross
+    products ``cross``, whether ``|cross| <= 1e-12 * hypot(d) * hypot(z)``,
+    as that expression evaluates it.
+
+    ``hypot(d) * hypot(z)`` is at most ``2 * ‖d‖∞ * ‖z‖∞``, so a row whose
+    ``|cross|`` exceeds twice that bound times ``1e-12`` is off the line,
+    with a factor of two to spare for rounding, also for a ``hypot`` in the
+    subnormals (at most 1.91 times its ``‖·‖∞``; were both there, the
+    expression's right side would be 0).  The bound decides only rows
+    whose ``‖d‖∞`` and ``‖z‖∞`` are at most ``1e150``, so that no ``hypot``
+    or product overflows; the other rows, and rows the bound leaves (NaN
+    among them), go through the expression.
+    """
+    md = np.maximum(np.abs(d[:, 0]), np.abs(d[:, 1]))
+    mz = np.maximum(np.abs(z[:, 0]), np.abs(z[:, 1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        off = (np.abs(cross) > 4e-12 * (md * mz)) \
+            & (np.maximum(md, mz) <= 1e150)
+    on = ~off
+    rest = np.flatnonzero(on)
+    if len(rest):
+        on[rest] = np.abs(cross[rest]) <= 1e-12 * (
+            np.hypot(d[rest, 0], d[rest, 1]) * np.hypot(z[rest, 0], z[rest, 1]))
+    return on
+
+
+def _closer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per row of the ``(n, 2)`` vectors ``a`` and ``b``, whether
+    ``hypot(a) < hypot(b)``, as that expression evaluates it.
+
+    The squared lengths decide where they differ by more than ``1e-13`` of
+    their sum, far above their rounding, and that sum is at least
+    ``1e-290``, so that the larger square is clear of the subnormals.  An
+    overflow makes the sum inf, which no difference exceeds; so those rows,
+    near ties and NaN go through the expression.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        a2 = a[:, 0] * a[:, 0] + a[:, 1] * a[:, 1]
+        b2 = b[:, 0] * b[:, 0] + b[:, 1] * b[:, 1]
+        total = a2 + b2
+        sure = (np.abs(a2 - b2) > 1e-13 * total) & (total >= 1e-290)
+    closer = a2 < b2
+    rest = np.flatnonzero(~sure)
+    if len(rest):
+        closer[rest] = np.hypot(a[rest, 0], a[rest, 1]) \
+            < np.hypot(b[rest, 0], b[rest, 1])
+    return closer
+
+
 def _refine(source: Mesh, s: int, positions: np.ndarray) -> tuple:
     """Operations 1-3 and the step's checks in one blocked pass: the
     pentagon mesh's arrays, in the order the :class:`~.mesh_core.Mesh`
@@ -226,10 +287,12 @@ def _refine(source: Mesh, s: int, positions: np.ndarray) -> tuple:
     flag (see the module docstring).  ``positions`` are the refined
     vertices' (:func:`_positions`); they are returned as given and stay
     writeable, so they can be smoothed in place; areas and centroids are
-    summed in the face-sum order of :mod:`~.mesh_core`.  A spoke's bend point
-    on its source edge's line raises :class:`AmbiguousHalfPlaneError`; the
+    summed in the face-sum order of :mod:`~.mesh_core`, and the edges' sides
+    follow from the numbering.  A spoke's bend point on its source edge's
+    line raises :class:`AmbiguousHalfPlaneError` (:func:`_on_line`); the
     spokes that disagree with the half-plane rule, or with nearest-barycenter
-    distance, are counted and logged once (never asserted).
+    distance (:func:`_closer`), are counted and logged once (never
+    asserted).  Both checks decide as their ``np.hypot`` expressions do.
     """
     _reject_pinched_boundary(source.edges, source.edge_left,
                              source.edge_right, source.vertex_count)
@@ -270,8 +333,11 @@ def _refine(source: Mesh, s: int, positions: np.ndarray) -> tuple:
     # is ``(lo, hi)``, so walked forwards when the corner is the lower id)
     # and the one of them on the face's side, which gets the spoke.  Each
     # slot's face is left of its edge when walked from lower to higher
-    # vertex id, right otherwise; ids rise from source vertex to bend point
-    # to barycenter, so only the middle segment's column has both sides
+    # vertex id, right otherwise.  Ids rise from source vertex to bend point
+    # to barycenter, so a row walks down from its barycenter to its corner
+    # (column 3 - k) and up again: columns before the corner's are right,
+    # the others left, but the middle segment's (column 1 + 2k), which is
+    # right where its source edge is walked backwards
     n = len(source.face_vertex_flat)
     out_flat = np.empty(5 * n, dtype=INDEX_DTYPE)
     out_edge = np.empty(5 * n, dtype=INDEX_DTYPE)
@@ -309,14 +375,14 @@ def _refine(source: Mesh, s: int, positions: np.ndarray) -> tuple:
             row_edges[slots, j] = e
             zero_len[slots, j] = (x[j] == x[(j + 1) % 5]) \
                 & (y[j] == y[(j + 1) % 5])
-            right = verts[j] > verts[(j + 1) % 5]
-            if right.all():
-                edge_right[e] = face
-            elif not right.any():
-                edge_left[e] = face
-            else:
+            if j == 1 + 2 * k:
+                right = backwards if k == 0 else backwards[nxt]
                 edge_right[e[right]] = face[right]
                 edge_left[e[~right]] = face[~right]
+            elif j < 3 - k:
+                edge_right[e] = face
+            else:
+                edge_left[e] = face
         areas[slots] = 0.5 * _row_sum(
             x[j] * y[(j + 1) % 5] - x[(j + 1) % 5] * y[j] for j in range(5))
         centroids[slots, 0] = _row_sum(x) / 5
@@ -331,8 +397,7 @@ def _refine(source: Mesh, s: int, positions: np.ndarray) -> tuple:
         bc = pb - pu
         cross_z = d[:, 0] * z[:, 1] - d[:, 1] * z[:, 0]
         cross_b = d[:, 0] * bc[:, 1] - d[:, 1] * bc[:, 0]
-        scale = np.hypot(d[:, 0], d[:, 1]) * np.hypot(z[:, 0], z[:, 1])
-        ambiguous = np.flatnonzero(np.abs(cross_z) <= 1e-12 * scale)
+        ambiguous = np.flatnonzero(_on_line(d, z, cross_z))
         if len(ambiguous):
             # the first fault in the documented order, at its lowest row
             raise AmbiguousHalfPlaneError(
@@ -345,10 +410,8 @@ def _refine(source: Mesh, s: int, positions: np.ndarray) -> tuple:
         # boundary)
         other = np.where(backwards, source.edge_left[e_slot],
                          source.edge_right[e_slot])
-        disagreements += int(np.count_nonzero(
-            (other >= 0)
-            & (np.hypot(*(np.take(positions, V + 2 * E + other, axis=0)
-                          - pz).T) < np.hypot(*(pb - pz).T))))
+        disagreements += int(np.count_nonzero((other >= 0) & _closer(
+            np.take(positions, V + 2 * E + other, axis=0) - pz, pb - pz)))
 
     if mismatches:
         logger.warning(
@@ -379,26 +442,29 @@ def smooth_inner_vertices(mesh: Mesh) -> Mesh:
     """
     _require_record(mesh, Mesh, "mesh")
     positions = mesh.positions.copy()
+    faces_at = np.bincount(mesh.face_vertex_flat, minlength=mesh.vertex_count)
     _smooth(positions, mesh.face_vertex_flat, mesh.face_starts,
-            mesh.face_centroids(), mesh.inner_vertex_mask)
+            mesh.face_centroids(), mesh.inner_vertex_mask & (faces_at > 0),
+            faces_at)
     return mesh.with_positions(positions)
 
 
 def _smooth(positions: np.ndarray, flat: np.ndarray, starts: np.ndarray,
-            centroids: np.ndarray, inner: np.ndarray) -> None:
+            centroids: np.ndarray, inner: np.ndarray,
+            faces_at: np.ndarray) -> None:
     """:func:`smooth_inner_vertices` in place, on the face cycles ``(flat,
-    starts)`` with their centroids and inner-vertex mask given; one
+    starts)`` with their centroids given, and the vertices to move
+    (``inner``) with their face counts (``faces_at``, read only where
+    ``inner`` holds), so nothing here counts; one
     :func:`~.mesh_core._vertex_sums` per axis, in the vertex-sum order."""
     V = len(positions)
     flat = flat.astype(np.intp, copy=False)     # once, not per bincount
-    cnt = np.bincount(flat, minlength=V)
-    inner = inner & (cnt > 0)
     repeats = np.diff(starts)
     if (repeats == repeats[0]).all():       # a snub step's: all pentagons
         repeats = int(repeats[0])
     for axis in (0, 1):
         acc = _vertex_sums(flat, np.repeat(centroids[:, axis], repeats), V)
-        np.divide(acc, cnt, out=positions[:, axis], where=inner)
+        np.divide(acc, faces_at, out=positions[:, axis], where=inner)
         del acc
 
 
@@ -493,6 +559,21 @@ def _refined_inner(source: Mesh, inner: np.ndarray) -> np.ndarray:
     barycenter is inner (its spokes each lie between two pentagons)."""
     return np.concatenate((inner, np.repeat(~source.boundary_edge_mask, 2),
                            np.ones(source.face_count, dtype=bool)))
+
+
+def _refined_faces_at(source: Mesh, faces_at: np.ndarray) -> np.ndarray:
+    """Per refined vertex its number of faces, read off the numbering from
+    ``faces_at``, the source's, and right at every vertex
+    :func:`_refined_inner` marks, which is all the smoothing reads: a
+    source vertex keeps its count (one pentagon per slot at it), both bend
+    points of an inner source edge lie on three pentagons (an outer edge's
+    on fewer), and a barycenter on one per slot of its face."""
+    V, E = source.vertex_count, source.edge_count
+    refined = np.empty(V + 2 * E + source.face_count, dtype=faces_at.dtype)
+    refined[:V] = faces_at
+    refined[V:V + 2 * E] = 3
+    refined[V + 2 * E:] = np.diff(source.face_starts)
+    return refined
 
 
 def _check_count_recursion(counts: tuple, slots: int, refined: Mesh) -> None:
@@ -595,7 +676,10 @@ def snub_subdivide(mesh: Mesh, steps: int, smoothing: bool = True,
     meshes = [mesh]
     records: list[StepRecord] = []
     current = mesh
-    inner = mesh.inner_vertex_mask if smoothing else None
+    if smoothing:
+        inner = mesh.inner_vertex_mask
+        faces_at = np.bincount(mesh.face_vertex_flat,
+                               minlength=mesh.vertex_count)
     for _ in range(steps):
         s = assign_z_orientations(seed_flag)
         counts = _counts(current)
@@ -605,7 +689,8 @@ def snub_subdivide(mesh: Mesh, steps: int, smoothing: bool = True,
         _check_count_recursion(counts, len(current.face_vertex_flat), refined)
         if smoothing:
             inner = _refined_inner(current, inner)
-            _smooth(*arrays[:3], centroids, inner)
+            faces_at = _refined_faces_at(current, faces_at)
+            _smooth(*arrays[:3], centroids, inner, faces_at)
         records.append(StepRecord(provenance=Provenance(*counts)))
         current = Mesh(*arrays)
         meshes.append(current)

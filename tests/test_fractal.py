@@ -1,6 +1,7 @@
 """Rewriting system, length growth, dimension estimates, first-hit rasters."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -160,6 +161,22 @@ class TestDimensionEstimate:
         _, polyline = sw.lsystem_expand(8)
         est = sw.box_counting_dimension(polyline)
         assert abs(est.dimension - TARGET_DIMENSION) < 0.02
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), points=st.integers(2, 300),
+           spread=st.sampled_from([1e-9, 1.0, 1e6]))
+    def test_box_counts_by_bitmap_and_by_sort_agree(self, seed, points,
+                                                    spread):
+        # a random walk, counted on bitmaps, then with the bitmap limit at
+        # zero, so every grid is counted by sorting
+        rng = np.random.default_rng(seed)
+        walk = np.cumsum(rng.normal(size=(points, 2)), axis=0) * spread
+        sizes = (2, 3, 16, 100, 1024)
+        bitmap = sw.box_counting_dimension(walk, grid_sizes=sizes)
+        with mock.patch.object(sw.fractal, "_MAX_PIXELS", 0):
+            sort = sw.box_counting_dimension(walk, grid_sizes=sizes)
+        assert bitmap.log_values.tobytes() == sort.log_values.tobytes()
+        assert bitmap.dimension == sort.dimension
 
     def test_box_counting_straight_line(self):
         line = np.column_stack([np.linspace(0, 1, 200), np.zeros(200)])

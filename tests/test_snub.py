@@ -1,12 +1,13 @@
 """Snub subdivision: refinement step, multi-step driver, oracle equivalence."""
 
+import contextlib
 import logging
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import snubweave as sw
 from snubweave import (
@@ -622,7 +623,8 @@ class TestNumberingContract:
     def test_inner_mask_read_off_the_numbering(self, spec, steps, flag,
                                                smoothing):
         """The mask the smoothing reads, carried from the input's through
-        every step, is each refined mesh's own."""
+        every step, is each refined mesh's own, and so are the face counts
+        it reads at the vertices of that mask."""
         try:
             hist = sw.snub_subdivide(sw.generate_demo_mesh(spec), steps,
                                      smoothing=smoothing, seed_flag=flag)
@@ -630,9 +632,15 @@ class TestNumberingContract:
             assert spec in ("fan:3", "fan:4")
             return
         inner = hist.meshes[0].inner_vertex_mask
+        faces_at = np.bincount(hist.meshes[0].face_vertex_flat,
+                               minlength=hist.meshes[0].vertex_count)
         for source, refined in zip(hist.meshes, hist.meshes[1:]):
             inner = snub._refined_inner(source, inner)
+            faces_at = snub._refined_faces_at(source, faces_at)
             assert np.array_equal(inner, refined.inner_vertex_mask)
+            assert np.array_equal(faces_at[inner], np.bincount(
+                refined.face_vertex_flat,
+                minlength=refined.vertex_count)[inner])
 
     def test_history_meshes_cache_no_per_slot_table(self):
         """Every history mesh holds its seven arrays and nothing else, also
@@ -768,20 +776,38 @@ def assert_step_records(source, refined, prov, ref, ref_source):
     assert ref.source is ref_source
 
 
+#: Scales and offsets of a mesh's coordinates: the unit ones about a third
+#: of the time, else anywhere from 1e-300 to 1e300 and up to 1e17 away,
+#: where lengths and their products under- or overflow and coordinates
+#: lose their digits.
+scales = st.one_of(st.just(1.0), st.sampled_from([1e-300, 1e-150, 1e150,
+                                                  1e300]),
+                   st.floats(1e-300, 1e300))
+offsets = st.one_of(st.just(0.0), st.sampled_from([1e15, -1e17, 1e17]),
+                    st.floats(-1e17, 1e17))
+
+
 class TestStepOracle:
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(spec=demo_specs, seed=st.integers(0, 2**32 - 1),
            amount=st.sampled_from([0.0, 0.04, 0.15]), steps=st.integers(1, 4),
-           flag=st.sampled_from([1, -1]), smoothing=st.booleans())
+           flag=st.sampled_from([1, -1]), smoothing=st.booleans(),
+           scale=scales, offset=offsets)
     def test_history_errors_and_logs_match_frozen_step(
-            self, spec, seed, amount, steps, flag, smoothing):
+            self, spec, seed, amount, steps, flag, smoothing, scale, offset):
         mesh = jittered(sw.generate_demo_mesh(spec), seed, amount)
-        got, got_log = logged_outcome("snubweave.snub", lambda: (
-            sw.snub_subdivide(mesh, steps, smoothing=smoothing,
-                              seed_flag=flag)))
-        want, want_log = logged_outcome("snub_step_reference", lambda: (
-            snub_step_reference.subdivide(mesh, steps, smoothing=smoothing,
-                                          seed_flag=flag)))
+        mesh = mesh.with_positions(mesh.positions * scale + offset)
+        # at unit scale a numpy warning is a fault; elsewhere both steps
+        # under- and overflow alike, which only their outcomes show
+        with np.errstate(all="ignore") if (scale, offset) != (1.0, 0.0) \
+                else contextlib.nullcontext():
+            got, got_log = logged_outcome("snubweave.snub", lambda: (
+                sw.snub_subdivide(mesh, steps, smoothing=smoothing,
+                                  seed_flag=flag)))
+            want, want_log = logged_outcome("snub_step_reference", lambda: (
+                snub_step_reference.subdivide(mesh, steps,
+                                              smoothing=smoothing,
+                                              seed_flag=flag)))
         assert got_log == want_log
         assert got[0] == want[0]
         if got[0] == "raised":
@@ -828,6 +854,121 @@ class TestDeepStepOracle:
                                               strict=True)):
             assert_step_records(hist.meshes[t], hist.meshes[t + 1],
                                 record.provenance, ref, meshes[t])
+
+
+# ---------------------------------------------------------------------------
+# the step's checks: a cheap bound first, then the hypot expression
+# ---------------------------------------------------------------------------
+
+#: Coordinates where a bound, or the ``hypot`` it stands for, goes wrong:
+#: zeros, subnormals, values whose squares or products under- or overflow
+#: (beyond 1e154), inf and NaN.
+HOSTILE = [0.0, -0.0, 5e-324, -2e-320, 2.2e-308, 1e-300, -1e-160, 1e-150,
+           1e150, 1.5e154, -1e200, 1e300, 1.7e308, math.inf, -math.inf,
+           math.nan]
+coordinates = st.one_of(st.floats(-8, 8), st.sampled_from(HOSTILE),
+                        st.floats())
+#: Powers of two that put coordinates, their squares or the product of
+#: two of them near either end of the float range, and any power at all.
+exponents = st.one_of(
+    st.sampled_from([-1074, -1060, -1022, -540, -537, -535, -532, -530,
+                     -520, -512, -511, 0, 511, 512, 1021, 1023]),
+    st.integers(-1074, 1023))
+#: Vectors of any float, and plain ones scaled by such a power of two, so
+#: that both coordinates sit deep in the subnormals or near the overflow.
+plain = st.one_of(st.floats(-4, 4), st.sampled_from([1.0, -1.5, 1.9999]))
+vectors = st.one_of(
+    st.tuples(coordinates, coordinates),
+    st.tuples(exponents.map(lambda k: 2.0 ** k), plain, plain).map(
+        lambda s: (s[0] * s[1], s[0] * s[2])))
+ulp_steps = st.integers(-16, 16)
+
+
+def nudged(x, k):
+    """``x`` times ``1 + k * eps``, a near tie with ``x``."""
+    return x * (1.0 + k * 2.0 ** -52)
+
+
+@st.composite
+def length_pairs(draw):
+    """Two vectors, mostly of equal or nearly equal length: one scaled,
+    mirrored or swapped from the other, or turned onto an axis or a
+    diagonal, so the two square sums round differently."""
+    a = draw(vectors)
+    tie = draw(st.sampled_from(["free", "nudged", "mirrored", "swapped",
+                                "axis", "diagonal"]))
+    k = draw(ulp_steps)
+    with np.errstate(all="ignore"):
+        length = float(np.hypot(*a))
+    if tie == "free":
+        b = draw(vectors)
+    elif tie == "nudged":
+        b = (nudged(a[0], k), nudged(a[1], k))
+    elif tie == "mirrored":
+        b = (-a[0], a[1])
+    elif tie == "swapped":
+        b = (a[1], a[0])
+    elif tie == "axis":
+        b = (nudged(length, k), 0.0)
+    else:
+        b = (nudged(length / math.sqrt(2.0), k), length / math.sqrt(2.0))
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+@st.composite
+def line_rows(draw):
+    """Two vectors, the second often sized so that the product of their
+    largest coordinates nears the overflow, and a cross product for them,
+    mostly at or near the ``1e-12`` line the half-plane check draws."""
+    d = draw(vectors)
+    if draw(st.booleans()):
+        z = draw(vectors)
+    else:
+        size = 2.0 ** 1023 / (max(abs(d[0]), abs(d[1])) or 1.0)
+        z = (size * draw(plain), size * draw(plain))
+    with np.errstate(all="ignore"):
+        limit = float(1e-12 * (np.hypot(*d) * np.hypot(*z)))
+    kind = draw(st.sampled_from(["free", "cross", "tie", "near"]))
+    if kind == "free":
+        cross = draw(coordinates)
+    elif kind == "cross":
+        cross = d[0] * z[1] - d[1] * z[0]
+    elif kind == "tie":
+        cross = limit
+    else:
+        cross = nudged(limit, draw(ulp_steps))
+    return d, z, draw(st.sampled_from([1.0, -1.0])) * cross
+
+
+class TestBoundThenExact:
+    """The checks decide most slots by a bound and leave the rest to the
+    ``np.hypot`` expression they stand for; each decision is the
+    expression's, on every float."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(rows=st.lists(line_rows(), min_size=1, max_size=24))
+    # a hypot, or the product of two, overflows while the bound does not
+    @example(rows=[((1.5e308, 1.5e308), (1e-300, 0.0), 1.0),
+                   ((1e154, 1e154), (1e154, -1e154), -1e300)])
+    def test_on_line_is_the_hypot_test(self, rows):
+        d, z, cross = (np.array([r[i] for r in rows]) for i in range(3))
+        with np.errstate(all="ignore"):
+            want = np.abs(cross) <= 1e-12 * (np.hypot(d[:, 0], d[:, 1])
+                                             * np.hypot(z[:, 0], z[:, 1]))
+            got = snub._on_line(d, z, cross)
+        assert np.array_equal(got, want)
+
+    @settings(max_examples=120, deadline=None)
+    @given(rows=st.lists(length_pairs(), min_size=1, max_size=24))
+    # squares in the subnormals, where their rounding reverses the order
+    @example(rows=[((7.12415931310598e-162, 5.176023037120483e-162),
+                    (8.805955961695272e-162, 0.0))])
+    def test_closer_is_the_hypot_comparison(self, rows):
+        a, b = (np.array([r[i] for r in rows]) for i in range(2))
+        with np.errstate(all="ignore"):
+            want = np.hypot(a[:, 0], a[:, 1]) < np.hypot(b[:, 0], b[:, 1])
+            got = snub._closer(a, b)
+        assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
