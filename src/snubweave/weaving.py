@@ -17,12 +17,21 @@ Three constructions are provided:
 All tracing is deterministic: tiles, strands, and colors follow index
 order of the underlying mesh elements.
 
-* Tile order: each tile of a glued tiling is named by its lowest source
-  face id, and tiles are numbered in that order.
+Every glued tiling follows one gluing model, stated once by :func:`_tiles`
+and read by the three gluers (:func:`glue_snub_pairs`,
+:func:`glue_triangle_pairs`, :func:`sqrt3_quadization`) and the snub trace
+(:func:`trace_snub_strands`):
+
+* Glue edge: each source face names at most one edge to glue across (-1:
+  none).  An interior edge glues the two faces it borders; a boundary edge
+  glues nothing, and its face is a tile on its own (a singleton).
+* Tile order: each tile is named by its lowest source face id, and tiles
+  are numbered in that order.
 * Walker rule: a glued pair's cycle is walked by the face that lies to the
-  left of the shared edge (its ``edge_left``).  The cycle starts at the slot
-  after the shared edge and runs once around that face; the other face's
-  cycle follows, without the two shared vertices.
+  left of the glued edge (its ``edge_left``), a singleton's by its own
+  face.  The cycle starts at the slot after the glued edge and runs once
+  around the walker; the other face's cycle follows, without the two
+  shared vertices.
 
 Every table (tile cycles, ports and their twins, ribbon points) is built
 with array operations in time linear in the mesh size.  Both weaves walk
@@ -244,16 +253,29 @@ class GluedTiling:
         return self.tile_faces[self.tile_faces[:, 1] < 0, 0]
 
 
-def _build_tiling(source: Mesh, partner: np.ndarray,
-                  shared_edge: np.ndarray) -> GluedTiling:
-    """Assemble a tiling from per-face partner faces and shared edges.
+def _tiles(mesh: Mesh, face_edge: np.ndarray) -> tuple:
+    """The tiles of ``mesh`` glued across ``face_edge``, one edge per face
+    (-1: none), by the gluing model of the module docstring.
 
-    ``partner[f]`` is the face glued to ``f`` across edge ``shared_edge[f]``
-    (-1 for a singleton, whose shared edge is not read).  Each tile is named by its lowest face id
-    and tiles come out in that order.  A glued pair's cycle is walked by
-    the face on the shared edge's left: its own cycle from the slot after
-    the shared edge, then the other face's cycle without the two shared
-    vertices.
+    Returns, per tile in tile order, its :attr:`GluedTiling.tile_faces`
+    row, its edge (its lowest face's ``face_edge``, whether or not it
+    glues), its walker and its other face (-1 on a singleton).
+    """
+    glues = np.append(~mesh.boundary_edge_mask, False)[face_edge]
+    left, right = mesh.edge_left[face_edge], mesh.edge_right[face_edge]
+    faces = np.arange(len(face_edge))
+    partner = np.where(glues, left + right - faces, -1)
+    lead = np.flatnonzero((partner < 0) | (partner > faces))
+    glues = glues[lead]
+    return (np.column_stack((lead, partner[lead])), face_edge[lead],
+            np.where(glues, left[lead], lead),
+            np.where(glues, right[lead], -1))
+
+
+def _build_tiling(source: Mesh, face_edge: np.ndarray) -> GluedTiling:
+    """Assemble the tiling of ``source`` glued across ``face_edge``, one
+    edge per face (-1: none), by the gluing model of the module docstring
+    (:func:`_tiles`).
 
     The tiling keeps the source's vertex ids and positions, and its edge
     table is the source's minus the glued edges, in the same order.  A
@@ -261,18 +283,13 @@ def _build_tiling(source: Mesh, partner: np.ndarray,
     vertex, whose edge leads into the other face's cycle.
     """
     sizes = source.face_sizes
-    tile_faces = _tile_faces(partner)
-    lead = tile_faces[:, 0]
+    tile_faces, e, walker, other = _tiles(source, face_edge)
     glued = tile_faces[:, 1] >= 0
+    e = e[glued]
     # each tile is two cycle segments: the walker's (all of a singleton)
-    # and the other face's (empty for a singleton)
-    walker = lead.copy()
-    other = lead.copy()
-    e = shared_edge[lead[glued]]
-    walker[glued] = source.edge_left[e]
-    other[glued] = source.edge_right[e]
-    # segments start after the shared edge's slot (-1 for a singleton)
-    # in the walker, and one slot later in the other face
+    # and the other face's (empty for a singleton); they start after the
+    # glued edge's slot (-1 for a singleton) in the walker, and one slot
+    # later in the other face
     nxt = source.slot_next
     left, right = _edge_slots(source, nxt)
     seg_face = np.column_stack((walker, other))
@@ -282,6 +299,7 @@ def _build_tiling(source: Mesh, partner: np.ndarray,
     seg_face, seg_rot = seg_face.ravel(), (seg_rot + (1, 2)).ravel()
     seg_len = np.column_stack((sizes[walker],
                                np.where(glued, sizes[other] - 2, 0))).ravel()
+    del walker, other
     seg_starts = np.zeros(len(seg_len) + 1, dtype=np.int64)
     np.cumsum(seg_len, out=seg_starts[1:])
     within = np.arange(seg_starts[-1], dtype=np.int64) \
@@ -306,23 +324,14 @@ def _build_tiling(source: Mesh, partner: np.ndarray,
     return GluedTiling(source=source, mesh=mesh, tile_faces=tile_faces)
 
 
-def _tile_faces(partner: np.ndarray) -> np.ndarray:
-    """The tiles of per-face ``partner`` faces (-1: none), as
-    :attr:`GluedTiling.tile_faces`: in order of their lowest face."""
-    lead = np.flatnonzero((partner < 0) | (partner > np.arange(len(partner))))
-    return np.column_stack((lead, partner[lead]))
-
-
 def _glue_across(mesh: Mesh, edges: np.ndarray) -> GluedTiling:
-    """Glue the two faces flanking each of ``edges`` (interior ones only)."""
+    """Glue the two faces flanking each of ``edges`` (interior ones only);
+    a face flanking two of them glues across the later one."""
     edges = edges[~mesh.boundary_edge_mask[edges]]
-    partner = np.full(mesh.face_count, -1, dtype=np.int64)
-    shared = np.full(mesh.face_count, -1, dtype=np.int64)
-    for side, mate in ((mesh.edge_left, mesh.edge_right),
-                       (mesh.edge_right, mesh.edge_left)):
-        partner[side[edges]] = mate[edges]
-        shared[side[edges]] = edges
-    return _build_tiling(mesh, partner, shared)
+    face_edge = np.full(mesh.face_count, -1, dtype=INDEX_DTYPE)
+    face_edge[mesh.edge_left[edges]] = edges
+    face_edge[mesh.edge_right[edges]] = edges
+    return _build_tiling(mesh, face_edge)
 
 
 def glue_triangle_pairs(mesh: Mesh, coloring: VertexColoring) -> GluedTiling:
@@ -352,18 +361,12 @@ def sqrt3_quadization(step: SchemeStepResult,
     mesh = step.mesh
     V = step.sizes[0]       # the centers follow: (lo, hi) joins two if lo does
     tiling = _glue_across(mesh, np.flatnonzero(mesh.edges[:, 0] >= V))
-    if len(tiling.pairs) != len(step.flipped_edges):
+    quads = np.count_nonzero(tiling.tile_faces[:, 1] >= 0)
+    flipped = np.count_nonzero(~step.source.boundary_edge_mask)
+    if quads != flipped:
         raise InternalInvariantError(
-            f"{len(tiling.pairs)} quads formed but {len(step.flipped_edges)} "
-            f"edges were re-connected")
+            f"{quads} quads formed but {flipped} edges were re-connected")
     return tiling, VertexColoring(np.arange(mesh.vertex_count) < V)
-
-
-def _snub_partners(mesh: Mesh, middle: np.ndarray) -> np.ndarray:
-    """Per face, the face across its ``middle`` edge (-1: a boundary one)."""
-    left, right = mesh.edge_left[middle], mesh.edge_right[middle]
-    return np.where((left >= 0) & (right >= 0),
-                    left + right - np.arange(len(middle)), -1)
 
 
 def glue_snub_pairs(mesh: Mesh, provenance: Provenance) -> GluedTiling:
@@ -379,8 +382,7 @@ def glue_snub_pairs(mesh: Mesh, provenance: Provenance) -> GluedTiling:
     :class:`InvalidParameterError`.
     """
     _require_record(mesh, Mesh, "mesh")
-    middle = _face_table(mesh, provenance)[0]
-    return _build_tiling(mesh, _snub_partners(mesh, middle), middle)
+    return _build_tiling(mesh, _face_table(mesh, provenance)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -749,8 +751,8 @@ def trace_snub_strands(tiling: GluedTiling,
     Besides the two bend vertices of its own middle edge, every pentagon
     touches exactly one other middle edge, at its designated bend vertex.
     A tile ``t`` is one visit with two ports: ``2t``, the designated bend
-    of its walking face (the face left of its middle; a singleton's face),
-    and ``2t + 1``, the other face's (none on a singleton).  A strand
+    of its walker, and ``2t + 1``, its other face's (none on a singleton),
+    by the gluing model of the module docstring.  A strand
     enters at one port, leaves at the other, and hops across that port's
     middle edge to its twin, the port designating the edge's far end.
     Crossing a boundary middle edge (no twin) or leaving by a singleton's
@@ -771,7 +773,8 @@ def trace_snub_strands(tiling: GluedTiling,
     _require_record(tiling, GluedTiling, "tiling")
     source = tiling.source
     middle, bend, crossed = _face_table(source, provenance)
-    got, want = tiling.tile_faces, _tile_faces(_snub_partners(source, middle))
+    got = tiling.tile_faces
+    want, own, walker, other = _tiles(source, middle)
     if not np.array_equal(got, want):
         n = min(len(got), len(want))
         t = int(np.argmin(np.append((got[:n] == want[:n]).all(axis=1),
@@ -780,17 +783,13 @@ def trace_snub_strands(tiling: GluedTiling,
             f"tile {t} is not the one glue_snub_pairs makes there, of the "
             f"faces on a middle edge (a tiling glue_snub_pairs did not "
             f"make?)")
-    low, mate = got.T
     T = len(got)
-    paired = mate >= 0
-    own = middle[low]
     tile_of_middle = np.full(source.edge_count, -1, dtype=np.int64)
     tile_of_middle[own] = np.arange(T)
 
     # each port's face (-1: none), the middle its hop crosses, its twin
-    face = np.column_stack((np.where(paired, source.edge_left[own], low),
-                            np.where(paired, source.edge_right[own],
-                                     -1))).ravel()
+    face = np.column_stack((walker, other)).ravel()
+    del middle, want, own, walker, other
     has_face = face >= 0
     hop = crossed[face]
     port_of = np.full(source.vertex_count, -1, dtype=np.int64)
@@ -807,7 +806,7 @@ def trace_snub_strands(tiling: GluedTiling,
     # there leaves by, among the ports with a face: tile order
     order = np.where(has_face[opposite], np.cumsum(has_face)[opposite] - 1,
                      2 * T + np.arange(2 * T))
-    del middle, bend, crossed, want, paired, own, face, port_of
+    del bend, crossed, face, port_of
     path, t_off, closed = _rank_walks(twin, opposite, order)
     del twin, order
     tiles = path // 2

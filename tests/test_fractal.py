@@ -221,6 +221,22 @@ class TestDimensionEstimate:
         with pytest.raises(InvalidParameterError, match="must be finite"):
             sw.box_counting_dimension(polyline)
 
+    @pytest.mark.parametrize("polyline", [
+        [[0.0, 0.0]], np.zeros((4, 3)), np.zeros((4, 1)), np.zeros(6),
+        np.zeros((2, 2, 2))])
+    def test_box_counting_needs_an_n_by_2_polyline(self, polyline):
+        with pytest.raises(InvalidParameterError,
+                           match=r"^polyline must be an \(n, 2\) array, "
+                                 r"n >= 2$"):
+            sw.box_counting_dimension(polyline)
+
+    @pytest.mark.parametrize("grid_sizes", [(), (8,), (4, 8)])
+    def test_box_counting_needs_three_grid_sizes(self, grid_sizes):
+        _, polyline = sw.lsystem_expand(4)
+        with pytest.raises(InsufficientDataError,
+                           match="^need at least 3 grid sizes$"):
+            sw.box_counting_dimension(polyline, grid_sizes=grid_sizes)
+
     def test_box_counting_rejects_a_bounding_box_too_large_to_measure(self):
         # finite coordinates whose extent overflows a float
         with pytest.raises(InvalidParameterError, match="extent overflows"):
@@ -311,6 +327,15 @@ class TestTrackInnerCurves:
         assert sw.track_inner_curves(
             hist, [0], start_step=np.int64(1)).curves[0].lengths \
             == sw.track_inner_curves(hist, [0], start_step=1).curves[0].lengths
+
+    def test_start_step_past_the_history(self):
+        # a history of two steps holds meshes 0, 1 and 2
+        hist = sw.snub_subdivide(sw.pentagon(), 2)
+        assert len(sw.track_inner_curves(hist, [0], start_step=2)
+                   .curves[0].lengths) == 1
+        with pytest.raises(InvalidParameterError,
+                           match="^start step 3 outside history of 3$"):
+            sw.track_inner_curves(hist, [0], start_step=3)
 
     def test_path_vertices_triple_per_step(self):
         hist = sw.snub_subdivide(sw.pentagon(), 3)

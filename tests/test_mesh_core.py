@@ -166,6 +166,14 @@ class TestBuildMesh:
                            match="^points must be pairs of numbers: "):
             sw.build_mesh([("a", "b"), (1, 2), (3, 4)], [[0, 1, 2]])
 
+    @pytest.mark.parametrize("points", [
+        [(0, 0, 0), (1, 0, 0), (0, 1, 0)], np.zeros((3, 3)), np.zeros(6),
+        np.zeros((3, 2, 1))])
+    def test_points_must_be_pairs(self, points):
+        with pytest.raises(InvalidParameterError,
+                           match="^points must be pairs of coordinates$"):
+            sw.build_mesh(points, [[0, 1, 2]])
+
     def test_area_lost_to_rounding_rejected(self):
         # a triangle of side 64 offset by 1e17: its shoelace sum reads
         # 1.15e18 where twice its area is about 3,546, and the snub step
@@ -649,6 +657,10 @@ class TestGenerators:
             sw.generate_demo_mesh("cube")
         with pytest.raises(InvalidParameterError):
             sw.generate_demo_mesh("grid:0x2")
+        with pytest.raises(InvalidParameterError,
+                           match=r"^bad generator spec 'ngon:x': invalid "
+                                 r"literal for int\(\) with base 10: 'x'$"):
+            sw.generate_demo_mesh("ngon:x")
         # an int leaked AttributeError from str.partition
         with pytest.raises(InvalidParameterError,
                            match="^generator spec must be a string, got 5$"):
@@ -742,9 +754,20 @@ class TestMeshObject:
         assert np.allclose(np.asarray(moved.positions),
                            2.0 * np.asarray(m.positions))
 
+    @pytest.mark.parametrize("shape", [(5, 2), (7, 2), (6, 3), (12,),
+                                       (6, 2, 1)])
+    def test_with_positions_needs_the_same_shape(self, shape):
+        m = sw.square_grid(2, 1)        # 6 vertices
+        with pytest.raises(InvalidParameterError,
+                           match="^replacement positions have wrong shape$"):
+            m.with_positions(np.zeros(shape))
+
     def test_equality_is_exact(self):
         assert sw.pentagon() == sw.pentagon()
         assert sw.pentagon() != sw.ngon(6)
+        # a mesh is no other kind of value
+        assert (sw.pentagon() == 3) is False
+        assert (sw.pentagon() != 3) is True
 
     def test_vertex_degrees(self):
         m = sw.square_grid(2, 2)

@@ -358,6 +358,11 @@ class TestSnubSubdivide:
         m = sw.pentagon()
         hist = sw.snub_subdivide(m, 0)
         assert len(hist) == 1 and hist.final is m and hist.records == []
+        assert hist.steps == 0
+
+    def test_steps_counts_the_records(self):
+        hist = sw.snub_subdivide(sw.pentagon(), 2)
+        assert hist.steps == len(hist.records) == 2 and len(hist) == 3
 
     def test_negative_steps_rejected(self):
         with pytest.raises(InvalidParameterError):

@@ -674,12 +674,45 @@ class TestErrors:
                                  r"otherwise\?\)$"):
             sw.glue_snub_pairs(odd, hist.records[-1].provenance)
 
+    def test_tile_designating_both_ends_of_a_middle(self):
+        # tile 0 glues faces 0 and 24; faces 3 and 9 designate the two bend
+        # points of middle edge 72 = (46, 47).  Swapping each tile face's
+        # designated vertex (its last slot here) with theirs leaves every
+        # bend point designated once, so the numbering's checks pass, but
+        # a strand entering tile 0 would hop across 72 back into it
+        hist = sw.snub_subdivide(sw.pentagon(), 2)
+        mesh, prov = hist.final, hist.records[-1].provenance
+        tiling = sw.glue_snub_pairs(mesh, prov)
+        assert tiling.tile_faces[0].tolist() == [0, 24]
+        assert mesh.edges[72].tolist() == [46, 47]
+        assert [mesh.face(f).tolist() for f in (0, 24, 3, 9)] == [
+            [56, 39, 38, 5, 36], [60, 38, 39, 15, 43],
+            [56, 22, 23, 9, 46], [57, 50, 51, 15, 47]]
+        flat = mesh.face_vertex_flat.copy()
+        for f, g in ((0, 3), (24, 9)):
+            flat[[5 * f + 4, 5 * g + 4]] = flat[[5 * g + 4, 5 * f + 4]]
+        odd = sw.Mesh(mesh.positions, flat, mesh.face_starts, mesh.edges,
+                      mesh.edge_left, mesh.edge_right, mesh.face_edge_flat)
+        with pytest.raises(InvalidParameterError,
+                           match=r"^tile 0 designates both bend points of "
+                                 r"middle edge 72 \(a mesh numbered "
+                                 r"otherwise\?\)$"):
+            sw.trace_snub_strands(dataclasses.replace(tiling, source=odd),
+                                  prov)
+
+    def test_quad_weaving_needs_a_quad(self):
+        fan = sw.fan_ngon(5)
+        with pytest.raises(InvalidParameterError,
+                           match="^mesh has no quad faces to weave$"):
+            sw.quad_weaving(fan, sw.VertexColoring(np.zeros(6, dtype=bool)))
+
     def test_tile_repeating_a_vertex_fails_as_build_mesh_does(self):
         # faces 0 and 1 share the middle edge (0, 1) and also vertex 3, so
         # their glued cycle visits 3 twice; faces 2 and 3 fill the hole
         # between them and share the middle edge (1, 3).  No snub step
-        # numbers a mesh so, so the library glues through the helper that
-        # glue_snub_pairs hands its middle edges to
+        # numbers a mesh so, so the library glues through _glue_across,
+        # which hands _build_tiling the same one glue edge per face that
+        # glue_snub_pairs hands it
         mesh = sw.build_mesh(
             [(0, 0), (1, 0), (2, 0.5), (3, 0), (1.5, 2), (1.5, -2),
              (2, -0.5)],
